@@ -3,7 +3,8 @@
     semigeo <mode> --config run.cfg --out results/ [--threads N]
 
 Modes: forward, reconstruct-metric, reconstruct-connection,
-roundtrip-metric, roundtrip-connection, check-chart.
+roundtrip-metric, roundtrip-connection, check-chart.  ``--threads N`` is
+accepted and ignored: every march is one lockstep pass over all nodes.
 
 Exit codes: 0 success; 2 bad configuration or invalid input data;
 3 numerical stop (blow-up or degeneracy; partial dumps are still
@@ -54,7 +55,13 @@ from .curvature import (
     lower_and_check_identity,
 )
 from .errors import ConfigError, LeftDomain, SemigeoError
-from .grid_field import ChartSpec, build_grid, write_curve_dump, write_tensor_dump
+from .grid_field import (
+    ChartSpec,
+    TensorTube,
+    build_grid,
+    write_curve_dump,
+    write_tensor_dump,
+)
 from .metric_recon import HypersurfaceMetricData, MetricCurvatureSpec, reconstruct_metric
 
 SEMIGEO_TOL = 1e-12
@@ -69,7 +76,10 @@ def build_parser():
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--out", default=None, help="output directory (or [run] out)")
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for the marches"
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and ignored; kept so existing command lines still run",
     )
     return parser
 
@@ -198,7 +208,7 @@ def roundtrip_gate(residual, coarse_residual, roundtrip_tol):
 # --------------------------------------------------------------------- modes
 
 
-def _run_forward(cfg, grid, out, threads):
+def _run_forward(cfg, grid, out):
     lines = [("mode", "forward")]
     tol = cfg.tolerances.degeneracy_tol
     if "g" in cfg.fields:
@@ -224,7 +234,7 @@ def _run_forward(cfg, grid, out, threads):
     return 0, lines
 
 
-def _reconstruct_metric_once(cfg, chart, threads):
+def _reconstruct_metric(cfg, chart):
     grid = build_grid(chart)
     init, sources = _metric_inputs(cfg)
     metric, report = reconstruct_metric(
@@ -234,91 +244,60 @@ def _reconstruct_metric_once(cfg, chart, threads):
         chart,
         guards=cfg.tolerances.guards(),
         grid=grid,
-        threads=threads,
         degeneracy_tol=cfg.tolerances.degeneracy_tol,
     )
     return metric, report, sources
 
 
-def _run_reconstruct_metric(cfg, grid, out, threads, roundtrip=False):
-    metric, report, sources = _reconstruct_metric_once(cfg, cfg.chart, threads)
-    write_tensor_dump(out / "metric.csv", metric.grid, [metric.tube()])
-    lines = [("mode", "roundtrip-metric" if roundtrip else "reconstruct-metric")]
-    _report_recon(lines, report)
-    code = 0 if report.complete else 3
-    if roundtrip:
-        residual, axial = metric_roundtrip_residual(
-            metric, sources, cfg.tolerances.degeneracy_tol
-        )
-        if axial is not None:
-            write_tensor_dump(out / "curvature_oracle.csv", metric.grid, [axial])
-        coarse_residual = None
-        coarse = _coarse_chart(cfg.chart)
-        if coarse is not None and residual is not None:
-            try:
-                metric2, report2, _ = _reconstruct_metric_once(cfg, coarse, threads)
-                if report2.complete:
-                    coarse_residual, _ = metric_roundtrip_residual(
-                        metric2, sources, cfg.tolerances.degeneracy_tol
-                    )
-            except SemigeoError:
-                coarse_residual = None
-        estimate, gate = roundtrip_gate(
-            residual, coarse_residual, cfg.tolerances.roundtrip_tol
-        )
-        lines.append(("max_error", float("nan") if residual is None else residual))
-        lines.append(("error_estimate", estimate))
-        lines.append(("gate", gate))
-        if code == 0 and residual is not None and residual > gate:
-            code = 4
-    return code, lines
-
-
-def _reconstruct_connection_once(cfg, chart, threads):
+def _reconstruct_connection(cfg, chart):
     grid = build_grid(chart)
     init, sources = _connection_inputs(cfg)
     conn, report = reconstruct_connection(
-        init,
-        sources,
-        chart,
-        guards=cfg.tolerances.guards(),
-        grid=grid,
-        threads=threads,
+        init, sources, chart, guards=cfg.tolerances.guards(), grid=grid
     )
     return conn, report, sources
 
 
-def _run_reconstruct_connection(cfg, grid, out, threads, roundtrip=False):
-    conn, report, sources = _reconstruct_connection_once(cfg, cfg.chart, threads)
-    write_tensor_dump(out / "connection.csv", conn.grid, [conn.tube()])
-    lines = [("mode", "roundtrip-connection" if roundtrip else "reconstruct-connection")]
+def _run_reconstruction(cfg, out, mode, reconstruct, residual_of, dump_name):
+    """Reconstruct on the configured chart and dump the field; round trips
+    (``residual_of`` given) also dump the oracle and gate its residual.
+
+    ``reconstruct(cfg, chart)`` returns (field, report, sources) and
+    ``residual_of(field, sources)`` returns (max error, oracle), both None
+    when the reached grid is too short for the oracle.  The oracle is a
+    TensorTube or a dense field with ``.tube()``; only the fine run's is
+    converted and dumped.
+    """
+    field, report, sources = reconstruct(cfg, cfg.chart)
+    write_tensor_dump(out / dump_name, field.grid, [field.tube()])
+    lines = [("mode", mode)]
     _report_recon(lines, report)
     code = 0 if report.complete else 3
-    if roundtrip:
-        residual, r13 = connection_roundtrip_residual(conn, sources)
-        if r13 is not None:
-            write_tensor_dump(out / "curvature_oracle.csv", conn.grid, [r13.tube()])
-        coarse_residual = None
-        coarse = _coarse_chart(cfg.chart)
-        if coarse is not None and residual is not None:
-            try:
-                conn2, report2, _ = _reconstruct_connection_once(cfg, coarse, threads)
-                if report2.complete:
-                    coarse_residual, _ = connection_roundtrip_residual(conn2, sources)
-            except SemigeoError:
-                coarse_residual = None
-        estimate, gate = roundtrip_gate(
-            residual, coarse_residual, cfg.tolerances.roundtrip_tol
-        )
-        lines.append(("max_error", float("nan") if residual is None else residual))
-        lines.append(("error_estimate", estimate))
-        lines.append(("gate", gate))
-        if code == 0 and residual is not None and residual > gate:
-            code = 4
+    if residual_of is None:
+        return code, lines
+    residual, oracle = residual_of(field, sources)
+    if oracle is not None:
+        tube = oracle if isinstance(oracle, TensorTube) else oracle.tube()
+        write_tensor_dump(out / "curvature_oracle.csv", field.grid, [tube])
+    coarse_residual = None
+    coarse = _coarse_chart(cfg.chart)
+    if coarse is not None and residual is not None:
+        try:
+            field2, report2, _ = reconstruct(cfg, coarse)
+            if report2.complete:
+                coarse_residual, _ = residual_of(field2, sources)
+        except SemigeoError:
+            coarse_residual = None
+    estimate, gate = roundtrip_gate(residual, coarse_residual, cfg.tolerances.roundtrip_tol)
+    lines.append(("max_error", float("nan") if residual is None else residual))
+    lines.append(("error_estimate", estimate))
+    lines.append(("gate", gate))
+    if code == 0 and residual is not None and residual > gate:
+        code = 4
     return code, lines
 
 
-def _run_check_chart(cfg, grid, out, threads):
+def _run_check_chart(cfg, grid, out):
     lines = [("mode", "check-chart"), ("status", "Complete")]
     tol = cfg.tolerances.degeneracy_tol
     metric = None
@@ -356,7 +335,7 @@ def _run_check_chart(cfg, grid, out, threads):
     return 0, lines
 
 
-def run(cfg, mode, out, threads=1):
+def run(cfg, mode, out):
     """Execute one validated configuration; returns the exit code.
 
     Writes the mode's dumps plus report.txt into ``out``.  Numerical
@@ -366,17 +345,22 @@ def run(cfg, mode, out, threads=1):
     out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(cfg.chart)
     if mode == "forward":
-        code, lines = _run_forward(cfg, grid, out, threads)
-    elif mode == "reconstruct-metric":
-        code, lines = _run_reconstruct_metric(cfg, grid, out, threads)
-    elif mode == "roundtrip-metric":
-        code, lines = _run_reconstruct_metric(cfg, grid, out, threads, roundtrip=True)
-    elif mode == "reconstruct-connection":
-        code, lines = _run_reconstruct_connection(cfg, grid, out, threads)
-    elif mode == "roundtrip-connection":
-        code, lines = _run_reconstruct_connection(cfg, grid, out, threads, roundtrip=True)
+        code, lines = _run_forward(cfg, grid, out)
+    elif mode in ("reconstruct-metric", "roundtrip-metric"):
+        tol = cfg.tolerances.degeneracy_tol
+        residual_of = None
+        if mode == "roundtrip-metric":
+            residual_of = lambda metric, sources: metric_roundtrip_residual(metric, sources, tol)
+        code, lines = _run_reconstruction(
+            cfg, out, mode, _reconstruct_metric, residual_of, "metric.csv"
+        )
+    elif mode in ("reconstruct-connection", "roundtrip-connection"):
+        residual_of = connection_roundtrip_residual if mode == "roundtrip-connection" else None
+        code, lines = _run_reconstruction(
+            cfg, out, mode, _reconstruct_connection, residual_of, "connection.csv"
+        )
     else:
-        code, lines = _run_check_chart(cfg, grid, out, threads)
+        code, lines = _run_check_chart(cfg, grid, out)
     _write_report(out, lines, code)
     return code
 
@@ -391,7 +375,7 @@ def main(argv=None):
             raise ConfigError("no output directory: give --out or [run] out")
         for name in defaulted_components(cfg, mode):
             print(f"note: {name} not set, defaulting to 0", file=sys.stderr)
-        return run(cfg, mode, out, threads=args.threads)
+        return run(cfg, mode, out)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

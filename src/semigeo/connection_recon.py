@@ -38,13 +38,13 @@ from .errors import InvalidInit, InvalidSpec
 from .expr import FieldExpr, eval_field_on, parse_field, variables
 from .grid_field import (
     ExpressionField,
-    SampledField,
     TensorTube,
     TubeGrid,
+    as_field,
     build_grid,
     fd_transverse,
 )
-from .ode import GuardConfig, rk4_march_blocked
+from .ode import GuardConfig, rk4_march
 
 STATUS_COMPLETE = "Complete"
 STATUS_BLOWUP = "StoppedBlowup"
@@ -126,17 +126,6 @@ class _TransverseField:
                 f"match the transverse lattice {grid.transverse_shape}"
             )
         return self.samples.reshape(-1)
-
-
-def _tube_field(value, n, what):
-    """Scalar data on the whole tube: expression or SampledField."""
-    if isinstance(value, str):
-        value = parse_field(value, n)
-    if isinstance(value, FieldExpr):
-        return ExpressionField(value, n)
-    if isinstance(value, (ExpressionField, SampledField)):
-        return value
-    raise InvalidSpec(f"{what}: cannot interpret {value!r} as a scalar field")
 
 
 class HypersurfaceConnectionData:
@@ -229,7 +218,7 @@ class ConnectionCurvatureSpec:
                 )
             if (h, i, k) in self._fields:
                 raise InvalidSpec(f"curvature source {(h, i, k)} assigned twice")
-            self._fields[(h, i, k)] = _tube_field(value, n, f"A({h},{i},{k})")
+            self._fields[(h, i, k)] = as_field(value, n, f"A({h},{i},{k})")
 
     def _plane(self, h, i, k, x1, grid):
         fld = self._fields.get((h, i, k))
@@ -309,12 +298,12 @@ def _half_key(x, h1):
     return key
 
 
-def _march_both(rhs, h1, steps_plus, steps_minus, state0, guards, record_half, threads):
-    plus = rk4_march_blocked(
-        rhs, 0.0, h1, steps_plus, state0, guards, record_half=record_half, threads=threads
+def _march_both(rhs, h1, steps_plus, steps_minus, state0, guards, record_half):
+    plus = rk4_march(
+        rhs, 0.0, h1, steps_plus, state0, guards, record_half=record_half, node_axis=-1
     )
-    minus = rk4_march_blocked(
-        rhs, 0.0, -h1, steps_minus, state0, guards, record_half=record_half, threads=threads
+    minus = rk4_march(
+        rhs, 0.0, -h1, steps_minus, state0, guards, record_half=record_half, node_axis=-1
     )
     return plus, minus
 
@@ -348,7 +337,7 @@ def _report(grid, rgrid, plus, minus, max_component):
 # ----------------------------------------------------------------- stage 1
 
 
-def stage1_integrate(init, sources, spec, guards=None, grid=None, threads=1):
+def stage1_integrate(init, sources, spec, guards=None, grid=None):
     """March the axial components Gamma^h_1k from the hypersurface data.
 
     Returns (TensorTube over the reached grid, ReconstructionReport).
@@ -364,19 +353,16 @@ def stage1_integrate(init, sources, spec, guards=None, grid=None, threads=1):
     guards = guards or GuardConfig()
     src_cache = {}
 
-    def rhs(x, u, sl):
-        plane = src_cache.get(x)
-        if plane is None:
-            plane = sources.stage1_plane(x, grid)
-            src_cache[x] = plane
-        a1 = plane[..., sl]
+    def rhs(x, u):
+        a1 = src_cache.get(x)
+        if a1 is None:
+            a1 = sources.stage1_plane(x, grid)
+            src_cache[x] = a1
         p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
         return -np.einsum("qb...,aq...->ab...", u, p) + a1
 
     k0 = grid.zero_index
-    plus, minus = _march_both(
-        rhs, h1, len(grid.x1_samples) - 1 - k0, k0, state0, guards, True, threads
-    )
+    plus, minus = _march_both(rhs, h1, len(grid.x1_samples) - 1 - k0, k0, state0, guards, True)
     rgrid, rzero = _restricted(grid, plus, minus)
     whole = _assemble_whole(plus, minus)
     solution = Stage1Solution(
@@ -407,7 +393,6 @@ def stage2_integrate(
     sources,
     spec,
     guards=None,
-    threads=1,
     omit_quadratic_cross_term=False,
 ):
     """March the transverse components Gamma^h_ik (i, k >= 2).
@@ -441,16 +426,15 @@ def stage2_integrate(
             dk_cache[key] = plane
         return plane
 
-    def rhs(x, w, sl):
+    def rhs(x, w):
         key = _half_key(x, h1)
         a2 = src_cache.get(key)
         if a2 is None:
             a2 = sources.stage2_plane(x, grid)
             src_cache[key] = a2
-        u = solution.plane(key)[..., sl]
-        dk = dk_plane(key)[..., sl]
+        u = solution.plane(key)
         p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
-        dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk + a2[..., sl]
+        dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk_plane(key) + a2
         if not omit_quadratic_cross_term:
             dw = dw + np.einsum("b...,ac...->abc...", u[0], u)
             dw = dw + np.einsum("qb...,aqc...->abc...", u[1:], w)
@@ -460,9 +444,7 @@ def stage2_integrate(
         return dw
 
     k0 = grid.zero_index
-    plus, minus = _march_both(
-        rhs, h1, len(grid.x1_samples) - 1 - k0, k0, state0, guards, False, threads
-    )
+    plus, minus = _march_both(rhs, h1, len(grid.x1_samples) - 1 - k0, k0, state0, guards, False)
     rgrid, _ = _restricted(grid, plus, minus)
     whole = _assemble_whole(plus, minus)
     tube = TensorTube(
@@ -494,7 +476,6 @@ def reconstruct_connection(
     spec,
     guards=None,
     grid=None,
-    threads=1,
     omit_quadratic_cross_term=False,
 ):
     """Stage 1 then stage 2; assembles the full Gamma^h_ij field.
@@ -504,14 +485,13 @@ def reconstruct_connection(
     symmetry hold exactly by assembly.
     """
     grid = grid or build_grid(spec)
-    stage1, report1 = stage1_integrate(init, sources, spec, guards=guards, grid=grid, threads=threads)
+    stage1, report1 = stage1_integrate(init, sources, spec, guards=guards, grid=grid)
     stage2, report2 = stage2_integrate(
         stage1,
         init,
         sources,
         spec,
         guards=guards,
-        threads=threads,
         omit_quadratic_cross_term=omit_quadratic_cross_term,
     )
     rgrid = stage2.grid

@@ -21,34 +21,16 @@ curvature block has the closed form above.
 import numpy as np
 
 from .errors import DegenerateMetric, InvalidSpec, NotSemigeodesic
-from .expr import FieldExpr, parse_field
-from .grid_field import (
-    ExpressionField,
-    SampledField,
-    TensorTube,
-    fd_partial,
-    fd_second,
-    interpolate,
-)
+from .grid_field import TensorTube, as_field, fd_partial, fd_second, interpolate
 from .linalg import det_stack, inv_sym
 
 DEGENERACY_TOL = 1e-10
 
 
-def _as_field(value, n):
-    if isinstance(value, (ExpressionField, SampledField)):
-        return value
-    if isinstance(value, str):
-        value = parse_field(value, n)
-    if isinstance(value, FieldExpr):
-        return ExpressionField(value, n)
-    raise InvalidSpec(f"cannot interpret {value!r} as a scalar field")
-
-
 class MetricField:
     """Symmetric metric components g_ij on a tube grid, plus the sign e."""
 
-    def __init__(self, grid, dense, e=1, evaluator=None):
+    def __init__(self, grid, dense, e=1):
         n = grid.n
         dense = np.asarray(dense, dtype=np.float64)
         if dense.shape != (n, n) + grid.shape:
@@ -56,7 +38,6 @@ class MetricField:
         self.grid = grid
         self.dense = dense
         self.e = int(e)
-        self.evaluator = evaluator
 
     @classmethod
     def from_fields(cls, grid, components, e=1):
@@ -64,8 +45,7 @@ class MetricField:
         n = grid.n
         dense = np.zeros((n, n) + grid.shape)
         for (i, j), value in components.items():
-            fld = _as_field(value, n)
-            vals = fld.on_grid(grid)
+            vals = as_field(value, n, f"g{(i, j)}").on_grid(grid)
             dense[i - 1, j - 1] = vals
             dense[j - 1, i - 1] = vals
         return cls(grid, dense, e=e)
@@ -97,8 +77,6 @@ class MetricField:
         return self.dense[i - 1, j - 1]
 
     def at(self, point):
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(point), dtype=np.float64)
         n = self.n
         out = np.empty((n, n))
         for i in range(n):
@@ -131,14 +109,13 @@ class MetricField:
 class ConnectionField:
     """Connection components G^h_ij (symmetric in i, j) on a tube grid."""
 
-    def __init__(self, grid, dense, evaluator=None):
+    def __init__(self, grid, dense):
         n = grid.n
         dense = np.asarray(dense, dtype=np.float64)
         if dense.shape != (n, n, n) + grid.shape:
             raise InvalidSpec(f"connection dense shape {dense.shape} is wrong")
         self.grid = grid
         self.dense = dense
-        self.evaluator = evaluator
 
     @classmethod
     def from_fields(cls, grid, components):
@@ -146,8 +123,7 @@ class ConnectionField:
         n = grid.n
         dense = np.zeros((n, n, n) + grid.shape)
         for (h, i, j), value in components.items():
-            fld = _as_field(value, n)
-            vals = fld.on_grid(grid)
+            vals = as_field(value, n, f"gamma{(h, i, j)}").on_grid(grid)
             dense[h - 1, i - 1, j - 1] = vals
             dense[h - 1, j - 1, i - 1] = vals
         return cls(grid, dense)
@@ -174,8 +150,6 @@ class ConnectionField:
         return t
 
     def at(self, point):
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(point), dtype=np.float64)
         n = self.n
         out = np.empty((n, n, n))
         for h in range(n):

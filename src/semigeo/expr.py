@@ -181,7 +181,10 @@ class _Parser:
         tok = self._next()
         kind, value, pos = tok
         if kind == "num":
-            return Num(float(value))
+            number = float(value)
+            if not np.isfinite(number):
+                raise FieldSyntaxError(f"number {value!r} is not finite", pos)
+            return Num(number)
         if kind == "op" and value == "(":
             node = self.expr()
             self._expect_op(")")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec, OutOfDomain
-from .expr import eval_field, eval_field_on
+from .expr import FieldExpr, eval_field, eval_field_on, parse_field
 
 
 # -------------------------------------------------------------------- chart
@@ -370,10 +370,6 @@ class TensorTube:
             return np.zeros(self.grid.shape)
         return self._data[key]
 
-    def stored_components(self):
-        """Canonical index tuples with explicit data, sorted."""
-        return sorted(self._data)
-
     def all_indices(self):
         """Every full index tuple in range, lexicographic."""
         ranges = [range(a, b + 1) for a, b in self.index_ranges]
@@ -445,6 +441,21 @@ class SampledField:
         if grid.shape != self.grid.shape:
             raise InvalidSpec("sampled field queried on a different grid")
         return self.values
+
+
+def as_field(value, n, what):
+    """Coerce an expression string, FieldExpr or field object to a field.
+
+    Strings are parsed over x1..xn; ExpressionField and SampledField pass
+    through.  Anything else raises InvalidSpec prefixed with ``what``.
+    """
+    if isinstance(value, str):
+        value = parse_field(value, n)
+    if isinstance(value, FieldExpr):
+        return ExpressionField(value, n)
+    if isinstance(value, (ExpressionField, SampledField)):
+        return value
+    raise InvalidSpec(f"{what}: cannot interpret {value!r} as a scalar field")
 
 
 # -------------------------------------------------------------------- dumps

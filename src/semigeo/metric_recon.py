@@ -28,7 +28,7 @@ import numpy as np
 
 from .curvature import DEGENERACY_TOL, MetricField
 from .errors import DegenerateMetric, InvalidInit, InvalidSpec
-from .grid_field import build_grid
+from .grid_field import as_field, build_grid
 from .linalg import det_stack, inv_sym
 from .ode import GuardConfig, StateRejected
 from .connection_recon import (
@@ -37,7 +37,6 @@ from .connection_recon import (
     _report,
     _restricted,
     _TransverseField,
-    _tube_field,
 )
 
 
@@ -109,7 +108,7 @@ class MetricCurvatureSpec:
         self.n = n
         self._fields = {}
         for key, value in _symmetric_fields(n, entries, "a").items():
-            self._fields[key] = _tube_field(value, n, f"a{key}")
+            self._fields[key] = as_field(value, n, f"a{key}")
 
     def plane(self, x1, grid):
         n = self.n
@@ -130,6 +129,16 @@ class MetricCurvatureSpec:
             out[i - 2, j - 2] = vals
             out[j - 2, i - 2] = vals
         return out
+
+
+def _quadratic(ginv, G):
+    """1/2 g^{rs} G_ir G_js, mirrored from i <= j so it is exactly symmetric."""
+    quad = 0.5 * np.einsum("rs...,ir...,js...->ij...", ginv, G, G)
+    k = quad.shape[0]
+    for i in range(k):
+        for j in range(i + 1, k):
+            quad[j, i] = quad[i, j]
+    return quad
 
 
 def metric_rhs(g, G, a, degeneracy_tol=DEGENERACY_TOL):
@@ -158,11 +167,7 @@ def metric_rhs(g, G, a, degeneracy_tol=DEGENERACY_TOL):
             det=float(det[node]),
         )
     ginv = inv_sym(g.reshape((k, k, -1)), det).reshape(g.shape)
-    quad = 0.5 * np.einsum("rs...,ir...,js...->ij...", ginv, G, G)
-    for i in range(k):
-        for j in range(i + 1, k):
-            quad[j, i] = quad[i, j]
-    dG = quad + 2.0 * a
+    dG = _quadratic(ginv, G) + 2.0 * a
     if single:
         return G[..., 0], dG[..., 0]
     return G.copy(), dG
@@ -190,7 +195,7 @@ def _relabel_collapse(march, det0, tol):
         march.stop_detail = int(np.argmin(node_min))
 
 
-def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, threads=1, degeneracy_tol=None):
+def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degeneracy_tol=None):
     """March the transverse block from (g~, G~) and assemble the metric.
 
     Returns (MetricField, ReconstructionReport).  ``e`` is the axial
@@ -222,28 +227,20 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, threads=1
     guards = guards or GuardConfig()
     src_cache = {}
 
-    def rhs(x, state, sl):
+    def rhs(x, state):
         g, G = state[0], state[1]
         det = det_stack(g)
-        bad = (np.abs(det) < floor[sl]) | (np.sign(det) * sign0[sl] < 0)
+        bad = (np.abs(det) < floor) | (np.sign(det) * sign0 < 0)
         if np.any(bad):
-            # block-local index: the blocked marcher shifts it to global
             raise StateRejected("degenerate", int(np.argmax(bad)))
         plane = src_cache.get(x)
         if plane is None:
             plane = sources.plane(x, grid)
             src_cache[x] = plane
-        ginv = inv_sym(g, det)
-        quad = 0.5 * np.einsum("rs...,ir...,js...->ij...", ginv, G, G)
-        for i in range(k):
-            for j in range(i + 1, k):
-                quad[j, i] = quad[i, j]
-        return np.stack([G, quad + 2.0 * plane[..., sl]])
+        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * plane])
 
     k0 = grid.zero_index
-    plus, minus = _march_both(
-        rhs, h1, len(grid.x1_samples) - 1 - k0, k0, state0, guards, False, threads
-    )
+    plus, minus = _march_both(rhs, h1, len(grid.x1_samples) - 1 - k0, k0, state0, guards, False)
     _relabel_collapse(plus, det0, tol)
     _relabel_collapse(minus, det0, tol)
     rgrid, _ = _restricted(grid, plus, minus)

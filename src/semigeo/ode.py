@@ -12,17 +12,19 @@ comes from guards instead of step adaptation:
   floor of 1) is treated as an unresolved pole and rejected.  The second
   condition keeps fast linear growth (constant slope) from triggering.
 
-When the state carries many lattice nodes in lockstep (trailing axis
-``node_axis``), the guards reduce over the tensor axes per node and trip
-on the first offending node, so the stop decision matches a per-node
-march exactly, independent of how nodes are batched.
+Every lattice march in the package is one lockstep march: the state
+carries all transverse nodes on its trailing axis (``node_axis=-1``),
+the right-hand side sees the whole node stack at each stage, and the
+guards reduce over the tensor axes per node and trip on the first
+offending node.  The systems marched here have no transverse coupling,
+so the lockstep march is exactly a per-node march, stopped at the first
+step that any node rejects.
 
 The right-hand side may also veto a stage by raising StateRejected, e.g.
 when a metric determinant crosses its degeneracy threshold; the marcher
 stops before completing that step.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,61 +170,6 @@ def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False, node_
     return MarchResult(
         states=np.array(states),
         half_states=half_states,
-        steps_done=done,
-        stopped=stopped,
-        stop_detail=detail,
-    )
-
-
-def rk4_march_blocked(rhs, x0, h, n_steps, state0, guards=None, record_half=False, threads=1):
-    """Blocked lockstep march over the trailing (node) axis of the state.
-
-    ``rhs(x, state_block, node_slice)`` sees a contiguous slice of the
-    node axis.  Per-node arithmetic is independent of the slicing, and
-    guards reduce per node, so the result is bitwise identical for every
-    thread count.  The march is truncated to the earliest per-block stop
-    (the per-node delta-hat minimum); ``stop_detail`` is the offending
-    global flat node index when known.
-    """
-    state0 = np.asarray(state0, dtype=np.float64)
-    n_nodes = state0.shape[-1]
-    n_blocks = max(1, min(int(threads), n_nodes))
-    bounds = np.linspace(0, n_nodes, n_blocks + 1).astype(int)
-    slices = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-
-    def run_block(sl):
-        return rk4_march(
-            lambda x, s: rhs(x, s, sl),
-            x0,
-            h,
-            n_steps,
-            state0[..., sl],
-            guards=guards,
-            record_half=record_half,
-            node_axis=-1,
-        )
-
-    if len(slices) == 1:
-        results = [run_block(slices[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            results = list(pool.map(run_block, slices))
-    done = min(r.steps_done for r in results)
-    stopped = None
-    detail = None
-    for sl, r in zip(slices, results):
-        if r.stopped is not None and r.steps_done == done and stopped is None:
-            stopped = r.stopped
-            detail = sl.start + r.stop_detail if r.stop_detail is not None else None
-    states = np.empty((done + 1,) + state0.shape)
-    halves = np.empty((done,) + state0.shape) if record_half else None
-    for sl, r in zip(slices, results):
-        states[..., sl] = r.states[: done + 1]
-        if record_half:
-            halves[..., sl] = r.half_states[:done]
-    return MarchResult(
-        states=states,
-        half_states=halves,
         steps_done=done,
         stopped=stopped,
         stop_detail=detail,

@@ -729,6 +729,13 @@ class TestExitTwo:
         assert code == 2
         assert "log of a non-positive value" in capsys.readouterr().err
 
+    def test_non_finite_literal(self, tmp_path, capsys):
+        text = SPHERE_ROUNDTRIP.replace('"-cos(x1)^2"', '"-1e999*cos(x1)^2"')
+        cfg = write_cfg(tmp_path, text)
+        code = main(["roundtrip-metric", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_degenerate_input_metric(self, tmp_path, capsys):
         text = FLAT_FORWARD.replace('g.2.2 = "1"', 'g.2.2 = "x2"')
         cfg = write_cfg(tmp_path, text)

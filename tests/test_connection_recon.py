@@ -70,14 +70,13 @@ def scenario():
 
 
 class TestSymbolicScenario:
-    def errs(self, scenario, res, threads=1):
+    def errs(self, scenario, res):
         init_c, src_c, gamma, xs = scenario
         spec = ChartSpec(
             n=2, x1_range=(-0.4, 0.6), h1=1e-2, transverse_box=((0.0, 1.0),), transverse_res=res
         )
         conn, report = reconstruct_connection(
-            HypersurfaceConnectionData(2, init_c), ConnectionCurvatureSpec(2, src_c), spec,
-            threads=threads,
+            HypersurfaceConnectionData(2, init_c), ConnectionCurvatureSpec(2, src_c), spec
         )
         assert report.complete
         worst = 0.0
@@ -102,11 +101,6 @@ class TestSymbolicScenario:
         _, coarse = self.errs(scenario, 9)
         _, fine = self.errs(scenario, 17)
         assert 3.0 < coarse / fine < 5.0
-
-    def test_threads_bitwise_identical(self, scenario):
-        one, _ = self.errs(scenario, 9, threads=1)
-        four, _ = self.errs(scenario, 9, threads=4)
-        assert np.array_equal(one.dense, four.dense)
 
 
 class TestStages:

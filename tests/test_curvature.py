@@ -274,6 +274,10 @@ class TestStructure:
             ConnectionField(grid, np.zeros((2, 2) + grid.shape))
         with pytest.raises(InvalidSpec):
             CurvatureTube(grid, np.zeros((2, 2, 2) + grid.shape))
+        with pytest.raises(InvalidSpec, match=r"^g\(2, 2\): cannot interpret 1\.5"):
+            MetricField.from_fields(grid, {(1, 1): "1", (2, 2): 1.5})
+        with pytest.raises(InvalidSpec, match=r"^gamma\(2, 1, 2\): cannot interpret"):
+            ConnectionField.from_fields(grid, {(2, 1, 2): None})
 
     def test_semigeodesic_constructor(self):
         grid = grid2(res=4)

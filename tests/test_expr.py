@@ -147,6 +147,12 @@ class TestParseErrors:
             parse_field("1 + @", 1)
         assert exc.value.position == 4
 
+    def test_non_finite_literal_rejected_at_its_position(self):
+        with pytest.raises(FieldSyntaxError) as exc:
+            parse_field("x1 + 1e999", 1)
+        assert exc.value.position == 5
+        assert "not finite" in str(exc.value)
+
     def test_garbage_after_expression(self):
         with pytest.raises(FieldSyntaxError):
             parse_field("1 + 2 )", 1)

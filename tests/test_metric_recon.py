@@ -3,11 +3,12 @@ import pytest
 import sympy as sp
 
 import _oracles as orc
-from semigeo.errors import InvalidInit, InvalidSpec
+from semigeo.errors import DegenerateMetric, InvalidInit, InvalidSpec
 from semigeo.grid_field import ChartSpec
 from semigeo.metric_recon import (
     HypersurfaceMetricData,
     MetricCurvatureSpec,
+    metric_rhs,
     reconstruct_metric,
 )
 
@@ -108,14 +109,6 @@ class TestSymbolicScenario:
         assert worst < 1e-8
         assert metric.semigeodesic_residuals() == (0.0, 0.0)
 
-    def test_threads_bitwise_identical(self):
-        init = HypersurfaceMetricData(2, g={(2, 2): "1 + 0.2*sin(x2)"})
-        src = MetricCurvatureSpec(2, {(2, 2): "-cos(x1 + 0.3*x2)^2"})
-        spec = surface_spec(res=9)
-        one, _ = reconstruct_metric(init, src, 1, spec, threads=1)
-        four, _ = reconstruct_metric(init, src, 1, spec, threads=4)
-        assert np.array_equal(one.dense, four.dense)
-
     def test_transverse_nodes_independent(self):
         # no transverse coupling: shared nodes agree bitwise across res
         init = HypersurfaceMetricData(2, g={(2, 2): "1 + 0.2*sin(x2)"})
@@ -126,11 +119,11 @@ class TestSymbolicScenario:
 
 
 class TestStops:
-    def cone(self, g1="-2", h1=1e-3, x1_hi=2.0, res=3, threads=1):
+    def cone(self, g1="-2", h1=1e-3, x1_hi=2.0, res=3):
         init = HypersurfaceMetricData(2, g={(2, 2): "1"}, g1={(2, 2): g1})
         src = MetricCurvatureSpec(2)
         spec = surface_spec(h1=h1, x1_range=(0.0, x1_hi), res=res)
-        return reconstruct_metric(init, src, 1, spec, threads=threads)
+        return reconstruct_metric(init, src, 1, spec)
 
     def test_cone_collapse_reported_degenerate(self):
         # the discrete march can tunnel over the isolated zero of the
@@ -144,8 +137,7 @@ class TestStops:
         assert report.status == "StoppedDegenerate"
         assert abs(report.delta_hat_plus - 1.0) < 1e-3
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_node_dependent_collapse_names_first_node(self, threads):
+    def test_node_dependent_collapse_names_first_node(self):
         init = HypersurfaceMetricData(
             2, g={(2, 2): "1"}, g1={(2, 2): "-2 - 0.5*x2"}
         )
@@ -156,9 +148,7 @@ class TestStops:
             transverse_box=((0.0, 1.0),),
             transverse_res=9,
         )
-        metric, report = reconstruct_metric(
-            init, MetricCurvatureSpec(2), 1, spec, threads=threads
-        )
+        metric, report = reconstruct_metric(init, MetricCurvatureSpec(2), 1, spec)
         assert report.status == "StoppedDegenerate"
         assert report.delta_hat_plus == pytest.approx(0.8, abs=1e-3)
         assert report.diagnostics["stop_plus"].endswith("node (8,)")
@@ -249,3 +239,40 @@ class TestValidation:
         init = HypersurfaceMetricData(2, g={(2, 2): np.ones(4)})
         with pytest.raises(InvalidInit):
             reconstruct_metric(init, MetricCurvatureSpec(2), 1, surface_spec(res=3))
+
+
+def symmetric_stack(rng, k, count, shift=0.0):
+    m = rng.normal(scale=0.3, size=(k, k, count))
+    return m + np.swapaxes(m, 0, 1) + shift * np.eye(k)[..., None]
+
+
+class TestMetricRhs:
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(5)
+        g = symmetric_stack(rng, 3, 6, shift=2.0)
+        G = symmetric_stack(rng, 3, 6)
+        a = symmetric_stack(rng, 3, 6)
+        dg, dG = metric_rhs(g, G, a)
+        assert dg.shape == dG.shape == (3, 3, 6)
+        assert np.array_equal(dg, G)
+        for node in range(6):
+            one_g, one_G = metric_rhs(g[..., node], G[..., node], a[..., node])
+            assert one_G.shape == (3, 3)
+            assert np.array_equal(one_g, G[..., node])
+            np.testing.assert_allclose(one_G, dG[..., node], rtol=1e-13, atol=1e-15)
+            ginv = np.linalg.inv(g[..., node])
+            ref = 0.5 * G[..., node] @ ginv @ G[..., node] + 2.0 * a[..., node]
+            np.testing.assert_allclose(one_G, ref, rtol=1e-12, atol=1e-14)
+
+    def test_output_exactly_symmetric(self):
+        rng = np.random.default_rng(6)
+        g = symmetric_stack(rng, 3, 8, shift=2.0)
+        _, dG = metric_rhs(g, symmetric_stack(rng, 3, 8), symmetric_stack(rng, 3, 8))
+        assert np.array_equal(dG, np.swapaxes(dG, 0, 1))
+
+    def test_degenerate_block_raises(self):
+        g = np.stack([np.eye(2), np.diag([1.0, 1e-12])], axis=-1)
+        with pytest.raises(DegenerateMetric) as exc:
+            metric_rhs(g, np.zeros_like(g), np.zeros_like(g))
+        assert exc.value.node == 1
+        assert abs(exc.value.det) < 1e-10

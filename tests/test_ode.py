@@ -3,10 +3,8 @@ import pytest
 
 from semigeo.ode import (
     GuardConfig,
-    MarchResult,
     StateRejected,
     rk4_march,
-    rk4_march_blocked,
     rk4_step,
 )
 
@@ -38,15 +36,26 @@ class TestAccuracy:
         x = 0.1 * np.arange(11)
         assert np.allclose(res.states[:, 0], np.exp(x), atol=1e-7)
 
-    def test_half_states_are_fourth_order(self):
+    @pytest.mark.parametrize(
+        "lam, node_axis",
+        [(np.array([1.0]), None), (-np.linspace(0.5, 1.5, 11), -1)],
+        ids=["single", "lockstep-nodes"],
+    )
+    def test_half_states_are_fourth_order(self, lam, node_axis):
         errs = []
         for n in (10, 20):
             res = rk4_march(
-                lambda x, s: s, 0.0, 1.0 / n, n, np.array([1.0]), record_half=True
+                lambda x, s: lam * s,
+                0.0,
+                1.0 / n,
+                n,
+                np.ones(lam.size),
+                record_half=True,
+                node_axis=node_axis,
             )
-            assert res.half_states.shape == (n, 1)
+            assert res.half_states.shape == (n, lam.size)
             mid = (np.arange(n) + 0.5) / n
-            errs.append(np.max(np.abs(res.half_states[:, 0] - np.exp(mid))))
+            errs.append(np.max(np.abs(res.half_states - np.exp(np.outer(mid, lam)))))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
 
     def test_half_states_none_when_not_recorded(self):
@@ -138,6 +147,7 @@ class TestNodeAxis:
         )
         assert res.stopped == "blowup"
         assert res.stop_detail == 3
+        assert res.states.shape == (res.steps_done + 1, 8)
 
     def test_guard_reduces_per_node_not_globally(self):
         # one node with large magnitude must not mask another node's growth
@@ -150,84 +160,3 @@ class TestNodeAxis:
         res = rk4_march(rhs, 0.0, 0.05, 400, u0, node_axis=-1)
         assert res.stopped == "blowup"
         assert res.stop_detail == 1
-
-
-class TestBlocked:
-    @staticmethod
-    def decay_rhs(lam):
-        def rhs(x, s, sl):
-            return -lam[sl] * s
-
-        return rhs
-
-    def test_matches_plain_march(self):
-        lam = np.linspace(0.5, 1.5, 11)
-        blocked = rk4_march_blocked(self.decay_rhs(lam), 0.0, 0.02, 50, np.ones(11))
-        plain = rk4_march(lambda x, s: -lam * s, 0.0, 0.02, 50, np.ones(11), node_axis=-1)
-        assert np.array_equal(blocked.states, plain.states)
-        assert blocked.steps_done == 50 and blocked.stopped is None
-
-    @pytest.mark.parametrize("threads", [2, 4, 11, 64])
-    def test_bitwise_identical_across_thread_counts(self, threads):
-        lam = np.linspace(0.5, 1.5, 11)
-        base = rk4_march_blocked(self.decay_rhs(lam), 0.0, 0.02, 50, np.ones(11), threads=1)
-        other = rk4_march_blocked(
-            self.decay_rhs(lam), 0.0, 0.02, 50, np.ones(11), threads=threads
-        )
-        assert np.array_equal(base.states, other.states)
-        assert base.steps_done == other.steps_done
-
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_earliest_stop_truncates_all_blocks(self, threads):
-        u0 = np.full(8, 0.1)
-        u0[3] = 0.9
-
-        def rhs(x, s, sl):
-            return s**2
-
-        res = rk4_march_blocked(rhs, 0.0, 0.05, 400, u0, threads=threads)
-        assert res.stopped == "blowup"
-        assert res.stop_detail == 3
-        assert res.states.shape == (res.steps_done + 1, 8)
-        assert res.steps_done < 400
-
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_rejection_detail_is_shifted_to_global(self, threads):
-        # rhs raises with the index local to its block; the marcher must
-        # report the global flat node index whatever the blocking
-        grow = np.zeros(9)
-        grow[7] = 1.0
-
-        def rhs(x, s, sl):
-            over = np.abs(s) > 5.0
-            if np.any(over):
-                raise StateRejected("degenerate", int(np.argmax(over)))
-            return grow[sl] * s
-
-        res = rk4_march_blocked(rhs, 0.0, 0.5, 50, np.ones(9), threads=threads)
-        assert res.stopped == "degenerate"
-        assert res.stop_detail == 7
-
-    def test_half_states_recorded_blockwise(self):
-        lam = np.linspace(0.5, 1.5, 11)
-        one = rk4_march_blocked(
-            self.decay_rhs(lam), 0.0, 0.1, 10, np.ones(11), record_half=True, threads=1
-        )
-        four = rk4_march_blocked(
-            self.decay_rhs(lam), 0.0, 0.1, 10, np.ones(11), record_half=True, threads=4
-        )
-        assert one.half_states.shape == (10, 11)
-        assert np.array_equal(one.half_states, four.half_states)
-        mid = 0.1 * (np.arange(10) + 0.5)
-        exact = np.exp(-np.outer(mid, lam))
-        assert np.max(np.abs(one.half_states - exact)) < 1e-5
-
-    def test_more_threads_than_nodes_clamped(self):
-        lam = np.array([1.0, 2.0])
-        res = rk4_march_blocked(self.decay_rhs(lam), 0.0, 0.1, 5, np.ones(2), threads=16)
-        assert res.steps_done == 5
-        assert res.states.shape == (6, 2)
-
-    def test_result_is_march_result(self):
-        res = rk4_march_blocked(self.decay_rhs(np.ones(3)), 0.0, 0.1, 3, np.ones(3))
-        assert isinstance(res, MarchResult)
