@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -764,6 +765,36 @@ class TestDeterminismAndPlumbing:
             ref = (outs[0] / name).read_bytes()
             assert (outs[1] / name).read_bytes() == ref
             assert (outs[2] / name).read_bytes() == ref
+
+    @pytest.mark.parametrize(
+        "mode, base, dump",
+        [
+            ("reconstruct-metric", SPHERE_ROUNDTRIP, "metric.csv"),
+            ("roundtrip-metric", SPHERE_ROUNDTRIP, "metric.csv"),
+            ("reconstruct-connection", CONNECTION_ROUNDTRIP, "connection.csv"),
+            ("roundtrip-connection", CONNECTION_ROUNDTRIP, "connection.csv"),
+        ],
+    )
+    def test_reconstruction_report_layout(self, tmp_path, mode, base, dump):
+        # metric and connection runs share one runner: same key order,
+        # round trips append the gate lines and the oracle dump
+        text = re.sub(r"mode = \S+", f"mode = {mode}", base).replace("h1 = 0.001", "h1 = 0.01")
+        code, out = run_cli(tmp_path, text, mode)
+        assert code == 0
+        keys = list(read_report(out / "report.txt"))
+        head = ["mode", "status", "delta_hat_plus", "delta_hat_minus", "max_component"]
+        tail = ["max_error", "error_estimate", "gate"] if mode.startswith("roundtrip") else []
+        assert keys[:5] == head
+        assert keys[-1] == "exit_code"
+        middle = keys[5 : len(keys) - 1 - len(tail)]
+        assert middle == sorted(middle)
+        assert keys[len(keys) - 1 - len(tail) : -1] == tail
+        files = sorted(p.name for p in out.iterdir())
+        expected = [dump, "report.txt"]
+        if mode.startswith("roundtrip"):
+            expected.append("curvature_oracle.csv")
+        assert files == sorted(expected)
+        assert read_report(out / "report.txt")["mode"] == mode
 
     def test_out_from_config_and_override(self, tmp_path):
         dir_a = tmp_path / "a"

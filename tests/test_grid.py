@@ -7,6 +7,7 @@ from semigeo.grid_field import (
     ExpressionField,
     SampledField,
     TensorTube,
+    as_field,
     build_grid,
     fd_partial,
     fd_second,
@@ -264,6 +265,35 @@ class TestScalarFields:
         g = grid2()
         with pytest.raises(InvalidSpec):
             SampledField(g, np.zeros((2, 2)))
+
+
+class TestAsField:
+    def test_string_parsed_over_n_coordinates(self):
+        g = grid2(h1=0.25, res=5)
+        f = as_field("x1 * x2 + 1", 2, "a2")
+        assert isinstance(f, ExpressionField) and f.n == 2
+        ref = ExpressionField(parse_field("x1 * x2 + 1", 2), 2)
+        assert np.array_equal(f.on_grid(g), ref.on_grid(g))
+
+    def test_parsed_expression_wrapped(self):
+        expr = parse_field("cos(x2)", 2)
+        f = as_field(expr, 2, "a2")
+        assert isinstance(f, ExpressionField)
+        assert f.expr is expr and f.n == 2
+
+    @pytest.mark.parametrize("kind", ["expression", "sampled"])
+    def test_field_objects_pass_through(self, kind):
+        g = grid2()
+        if kind == "expression":
+            field = ExpressionField(parse_field("x2", 2), 2)
+        else:
+            field = SampledField(g, np.zeros(g.shape))
+        assert as_field(field, 2, "a2") is field
+
+    @pytest.mark.parametrize("value", [1.5, None, [1.0, 2.0]], ids=["float", "none", "list"])
+    def test_other_values_rejected_with_prefix(self, value):
+        with pytest.raises(InvalidSpec, match=r"^A\(2,1,2\): cannot interpret"):
+            as_field(value, 2, "A(2,1,2)")
 
 
 class TestDumps:

@@ -160,3 +160,31 @@ class TestNodeAxis:
         res = rk4_march(rhs, 0.0, 0.05, 400, u0, node_axis=-1)
         assert res.stopped == "blowup"
         assert res.stop_detail == 1
+
+    def test_guard_reduces_over_tensor_axes(self):
+        # a (k, k, N) stack like the metric march: the pole sits in one
+        # off-diagonal slot of node 5, and the detail names that node
+        u0 = np.full((2, 2, 7), 0.1)
+        u0[0, 1, 5] = 0.9
+        res = rk4_march(lambda x, s: s**2, 0.0, 0.05, 400, u0, node_axis=-1)
+        assert res.stopped == "blowup"
+        assert res.stop_detail == 5
+        assert res.states.shape == (res.steps_done + 1, 2, 2, 7)
+
+    def test_rejection_detail_passes_through(self):
+        # the rhs sees the whole node stack, so the index it raises with is
+        # already the flat node index and is reported unchanged
+        grow = np.zeros(9)
+        grow[7] = 1.0
+
+        def rhs(x, s):
+            over = np.abs(s) > 5.0
+            if np.any(over):
+                raise StateRejected("degenerate", int(np.argmax(over)))
+            return grow * s
+
+        res = rk4_march(rhs, 0.0, 0.5, 50, np.ones(9), node_axis=-1)
+        assert res.stopped == "degenerate"
+        assert res.stop_detail == 7
+        assert res.states.shape == (res.steps_done + 1, 9)
+        assert res.steps_done < 50
