@@ -6,7 +6,8 @@ Modes: forward, reconstruct-metric, reconstruct-connection,
 roundtrip-metric, roundtrip-connection, check-chart.  ``--threads N`` is
 accepted and ignored: every march is one lockstep pass over all nodes.
 
-Exit codes: 0 success; 2 bad configuration or invalid input data;
+Exit codes: 0 success; 2 bad configuration or invalid input data
+(found mid-run, it still leaves a report with ``status: InvalidInput``);
 3 numerical stop (blow-up or degeneracy; partial dumps are still
 written); 4 round-trip residual above its gate.  When a run both stops
 early and fails its round-trip gate, the stop wins: 3.
@@ -55,13 +56,7 @@ from .curvature import (
     lower_and_check_identity,
 )
 from .errors import ConfigError, LeftDomain, SemigeoError
-from .grid_field import (
-    ChartSpec,
-    TensorTube,
-    build_grid,
-    write_curve_dump,
-    write_tensor_dump,
-)
+from .grid_field import ChartSpec, build_grid, write_curve_dump, write_tensor_dump
 from .metric_recon import HypersurfaceMetricData, MetricCurvatureSpec, reconstruct_metric
 
 SEMIGEO_TOL = 1e-12
@@ -170,12 +165,7 @@ def metric_roundtrip_residual(metric, sources, degeneracy_tol):
     axial = curvature04_semigeo(
         metric, degeneracy_tol=degeneracy_tol, semigeo_tol=SEMIGEO_TOL
     )
-    target = sources.dense_on(grid)
-    worst = 0.0
-    for i in range(2, grid.n + 1):
-        for j in range(i, grid.n + 1):
-            diff = axial.component((1, i, j, 1)) - target[i - 2, j - 2]
-            worst = max(worst, float(np.max(np.abs(diff))))
+    worst = float(np.max(np.abs(axial.dense[0, :, :, 0] - sources.dense_on(grid))))
     return worst, axial
 
 
@@ -215,8 +205,8 @@ def _run_forward(cfg, grid, out):
         metric = MetricField.from_fields(grid, cfg.fields["g"], e=cfg.chart.e)
         conn, first = christoffel_from_metric(metric, degeneracy_tol=tol)
         r13 = curvature13(conn)
-        write_tensor_dump(out / "christoffel.csv", grid, [conn.tube(), first])
-        write_tensor_dump(out / "curvature13.csv", grid, [r13.tube()])
+        write_tensor_dump(out / "christoffel.csv", grid, [conn, first])
+        write_tensor_dump(out / "curvature13.csv", grid, [r13])
         lines.append(("status", "Complete"))
         lines.append(("max_component", r13.max_abs()))
         r11, r1j = metric.semigeodesic_residuals()
@@ -228,7 +218,7 @@ def _run_forward(cfg, grid, out):
     else:
         conn = ConnectionField.from_fields(grid, cfg.fields["gamma"])
         r13 = curvature13(conn)
-        write_tensor_dump(out / "curvature13.csv", grid, [r13.tube()])
+        write_tensor_dump(out / "curvature13.csv", grid, [r13])
         lines.append(("status", "Complete"))
         lines.append(("max_component", r13.max_abs()))
     return 0, lines
@@ -264,12 +254,11 @@ def _run_reconstruction(cfg, out, mode, reconstruct, residual_of, dump_name):
 
     ``reconstruct(cfg, chart)`` returns (field, report, sources) and
     ``residual_of(field, sources)`` returns (max error, oracle), both None
-    when the reached grid is too short for the oracle.  The oracle is a
-    TensorTube or a dense field with ``.tube()``; only the fine run's is
-    converted and dumped.
+    when the reached grid is too short for the oracle.  Only the fine
+    run's oracle is dumped.
     """
     field, report, sources = reconstruct(cfg, cfg.chart)
-    write_tensor_dump(out / dump_name, field.grid, [field.tube()])
+    write_tensor_dump(out / dump_name, field.grid, [field])
     lines = [("mode", mode)]
     _report_recon(lines, report)
     code = 0 if report.complete else 3
@@ -277,8 +266,7 @@ def _run_reconstruction(cfg, out, mode, reconstruct, residual_of, dump_name):
         return code, lines
     residual, oracle = residual_of(field, sources)
     if oracle is not None:
-        tube = oracle if isinstance(oracle, TensorTube) else oracle.tube()
-        write_tensor_dump(out / "curvature_oracle.csv", field.grid, [tube])
+        write_tensor_dump(out / "curvature_oracle.csv", field.grid, [oracle])
     coarse_residual = None
     coarse = _coarse_chart(cfg.chart)
     if coarse is not None and residual is not None:
@@ -339,30 +327,37 @@ def run(cfg, mode, out):
     """Execute one validated configuration; returns the exit code.
 
     Writes the mode's dumps plus report.txt into ``out``.  Numerical
-    stops still produce dumps covering the reached x1 range.
+    stops still produce dumps covering the reached x1 range.  Invalid
+    input found mid-run (a SemigeoError) still writes a report with
+    ``status: InvalidInput``, the message and exit code 2, then re-raises.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        code, lines = _run_mode(cfg, mode, out)
+    except SemigeoError as err:
+        _write_report(out, [("mode", mode), ("status", "InvalidInput"), ("error", str(err))], 2)
+        raise
+    _write_report(out, lines, code)
+    return code
+
+
+def _run_mode(cfg, mode, out):
     grid = build_grid(cfg.chart)
     if mode == "forward":
-        code, lines = _run_forward(cfg, grid, out)
-    elif mode in ("reconstruct-metric", "roundtrip-metric"):
+        return _run_forward(cfg, grid, out)
+    if mode in ("reconstruct-metric", "roundtrip-metric"):
         tol = cfg.tolerances.degeneracy_tol
         residual_of = None
         if mode == "roundtrip-metric":
             residual_of = lambda metric, sources: metric_roundtrip_residual(metric, sources, tol)
-        code, lines = _run_reconstruction(
-            cfg, out, mode, _reconstruct_metric, residual_of, "metric.csv"
-        )
-    elif mode in ("reconstruct-connection", "roundtrip-connection"):
+        return _run_reconstruction(cfg, out, mode, _reconstruct_metric, residual_of, "metric.csv")
+    if mode in ("reconstruct-connection", "roundtrip-connection"):
         residual_of = connection_roundtrip_residual if mode == "roundtrip-connection" else None
-        code, lines = _run_reconstruction(
+        return _run_reconstruction(
             cfg, out, mode, _reconstruct_connection, residual_of, "connection.csv"
         )
-    else:
-        code, lines = _run_check_chart(cfg, grid, out)
-    _write_report(out, lines, code)
-    return code
+    return _run_check_chart(cfg, grid, out)
 
 
 def main(argv=None):

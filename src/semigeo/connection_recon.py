@@ -29,103 +29,28 @@ reached extent is reported as delta_hat for that direction (the minimum
 over transverse nodes).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import ConnectionField
 from .errors import InvalidInit, InvalidSpec
-from .expr import FieldExpr, eval_field_on, parse_field, variables
 from .grid_field import (
-    ExpressionField,
     TensorTube,
+    TransverseField,
     TubeGrid,
     as_field,
     build_grid,
     fd_transverse,
 )
-from .ode import GuardConfig, rk4_march
-
-STATUS_COMPLETE = "Complete"
-STATUS_BLOWUP = "StoppedBlowup"
-STATUS_DEGENERATE = "StoppedDegenerate"
-STATUS_ERROR = "StoppedError"
-
-_STOP_STATUS = {"blowup": STATUS_BLOWUP, "degenerate": STATUS_DEGENERATE}
-
-
-@dataclass
-class ReconstructionReport:
-    """Outcome of a reconstruction march.
-
-    ``delta_hat_plus`` / ``delta_hat_minus`` are the reached x1 extents
-    (coordinates, so the minus one is <= 0); the run is Complete iff they
-    equal the requested tube extents.  ``max_component`` is the largest
-    absolute component value stored along the march.
-    """
-
-    status: str
-    delta_hat_plus: float
-    delta_hat_minus: float
-    max_component: float
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def complete(self):
-        return self.status == STATUS_COMPLETE
-
-
-def _direction_status(plus_stop, minus_stop):
-    for stop in (plus_stop, minus_stop):
-        if stop is not None:
-            return _STOP_STATUS.get(stop, STATUS_ERROR)
-    return STATUS_COMPLETE
-
-
-def _stop_diagnostics(grid, direction, march):
-    if march.stopped is None:
-        return {}
-    key = f"stop_{direction}"
-    note = march.stopped
-    if march.stop_detail is not None:
-        node = np.unravel_index(int(march.stop_detail), grid.transverse_shape)
-        note = f"{note} at transverse node {tuple(int(v) for v in node)}"
-    return {key: note}
-
-
-# ------------------------------------------------------------- input fields
-
-
-class _TransverseField:
-    """Scalar data on the hypersurface: expression in x2..xn or node samples."""
-
-    def __init__(self, value, n, what):
-        self.n = n
-        if isinstance(value, str):
-            value = parse_field(value, n)
-        if isinstance(value, ExpressionField):
-            value = value.expr
-        if isinstance(value, FieldExpr):
-            if 1 in variables(value):
-                raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
-            self.expr = value
-            self.samples = None
-        else:
-            self.expr = None
-            self.samples = np.asarray(value, dtype=np.float64)
-
-    def plane(self, grid):
-        """Values over the flattened transverse lattice."""
-        if self.expr is not None:
-            mesh = grid.transverse_mesh()
-            out = eval_field_on(self.expr, (0.0,) + mesh)
-            return np.broadcast_to(out, mesh[0].shape).astype(np.float64, copy=False)
-        if self.samples.shape != grid.transverse_shape:
-            raise InvalidInit(
-                f"sampled hypersurface data shape {self.samples.shape} does not "
-                f"match the transverse lattice {grid.transverse_shape}"
-            )
-        return self.samples.reshape(-1)
+from .linalg import mirror_upper
+from .ode import (
+    STATUS_COMPLETE,
+    GuardConfig,
+    ReconstructionReport,
+    march_report,
+    march_tube,
+)
 
 
 class HypersurfaceConnectionData:
@@ -151,7 +76,7 @@ class HypersurfaceConnectionData:
                 raise InvalidInit(
                     f"component {key} assigned twice (symmetric orderings conflict)"
                 )
-            self._fields[key] = _TransverseField(value, n, f"gammatilde{key}")
+            self._fields[key] = TransverseField(value, n, f"gammatilde{key}")
 
     def plane(self, h, i, j, grid):
         key = (h, min(i, j), max(i, j))
@@ -298,56 +223,17 @@ def _half_key(x, h1):
     return key
 
 
-def _march_both(rhs, h1, steps_plus, steps_minus, state0, guards, record_half):
-    plus = rk4_march(
-        rhs, 0.0, h1, steps_plus, state0, guards, record_half=record_half, node_axis=-1
-    )
-    minus = rk4_march(
-        rhs, 0.0, -h1, steps_minus, state0, guards, record_half=record_half, node_axis=-1
-    )
-    return plus, minus
-
-
-def _assemble_whole(plus, minus):
-    """Stack minus (reversed) and plus trajectories along ascending x1."""
-    return np.concatenate([minus.states[:0:-1], plus.states], axis=0)
-
-
-def _restricted(grid, plus, minus):
-    k0 = grid.zero_index
-    i_lo = k0 - minus.steps_done
-    i_hi = k0 + plus.steps_done
-    return grid.restrict_x1(i_lo, i_hi), k0 - i_lo
-
-
-def _report(grid, rgrid, plus, minus, max_component):
-    status = _direction_status(plus.stopped, minus.stopped)
-    diagnostics = {}
-    diagnostics.update(_stop_diagnostics(grid, "plus", plus))
-    diagnostics.update(_stop_diagnostics(grid, "minus", minus))
-    return ReconstructionReport(
-        status=status,
-        delta_hat_plus=float(rgrid.x1_samples[-1]),
-        delta_hat_minus=float(rgrid.x1_samples[0]),
-        max_component=float(max_component),
-        diagnostics=diagnostics,
-    )
-
-
 # ----------------------------------------------------------------- stage 1
 
 
 def stage1_integrate(init, sources, spec, guards=None, grid=None):
     """March the axial components Gamma^h_1k from the hypersurface data.
 
-    Returns (TensorTube over the reached grid, ReconstructionReport).
-    The tube stores slots (h, 1, k); (h, 1, 1) reads as zero.  The tube
-    also carries the midpoint cache needed by stage 2 in its ``solution``
-    attribute.
+    Returns (Stage1Solution over the reached grid, ReconstructionReport).
+    The solution holds Gamma^h_1k (k >= 2) at every reached x1 sample and
+    the midpoint cache that stage 2 needs.
     """
     grid = grid or build_grid(spec)
-    n = grid.n
-    h1 = grid.spacing(1)
     init.validate(grid)
     state0 = init.stage1_state0(grid)
     guards = guards or GuardConfig()
@@ -361,27 +247,15 @@ def stage1_integrate(init, sources, spec, guards=None, grid=None):
         p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
         return -np.einsum("qb...,aq...->ab...", u, p) + a1
 
-    k0 = grid.zero_index
-    plus, minus = _march_both(rhs, h1, len(grid.x1_samples) - 1 - k0, k0, state0, guards, True)
-    rgrid, rzero = _restricted(grid, plus, minus)
-    whole = _assemble_whole(plus, minus)
+    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards, record_half=True)
     solution = Stage1Solution(
         grid=rgrid,
-        zero_index=rzero,
+        zero_index=minus.steps_done,
         whole=whole,
         half_plus=plus.half_states,
         half_minus=minus.half_states,
     )
-    tube = TensorTube("gamma1", rgrid, ((1, n), (1, 1), (1, n)), roles=("upper", "lower", "lower"))
-    tshape = rgrid.transverse_shape
-    for h in range(1, n + 1):
-        for k in range(2, n + 1):
-            tube.set_component(
-                (h, 1, k), whole[:, h - 1, k - 2].reshape((whole.shape[0],) + tshape)
-            )
-    tube.solution = solution
-    report = _report(grid, rgrid, plus, minus, np.max(np.abs(whole)) if whole.size else 0.0)
-    return tube, report
+    return solution, march_report(grid, rgrid, plus, minus, whole)
 
 
 # ----------------------------------------------------------------- stage 2
@@ -397,18 +271,18 @@ def stage2_integrate(
 ):
     """March the transverse components Gamma^h_ik (i, k >= 2).
 
-    ``stage1`` must be the tube returned by :func:`stage1_integrate` (it
-    carries the midpoint cache).  Returns (TensorTube with symmetric
-    (i, k) slots, ReconstructionReport).  The truncated variant behind
-    ``omit_quadratic_cross_term`` exists only for regression tests.
+    ``stage1`` must be the Stage1Solution returned by
+    :func:`stage1_integrate` (it carries the midpoint cache).  Returns
+    ("gamma2" TensorTube over slots (h, i, k), i, k >= 2, exactly
+    symmetric in (i, k), ReconstructionReport).  The truncated variant
+    behind ``omit_quadratic_cross_term`` exists only for regression tests.
     """
-    solution = getattr(stage1, "solution", None)
-    if solution is None:
+    if not isinstance(stage1, Stage1Solution):
         raise InvalidSpec(
-            "stage2_integrate needs the tube produced by stage1_integrate "
-            "(midpoint cache missing)"
+            "stage2_integrate needs the Stage1Solution produced by "
+            "stage1_integrate (midpoint cache missing)"
         )
-    grid = solution.grid
+    grid = stage1.grid
     n = grid.n
     h1 = grid.spacing(1)
     tshape = grid.transverse_shape
@@ -420,7 +294,7 @@ def stage2_integrate(
     def dk_plane(key):
         plane = dk_cache.get(key)
         if plane is None:
-            u = solution.plane(key).reshape((n, n - 1) + tshape)
+            u = stage1.plane(key).reshape((n, n - 1) + tshape)
             parts = [fd_transverse(u, axis, grid) for axis in range(2, n + 1)]
             plane = np.stack(parts, axis=2).reshape((n, n - 1, n - 1, -1))
             dk_cache[key] = plane
@@ -432,39 +306,18 @@ def stage2_integrate(
         if a2 is None:
             a2 = sources.stage2_plane(x, grid)
             src_cache[key] = a2
-        u = solution.plane(key)
+        u = stage1.plane(key)
         p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
         dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk_plane(key) + a2
         if not omit_quadratic_cross_term:
             dw = dw + np.einsum("b...,ac...->abc...", u[0], u)
             dw = dw + np.einsum("qb...,aqc...->abc...", u[1:], w)
-        for b in range(n - 1):
-            for c in range(b + 1, n - 1):
-                dw[:, c, b] = dw[:, b, c]
-        return dw
+        return mirror_upper(dw, axis=1)
 
-    k0 = grid.zero_index
-    plus, minus = _march_both(rhs, h1, len(grid.x1_samples) - 1 - k0, k0, state0, guards, False)
-    rgrid, _ = _restricted(grid, plus, minus)
-    whole = _assemble_whole(plus, minus)
-    tube = TensorTube(
-        "gamma2",
-        rgrid,
-        ((1, n), (2, n), (2, n)),
-        roles=("upper", "lower", "lower"),
-        sym_pairs=((1, 2),),
-    )
-    rtshape = rgrid.transverse_shape
-    for h in range(1, n + 1):
-        for i in range(2, n + 1):
-            for k in range(i, n + 1):
-                tube.set_component(
-                    (h, i, k),
-                    whole[:, h - 1, i - 2, k - 2].reshape((whole.shape[0],) + rtshape),
-                )
-    tube.solution_whole = whole
-    report = _report(grid, rgrid, plus, minus, np.max(np.abs(whole)) if whole.size else 0.0)
-    return tube, report
+    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards)
+    dense = np.moveaxis(whole, 0, 3).reshape((n, n - 1, n - 1) + rgrid.shape)
+    gamma2 = TensorTube("gamma2", rgrid, dense, (1, 2, 2))
+    return gamma2, march_report(grid, rgrid, plus, minus, whole)
 
 
 # ------------------------------------------------------------- full pipeline
@@ -497,19 +350,12 @@ def reconstruct_connection(
     rgrid = stage2.grid
     n = grid.n
     t = rgrid.shape[0]
-    lo = stage1.solution.zero_index - rgrid.zero_index
-    u = stage1.solution.whole[lo : lo + t]
-    w = stage2.solution_whole
-    shape = rgrid.shape
-    dense = np.zeros((n, n, n) + shape)
-    for h in range(n):
-        for k in range(n - 1):
-            vals = u[:, h, k].reshape(shape)
-            dense[h, 0, k + 1] = vals
-            dense[h, k + 1, 0] = vals
-        for i in range(n - 1):
-            for k in range(n - 1):
-                dense[h, i + 1, k + 1] = w[:, h, i, k].reshape(shape)
+    lo = stage1.zero_index - rgrid.zero_index
+    u = np.moveaxis(stage1.whole[lo : lo + t], 0, 2).reshape((n, n - 1) + rgrid.shape)
+    dense = np.zeros((n, n, n) + rgrid.shape)
+    dense[:, 0, 1:] = u
+    dense[:, 1:, 0] = u
+    dense[:, 1:, 1:] = stage2.dense
     conn = ConnectionField(rgrid, dense)
     complete = (
         rgrid.shape[0] == grid.shape[0]

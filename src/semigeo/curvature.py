@@ -20,23 +20,20 @@ curvature block has the closed form above.
 
 import numpy as np
 
-from .errors import DegenerateMetric, InvalidSpec, NotSemigeodesic
+from .errors import DegenerateMetric, NotSemigeodesic
 from .grid_field import TensorTube, as_field, fd_partial, fd_second, interpolate
-from .linalg import det_stack, inv_sym
+from .linalg import det_stack, inv_sym, mirror_upper
 
 DEGENERACY_TOL = 1e-10
 
 
-class MetricField:
+class MetricField(TensorTube):
     """Symmetric metric components g_ij on a tube grid, plus the sign e."""
 
+    rank = 2
+
     def __init__(self, grid, dense, e=1):
-        n = grid.n
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.shape != (n, n) + grid.shape:
-            raise InvalidSpec(f"metric dense shape {dense.shape} is wrong")
-        self.grid = grid
-        self.dense = dense
+        super().__init__("g", grid, dense)
         self.e = int(e)
 
     @classmethod
@@ -61,20 +58,6 @@ class MetricField:
         dense[0, 0] = float(e)
         dense[1:, 1:] = transverse_dense
         return cls(grid, dense, e=e)
-
-    def tube(self):
-        t = TensorTube("g", self.grid, ((1, self.n), (1, self.n)), roles=("lower", "lower"), sym_pairs=((0, 1),))
-        for i in range(1, self.n + 1):
-            for j in range(i, self.n + 1):
-                t.set_component((i, j), self.dense[i - 1, j - 1])
-        return t
-
-    @property
-    def n(self):
-        return self.grid.n
-
-    def component(self, i, j):
-        return self.dense[i - 1, j - 1]
 
     def at(self, point):
         n = self.n
@@ -106,16 +89,13 @@ class MetricField:
             )
 
 
-class ConnectionField:
+class ConnectionField(TensorTube):
     """Connection components G^h_ij (symmetric in i, j) on a tube grid."""
 
+    rank = 3
+
     def __init__(self, grid, dense):
-        n = grid.n
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.shape != (n, n, n) + grid.shape:
-            raise InvalidSpec(f"connection dense shape {dense.shape} is wrong")
-        self.grid = grid
-        self.dense = dense
+        super().__init__("gamma", grid, dense)
 
     @classmethod
     def from_fields(cls, grid, components):
@@ -128,27 +108,6 @@ class ConnectionField:
             dense[h - 1, j - 1, i - 1] = vals
         return cls(grid, dense)
 
-    @property
-    def n(self):
-        return self.grid.n
-
-    def component(self, h, i, j):
-        return self.dense[h - 1, i - 1, j - 1]
-
-    def tube(self):
-        t = TensorTube(
-            "gamma",
-            self.grid,
-            ((1, self.n),) * 3,
-            roles=("upper", "lower", "lower"),
-            sym_pairs=((1, 2),),
-        )
-        for h in range(1, self.n + 1):
-            for i in range(1, self.n + 1):
-                for j in range(i, self.n + 1):
-                    t.set_component((h, i, j), self.dense[h - 1, i - 1, j - 1])
-        return t
-
     def at(self, point):
         n = self.n
         out = np.empty((n, n, n))
@@ -160,35 +119,13 @@ class ConnectionField:
         return out
 
 
-class CurvatureTube:
+class CurvatureTube(TensorTube):
     """(1,3) curvature components R^h_ijk on a tube grid."""
 
+    rank = 4
+
     def __init__(self, grid, dense):
-        n = grid.n
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.shape != (n, n, n, n) + grid.shape:
-            raise InvalidSpec(f"curvature dense shape {dense.shape} is wrong")
-        self.grid = grid
-        self.dense = dense
-
-    @property
-    def n(self):
-        return self.grid.n
-
-    def component(self, h, i, j, k):
-        return self.dense[h - 1, i - 1, j - 1, k - 1]
-
-    def tube(self):
-        t = TensorTube("R", self.grid, ((1, self.n),) * 4, roles=("upper", "lower", "lower", "lower"))
-        for h in range(1, self.n + 1):
-            for i in range(1, self.n + 1):
-                for j in range(1, self.n + 1):
-                    for k in range(1, self.n + 1):
-                        t.set_component((h, i, j, k), self.dense[h - 1, i - 1, j - 1, k - 1])
-        return t
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.dense)))
+        super().__init__("R", grid, dense)
 
 
 # ----------------------------------------------------------------- operators
@@ -197,7 +134,8 @@ class CurvatureTube:
 def christoffel_from_metric(metric, grid=None, degeneracy_tol=DEGENERACY_TOL):
     """Christoffel symbols of a sampled metric.
 
-    Returns (ConnectionField, first-kind TensorTube).  Derivatives are
+    Returns (ConnectionField, "gamma_first" TensorTube of C_ijk), both
+    exactly symmetric in (i, j).  Derivatives are
     grid finite differences; the inverse metric uses adjugate formulas
     for n <= 3.  Raises DegenerateMetric when |det g| < degeneracy_tol at
     any node (the first offending node in lexicographic order is
@@ -218,32 +156,16 @@ def christoffel_from_metric(metric, grid=None, degeneracy_tol=DEGENERACY_TOL):
     dg = np.empty((n, n, n) + grid.shape)
     for a in range(1, n + 1):
         dg[a - 1] = fd_partial(g, a, grid)
-    first = np.empty((n, n, n) + grid.shape)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                val = 0.5 * (dg[i, j, k] + dg[j, i, k] - dg[k, i, j])
-                first[i, j, k] = val
-                if i != j:
-                    first[j, i, k] = val
+    # C_ijk = (dg[i, j, k] + dg[j, i, k] - dg[k, i, j]) / 2, mirrored from i <= j
+    first = dg + np.swapaxes(dg, 0, 1)
+    first -= np.moveaxis(dg, 0, 2)
+    first *= 0.5
+    mirror_upper(first)
     ginv = inv_sym(g.reshape((n, n, -1)), det.reshape(-1)).reshape((n, n) + grid.shape)
     second = np.einsum("hr...,ijr...->hij...", ginv, first)
     # mirror the lower pair so symmetry is exact despite summation order
-    for i in range(n):
-        for j in range(i + 1, n):
-            second[:, j, i] = second[:, i, j]
-    tube = TensorTube(
-        "gamma_first",
-        grid,
-        ((1, n),) * 3,
-        roles=("lower", "lower", "lower"),
-        sym_pairs=((0, 1),),
-    )
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(1, n + 1):
-                tube.set_component((i, j, k), first[i - 1, j - 1, k - 1])
-    return ConnectionField(grid, second), tube
+    mirror_upper(second, axis=1)
+    return ConnectionField(grid, second), TensorTube("gamma_first", grid, first)
 
 
 def curvature13(connection, grid=None):
@@ -268,8 +190,9 @@ def curvature13(connection, grid=None):
 def curvature04_semigeo(metric, grid=None, degeneracy_tol=DEGENERACY_TOL, semigeo_tol=1e-12):
     """Axial (0,4) curvature block R_1ij1 (i, j >= 2) of a semigeodesic metric.
 
-    Returns a TensorTube with 4-slot indices (1, i, j, 1), symmetric in
-    (i, j) exactly.  Requires the metric block structure to hold within
+    Returns an "R04" TensorTube over the 4-slot indices (1, i, j, 1); the
+    block is mirrored from i <= j, so it is symmetric in (i, j) exactly.
+    Requires the metric block structure to hold within
     ``semigeo_tol`` and the transverse block to be nondegenerate.
     """
     grid = grid or metric.grid
@@ -289,19 +212,8 @@ def curvature04_semigeo(metric, grid=None, degeneracy_tol=DEGENERACY_TOL, semige
     d1 = fd_partial(gt, 1, grid)
     d11 = fd_second(gt, 1, grid)
     quad = np.einsum("rs...,ir...,js...->ij...", ginv_t, d1, d1)
-    tube = TensorTube(
-        "R04",
-        grid,
-        ((1, 1), (2, n), (2, n), (1, 1)),
-        roles=("lower",) * 4,
-        sym_pairs=((1, 2),),
-    )
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            tube.set_component(
-                (1, i, j, 1), 0.5 * d11[i - 2, j - 2] - 0.25 * quad[i - 2, j - 2]
-            )
-    return tube
+    block = mirror_upper(0.5 * d11 - 0.25 * quad)
+    return TensorTube("R04", grid, block[None, :, :, None], (1, 2, 2, 1))
 
 
 def lower_and_check_identity(metric, r13, semigeo_tol=1e-12):
@@ -314,8 +226,9 @@ def lower_and_check_identity(metric, r13, semigeo_tol=1e-12):
 
     The first pair and the second pair are exact antisymmetry images; the
     cross-pair agreement holds for exact tensors and degrades only with
-    discretization error of the supplied inputs.  Returns (TensorTube of
-    g_im R^m_11j values, max pairwise discrepancy over components/nodes).
+    discretization error of the supplied inputs.  Returns ("R04"
+    TensorTube of g_im R^m_11j values mirrored from i <= j, max pairwise
+    discrepancy over components/nodes).
     """
     metric.require_semigeodesic(tol=semigeo_tol)
     grid = metric.grid
@@ -332,14 +245,5 @@ def lower_and_check_identity(metric, r13, semigeo_tol=1e-12):
     for a in range(4):
         for b in range(a + 1, 4):
             residual = max(residual, float(np.max(np.abs(exprs[a] - exprs[b]))))
-    tube = TensorTube(
-        "R04",
-        grid,
-        ((1, 1), (2, n), (2, n), (1, 1)),
-        roles=("lower",) * 4,
-        sym_pairs=((1, 2),),
-    )
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            tube.set_component((1, i, j, 1), e3[i - 2, j - 2])
-    return tube, residual
+    block = mirror_upper(e3.copy())
+    return TensorTube("R04", grid, block[None, :, :, None], (1, 2, 2, 1)), residual

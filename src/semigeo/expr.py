@@ -12,6 +12,9 @@ Variables are ``x1 .. xn``; functions are sin, cos, tan, sinh, cosh, exp,
 log, sqrt, abs.  Evaluation is IEEE double and every invalid operation
 (division by zero, log/sqrt domain, non-finite result) raises
 :class:`~semigeo.errors.EvalError` instead of propagating NaN or inf.
+Parse, evaluation and ``variables`` recurse over the tree; nesting past
+the interpreter's recursion limit is a FieldSyntaxError when parsing and
+an EvalError after.
 """
 
 from dataclasses import dataclass
@@ -207,10 +210,21 @@ class _Parser:
 
 
 def parse_field(text, n):
-    """Parse ``text`` into a FieldExpr over coordinates x1..x``n``."""
+    """Parse ``text`` into a FieldExpr over coordinates x1..x``n``.
+
+    Nesting deeper than the interpreter's recursion limit is a
+    FieldSyntaxError at the token where the parser gave up.
+    """
     if not isinstance(n, int) or n < 1:
         raise FieldSyntaxError("dimension must be a positive integer", 0)
-    return _Parser(_tokenize(text), n, len(text)).parse()
+    parser = _Parser(_tokenize(text), n, len(text))
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser._peek()
+        raise FieldSyntaxError(
+            "expression nested too deeply", len(text) if tok is None else tok[2]
+        ) from None
 
 
 # ------------------------------------------------------------------ printer
@@ -300,9 +314,16 @@ def _eval(node, coords):
     return out
 
 
+def _eval_guarded(expr, coords):
+    try:
+        return _eval(expr, coords)
+    except RecursionError:
+        raise EvalError("expression nested too deeply") from None
+
+
 def eval_field(expr, point):
     """Evaluate at a single point (sequence of n reals); returns a float."""
-    return float(_eval(expr, [float(c) for c in point]))
+    return float(_eval_guarded(expr, [float(c) for c in point]))
 
 
 def eval_field_on(expr, coords):
@@ -312,18 +333,25 @@ def eval_field_on(expr, coords):
     broadcast against each other, one per coordinate x1..xn.
     """
     arrays = [np.asarray(c, dtype=np.float64) for c in coords]
-    out = _eval(expr, arrays)
+    out = _eval_guarded(expr, arrays)
     return np.asarray(out, dtype=np.float64) + np.zeros(np.broadcast(*arrays).shape)
+
+
+def _variables(expr):
+    if isinstance(expr, Var):
+        return {expr.index}
+    if isinstance(expr, Neg):
+        return _variables(expr.operand)
+    if isinstance(expr, BinOp):
+        return _variables(expr.left) | _variables(expr.right)
+    if isinstance(expr, Call):
+        return _variables(expr.arg)
+    return set()
 
 
 def variables(expr):
     """Set of 1-based coordinate indices the expression references."""
-    if isinstance(expr, Var):
-        return {expr.index}
-    if isinstance(expr, Neg):
-        return variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return variables(expr.left) | variables(expr.right)
-    if isinstance(expr, Call):
-        return variables(expr.arg)
-    return set()
+    try:
+        return _variables(expr)
+    except RecursionError:
+        raise EvalError("expression nested too deeply") from None

@@ -1,4 +1,4 @@
-"""Tube grids, tensor storage, finite differences, interpolation, dumps.
+"""Tube grids, dense tensor tubes, fields, finite differences, dumps.
 
 The computational domain is a tube: an x1 interval containing 0 (the
 hypersurface S sits at x1 = 0) times a closed box in the transverse
@@ -7,6 +7,10 @@ differences are second order everywhere: central stencils in the
 interior, 3-point one-sided stencils at boundary nodes (so the x1
 derivative at the lower end of a one-sided tube is the right
 derivative).
+
+Every tensor on the tube (metric, connection, curvature and their
+parts) is a TensorTube: one dense array with the tensor slots leading
+and the grid axes trailing, which the dump writer reads directly.
 """
 
 import csv
@@ -14,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidSpec, OutOfDomain
-from .expr import FieldExpr, eval_field, eval_field_on, parse_field
+from .errors import EvalError, GridTooCoarse, InvalidInit, InvalidSpec, OutOfDomain
+from .expr import FieldExpr, eval_field, eval_field_on, parse_field, variables
 
 
 # -------------------------------------------------------------------- chart
@@ -310,89 +314,81 @@ def interpolate(values, grid, point):
 # -------------------------------------------------------------- tensor tubes
 
 
-def _canonicalize(idx, sym_groups):
-    idx = list(idx)
-    for group in sym_groups:
-        vals = sorted(idx[p] for p in group)
-        for p, v in zip(sorted(group), vals):
-            idx[p] = v
-    return tuple(idx)
-
-
 class TensorTube:
-    """Tensor component values on every grid node.
+    """Tensor components on every grid node, held in one dense array.
 
-    ``index_ranges`` is a tuple of (lo, hi) inclusive 1-based bounds, one
-    per tensor slot; ``roles`` marks each slot 'upper' or 'lower'
-    (informational).  ``sym_pairs`` lists 0-based slot position pairs that
-    are symmetric: symmetric components share one storage slot, so the
-    declared symmetry holds exactly by construction.
+    ``dense`` has one leading axis per tensor slot followed by
+    ``grid.shape``.  ``first`` gives the 1-based index of the first entry
+    on each slot axis (default all 1), so slot p covers ``first[p]`` to
+    ``first[p] + dense.shape[p] - 1``; every slot must stay within 1..n.
+    Symmetries are properties of the array: symmetric slots hold equal
+    values, so mirrored components dump identical bytes.  Subclasses set
+    ``rank`` to require a full (n, ..., n) block of that many slots.
     """
 
-    def __init__(self, name, grid, index_ranges, roles=None, sym_pairs=()):
+    rank = None
+
+    def __init__(self, name, grid, dense, first=None):
+        dense = np.asarray(dense, dtype=np.float64)
+        k = dense.ndim - grid.n
+        first = (1,) * k if first is None else tuple(int(f) for f in first)
+        slots = dense.shape[: max(k, 0)]
+        fits = (
+            k >= 0
+            and dense.shape[k:] == grid.shape
+            and len(first) == k
+            and all(1 <= f and f + m - 1 <= grid.n for f, m in zip(first, slots))
+            and (self.rank is None or slots == (grid.n,) * self.rank)
+        )
+        if not fits:
+            raise InvalidSpec(
+                f"{name}: dense shape {dense.shape} with first index {first} "
+                f"does not fit grid {grid.shape}"
+            )
         self.name = name
         self.grid = grid
-        self.index_ranges = tuple((int(a), int(b)) for a, b in index_ranges)
-        self.roles = tuple(roles) if roles else ("lower",) * len(self.index_ranges)
-        # merge overlapping pairs into groups so canonicalization is stable
-        groups = []
-        for a, b in sym_pairs:
-            placed = None
-            for g in groups:
-                if a in g or b in g:
-                    g.update((a, b))
-                    placed = g
-            if placed is None:
-                groups.append({a, b})
-        self.sym_groups = tuple(frozenset(g) for g in groups)
-        self._data = {}
+        self.dense = dense
+        self.first = first
 
-    def canonical(self, idx):
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != len(self.index_ranges):
-            raise InvalidSpec(f"{self.name}: index {idx} has wrong arity")
-        for v, (a, b) in zip(idx, self.index_ranges):
-            if not a <= v <= b:
-                raise InvalidSpec(f"{self.name}: index {idx} outside ranges")
-        return _canonicalize(idx, self.sym_groups)
+    @property
+    def n(self):
+        return self.grid.n
 
-    def set_component(self, idx, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.grid.shape:
-            raise InvalidSpec(
-                f"{self.name}{idx}: values shape {values.shape} != grid {self.grid.shape}"
-            )
-        self._data[self.canonical(idx)] = values
-
-    def component(self, idx):
-        key = self.canonical(idx)
-        if key not in self._data:
-            return np.zeros(self.grid.shape)
-        return self._data[key]
-
-    def all_indices(self):
-        """Every full index tuple in range, lexicographic."""
-        ranges = [range(a, b + 1) for a, b in self.index_ranges]
-        out = [()]
-        for r in ranges:
-            out = [t + (v,) for t in out for v in r]
-        return out
+    def component(self, *idx):
+        """Node values of one component, by 1-based slot indices."""
+        pos = tuple(int(i) - f for i, f in zip(idx, self.first))
+        if len(idx) != len(self.first) or any(
+            not 0 <= p < m for p, m in zip(pos, self.dense.shape)
+        ):
+            raise InvalidSpec(f"{self.name}: index {idx} out of range")
+        return self.dense[pos]
 
     def max_abs(self):
-        if not self._data:
-            return 0.0
-        return float(max(np.max(np.abs(v)) for v in self._data.values()))
+        return float(np.max(np.abs(self.dense), initial=0.0))
 
 
 # ------------------------------------------------------------- scalar fields
 
 
-class ExpressionField:
-    """Scalar field backed by a parsed expression over x1..xn."""
+def _eval_labelled(expr, coords, label):
+    """eval_field_on with ``label`` prefixed to any EvalError message."""
+    try:
+        return eval_field_on(expr, coords)
+    except EvalError as err:
+        raise EvalError(f"{label}: {err}") from err
 
-    def __init__(self, expr, n):
+
+class ExpressionField:
+    """Scalar field backed by a parsed expression over x1..xn.
+
+    ``what`` names the field in evaluation errors, followed by the x1
+    position when one plane fails.
+    """
+
+    def __init__(self, expr, n, what="expression"):
         self.expr = expr
         self.n = n
+        self.what = what
 
     def at(self, point):
         return eval_field(self.expr, point)
@@ -400,14 +396,15 @@ class ExpressionField:
     def on_transverse(self, x1, grid):
         """Values over all transverse nodes (flattened) at axial position x1."""
         mesh = grid.transverse_mesh()
-        out = eval_field_on(self.expr, (np.float64(x1),) + mesh)
+        label = f"{self.what} at x1 = {float(x1)!r}"
+        out = _eval_labelled(self.expr, (np.float64(x1),) + mesh, label)
         return np.broadcast_to(out, mesh[0].shape).astype(np.float64, copy=False)
 
     def on_grid(self, grid):
         x1 = grid.x1_samples.reshape((-1,) + (1,) * (grid.n - 1))
         mesh = np.meshgrid(*grid.transverse_axes, indexing="ij")
         coords = (x1,) + tuple(m[np.newaxis] for m in mesh)
-        out = eval_field_on(self.expr, coords)
+        out = _eval_labelled(self.expr, coords, self.what)
         return np.broadcast_to(out, grid.shape).astype(np.float64, copy=False)
 
 
@@ -447,15 +444,56 @@ def as_field(value, n, what):
     """Coerce an expression string, FieldExpr or field object to a field.
 
     Strings are parsed over x1..xn; ExpressionField and SampledField pass
-    through.  Anything else raises InvalidSpec prefixed with ``what``.
+    through.  Anything else raises InvalidSpec prefixed with ``what``, and
+    an expression built here names ``what`` in its evaluation errors.
     """
     if isinstance(value, str):
         value = parse_field(value, n)
     if isinstance(value, FieldExpr):
-        return ExpressionField(value, n)
+        return ExpressionField(value, n, what)
     if isinstance(value, (ExpressionField, SampledField)):
         return value
     raise InvalidSpec(f"{what}: cannot interpret {value!r} as a scalar field")
+
+
+class TransverseField:
+    """Scalar data on the hypersurface: expression in x2..xn or node samples.
+
+    ``what`` prefixes validation and evaluation errors.
+    """
+
+    def __init__(self, value, n, what):
+        self.n = n
+        self.what = what
+        if isinstance(value, str):
+            value = parse_field(value, n)
+        if isinstance(value, ExpressionField):
+            value = value.expr
+        if isinstance(value, FieldExpr):
+            try:
+                uses_x1 = 1 in variables(value)
+            except EvalError as err:
+                raise EvalError(f"{what}: {err}") from err
+            if uses_x1:
+                raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
+            self.expr = value
+            self.samples = None
+        else:
+            self.expr = None
+            self.samples = np.asarray(value, dtype=np.float64)
+
+    def plane(self, grid):
+        """Values over the flattened transverse lattice."""
+        if self.expr is not None:
+            mesh = grid.transverse_mesh()
+            out = _eval_labelled(self.expr, (0.0,) + mesh, f"{self.what} at x1 = 0.0")
+            return np.broadcast_to(out, mesh[0].shape).astype(np.float64, copy=False)
+        if self.samples.shape != grid.transverse_shape:
+            raise InvalidInit(
+                f"sampled hypersurface data shape {self.samples.shape} does not "
+                f"match the transverse lattice {grid.transverse_shape}"
+            )
+        return self.samples.reshape(-1)
 
 
 # -------------------------------------------------------------------- dumps
@@ -474,7 +512,11 @@ def write_tensor_dump(path, grid, tubes):
     n = grid.n
     axes = [grid.axis_coords(a) for a in range(1, n + 1)]
     per_tube = [
-        [(idx, tube.component(idx)) for idx in tube.all_indices()] for tube in tubes
+        [
+            (",".join(str(p + f) for p, f in zip(pos, tube.first)), tube.dense[pos])
+            for pos in np.ndindex(tube.dense.shape[: len(tube.first)])
+        ]
+        for tube in tubes
     ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -482,11 +524,8 @@ def write_tensor_dump(path, grid, tubes):
         for node in np.ndindex(grid.shape):
             coords = [repr(float(axes[a][node[a]])) for a in range(n)]
             for tube, comps in zip(tubes, per_tube):
-                for idx, values in comps:
-                    writer.writerow(
-                        coords
-                        + [tube.name, ",".join(str(i) for i in idx), repr(float(values[node]))]
-                    )
+                for label, values in comps:
+                    writer.writerow(coords + [tube.name, label, repr(float(values[node]))])
 
 
 def read_tensor_dump(path):

@@ -3,7 +3,8 @@
 Matrices come in stacks shaped (k, k, N).  Sizes k <= 3 use explicit
 adjugate formulas (deterministic, branch-free); larger sizes fall back to
 numpy's pivoted routines.  ``inv_sym`` mirrors the upper triangle into the
-lower one so the inverse of a symmetric stack is symmetric bit-for-bit.
+lower one so the inverse of a symmetric stack is symmetric bit-for-bit;
+``mirror_upper`` does the same for any pair of adjacent axes.
 """
 
 import numpy as np
@@ -57,9 +58,18 @@ def inv_stack(m, det=None):
 
 def inv_sym(m, det=None):
     """Inverse of a symmetric stack, exactly symmetric in the output."""
-    out = inv_stack(m, det)
-    k = out.shape[0]
+    return mirror_upper(inv_stack(m, det))
+
+
+def mirror_upper(a, axis=0):
+    """Copy the i <= j half of axes (axis, axis + 1) onto the other half.
+
+    Works in place and returns ``a``; values are only assigned, so the
+    i <= j entries keep their bytes and the result is exactly symmetric.
+    """
+    lead = (slice(None),) * axis
+    k = a.shape[axis]
     for i in range(k):
         for j in range(i + 1, k):
-            out[j, i] = out[i, j]
-    return out
+            a[lead + (j, i)] = a[lead + (i, j)]
+    return a

@@ -28,16 +28,9 @@ import numpy as np
 
 from .curvature import DEGENERACY_TOL, MetricField
 from .errors import DegenerateMetric, InvalidInit, InvalidSpec
-from .grid_field import as_field, build_grid
-from .linalg import det_stack, inv_sym
-from .ode import GuardConfig, StateRejected
-from .connection_recon import (
-    _assemble_whole,
-    _march_both,
-    _report,
-    _restricted,
-    _TransverseField,
-)
+from .grid_field import TransverseField, as_field, build_grid
+from .linalg import det_stack, inv_sym, mirror_upper
+from .ode import GuardConfig, StateRejected, march_report, march_tube
 
 
 def _symmetric_fields(n, components, what, index_floor=2):
@@ -69,11 +62,11 @@ class HypersurfaceMetricData:
             raise InvalidInit("dimension must be >= 2")
         self.n = n
         self._g = {
-            key: _TransverseField(value, n, f"gtilde{key}")
+            key: TransverseField(value, n, f"gtilde{key}")
             for key, value in _symmetric_fields(n, g, "gtilde").items()
         }
         self._g1 = {
-            key: _TransverseField(value, n, f"Gtilde{key}")
+            key: TransverseField(value, n, f"Gtilde{key}")
             for key, value in _symmetric_fields(n, g1, "Gtilde").items()
         }
 
@@ -133,12 +126,7 @@ class MetricCurvatureSpec:
 
 def _quadratic(ginv, G):
     """1/2 g^{rs} G_ir G_js, mirrored from i <= j so it is exactly symmetric."""
-    quad = 0.5 * np.einsum("rs...,ir...,js...->ij...", ginv, G, G)
-    k = quad.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            quad[j, i] = quad[i, j]
-    return quad
+    return mirror_upper(0.5 * np.einsum("rs...,ir...,js...->ij...", ginv, G, G))
 
 
 def metric_rhs(g, G, a, degeneracy_tol=DEGENERACY_TOL):
@@ -210,7 +198,6 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
     grid = grid or build_grid(spec)
     n = grid.n
     k = n - 1
-    h1 = grid.spacing(1)
     tol = DEGENERACY_TOL if degeneracy_tol is None else float(degeneracy_tol)
     g0 = init.g_plane(grid)
     G0 = init.g1_plane(grid)
@@ -239,14 +226,9 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
             src_cache[x] = plane
         return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * plane])
 
-    k0 = grid.zero_index
-    plus, minus = _march_both(rhs, h1, len(grid.x1_samples) - 1 - k0, k0, state0, guards, False)
+    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards)
     _relabel_collapse(plus, det0, tol)
     _relabel_collapse(minus, det0, tol)
-    rgrid, _ = _restricted(grid, plus, minus)
-    whole = _assemble_whole(plus, minus)
-    t = whole.shape[0]
-    block = np.moveaxis(whole[:, 0], 0, 2).reshape((k, k, t) + rgrid.transverse_shape)
+    block = np.moveaxis(whole[:, 0], 0, 2).reshape((k, k) + rgrid.shape)
     metric = MetricField.semigeodesic(rgrid, block, e=e)
-    report = _report(grid, rgrid, plus, minus, float(np.max(np.abs(whole))))
-    return metric, report
+    return metric, march_report(grid, rgrid, plus, minus, whole)

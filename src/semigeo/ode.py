@@ -23,9 +23,12 @@ step that any node rejects.
 The right-hand side may also veto a stage by raising StateRejected, e.g.
 when a metric determinant crosses its degeneracy threshold; the marcher
 stops before completing that step.
+
+Both reconstructions march from x1 = 0 toward each end of the tube with
+``march_tube`` and summarize the two directions with ``march_report``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +65,35 @@ class MarchResult:
     steps_done: int
     stopped: str
     stop_detail: object
+
+
+STATUS_COMPLETE = "Complete"
+STATUS_BLOWUP = "StoppedBlowup"
+STATUS_DEGENERATE = "StoppedDegenerate"
+STATUS_ERROR = "StoppedError"
+
+_STOP_STATUS = {"blowup": STATUS_BLOWUP, "degenerate": STATUS_DEGENERATE}
+
+
+@dataclass
+class ReconstructionReport:
+    """Outcome of a reconstruction march.
+
+    ``delta_hat_plus`` / ``delta_hat_minus`` are the reached x1 extents
+    (coordinates, so the minus one is <= 0); the run is Complete iff they
+    equal the requested tube extents.  ``max_component`` is the largest
+    absolute component value stored along the march.
+    """
+
+    status: str
+    delta_hat_plus: float
+    delta_hat_minus: float
+    max_component: float
+    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def complete(self):
+        return self.status == STATUS_COMPLETE
 
 
 def _per_node_max(values, node_axis):
@@ -173,4 +205,51 @@ def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False, node_
         steps_done=done,
         stopped=stopped,
         stop_detail=detail,
+    )
+
+
+def march_tube(rhs, grid, state0, guards, record_half=False):
+    """March ``state0`` from x1 = 0 to both ends of ``grid``, all nodes in lockstep.
+
+    Returns (plus, minus, rgrid, whole): the two MarchResults, the grid
+    restricted to the reached x1 samples, and the whole-step states
+    stacked along ascending x1 (minus reversed, x1 = 0 once).
+    """
+    h1 = grid.spacing(1)
+    k0 = grid.zero_index
+    steps_plus = len(grid.x1_samples) - 1 - k0
+    plus = rk4_march(rhs, 0.0, h1, steps_plus, state0, guards, record_half, node_axis=-1)
+    minus = rk4_march(rhs, 0.0, -h1, k0, state0, guards, record_half, node_axis=-1)
+    rgrid = grid.restrict_x1(k0 - minus.steps_done, k0 + plus.steps_done)
+    whole = np.concatenate([minus.states[:0:-1], plus.states], axis=0)
+    return plus, minus, rgrid, whole
+
+
+def _stop_note(grid, march):
+    note = march.stopped
+    if march.stop_detail is not None:
+        node = np.unravel_index(int(march.stop_detail), grid.transverse_shape)
+        note = f"{note} at transverse node {tuple(int(v) for v in node)}"
+    return note
+
+
+def march_report(grid, rgrid, plus, minus, whole):
+    """ReconstructionReport of a ``march_tube`` run over ``grid``.
+
+    The status is the first stop (plus, then minus) or Complete; each
+    stopped direction adds a ``stop_plus``/``stop_minus`` diagnostic.
+    """
+    status = STATUS_COMPLETE
+    diagnostics = {}
+    for direction, march in (("plus", plus), ("minus", minus)):
+        if march.stopped is not None:
+            if status == STATUS_COMPLETE:
+                status = _STOP_STATUS.get(march.stopped, STATUS_ERROR)
+            diagnostics[f"stop_{direction}"] = _stop_note(grid, march)
+    return ReconstructionReport(
+        status=status,
+        delta_hat_plus=float(rgrid.x1_samples[-1]),
+        delta_hat_minus=float(rgrid.x1_samples[0]),
+        max_component=float(np.max(np.abs(whole))),
+        diagnostics=diagnostics,
     )

@@ -737,6 +737,39 @@ class TestExitTwo:
         assert code == 2
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value",
+        ["+".join(["x2"] * 3000), "(" * 1000 + "x2" + ")" * 1000],
+        ids=["long-sum", "deep-parens"],
+    )
+    def test_deeply_nested_expression(self, tmp_path, capsys, value):
+        text = SPHERE_ROUNDTRIP.replace(
+            "mode = roundtrip-metric", "mode = reconstruct-metric"
+        ).replace('"-cos(x1)^2"', f'"{value}"')
+        code, _ = run_cli(tmp_path, text, "reconstruct-metric")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "nested too deeply" in err
+
+    def test_mid_run_error_names_field_and_writes_report(self, tmp_path, capsys):
+        text = (
+            SPHERE_ROUNDTRIP.replace("mode = roundtrip-metric", "mode = reconstruct-metric")
+            .replace("h1 = 0.001", "h1 = 0.25")
+            .replace('"-cos(x1)^2"', '"log(0.5 - x1)"')
+        )
+        code, out = run_cli(tmp_path, text, "reconstruct-metric")
+        assert code == 2
+        message = "a(2, 2) at x1 = 0.5: log of a non-positive value"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
+        assert read_report(out / "report.txt") == {
+            "mode": "reconstruct-metric",
+            "status": "InvalidInput",
+            "error": message,
+            "exit_code": "2",
+        }
+
     def test_degenerate_input_metric(self, tmp_path, capsys):
         text = FLAT_FORWARD.replace('g.2.2 = "1"', 'g.2.2 = "x2"')
         cfg = write_cfg(tmp_path, text)

@@ -6,6 +6,7 @@ from semigeo.connection_recon import (
     ConnectionCurvatureSpec,
     HypersurfaceConnectionData,
     ReconstructionReport,
+    Stage1Solution,
     reconstruct_connection,
     stage1_integrate,
     stage2_integrate,
@@ -104,19 +105,23 @@ class TestSymbolicScenario:
 
 
 class TestStages:
-    def test_stage1_tube_and_zero_slot(self):
+    def test_stage1_solution_and_zero_index(self):
         init, src = sphere_inputs()
-        tube, report = stage1_integrate(init, src, unit_interval_spec())
-        assert isinstance(tube, TensorTube)
+        sol, report = stage1_integrate(init, src, unit_interval_spec())
+        assert isinstance(sol, Stage1Solution)
         assert report.complete
-        x = tube.grid.x1_samples[:, None] * np.ones((1,) + tube.grid.transverse_shape)
-        assert np.max(np.abs(tube.component((2, 1, 2)) + np.tan(x))) < 1e-8
-        assert np.all(tube.component((1, 1, 1)) == 0.0)
+        grid = sol.grid
+        assert grid.x1_samples[sol.zero_index] == 0.0
+        assert sol.whole.shape == (grid.shape[0], 2, 1, len(grid.transverse_mesh()[0]))
+        assert sol.half_plus.shape == (grid.shape[0] - 1, 2, 1, sol.whole.shape[-1])
+        x = grid.x1_samples[:, None] * np.ones((1,) + grid.transverse_shape)
+        gamma212 = sol.whole[:, 1, 0].reshape(grid.shape)
+        assert np.max(np.abs(gamma212 + np.tan(x))) < 1e-8
 
     def test_stage2_requires_stage1_tube(self):
         init, src = sphere_inputs()
         grid = build_grid(unit_interval_spec())
-        alien = TensorTube("gamma1", grid, ((1, 2), (1, 1), (1, 2)))
+        alien = TensorTube("gamma1", grid, np.zeros((2, 1, 2) + grid.shape))
         with pytest.raises(InvalidSpec):
             stage2_integrate(alien, init, src, unit_interval_spec())
 
@@ -131,10 +136,11 @@ class TestStages:
         )
         init = HypersurfaceConnectionData(3, init_c)
         src = ConnectionCurvatureSpec(3, src_c)
-        tube1, _ = stage1_integrate(init, src, spec)
-        tube2, report = stage2_integrate(tube1, init, src, spec)
+        sol, _ = stage1_integrate(init, src, spec)
+        tube2, report = stage2_integrate(sol, init, src, spec)
         assert report.complete
-        assert tube2.component((1, 3, 2)) is tube2.component((1, 2, 3))
+        assert tube2.name == "gamma2" and tube2.first == (1, 2, 2)
+        assert np.array_equal(tube2.component(1, 3, 2), tube2.component(1, 2, 3))
 
 
 class TestStops:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -13,7 +15,7 @@ from semigeo.curvature import (
     lower_and_check_identity,
 )
 from semigeo.errors import DegenerateMetric, InvalidSpec, NotSemigeodesic
-from semigeo.grid_field import ChartSpec, build_grid
+from semigeo.grid_field import ChartSpec, TensorTube, build_grid, write_tensor_dump
 
 
 def grid2(h1=1e-2, x1_range=(-0.3, 1.0), res=5):
@@ -44,8 +46,8 @@ class TestClosedForms:
         assert np.max(np.abs(conn.component(2, 1, 2) + np.tan(x))) < 1e-3
         assert np.max(np.abs(conn.component(1, 1, 1))) < 1e-12
         assert np.max(np.abs(conn.component(2, 2, 2))) < 1e-12
-        assert np.max(np.abs(first.component((2, 2, 1)) - np.sin(x) * np.cos(x))) < 3e-4
-        assert np.max(np.abs(first.component((1, 2, 2)) + np.sin(x) * np.cos(x))) < 3e-4
+        assert np.max(np.abs(first.component(2, 2, 1) - np.sin(x) * np.cos(x))) < 3e-4
+        assert np.max(np.abs(first.component(1, 2, 2) + np.sin(x) * np.cos(x))) < 3e-4
 
     def test_sphere_curvature13(self, sphere):
         conn, _ = christoffel_from_metric(sphere)
@@ -60,7 +62,7 @@ class TestClosedForms:
     def test_sphere_axial_block(self, sphere):
         tube = curvature04_semigeo(sphere)
         x = axial(sphere.grid)
-        err = np.abs(tube.component((1, 2, 2, 1)) + np.cos(x) ** 2)
+        err = np.abs(tube.component(1, 2, 2, 1) + np.cos(x) ** 2)
         assert err.max() < 2e-3 and err[2:-2].max() < 5e-4
 
     def test_hyperbolic_christoffel(self, hyperbolic):
@@ -76,7 +78,7 @@ class TestClosedForms:
         assert np.max(np.abs(r.component(1, 2, 1, 2) + np.cosh(x) ** 2)) < 0.2
         assert np.max(np.abs(r.component(2, 1, 1, 2) - 1.0)) < 0.1
         tube = curvature04_semigeo(hyperbolic)
-        assert np.max(np.abs(tube.component((1, 2, 2, 1)) - np.cosh(x) ** 2)) < 5e-3
+        assert np.max(np.abs(tube.component(1, 2, 2, 1) - np.cosh(x) ** 2)) < 5e-3
 
     def test_shifted_cone_is_flat(self):
         # quadratic g_22: the stencils are exact, only roundoff remains
@@ -171,7 +173,7 @@ class TestSymbolicOracle:
         for i in range(2, 4):
             for j in range(i, 4):
                 ref = orc.sample(blk[i - 2, j - 2], xs, grid)
-                assert np.max(np.abs(tube.component((1, i, j, 1)) - ref)) < 5e-5, (i, j)
+                assert np.max(np.abs(tube.component(1, i, j, 1) - ref)) < 5e-5, (i, j)
 
 
 class TestLoweringIdentity:
@@ -198,13 +200,13 @@ class TestLoweringIdentity:
         dense[1, 0, 1, 0] = 1.0
         tube, resid = lower_and_check_identity(m, CurvatureTube(grid, dense))
         assert resid < 1e-13
-        assert np.max(np.abs(tube.component((1, 2, 2, 1)) + np.cos(x) ** 2)) < 1e-13
+        assert np.max(np.abs(tube.component(1, 2, 2, 1) + np.cos(x) ** 2)) < 1e-13
 
     def test_lowered_tube_matches_axial_operator(self, sphere):
         conn, _ = christoffel_from_metric(sphere)
         lowered, _ = lower_and_check_identity(sphere, curvature13(conn))
         direct = curvature04_semigeo(sphere)
-        diff = lowered.component((1, 2, 2, 1)) - direct.component((1, 2, 2, 1))
+        diff = lowered.component(1, 2, 2, 1) - direct.component(1, 2, 2, 1)
         assert np.max(np.abs(diff[2:-2])) < 5e-3
 
     def test_negative_axial_sign(self):
@@ -235,7 +237,8 @@ class TestStructure:
         r = curvature13(conn)
         assert np.array_equal(r.dense, -np.swapaxes(r.dense, 2, 3))
 
-    def test_axial_tube_symmetry_shared_storage(self):
+    @staticmethod
+    def axial_tube():
         grid = build_grid(
             ChartSpec(
                 n=3,
@@ -246,12 +249,29 @@ class TestStructure:
             )
         )
         fields = {(1, 1): "1", (2, 2): "1 + 0.1*sin(x1)", (2, 3): "0.05*x1*x2", (3, 3): "1"}
-        tube = curvature04_semigeo(MetricField.from_fields(grid, fields))
-        assert tube.component((1, 3, 2, 1)) is tube.component((1, 2, 3, 1))
+        return curvature04_semigeo(MetricField.from_fields(grid, fields))
+
+    def test_axial_tube_mirrored_slots_equal(self):
+        tube = self.axial_tube()
+        assert tube.first == (1, 2, 2, 1)
+        assert np.array_equal(tube.component(1, 3, 2, 1), tube.component(1, 2, 3, 1))
+
+    def test_axial_dump_mirrored_rows_match(self, tmp_path):
+        tube = self.axial_tube()
+        path = tmp_path / "r04.csv"
+        write_tensor_dump(path, tube.grid, [tube])
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        values = {}
+        for row in rows:
+            values.setdefault(row[-2], []).append(row[-1])
+        assert sorted(values) == ["1,2,2,1", "1,2,3,1", "1,3,2,1", "1,3,3,1"]
+        assert values["1,2,3,1"] == values["1,3,2,1"]
+        assert values["1,2,3,1"] != values["1,2,2,1"]
 
     def test_metric_tube_and_at(self, sphere):
-        tube = sphere.tube()
-        assert np.array_equal(tube.component((1, 1)), sphere.component(1, 1))
+        assert isinstance(sphere, TensorTube) and sphere.name == "g"
+        assert np.array_equal(sphere.component(1, 1), sphere.dense[0, 0])
         point = (0.25, 0.5)
         m = sphere.at(point)
         assert m.shape == (2, 2)

@@ -153,6 +153,10 @@ class TestParseErrors:
         assert exc.value.position == 5
         assert "not finite" in str(exc.value)
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(FieldSyntaxError, match="nested too deeply"):
+            parse_field("(" * 1000 + "x1" + ")" * 1000, 1)
+
     def test_garbage_after_expression(self):
         with pytest.raises(FieldSyntaxError):
             parse_field("1 + 2 )", 1)
@@ -231,6 +235,16 @@ class TestEval:
     def test_variables_listing(self):
         assert variables(parse_field("x1 + cos(x3)", 3)) == {1, 3}
         assert variables(parse_field("4", 3)) == set()
+
+    def test_deep_tree_is_an_eval_error(self):
+        expr = parse_field("+".join(["x1"] * 3000), 1)
+        for call in (
+            lambda: eval_field(expr, (1.0,)),
+            lambda: eval_field_on(expr, (np.ones(3),)),
+            lambda: variables(expr),
+        ):
+            with pytest.raises(EvalError, match="nested too deeply"):
+                call()
 
     def test_missing_coordinate_value(self):
         expr = parse_field("x2", 2)

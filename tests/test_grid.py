@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from semigeo.errors import GridTooCoarse, InvalidSpec, OutOfDomain
+from semigeo.errors import EvalError, GridTooCoarse, InvalidSpec, OutOfDomain
 from semigeo.grid_field import (
     ChartSpec,
     ExpressionField,
     SampledField,
     TensorTube,
+    TransverseField,
     as_field,
     build_grid,
     fd_partial,
@@ -18,6 +19,7 @@ from semigeo.grid_field import (
     write_tensor_dump,
 )
 from semigeo.expr import parse_field
+from semigeo.linalg import mirror_upper
 
 
 def grid2(x1_range=(0.0, 1.0), h1=0.25, res=5, box=None):
@@ -214,34 +216,52 @@ class TestInterpolate:
             interpolate(np.zeros(g.shape), g, (1.5, 0.5))
 
 
-class TestTensorTube:
-    def test_symmetric_storage_is_shared(self):
-        g = grid2()
-        t = TensorTube("T", g, ((1, 2), (1, 2)), sym_pairs=((0, 1),))
-        vals = np.random.default_rng(0).normal(size=g.shape)
-        t.set_component((1, 2), vals)
-        assert t.component((2, 1)) is t.component((1, 2))
+def grid3(res=3):
+    return build_grid(ChartSpec(n=3, x1_range=(0.0, 0.5), h1=0.25, transverse_res=res))
 
-    def test_missing_component_defaults_to_zero(self):
+
+class TestTensorTube:
+    def test_mirrored_slots_hold_equal_values(self):
         g = grid2()
-        t = TensorTube("T", g, ((1, 2),))
-        assert np.all(t.component((1,)) == 0.0)
-        assert t.max_abs() == 0.0
+        dense = np.random.default_rng(0).normal(size=(2, 2) + g.shape)
+        t = TensorTube("T", g, mirror_upper(dense))
+        assert np.array_equal(t.component(2, 1), t.component(1, 2))
+
+    def test_shape_check(self):
+        g = grid2()
+        with pytest.raises(InvalidSpec):
+            TensorTube("T", g, np.zeros((2,) + g.shape[:-1]))
+        with pytest.raises(InvalidSpec):
+            TensorTube("T", g, np.zeros((3,) + g.shape))
+        with pytest.raises(InvalidSpec):
+            TensorTube("T", g, np.zeros((2,) + g.shape), first=(2,))
+        with pytest.raises(InvalidSpec):
+            TensorTube("T", g, np.zeros((1,) + g.shape), first=(1, 1))
+        t = TensorTube("T", g, np.zeros((2,) + g.shape))
+        assert t.first == (1,) and t.n == 2
+
+    def test_component_with_offset_first(self):
+        g = grid3()
+        dense = np.arange(4 * np.prod(g.shape), dtype=float).reshape((1, 2, 2, 1) + g.shape)
+        t = TensorTube("R04", g, dense, (1, 2, 2, 1))
+        assert t.first == (1, 2, 2, 1)
+        assert np.array_equal(t.component(1, 2, 2, 1), dense[0, 0, 0, 0])
+        assert np.array_equal(t.component(1, 3, 2, 1), dense[0, 1, 0, 0])
+        assert np.array_equal(t.component(1, 2, 3, 1), dense[0, 0, 1, 0])
 
     def test_index_validation(self):
-        g = grid2()
-        t = TensorTube("T", g, ((1, 2), (2, 2)))
-        with pytest.raises(InvalidSpec):
-            t.component((1,))
-        with pytest.raises(InvalidSpec):
-            t.component((1, 3))
-        with pytest.raises(InvalidSpec):
-            t.set_component((1, 2), np.zeros(3))
+        g = grid3()
+        t = TensorTube("R04", g, np.zeros((1, 2, 2, 1) + g.shape), (1, 2, 2, 1))
+        for idx in ((1, 2, 2), (1, 1, 2, 1), (1, 2, 4, 1), (2, 2, 2, 1), (1, 2, 2, 1, 1)):
+            with pytest.raises(InvalidSpec):
+                t.component(*idx)
 
-    def test_all_indices_lexicographic(self):
+    def test_max_abs(self):
         g = grid2()
-        t = TensorTube("T", g, ((1, 2), (2, 3)))
-        assert t.all_indices() == [(1, 2), (1, 3), (2, 2), (2, 3)]
+        dense = np.zeros((2,) + g.shape)
+        assert TensorTube("T", g, dense).max_abs() == 0.0
+        dense[1, 2, 3] = -4.5
+        assert TensorTube("T", g, dense).max_abs() == 4.5
 
 
 class TestScalarFields:
@@ -296,35 +316,58 @@ class TestAsField:
             as_field(value, 2, "A(2,1,2)")
 
 
+class TestFieldErrorLabels:
+    def test_source_error_names_field_and_x1(self):
+        g = grid2()
+        f = as_field("log(0.5 - x1)", 2, "a(2, 2)")
+        with pytest.raises(EvalError, match=r"^a\(2, 2\) at x1 = 0\.5: log of"):
+            f.on_transverse(0.5, g)
+        with pytest.raises(EvalError, match=r"^a\(2, 2\): log of"):
+            f.on_grid(g)
+
+    def test_hypersurface_error_names_field(self):
+        f = TransverseField("log(x2 - 2)", 2, "gtilde(2, 2)")
+        with pytest.raises(EvalError, match=r"^gtilde\(2, 2\) at x1 = 0\.0: log of"):
+            f.plane(grid2())
+        deep = "+".join(["x2"] * 3000)
+        with pytest.raises(EvalError, match=r"^gtilde\(2, 2\): expression nested too deeply"):
+            TransverseField(deep, 2, "gtilde(2, 2)")
+
+
 class TestDumps:
     def test_write_read_round_trip_is_exact(self, tmp_path):
-        g = grid2(h1=0.5, res=3)
-        t = TensorTube("R", g, ((1, 2), (1, 2)), sym_pairs=((0, 1),))
+        g = grid3()
         rng = np.random.default_rng(3)
-        t.set_component((1, 1), rng.normal(size=g.shape))
-        t.set_component((1, 2), rng.normal(size=g.shape))
+        t = TensorTube("R", g, rng.normal(size=(2, 3) + g.shape), (2, 1))
         path = tmp_path / "dump.csv"
         write_tensor_dump(path, g, [t])
         axes, tensors = read_tensor_dump(path)
         assert np.array_equal(axes[0], g.x1_samples)
-        assert np.array_equal(tensors["R"][(1, 1)], t.component((1, 1)))
-        assert np.array_equal(tensors["R"][(2, 1)], t.component((1, 2)))
+        assert sorted(tensors["R"]) == [(i, j) for i in (2, 3) for j in (1, 2, 3)]
+        for (i, j), values in tensors["R"].items():
+            assert np.array_equal(values, t.component(i, j))
 
     def test_header_and_row_order(self, tmp_path):
         g = grid2(h1=0.5, res=3)
-        t = TensorTube("g", g, ((1, 1),))
-        t.set_component((1,), np.ones(g.shape))
+        a = TensorTube("a", g, np.ones((2, 1) + g.shape), (1, 2))
+        b = TensorTube("b", g, np.zeros((1,) + g.shape))
         path = tmp_path / "dump.csv"
-        write_tensor_dump(path, g, [t])
+        write_tensor_dump(path, g, [a, b])
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2,tensor,indices,value"
-        # node-major lexicographic: first node is (x1_min, box_lo)
-        assert lines[1].startswith("0.0,0.0,g,1,")
+        # node-major lexicographic, then tensors in order, then indices
+        assert lines[1:5] == [
+            '0.0,0.0,a,"1,2",1.0',
+            '0.0,0.0,a,"2,2",1.0',
+            "0.0,0.0,b,1,0.0",
+            '0.0,0.5,a,"1,2",1.0',
+        ]
+        assert len(lines) == 1 + 3 * np.prod(g.shape)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         g = grid2(h1=0.5, res=3)
-        t = TensorTube("g", g, ((1, 2), (1, 2)), sym_pairs=((0, 1),))
-        t.set_component((1, 2), np.random.default_rng(9).normal(size=g.shape))
+        dense = mirror_upper(np.random.default_rng(9).normal(size=(2, 2) + g.shape))
+        t = TensorTube("g", g, dense)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_tensor_dump(a, g, [t])
         write_tensor_dump(b, g, [t])

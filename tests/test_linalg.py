@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semigeo.linalg import det_stack, inv_stack, inv_sym
+from semigeo.linalg import det_stack, inv_stack, inv_sym, mirror_upper
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -42,3 +42,16 @@ def test_size_one_stack():
     m = np.array([[[2.0, 4.0]]])
     assert np.array_equal(det_stack(m), np.array([2.0, 4.0]))
     assert np.array_equal(inv_stack(m), np.array([[[0.5, 0.25]]]))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mirror_upper_copies_upper_half(axis):
+    a = np.random.default_rng(30 + axis).normal(size=(2,) * axis + (3, 3, 4))
+    before = a.copy()
+    out = mirror_upper(a, axis=axis)
+    assert out is a
+    lead = (slice(None),) * axis
+    for i in range(3):
+        for j in range(3):
+            src = (i, j) if i <= j else (j, i)
+            assert np.array_equal(a[lead + (i, j)], before[lead + src])
