@@ -9,8 +9,10 @@ accepted and ignored: every march is one lockstep pass over all nodes.
 Exit codes: 0 success; 2 bad configuration or invalid input data
 (found mid-run, it still leaves a report with ``status: InvalidInput``);
 3 numerical stop (blow-up or degeneracy; partial dumps are still
-written); 4 round-trip residual above its gate.  When a run both stops
-early and fails its round-trip gate, the stop wins: 3.
+written; ``forward`` exits 3 with ``status: StoppedBlowup`` when a tensor
+it dumps overflowed to inf or nan); 4 round-trip residual above its
+gate.  When a run both stops early and fails its round-trip gate, the
+stop wins: 3.
 
 Every artifact is deterministic: fixed row order, fixed report key
 order, floats via repr (which round-trips binary64 exactly), no
@@ -55,7 +57,7 @@ from .curvature import (
     curvature13,
     lower_and_check_identity,
 )
-from .errors import ConfigError, LeftDomain, SemigeoError
+from .errors import ConfigError, GridTooCoarse, LeftDomain, SemigeoError
 from .grid_field import ChartSpec, build_grid, write_curve_dump, write_tensor_dump
 from .metric_recon import HypersurfaceMetricData, MetricCurvatureSpec, reconstruct_metric
 
@@ -115,22 +117,6 @@ def _report_recon(lines, report):
 
 
 # ------------------------------------------------------------------ helpers
-
-
-def _metric_inputs(cfg):
-    n = cfg.chart.n
-    init = HypersurfaceMetricData(
-        n, g=cfg.fields.get("gtilde", {}), g1=cfg.fields.get("Gtilde", {})
-    )
-    sources = MetricCurvatureSpec(n, cfg.fields.get("a", {}))
-    return init, sources
-
-
-def _connection_inputs(cfg):
-    n = cfg.chart.n
-    init = HypersurfaceConnectionData(n, cfg.fields.get("gammatilde", {}))
-    sources = ConnectionCurvatureSpec(n, cfg.fields.get("A", {}))
-    return init, sources
 
 
 def _coarse_chart(chart):
@@ -199,34 +185,41 @@ def roundtrip_gate(residual, coarse_residual, roundtrip_tol):
 
 
 def _run_forward(cfg, grid, out):
-    lines = [("mode", "forward")]
     tol = cfg.tolerances.degeneracy_tol
+    dumped = []
+    extra = []
+
+    def dump(name, *tubes):
+        write_tensor_dump(out / name, grid, tubes)
+        dumped.extend(tubes)
+
     if "g" in cfg.fields:
         metric = MetricField.from_fields(grid, cfg.fields["g"], e=cfg.chart.e)
         conn, first = christoffel_from_metric(metric, degeneracy_tol=tol)
         r13 = curvature13(conn)
-        write_tensor_dump(out / "christoffel.csv", grid, [conn, first])
-        write_tensor_dump(out / "curvature13.csv", grid, [r13])
-        lines.append(("status", "Complete"))
-        lines.append(("max_component", r13.max_abs()))
+        dump("christoffel.csv", conn, first)
+        dump("curvature13.csv", r13)
         r11, r1j = metric.semigeodesic_residuals()
         if max(r11, r1j) <= SEMIGEO_TOL:
             axial = curvature04_semigeo(metric, degeneracy_tol=tol, semigeo_tol=SEMIGEO_TOL)
-            write_tensor_dump(out / "curvature04.csv", grid, [axial])
+            dump("curvature04.csv", axial)
             _, identity = lower_and_check_identity(metric, r13, semigeo_tol=SEMIGEO_TOL)
-            lines.append(("identity_residual", identity))
+            extra.append(("identity_residual", identity))
     else:
-        conn = ConnectionField.from_fields(grid, cfg.fields["gamma"])
-        r13 = curvature13(conn)
-        write_tensor_dump(out / "curvature13.csv", grid, [r13])
-        lines.append(("status", "Complete"))
-        lines.append(("max_component", r13.max_abs()))
-    return 0, lines
+        r13 = curvature13(ConnectionField.from_fields(grid, cfg.fields["gamma"]))
+        dump("curvature13.csv", r13)
+    # an overflowed operator leaves inf/nan entries: a numerical stop
+    finite = all(np.all(np.isfinite(tube.dense)) for tube in dumped)
+    status = "Complete" if finite else "StoppedBlowup"
+    lines = [("mode", "forward"), ("status", status), ("max_component", r13.max_abs())]
+    return (0 if finite else 3), lines + extra
 
 
 def _reconstruct_metric(cfg, chart):
     grid = build_grid(chart)
-    init, sources = _metric_inputs(cfg)
+    fields = cfg.fields
+    init = HypersurfaceMetricData(chart.n, g=fields.get("gtilde"), g1=fields.get("Gtilde"))
+    sources = MetricCurvatureSpec(chart.n, fields.get("a"))
     metric, report = reconstruct_metric(
         init,
         sources,
@@ -241,7 +234,8 @@ def _reconstruct_metric(cfg, chart):
 
 def _reconstruct_connection(cfg, chart):
     grid = build_grid(chart)
-    init, sources = _connection_inputs(cfg)
+    init = HypersurfaceConnectionData(chart.n, cfg.fields.get("gammatilde"))
+    sources = ConnectionCurvatureSpec(chart.n, cfg.fields.get("A"))
     conn, report = reconstruct_connection(
         init, sources, chart, guards=cfg.tolerances.guards(), grid=grid
     )
@@ -265,6 +259,8 @@ def _run_reconstruction(cfg, out, mode, reconstruct, residual_of, dump_name):
     if residual_of is None:
         return code, lines
     residual, oracle = residual_of(field, sources)
+    if residual is None and code == 0:
+        raise GridTooCoarse(f"{mode}: the x1 axis is too short for the curvature oracle")
     if oracle is not None:
         write_tensor_dump(out / "curvature_oracle.csv", field.grid, [oracle])
     coarse_residual = None

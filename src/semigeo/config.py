@@ -9,20 +9,22 @@ sections exist:
                  resolution and box (globally or per axis, e.g.
                  ``transverse_res.2 = 17``)
 * ``[tolerances]`` blowup_threshold, degeneracy_tol, roundtrip_tol,
-                 step_growth_limit, stage_slope_ratio
+                 step_growth_limit, stage_slope_ratio; each finite and > 0
 * ``[fields]``   tensor components as dotted keys with double-quoted
-                 expression values, e.g. ``a.2.2 = "-cos(x1)^2"``
+                 expression values, e.g. ``a.2.2 = "-cos(x1)^2"``; the
+                 index ranges are those of ``grid_field.FAMILIES``
 
 ``#`` starts a comment outside quotes.  Unknown sections, unknown keys,
 repeated keys, and symmetric components given twice are all errors: a
 typo must never silently become a zero field.
 """
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import ConfigError, FieldSyntaxError, InvalidSpec
 from .expr import parse_field
-from .grid_field import ChartSpec
+from .grid_field import FAMILIES, ChartSpec
 from .ode import GuardConfig
 
 MODES = (
@@ -48,19 +50,7 @@ _TOLERANCE_KEYS = (
     "stage_slope_ratio",
 )
 
-# family -> (index arity, per-slot floor, symmetric slot pair or None);
-# floors are 1 (any coordinate) or 2 (transverse only)
-_FAMILIES = {
-    "g": (2, (1, 1), (0, 1)),
-    "gtilde": (2, (2, 2), (0, 1)),
-    "Gtilde": (2, (2, 2), (0, 1)),
-    "a": (2, (2, 2), (0, 1)),
-    "gamma": (3, (1, 1, 1), (1, 2)),
-    "gammatilde": (3, (1, 1, 1), (1, 2)),
-    "A": (3, (1, 1, 2), None),
-}
-
-_MODE_FAMILIES = {
+_MODE_INPUTS = {
     "forward": ("g", "gamma"),
     "reconstruct-metric": ("gtilde", "Gtilde", "a"),
     "roundtrip-metric": ("gtilde", "Gtilde", "a"),
@@ -313,19 +303,19 @@ def _read_fields(entries, n):
     for line_no, _, key, value in entries:
         parts = key.split(".")
         family = parts[0]
-        if family not in _FAMILIES:
+        if family not in FAMILIES:
             raise ConfigError(
                 f"unknown field family {family!r}; expected one of "
-                + ", ".join(sorted(_FAMILIES)),
+                + ", ".join(sorted(FAMILIES)),
                 line=line_no,
             )
-        arity, floors, sym = _FAMILIES[family]
-        if len(parts) - 1 != arity:
+        layout = FAMILIES[family]
+        if len(parts) - 1 != len(layout.first):
             raise ConfigError(
-                f"{key}: family {family!r} takes {arity} indices", line=line_no
+                f"{key}: family {family!r} takes {len(layout.first)} indices", line=line_no
             )
         idx = tuple(_parse_int(p, key, line_no) for p in parts[1:])
-        for slot, (v, lo) in enumerate(zip(idx, floors)):
+        for slot, (v, lo) in enumerate(zip(idx, layout.first)):
             if not lo <= v <= n:
                 if family == "A" and slot == 2 and v == 1:
                     raise ConfigError(
@@ -336,13 +326,7 @@ def _read_fields(entries, n):
                 raise ConfigError(
                     f"{key}: index {v} outside {lo}..{n}", line=line_no
                 )
-        canonical = idx
-        if sym is not None:
-            a, b = sym
-            lo_v, hi_v = sorted((idx[a], idx[b]))
-            canonical = list(idx)
-            canonical[a], canonical[b] = lo_v, hi_v
-            canonical = tuple(canonical)
+        canonical = layout.canonical(idx)
         slots = fields.setdefault(family, {})
         if canonical in slots:
             other = first_line[(family, canonical)]
@@ -402,7 +386,10 @@ def load_config(path):
         if key in seen:
             raise ConfigError(f"{key} given twice", line=line_no)
         seen.add(key)
-        setattr(tolerances, key, _parse_float(value, key, line_no))
+        number = _parse_float(value, key, line_no)
+        if not 0.0 < number < math.inf:
+            raise ConfigError(f"{key}: must be finite and > 0, got {value!r}", line=line_no)
+        setattr(tolerances, key, number)
 
     fields = _read_fields(by_section["fields"], chart.n)
 
@@ -436,7 +423,7 @@ def validate_for_mode(config, mode):
         raise ConfigError(
             f"config says mode = {config.mode} but the run asks for {mode}"
         )
-    allowed = _MODE_FAMILIES[mode]
+    allowed = _MODE_INPUTS[mode]
     for family in sorted(config.fields):
         if family not in allowed:
             raise ConfigError(
@@ -462,26 +449,15 @@ def defaulted_components(config, mode):
     """
     n = config.chart.n
     out = []
-    for family in _MODE_FAMILIES[mode]:
+    for family in _MODE_INPUTS[mode]:
         if family in ("g", "gamma") and family not in config.fields:
             # alternative input families: absent means the other one is used
             continue
-        arity, floors, sym = _FAMILIES[family]
         given = config.fields.get(family, {})
-        for idx in _family_slots(n, arity, floors, sym):
+        for idx in FAMILIES[family].slots(n):
             if family in ("gamma", "gammatilde") and idx[1] == idx[2] == 1:
                 continue
             if idx not in given:
                 out.append(family + "." + ".".join(str(v) for v in idx))
     return sorted(out)
 
-
-def _family_slots(n, arity, floors, sym):
-    ranges = [range(lo, n + 1) for lo in floors]
-    slots = [()]
-    for r in ranges:
-        slots = [s + (v,) for s in slots for v in r]
-    if sym is not None:
-        a, b = sym
-        slots = [s for s in slots if s[a] <= s[b]]
-    return slots

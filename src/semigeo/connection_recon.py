@@ -35,14 +35,7 @@ import numpy as np
 
 from .curvature import ConnectionField
 from .errors import InvalidInit, InvalidSpec
-from .grid_field import (
-    TensorTube,
-    TransverseField,
-    TubeGrid,
-    as_field,
-    build_grid,
-    fd_transverse,
-)
+from .grid_field import Components, TensorTube, TubeGrid, build_grid, fd_transverse
 from .linalg import mirror_upper
 from .ode import (
     STATUS_COMPLETE,
@@ -58,64 +51,35 @@ class HypersurfaceConnectionData:
 
     ``components`` maps (h, i, j) with 1-based indices to an expression
     string, a parsed FieldExpr, or an array of transverse node samples.
-    The (i, j) pair is symmetric; giving both orderings with different
-    data raises InvalidInit.  Components (h, 1, 1) must be zero.  Missing
-    components default to 0.
+    The (i, j) pair is symmetric; giving both orderings raises
+    InvalidInit.  Components (h, 1, 1) must be zero.  Missing components
+    default to 0.  Each stage evaluates only the components it reads.
     """
 
     def __init__(self, n, components=None):
         if n < 2:
             raise InvalidInit("dimension must be >= 2")
         self.n = n
-        self._fields = {}
-        for (h, i, j), value in (components or {}).items():
-            if not (1 <= h <= n and 1 <= i <= n and 1 <= j <= n):
-                raise InvalidInit(f"component index {(h, i, j)} outside 1..{n}")
-            key = (h, min(i, j), max(i, j))
-            if key in self._fields:
-                raise InvalidInit(
-                    f"component {key} assigned twice (symmetric orderings conflict)"
-                )
-            self._fields[key] = TransverseField(value, n, f"gammatilde{key}")
+        self._fields = Components("gammatilde", n, components)
 
-    def plane(self, h, i, j, grid):
-        key = (h, min(i, j), max(i, j))
-        fld = self._fields.get(key)
-        if fld is None:
-            return np.zeros(len(grid.transverse_mesh()[0]))
-        return fld.plane(grid)
+    def _box(self, grid, lo, hi=None):
+        return self._fields.dense(grid.transverse_mesh()[0].shape, lambda f: f.plane(grid), lo, hi)
 
     def validate(self, grid):
         """Check the Gamma^h_11 = 0 invariant at the transverse nodes."""
-        for h in range(1, self.n + 1):
-            if (h, 1, 1) in self._fields:
-                vals = self._fields[(h, 1, 1)].plane(grid)
-                if np.any(vals != 0.0):
-                    raise InvalidInit(
-                        f"gammatilde({h},1,1) must vanish identically "
-                        "(x1 lines are canonical geodesics)"
-                    )
+        axial = self._box(grid, (1, 1, 1), (self.n, 1, 1))[:, 0, 0]
+        for h, values in enumerate(axial, start=1):
+            if np.any(values != 0.0):
+                raise InvalidInit(
+                    f"gammatilde({h},1,1) must vanish identically "
+                    "(x1 lines are canonical geodesics)"
+                )
 
     def stage1_state0(self, grid):
-        n = grid.n
-        big_n = len(grid.transverse_mesh()[0])
-        state = np.zeros((n, n - 1, big_n))
-        for h in range(1, n + 1):
-            for k in range(2, n + 1):
-                state[h - 1, k - 2] = self.plane(h, 1, k, grid)
-        return state
+        return self._box(grid, (1, 1, 2), (self.n, 1, self.n))[:, 0]
 
     def stage2_state0(self, grid):
-        n = grid.n
-        big_n = len(grid.transverse_mesh()[0])
-        state = np.zeros((n, n - 1, n - 1, big_n))
-        for h in range(1, n + 1):
-            for i in range(2, n + 1):
-                for k in range(i, n + 1):
-                    vals = self.plane(h, i, k, grid)
-                    state[h - 1, i - 2, k - 2] = vals
-                    state[h - 1, k - 2, i - 2] = vals
-        return state
+        return self._box(grid, (1, 2, 2))
 
 
 class ConnectionCurvatureSpec:
@@ -125,58 +89,29 @@ class ConnectionCurvatureSpec:
     in its last index pair, so k = 1 entries are rejected rather than
     silently ignored.  The (i, k) pair is NOT symmetric.  Entries are
     expression strings, FieldExpr, ExpressionField, or SampledField on
-    the tube; missing entries are zero.
+    the tube; missing entries are zero.  Each stage evaluates only the
+    sources it reads.
     """
 
     def __init__(self, n, entries=None):
         if n < 2:
             raise InvalidSpec("dimension must be >= 2")
         self.n = n
-        self._fields = {}
-        for (h, i, k), value in (entries or {}).items():
-            if not (1 <= h <= n and 1 <= i <= n):
-                raise InvalidSpec(f"curvature source index {(h, i, k)} outside 1..{n}")
-            if not 2 <= k <= n:
-                raise InvalidSpec(
-                    f"curvature source ({h},{i},{k}): k must be in 2..{n} "
-                    "(k = 1 components vanish identically)"
-                )
-            if (h, i, k) in self._fields:
-                raise InvalidSpec(f"curvature source {(h, i, k)} assigned twice")
-            self._fields[(h, i, k)] = as_field(value, n, f"A({h},{i},{k})")
+        self._fields = Components("A", n, entries)
 
-    def _plane(self, h, i, k, x1, grid):
-        fld = self._fields.get((h, i, k))
-        if fld is None:
-            return np.zeros(len(grid.transverse_mesh()[0]))
-        return np.asarray(fld.on_transverse(x1, grid), dtype=np.float64)
+    def _box(self, x1, grid, lo, hi=None):
+        shape = grid.transverse_mesh()[0].shape
+        return self._fields.dense(shape, lambda f: f.on_transverse(x1, grid), lo, hi)
 
     def stage1_plane(self, x1, grid):
-        n = grid.n
-        big_n = len(grid.transverse_mesh()[0])
-        out = np.zeros((n, n - 1, big_n))
-        for h in range(1, n + 1):
-            for k in range(2, n + 1):
-                out[h - 1, k - 2] = self._plane(h, 1, k, x1, grid)
-        return out
+        return self._box(x1, grid, (1, 1, 2), (self.n, 1, self.n))[:, 0]
 
     def stage2_plane(self, x1, grid):
-        n = grid.n
-        big_n = len(grid.transverse_mesh()[0])
-        out = np.zeros((n, n - 1, n - 1, big_n))
-        for h in range(1, n + 1):
-            for i in range(2, n + 1):
-                for k in range(2, n + 1):
-                    out[h - 1, i - 2, k - 2] = self._plane(h, i, k, x1, grid)
-        return out
+        return self._box(x1, grid, (1, 2, 2))
 
     def dense_on(self, grid):
         """All prescribed values over a grid, shaped (n, n, n-1, *grid.shape)."""
-        n = self.n
-        out = np.zeros((n, n, n - 1) + grid.shape)
-        for (h, i, k), fld in self._fields.items():
-            out[h - 1, i - 1, k - 2] = fld.on_grid(grid)
-        return out
+        return self._fields.dense(grid.shape, lambda f: f.on_grid(grid))
 
 
 # --------------------------------------------------------------- stage plumbing

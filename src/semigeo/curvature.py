@@ -21,7 +21,7 @@ curvature block has the closed form above.
 import numpy as np
 
 from .errors import DegenerateMetric, NotSemigeodesic
-from .grid_field import TensorTube, as_field, fd_partial, fd_second, interpolate
+from .grid_field import Components, TensorTube, fd_partial, fd_second, interpolate
 from .linalg import det_stack, inv_sym, mirror_upper
 
 DEGENERACY_TOL = 1e-10
@@ -38,14 +38,9 @@ class MetricField(TensorTube):
 
     @classmethod
     def from_fields(cls, grid, components, e=1):
-        """Build from {(i, j): expression/field}, i <= j, missing -> 0."""
-        n = grid.n
-        dense = np.zeros((n, n) + grid.shape)
-        for (i, j), value in components.items():
-            vals = as_field(value, n, f"g{(i, j)}").on_grid(grid)
-            dense[i - 1, j - 1] = vals
-            dense[j - 1, i - 1] = vals
-        return cls(grid, dense, e=e)
+        """Build from {(i, j): expression/field}, either order, missing -> 0."""
+        fields = Components("g", grid.n, components)
+        return cls(grid, fields.dense(grid.shape, lambda f: f.on_grid(grid)), e=e)
 
     @classmethod
     def semigeodesic(cls, grid, transverse_dense, e=1):
@@ -99,14 +94,9 @@ class ConnectionField(TensorTube):
 
     @classmethod
     def from_fields(cls, grid, components):
-        """Build from {(h, i, j): expression/field}, i <= j, missing -> 0."""
-        n = grid.n
-        dense = np.zeros((n, n, n) + grid.shape)
-        for (h, i, j), value in components.items():
-            vals = as_field(value, n, f"gamma{(h, i, j)}").on_grid(grid)
-            dense[h - 1, i - 1, j - 1] = vals
-            dense[h - 1, j - 1, i - 1] = vals
-        return cls(grid, dense)
+        """Build from {(h, i, j): expression/field}, either (i, j) order, missing -> 0."""
+        fields = Components("gamma", grid.n, components)
+        return cls(grid, fields.dense(grid.shape, lambda f: f.on_grid(grid)))
 
     def at(self, point):
         n = self.n
@@ -131,25 +121,33 @@ class CurvatureTube(TensorTube):
 # ----------------------------------------------------------------- operators
 
 
+def _degenerate_node(det, degeneracy_tol, grid):
+    """First grid node (plain ints) where |det| < tol or det is not finite."""
+    bad = ~np.isfinite(det) | (np.abs(det) < degeneracy_tol)
+    if not np.any(bad):
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), grid.shape))
+
+
 def christoffel_from_metric(metric, grid=None, degeneracy_tol=DEGENERACY_TOL):
     """Christoffel symbols of a sampled metric.
 
     Returns (ConnectionField, "gamma_first" TensorTube of C_ijk), both
     exactly symmetric in (i, j).  Derivatives are
     grid finite differences; the inverse metric uses adjugate formulas
-    for n <= 3.  Raises DegenerateMetric when |det g| < degeneracy_tol at
-    any node (the first offending node in lexicographic order is
-    reported).
+    for n <= 3.  Raises DegenerateMetric when |det g| < degeneracy_tol or
+    det g is not finite at any node (the first offending node in
+    lexicographic order is reported).
     """
     grid = grid or metric.grid
     n = grid.n
     g = metric.dense
     det = metric.det_nodes()
-    bad = np.abs(det) < degeneracy_tol
-    if np.any(bad):
-        node = np.unravel_index(int(np.argmax(bad)), grid.shape)
+    node = _degenerate_node(det, degeneracy_tol, grid)
+    if node is not None:
         raise DegenerateMetric(
-            f"metric determinant {det[node]:.3e} below {degeneracy_tol:.1e} at node {node}",
+            f"metric determinant {det[node]:.3e} at node {node} is below "
+            f"{degeneracy_tol:.1e} or not finite",
             node=node,
             det=float(det[node]),
         )
@@ -178,12 +176,13 @@ def curvature13(connection, grid=None):
     n = grid.n
     gam = connection.dense
     dgam = np.empty((n, n, n, n) + grid.shape)
-    for a in range(1, n + 1):
-        dgam[a - 1] = fd_partial(gam, a, grid)
-    quad = np.einsum("mik...,hmj...->hijk...", gam, gam)
-    # p[h,i,j,k] = d_j G^h_ik + G^m_ik G^h_mj; dgam axes are (j, h, i, k, ...)
-    p = np.transpose(dgam, (1, 2, 0, 3) + tuple(range(4, dgam.ndim))) + quad
-    r = p - np.swapaxes(p, 2, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(1, n + 1):
+            dgam[a - 1] = fd_partial(gam, a, grid)
+        quad = np.einsum("mik...,hmj...->hijk...", gam, gam)
+        # p[h,i,j,k] = d_j G^h_ik + G^m_ik G^h_mj; dgam axes are (j, h, i, k, ...)
+        p = np.transpose(dgam, (1, 2, 0, 3) + tuple(range(4, dgam.ndim))) + quad
+        r = p - np.swapaxes(p, 2, 3)
     return CurvatureTube(grid, r)
 
 
@@ -200,9 +199,8 @@ def curvature04_semigeo(metric, grid=None, degeneracy_tol=DEGENERACY_TOL, semige
     metric.require_semigeodesic(tol=semigeo_tol)
     gt = metric.dense[1:, 1:]
     det = det_stack(gt.reshape((n - 1, n - 1, -1)))
-    bad = np.abs(det) < degeneracy_tol
-    if np.any(bad):
-        node = np.unravel_index(int(np.argmax(bad)), grid.shape)
+    node = _degenerate_node(det, degeneracy_tol, grid)
+    if node is not None:
         raise DegenerateMetric(
             f"transverse metric block degenerate at node {node}",
             node=node,

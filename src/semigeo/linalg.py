@@ -11,19 +11,21 @@ import numpy as np
 
 
 def det_stack(m):
+    """Determinants of a (k, k, N) stack; an overflow gives inf or nan, silently."""
     m = np.asarray(m, dtype=np.float64)
     k = m.shape[0]
-    if k == 1:
-        return m[0, 0].copy()
-    if k == 2:
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if k == 3:
-        return (
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-    return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k == 1:
+            return m[0, 0].copy()
+        if k == 2:
+            return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if k == 3:
+            return (
+                m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+                - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+                + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+            )
+        return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
 
 
 def inv_stack(m, det=None):

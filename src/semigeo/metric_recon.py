@@ -28,100 +28,56 @@ import numpy as np
 
 from .curvature import DEGENERACY_TOL, MetricField
 from .errors import DegenerateMetric, InvalidInit, InvalidSpec
-from .grid_field import TransverseField, as_field, build_grid
+from .grid_field import Components, build_grid
 from .linalg import det_stack, inv_sym, mirror_upper
 from .ode import GuardConfig, StateRejected, march_report, march_tube
-
-
-def _symmetric_fields(n, components, what, index_floor=2):
-    """Canonicalize {(i, j): value} with i, j in index_floor..n, i <= j."""
-    out = {}
-    for (i, j), value in (components or {}).items():
-        if not (index_floor <= i <= n and index_floor <= j <= n):
-            raise InvalidInit(f"{what} index {(i, j)} outside {index_floor}..{n}")
-        key = (min(i, j), max(i, j))
-        if key in out:
-            raise InvalidInit(
-                f"{what}{key} assigned twice (symmetric orderings conflict)"
-            )
-        out[key] = value
-    return out
 
 
 class HypersurfaceMetricData:
     """Transverse metric block and its axial derivative on x1 = 0.
 
-    ``g`` and ``g1`` map (i, j) with 2 <= i <= j <= n to expression
-    strings, FieldExpr, or transverse node sample arrays.  Both matrices
-    are symmetric by canonical storage; conflicting mirror assignments
-    raise InvalidInit.  Missing components default to 0.
+    ``g`` and ``g1`` map (i, j) with 2 <= i, j <= n to expression
+    strings, FieldExpr, or transverse node sample arrays.  Each (i, j)
+    fills both symmetric slots; giving both orderings raises InvalidInit.
+    Missing components default to 0.
     """
 
     def __init__(self, n, g=None, g1=None):
         if n < 2:
             raise InvalidInit("dimension must be >= 2")
         self.n = n
-        self._g = {
-            key: TransverseField(value, n, f"gtilde{key}")
-            for key, value in _symmetric_fields(n, g, "gtilde").items()
-        }
-        self._g1 = {
-            key: TransverseField(value, n, f"Gtilde{key}")
-            for key, value in _symmetric_fields(n, g1, "Gtilde").items()
-        }
-
-    def _plane(self, fields, grid):
-        n = self.n
-        big_n = len(grid.transverse_mesh()[0])
-        out = np.zeros((n - 1, n - 1, big_n))
-        for (i, j), fld in fields.items():
-            vals = fld.plane(grid)
-            out[i - 2, j - 2] = vals
-            out[j - 2, i - 2] = vals
-        return out
+        self._g = Components("gtilde", n, g)
+        self._g1 = Components("Gtilde", n, g1)
 
     def g_plane(self, grid):
-        return self._plane(self._g, grid)
+        return self._g.dense(grid.transverse_mesh()[0].shape, lambda f: f.plane(grid))
 
     def g1_plane(self, grid):
-        return self._plane(self._g1, grid)
+        return self._g1.dense(grid.transverse_mesh()[0].shape, lambda f: f.plane(grid))
 
 
 class MetricCurvatureSpec:
-    """Prescribed axial curvature a_ij = R_1ij1, 2 <= i <= j <= n.
+    """Prescribed axial curvature a_ij = R_1ij1, 2 <= i, j <= n.
 
-    Symmetric by canonical storage (curvature symmetry forces it);
-    conflicting mirror assignments are rejected.  Entries are expression
-    strings, FieldExpr, ExpressionField, or SampledField on the tube.
+    Each (i, j) fills both symmetric slots (curvature symmetry forces
+    it); giving both orderings raises InvalidInit.  Entries are
+    expression strings, FieldExpr, ExpressionField, or SampledField on
+    the tube; missing entries are 0.
     """
 
     def __init__(self, n, entries=None):
         if n < 2:
             raise InvalidSpec("dimension must be >= 2")
         self.n = n
-        self._fields = {}
-        for key, value in _symmetric_fields(n, entries, "a").items():
-            self._fields[key] = as_field(value, n, f"a{key}")
+        self._fields = Components("a", n, entries)
 
     def plane(self, x1, grid):
-        n = self.n
-        big_n = len(grid.transverse_mesh()[0])
-        out = np.zeros((n - 1, n - 1, big_n))
-        for (i, j), fld in self._fields.items():
-            vals = np.asarray(fld.on_transverse(x1, grid), dtype=np.float64)
-            out[i - 2, j - 2] = vals
-            out[j - 2, i - 2] = vals
-        return out
+        shape = grid.transverse_mesh()[0].shape
+        return self._fields.dense(shape, lambda f: f.on_transverse(x1, grid))
 
     def dense_on(self, grid):
         """All prescribed values over a grid, shaped (n-1, n-1, *grid.shape)."""
-        n = self.n
-        out = np.zeros((n - 1, n - 1) + grid.shape)
-        for (i, j), fld in self._fields.items():
-            vals = fld.on_grid(grid)
-            out[i - 2, j - 2] = vals
-            out[j - 2, i - 2] = vals
-        return out
+        return self._fields.dense(grid.shape, lambda f: f.on_grid(grid))
 
 
 def _quadratic(ginv, G):
@@ -188,7 +144,7 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
 
     Returns (MetricField, ReconstructionReport).  ``e`` is the axial
     sign g_11; it never enters the transverse system.  Initial data must
-    be nondegenerate at every transverse node (InvalidInit otherwise).
+    have a finite, nondegenerate determinant at each node (InvalidInit otherwise).
     A direction stops at degeneracy (ratio ``degeneracy_tol``, default
     1e-10, against the initial determinant per node, or a determinant
     sign change) or at blow-up; the report carries the reached extents.
@@ -202,8 +158,9 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
     g0 = init.g_plane(grid)
     G0 = init.g1_plane(grid)
     det0 = det_stack(g0)
-    if np.any(np.abs(det0) < tol):
-        node = int(np.argmax(np.abs(det0) < tol))
+    bad = ~np.isfinite(det0) | (np.abs(det0) < tol)
+    if np.any(bad):
+        node = int(np.argmax(bad))
         raise InvalidInit(
             f"initial transverse block is degenerate at flat node {node} "
             f"(det = {det0[node]:.3e})"

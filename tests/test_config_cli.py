@@ -15,7 +15,9 @@ from semigeo.config import (
     load_config,
     validate_for_mode,
 )
-from semigeo.errors import ConfigError
+from semigeo.curvature import MetricField, christoffel_from_metric
+from semigeo.errors import ConfigError, DegenerateMetric
+from semigeo.grid_field import ChartSpec, build_grid
 
 
 def load_text(tmp_path, text, name="run.cfg"):
@@ -866,3 +868,91 @@ class TestDeterminismAndPlumbing:
             "roundtrip-connection",
             "check-chart",
         )
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("x1_max = 1.0", "x1_max = inf"),
+            ("x1_max = 1.0", "x1_max = nan"),
+            ("h1 = 0.001", "h1 = inf"),
+            ("transverse_res = 5", "transverse_res = 5\ntransverse_box = 0, inf"),
+            ("transverse_res = 5", "transverse_res = 5\ntransverse_box = -inf, 0"),
+        ],
+        ids=["x1-max-inf", "x1-max-nan", "h1-inf", "box-inf", "box-minus-inf"],
+    )
+    def test_chart_value_exits_two(self, tmp_path, capsys, old, new):
+        code, out = run_cli(tmp_path, SPHERE_ROUNDTRIP.replace(old, new), "roundtrip-metric")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [chart]: ") and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "key",
+        ["blowup_threshold", "degeneracy_tol", "roundtrip_tol", "step_growth_limit", "stage_slope_ratio"],
+    )
+    def test_tolerance_exits_two_with_line(self, tmp_path, capsys, key, value):
+        text = SPHERE_ROUNDTRIP + f"\n[tolerances]\n{key} = {value}\n"
+        code, _ = run_cli(tmp_path, text, "roundtrip-metric")
+        assert code == 2
+        line = text.count("\n")
+        assert capsys.readouterr().err.startswith(f"error: line {line}: {key}: must be finite and > 0")
+
+    def test_connection_overflow_is_a_blowup_stop(self, tmp_path):
+        text = FLAT_FORWARD.split("[fields]")[0] + '[fields]\ngamma.2.1.2 = "1e300 - cos(x2)"\n'
+        code, out = run_cli(tmp_path, text, "forward")
+        assert code == 3
+        report = read_report(out / "report.txt")
+        assert report["status"] == "StoppedBlowup"
+        assert report["exit_code"] == "3"
+        assert (out / "curvature13.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["forward", "check-chart"])
+    def test_overflowing_determinant_is_degenerate(self, tmp_path, capsys, mode):
+        text = FLAT_FORWARD.replace("mode = forward\n", "").replace('g.1.2 = "0"', 'g.1.2 = "1e300"')
+        code, out = run_cli(tmp_path, text, mode)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "metric determinant -inf at node (0, 0) is below" in err
+        assert read_report(out / "report.txt")["status"] == "InvalidInput"
+
+    def test_overflowing_initial_block_is_invalid(self, tmp_path, capsys):
+        text = (
+            "[chart]\nn = 3\nx1_max = 0.5\nh1 = 0.1\ne = 1\ntransverse_res = 3\n[fields]\n"
+            'gtilde.2.2 = "1e300"\ngtilde.3.3 = "1e300"\na.2.2 = "-1"\n'
+        )
+        code, _ = run_cli(tmp_path, text, "reconstruct-metric")
+        assert code == 2
+        assert "initial transverse block is degenerate at flat node 0 (det = inf)" in (
+            capsys.readouterr().err
+        )
+
+    def test_degenerate_node_is_plain_ints(self):
+        grid = build_grid(ChartSpec(n=2, x1_range=(0.0, 0.5), h1=0.25, transverse_res=3))
+        metric = MetricField.from_fields(grid, {(1, 1): "1", (2, 2): "x2 - 0.5"})
+        with pytest.raises(DegenerateMetric) as err:
+            christoffel_from_metric(metric)
+        assert err.value.node == (0, 1)
+        assert all(type(i) is int for i in err.value.node)
+        assert "at node (0, 1)" in str(err.value)
+
+
+class TestRoundTripTooShort:
+    @pytest.mark.parametrize(
+        "mode, text",
+        [
+            ("roundtrip-metric", SPHERE_ROUNDTRIP.replace("h1 = 0.001", "h1 = 0.5")),
+            ("roundtrip-connection", CONNECTION_ROUNDTRIP.replace("h1 = 0.001", "h1 = 1.0")),
+        ],
+        ids=["metric", "connection"],
+    )
+    def test_complete_run_without_oracle_exits_two(self, tmp_path, capsys, mode, text):
+        # too few x1 samples for the oracle's stencil: nothing was checked,
+        # so the run may not report success
+        code, out = run_cli(tmp_path, text, mode)
+        assert code == 2
+        assert "too short for the curvature oracle" in capsys.readouterr().err
+        assert read_report(out / "report.txt")["status"] == "InvalidInput"
