@@ -21,7 +21,7 @@ curvature block has the closed form above.
 import numpy as np
 
 from .errors import DegenerateMetric, NotSemigeodesic
-from .grid_field import Components, TensorTube, fd_partial, fd_second, interpolate
+from .grid_field import Components, TensorTube, fd_partial, fd_second
 from .linalg import det_stack, inv_sym, mirror_upper
 
 DEGENERACY_TOL = 1e-10
@@ -55,12 +55,7 @@ class MetricField(TensorTube):
         return cls(grid, dense, e=e)
 
     def at(self, point):
-        n = self.n
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = out[j, i] = interpolate(self.dense[i, j], self.grid, point)
-        return out
+        return mirror_upper(super().at(point))
 
     def det_nodes(self):
         flat = self.dense.reshape((self.n, self.n, -1))
@@ -99,14 +94,7 @@ class ConnectionField(TensorTube):
         return cls(grid, fields.dense(grid.shape, lambda f: f.on_grid(grid)))
 
     def at(self, point):
-        n = self.n
-        out = np.empty((n, n, n))
-        for h in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    v = interpolate(self.dense[h, i, j], self.grid, point)
-                    out[h, i, j] = out[h, j, i] = v
-        return out
+        return mirror_upper(super().at(point), 1)
 
 
 class CurvatureTube(TensorTube):

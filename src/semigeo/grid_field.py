@@ -16,6 +16,7 @@ Every input family's index layout is one row of FAMILIES, and
 """
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -143,17 +144,11 @@ class TubeGrid:
             self._mesh_cache["flat"] = tuple(g.reshape(-1) for g in grids)
         return self._mesh_cache["flat"]
 
-    def contains(self, point, tol=1e-12):
+    def contains(self, point):
         point = np.asarray(point, dtype=float)
-        if point.shape != (self.n,):
-            return False
-        for axis in range(1, self.n + 1):
-            coords = self.axis_coords(axis)
-            lo, hi = float(coords[0]), float(coords[-1])
-            pad = tol * max(1.0, abs(lo), abs(hi))
-            if not (lo - pad <= point[axis - 1] <= hi + pad):
-                return False
-        return True
+        return point.shape == (self.n,) and all(
+            _in_range(self.axis_coords(axis), point[axis - 1]) for axis in range(1, self.n + 1)
+        )
 
     def restrict_x1(self, i_lo, i_hi):
         """Sub-grid keeping x1 sample indices i_lo..i_hi inclusive."""
@@ -180,17 +175,39 @@ class TubeGrid:
 
 
 def build_grid(spec):
-    """Lattice covering the chart: x1 multiples of h1 in range, plus box nodes."""
+    """Lattice covering the chart: x1 multiples of h1 in range, plus box nodes.
+
+    Raises InvalidSpec naming the axis and its sample count when an axis
+    has more samples than numpy can index or than memory can hold.
+    """
     lo, hi = spec.x1_range
     eps = 1e-9
-    kmin = int(np.ceil(lo / spec.h1 - eps))
-    kmax = int(np.floor(hi / spec.h1 + eps))
-    x1 = np.arange(kmin, kmax + 1, dtype=np.float64) * spec.h1
+    kmin = np.ceil(lo / spec.h1 - eps)
+    kmax = np.floor(hi / spec.h1 + eps)
+    x1 = _axis_nodes(
+        1,
+        kmax - kmin + 1,
+        lambda m: np.arange(int(kmin), int(kmin) + m, dtype=np.float64) * spec.h1,
+    )
     axes = tuple(
-        np.linspace(a, b, r)
-        for (a, b), r in zip(spec.transverse_box, spec.transverse_res)
+        _axis_nodes(axis, r, functools.partial(np.linspace, a, b))
+        for axis, ((a, b), r) in enumerate(
+            zip(spec.transverse_box, spec.transverse_res), start=2
+        )
     )
     return TubeGrid(spec, x1, axes)
+
+
+def _axis_nodes(axis, count, make):
+    """``make(count)`` as the node array of ``axis``; InvalidSpec if it cannot be built."""
+    if count <= np.iinfo(np.intp).max:
+        try:
+            return make(int(count))
+        except MemoryError:
+            pass
+    raise InvalidSpec(
+        f"axis {axis} needs {float(count):.6g} samples; its lattice cannot be allocated"
+    )
 
 
 # --------------------------------------------------------- finite differences
@@ -278,11 +295,17 @@ def fd_transverse(values, axis, grid):
 # --------------------------------------------------------------- interpolate
 
 
+def _in_range(coords, x):
+    """Whether x lies on the axis, padded by 1e-12 of the axis scale."""
+    lo, hi = float(coords[0]), float(coords[-1])
+    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+    return lo - pad <= x <= hi + pad
+
+
 def _locate(coords, x):
     """Cell index and fraction for query x on a sorted uniform axis."""
     lo, hi = float(coords[0]), float(coords[-1])
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if not (lo - pad <= x <= hi + pad):
+    if not _in_range(coords, x):
         raise OutOfDomain(f"coordinate {x} outside [{lo}, {hi}]")
     x = min(max(x, lo), hi)
     i = int(np.searchsorted(coords, x, side="right")) - 1
@@ -291,27 +314,37 @@ def _locate(coords, x):
     return i, float(min(max(t, 0.0), 1.0))
 
 
-def interpolate(values, grid, point):
-    """Multilinear interpolation of node values at an interior point.
+def _lerp(planes, coords, x):
+    """Linear step: the leading axis of ``planes``, sampled on ``coords``, at x."""
+    i, t = _locate(coords, x)
+    if t == 0.0:
+        return planes[i]
+    if t == 1.0:
+        return planes[i + 1]
+    return planes[i] * (1.0 - t) + planes[i + 1] * t
 
-    Exact at nodes; within a cell the result is a convex combination of
-    the 2^n corner values, so it never leaves their range.
+
+def interpolate(values, grid, point):
+    """Multilinear interpolation of node values at a point of the tube.
+
+    ``values`` may carry leading tensor axes before ``grid.shape``: the
+    cell is found once per axis and the whole block is interpolated, each
+    entry with the same arithmetic as on its own.  Returns a float for a
+    scalar field, else a new array of the tensor shape.  Exact at nodes;
+    within a cell each entry is a convex combination of its 2^n corner
+    values, so it never leaves their range.  Raises OutOfDomain outside
+    the tube.
     """
     values = np.asarray(values, dtype=np.float64)
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (grid.n,):
         raise OutOfDomain(f"point must have {grid.n} coordinates")
-    out = values
+    lead = values.ndim - grid.n
+    # grid axes first, so each linear step reduces the leading axis
+    out = np.moveaxis(values, range(lead), range(-lead, 0))
     for axis in range(1, grid.n + 1):
-        coords = grid.axis_coords(axis)
-        i, t = _locate(coords, float(point[axis - 1]))
-        if t == 0.0:
-            out = out[i]
-        elif t == 1.0:
-            out = out[i + 1]
-        else:
-            out = out[i] * (1.0 - t) + out[i + 1] * t
-    return float(out)
+        out = _lerp(out, grid.axis_coords(axis), float(point[axis - 1]))
+    return float(out) if lead == 0 else np.array(out)
 
 
 # -------------------------------------------------------------- tensor tubes
@@ -365,6 +398,10 @@ class TensorTube:
         ):
             raise InvalidSpec(f"{self.name}: index {idx} out of range")
         return self.dense[pos]
+
+    def at(self, point):
+        """Every component at one point of the tube (``interpolate``)."""
+        return interpolate(self.dense, self.grid, point)
 
     def max_abs(self):
         return float(np.max(np.abs(self.dense), initial=0.0))
@@ -435,15 +472,7 @@ class SampledField:
     def on_transverse(self, x1, grid):
         if grid.transverse_shape != self.grid.transverse_shape:
             raise InvalidSpec("sampled field queried on a different transverse lattice")
-        coords = self.grid.x1_samples
-        i, t = _locate(coords, float(x1))
-        if t == 0.0:
-            plane = self.values[i]
-        elif t == 1.0:
-            plane = self.values[i + 1]
-        else:
-            plane = self.values[i] * (1.0 - t) + self.values[i + 1] * t
-        return plane.reshape(-1)
+        return _lerp(self.values, self.grid.x1_samples, float(x1)).reshape(-1)
 
     def on_grid(self, grid):
         if grid.shape != self.grid.shape:

@@ -91,7 +91,8 @@ def metric_rhs(g, G, a, degeneracy_tol=DEGENERACY_TOL):
     Inputs are (k, k) matrices or (k, k, N) node stacks, symmetric.
     Returns (d1 g, d1 G) = (G, 1/2 g^{rs} G_ir G_js + 2 a), with the
     quadratic term mirrored from i <= j so the output is symmetric
-    exactly.  Raises DegenerateMetric when |det g| < degeneracy_tol.
+    exactly.  Raises DegenerateMetric when |det g| < degeneracy_tol or
+    det g is not finite.
     """
     g = np.asarray(g, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -101,12 +102,12 @@ def metric_rhs(g, G, a, degeneracy_tol=DEGENERACY_TOL):
         g, G, a = g[..., None], G[..., None], a[..., None]
     k = g.shape[0]
     det = det_stack(g.reshape((k, k, -1)))
-    small = np.abs(det) < degeneracy_tol
-    if np.any(small):
-        node = int(np.argmax(small))
+    bad = ~np.isfinite(det) | (np.abs(det) < degeneracy_tol)
+    if np.any(bad):
+        node = int(np.argmax(bad))
         raise DegenerateMetric(
             f"transverse block determinant {det[node]:.3e} below "
-            f"{degeneracy_tol:.1e}",
+            f"{degeneracy_tol:.1e} or not finite",
             node=node,
             det=float(det[node]),
         )

@@ -779,6 +779,25 @@ class TestExitTwo:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "chart, axis, count",
+        [
+            ("x1_min = 0\nx1_max = 1\nh1 = 1e-300\ntransverse_res = 5", 1, "1e+300"),
+            ("x1_min = -1\nx1_max = 0.5\nh1 = 1e-320\ntransverse_res = 5", 1, "inf"),
+            ("x1_min = -0.5\nx1_max = 0.5\nh1 = 0.01\ntransverse_res = 100000000000000", 2, "1e+14"),
+        ],
+        ids=["h1-tiny", "h1-subnormal", "transverse-res-huge"],
+    )
+    def test_unbuildable_lattice(self, tmp_path, capsys, chart, axis, count):
+        text = FLAT_FORWARD.replace(
+            "x1_min = -0.5\nx1_max = 0.5\nh1 = 0.01\ntransverse_res = 5", chart
+        )
+        code, out = run_cli(tmp_path, text, "forward")
+        assert code == 2
+        message = f"axis {axis} needs {count} samples; its lattice cannot be allocated"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read_report(out / "report.txt")["error"] == message
+
     def test_unknown_cli_mode_rejected_by_parser(self, tmp_path):
         cfg = write_cfg(tmp_path, FLAT_FORWARD)
         with pytest.raises(SystemExit):

@@ -15,7 +15,8 @@ from semigeo.curvature import (
     lower_and_check_identity,
 )
 from semigeo.errors import DegenerateMetric, InvalidSpec, NotSemigeodesic
-from semigeo.grid_field import ChartSpec, TensorTube, build_grid, write_tensor_dump
+from semigeo.grid_field import ChartSpec, TensorTube, build_grid, interpolate, write_tensor_dump
+from semigeo.linalg import mirror_upper
 
 
 def grid2(h1=1e-2, x1_range=(-0.3, 1.0), res=5):
@@ -285,6 +286,54 @@ class TestStructure:
         assert vals.shape == (2, 2, 2)
         assert vals[1, 0, 1] == vals[1, 1, 0]
         assert vals[1, 0, 1] == pytest.approx(-np.tan(0.3), abs=1e-3)
+
+    @staticmethod
+    def block_grid(n):
+        box = ((0.0, 1.0),) * (n - 1)
+        return build_grid(ChartSpec(n=n, x1_range=(-0.5, 0.5), h1=0.25, transverse_box=box, transverse_res=4))
+
+    @staticmethod
+    def probe_points(grid, rng):
+        """A node, points on cell faces (one coordinate on a node) and interior points."""
+        axes = [grid.axis_coords(a) for a in range(1, grid.n + 1)]
+        node = np.array([c[1] for c in axes])
+        faces = []
+        for a in range(grid.n):
+            p = np.array([rng.uniform(c[0], c[-1]) for c in axes])
+            p[a] = axes[a][2]
+            faces.append(p)
+        inner = [np.array([rng.uniform(c[0], c[-1]) for c in axes]) for _ in range(20)]
+        return [node] + faces + inner
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cls, rank", [(MetricField, 2), (ConnectionField, 3), (CurvatureTube, 4)])
+    def test_at_matches_scalar_components_bitwise(self, n, cls, rank):
+        rng = np.random.default_rng(11)
+        grid = self.block_grid(n)
+        dense = rng.normal(size=(n,) * rank + grid.shape)
+        if cls is not CurvatureTube:
+            dense = mirror_upper(dense, rank - 2)
+        tube = cls(grid, dense)
+        for p in self.probe_points(grid, rng):
+            block = tube.at(p)
+            assert block.shape == (n,) * rank
+            for pos in np.ndindex(block.shape):
+                assert block[pos] == interpolate(dense[pos], grid, p)
+
+    @pytest.mark.parametrize("cls, axis", [(MetricField, 0), (ConnectionField, 1)])
+    def test_at_reads_the_upper_half_of_a_nonsymmetric_dense(self, cls, axis):
+        rng = np.random.default_rng(12)
+        grid = self.block_grid(3)
+        dense = rng.normal(size=(3,) * (axis + 2) + grid.shape)
+        before = dense.copy()
+        tube = cls(grid, dense)
+        for p in self.probe_points(grid, rng):
+            block = tube.at(p)
+            for pos in np.ndindex(block.shape):
+                i, j = pos[axis], pos[axis + 1]
+                upper = pos[:axis] + (min(i, j), max(i, j))
+                assert block[pos] == interpolate(dense[upper], grid, p)
+        assert np.array_equal(dense, before)
 
     def test_dense_shape_validation(self):
         grid = grid2(res=3)

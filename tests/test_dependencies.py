@@ -1,0 +1,32 @@
+"""The runtime imports only the standard library, numpy and semigeo itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import semigeo
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "semigeo"}
+MODULES = sorted(Path(semigeo.__file__).parent.rglob("*.py"))
+
+
+def imported_roots(path):
+    """Top-level package of every absolute import in a module's source."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "grid_field.py", "curvature.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_stdlib_numpy_and_semigeo_only(path):
+    foreign = sorted(set(imported_roots(path)) - ALLOWED)
+    assert not foreign, f"{path.name} imports {foreign}"

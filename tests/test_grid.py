@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,65 @@ class TestInterpolate:
         g = grid2()
         with pytest.raises(OutOfDomain):
             interpolate(np.zeros(g.shape), g, (1.5, 0.5))
+
+    @staticmethod
+    def probe_points(g, rng):
+        """Every node, points on cell faces, and seeded interior points."""
+        axes = [g.axis_coords(a) for a in range(1, g.n + 1)]
+        nodes = [np.array(p) for p in itertools.product(*axes)]
+        faces = []
+        for a in range(g.n):
+            for node in nodes[::3]:
+                p = node.copy()
+                p[a] = rng.uniform(axes[a][0], axes[a][-1])
+                faces.append(p)
+        inner = [np.array([rng.uniform(c[0], c[-1]) for c in axes]) for _ in range(40)]
+        return nodes + faces + inner
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("full", [(True,), (False, True, True, False)], ids=["vector", "R04"])
+    def test_tube_at_matches_scalar_components_bitwise(self, n, full):
+        # slots of length n where ``full``, else 1; the (n, ..., n) blocks of
+        # MetricField, ConnectionField and CurvatureTube: TestStructure
+        rng = np.random.default_rng(7)
+        g = grid2(h1=0.25, res=4) if n == 2 else grid3(res=4)
+        shape = tuple(n if f else 1 for f in full)
+        tube = TensorTube("T", g, rng.normal(size=shape + g.shape))
+        for p in self.probe_points(g, rng):
+            block = tube.at(p)
+            assert block.shape == shape
+            for pos in np.ndindex(shape):
+                assert block[pos] == interpolate(tube.dense[pos], g, p)
+
+    def test_scalar_field_gives_a_float(self):
+        g = grid2()
+        assert type(interpolate(np.ones(g.shape), g, (0.3, 0.6))) is float
+
+    def test_block_at_a_node_is_a_copy(self):
+        g = grid2()
+        dense = np.zeros((2,) + g.shape)
+        block = TensorTube("T", g, dense).at((0.25, 0.5))
+        block[:] = 1.0
+        assert not dense.any()
+
+    @pytest.mark.parametrize("point", [(1.5, 0.5), (0.5, -0.2), (np.nan, 0.5), (0.5,)])
+    def test_tube_at_outside_raises(self, point):
+        g = grid2()
+        with pytest.raises(OutOfDomain):
+            TensorTube("T", g, np.zeros((2, 2) + g.shape)).at(point)
+
+    def test_sampled_half_step_matches_plane_blend(self):
+        g = grid2(h1=0.25, res=5)
+        vals = np.random.default_rng(3).normal(size=g.shape)
+        f = SampledField(g, vals)
+        for i in range(len(g.x1_samples) - 1):
+            x1 = 0.5 * (g.x1_samples[i] + g.x1_samples[i + 1])
+            t = (x1 - g.x1_samples[i]) / (g.x1_samples[i + 1] - g.x1_samples[i])
+            blend = vals[i] * (1.0 - t) + vals[i + 1] * t
+            assert np.array_equal(f.on_transverse(x1, g), blend)
+            assert np.array_equal(f.on_transverse(g.x1_samples[i], g), vals[i])
+        with pytest.raises(OutOfDomain):
+            f.on_transverse(1.5, g)
 
 
 def grid3(res=3):

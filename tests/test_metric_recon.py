@@ -276,3 +276,11 @@ class TestMetricRhs:
             metric_rhs(g, np.zeros_like(g), np.zeros_like(g))
         assert exc.value.node == 1
         assert abs(exc.value.det) < 1e-10
+
+    def test_overflowing_determinant_raises(self):
+        # det = 1e400 - 1e400 overflows to inf - inf = nan
+        g = np.full((2, 2), 1e200)
+        with pytest.raises(DegenerateMetric, match="or not finite") as exc:
+            metric_rhs(g, np.zeros_like(g), np.zeros_like(g))
+        assert exc.value.node == 0
+        assert np.isnan(exc.value.det)
