@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec, LeftDomain, OutOfDomain
-from .ode import GuardConfig, rk4_step
+from .ode import StateRejected, rk4_march
 
 
 @dataclass
@@ -80,11 +80,14 @@ def lemma1_check(conn, trials=None):
 def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
     """Integrate the geodesic equation from (x0, v0) through the tube.
 
-    Fixed-step RK4 on the first-order system (x' = v, v' = -Gamma v v)
-    for floor(s_max / step) steps.  Returns a Curve carrying points and
-    velocities.  If the geodesic escapes the tube, raises LeftDomain with
-    ``exit_point`` set to the first outside position and the partial
-    curve attached as ``.curve``.
+    The shot is a one-node ``rk4_march`` of the first-order system
+    (x' = v, v' = -Gamma v v) for floor(s_max / step) steps.  Returns a
+    Curve carrying points and velocities.  If the geodesic escapes the
+    tube, raises LeftDomain with the partial curve attached as
+    ``.curve``.  When an accepted step lands outside the tube, that
+    position is ``exit_point`` and is not part of the curve; when a step
+    is stopped before completing (a stage leaves the tube or a guard
+    trips), ``exit_point`` is the last position on the curve.
     """
     grid = conn.grid
     n = grid.n
@@ -99,41 +102,33 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
     n_steps = int(np.floor(s_max / step + 1e-9))
     if n_steps < 1:
         raise InvalidSpec("s_max admits no whole step")
-    guards = guards or GuardConfig()
 
     def rhs(s, state):
-        pos, vel = state
-        gam = conn.at(pos)
-        return np.stack([vel, -np.einsum("hij,i,j->h", gam, vel, vel)])
-
-    state = np.stack([x0, v0])
-    svals = [0.0]
-    traj = [state]
-
-    def partial_curve():
-        pts = np.array([st[0] for st in traj])
-        vels = np.array([st[1] for st in traj])
-        return Curve(np.array(svals), pts, vels)
-
-    def escape(message, exit_point):
-        err = LeftDomain(message, exit_point=np.asarray(exit_point, dtype=np.float64))
-        err.curve = partial_curve()
-        raise err
-
-    for i in range(n_steps):
-        s = i * step
+        pos, vel = state[..., 0]
         try:
-            new, stopped, _ = rk4_step(rhs, s, step, state, guards)
+            gam = conn.at(pos)
         except OutOfDomain:
-            escape(f"geodesic left the tube within step {i + 1}", state[0])
-        if stopped is not None:
-            escape(f"geodesic state rejected ({stopped}) at s = {s + step}", state[0])
-        if not grid.contains(new[0]):
-            escape(f"geodesic left the tube at s = {s + step}", new[0])
-        state = new
-        svals.append((i + 1) * step)
-        traj.append(state)
-    return partial_curve()
+            raise StateRejected("left") from None
+        return np.stack([vel, -np.einsum("hij,i,j->h", gam, vel, vel)])[..., None]
+
+    march = rk4_march(rhs, 0.0, step, n_steps, np.stack([x0, v0])[..., None], guards)
+    states = march.states[..., 0]
+    done = march.steps_done
+    if not grid.contains(states[-1, 0]):
+        done -= 1
+        message = f"geodesic left the tube at s = {done * step + step}"
+    elif march.stopped == "left":
+        message = f"geodesic left the tube within step {done + 1}"
+    elif march.stopped is not None:
+        message = f"geodesic state rejected ({march.stopped}) at s = {done * step + step}"
+    else:
+        message = None
+    curve = Curve(np.arange(done + 1) * step, states[: done + 1, 0], states[: done + 1, 1])
+    if message is None:
+        return curve
+    err = LeftDomain(message, exit_point=states[-1, 0])
+    err.curve = curve
+    raise err
 
 
 def geodesic_residual(conn, curve):

@@ -29,6 +29,7 @@ reached extent is reported as delta_hat for that direction (the minimum
 over transverse nodes).
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,8 @@ from .curvature import ConnectionField
 from .errors import InvalidInit, InvalidSpec
 from .grid_field import Components, TensorTube, TubeGrid, build_grid, fd_transverse
 from .linalg import mirror_upper
-from .ode import (
-    STATUS_COMPLETE,
-    GuardConfig,
-    ReconstructionReport,
-    march_report,
-    march_tube,
-)
+# ReconstructionReport stays importable from this module
+from .ode import GuardConfig, ReconstructionReport, march_report, march_tube, tube_dense
 
 
 class HypersurfaceConnectionData:
@@ -250,8 +246,7 @@ def stage2_integrate(
         return mirror_upper(dw, axis=1)
 
     plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards)
-    dense = np.moveaxis(whole, 0, 3).reshape((n, n - 1, n - 1) + rgrid.shape)
-    gamma2 = TensorTube("gamma2", rgrid, dense, (1, 2, 2))
+    gamma2 = TensorTube("gamma2", rgrid, tube_dense(whole, rgrid), (1, 2, 2))
     return gamma2, march_report(grid, rgrid, plus, minus, whole)
 
 
@@ -284,30 +279,18 @@ def reconstruct_connection(
     )
     rgrid = stage2.grid
     n = grid.n
-    t = rgrid.shape[0]
     lo = stage1.zero_index - rgrid.zero_index
-    u = np.moveaxis(stage1.whole[lo : lo + t], 0, 2).reshape((n, n - 1) + rgrid.shape)
+    u = tube_dense(stage1.whole[lo : lo + rgrid.shape[0]], rgrid)
     dense = np.zeros((n, n, n) + rgrid.shape)
     dense[:, 0, 1:] = u
     dense[:, 1:, 0] = u
     dense[:, 1:, 1:] = stage2.dense
-    conn = ConnectionField(rgrid, dense)
-    complete = (
-        rgrid.shape[0] == grid.shape[0]
-        and report1.complete
-        and report2.complete
-    )
-    if complete:
-        status = STATUS_COMPLETE
-    elif not report2.complete:
-        status = report2.status
-    else:
-        status = report1.status
-    report = ReconstructionReport(
-        status=status,
-        delta_hat_plus=report2.delta_hat_plus,
-        delta_hat_minus=report2.delta_hat_minus,
+    # stage 2 marches on stage 1's reached grid, so the run is complete iff
+    # both stages are; a stage-2 stop names the status, else stage 1's stands
+    report = dataclasses.replace(
+        report2,
+        status=report2.status if not report2.complete else report1.status,
         max_component=max(report1.max_component, report2.max_component),
         diagnostics={**report1.diagnostics, **report2.diagnostics},
     )
-    return conn, report
+    return ConnectionField(rgrid, dense), report

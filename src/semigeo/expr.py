@@ -314,18 +314,6 @@ def _eval(node, coords):
     return out
 
 
-def _eval_guarded(expr, coords):
-    try:
-        return _eval(expr, coords)
-    except RecursionError:
-        raise EvalError("expression nested too deeply") from None
-
-
-def eval_field(expr, point):
-    """Evaluate at a single point (sequence of n reals); returns a float."""
-    return float(_eval_guarded(expr, [float(c) for c in point]))
-
-
 def eval_field_on(expr, coords):
     """Evaluate over broadcastable coordinate arrays; returns an ndarray.
 
@@ -333,7 +321,10 @@ def eval_field_on(expr, coords):
     broadcast against each other, one per coordinate x1..xn.
     """
     arrays = [np.asarray(c, dtype=np.float64) for c in coords]
-    out = _eval_guarded(expr, arrays)
+    try:
+        out = _eval(expr, arrays)
+    except RecursionError:
+        raise EvalError("expression nested too deeply") from None
     return np.asarray(out, dtype=np.float64) + np.zeros(np.broadcast(*arrays).shape)
 
 

@@ -18,12 +18,13 @@ Every input family's index layout is one row of FAMILIES, and
 import csv
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EvalError, GridTooCoarse, InvalidInit, InvalidSpec, OutOfDomain
-from .expr import FieldExpr, eval_field, eval_field_on, parse_field, variables
+from .expr import FieldExpr, eval_field_on, parse_field, variables
 
 
 # -------------------------------------------------------------------- chart
@@ -174,11 +175,19 @@ class TubeGrid:
         )
 
 
+# Largest tensor tube, in bytes, a chart may ask for.  The (1,3) curvature,
+# n^4 slots of float64 over the lattice, is the largest block any mode
+# holds, so a chart whose n^4 x nodes x 8 bytes exceed this is rejected
+# before anything is allocated on it.
+LATTICE_BYTES = 16 * 2**30
+
+
 def build_grid(spec):
     """Lattice covering the chart: x1 multiples of h1 in range, plus box nodes.
 
     Raises InvalidSpec naming the axis and its sample count when an axis
-    has more samples than numpy can index or than memory can hold.
+    has more samples than numpy can index or than memory can hold, and
+    naming the lattice when its n^4-slot tube exceeds LATTICE_BYTES.
     """
     lo, hi = spec.x1_range
     eps = 1e-9
@@ -195,7 +204,14 @@ def build_grid(spec):
             zip(spec.transverse_box, spec.transverse_res), start=2
         )
     )
-    return TubeGrid(spec, x1, axes)
+    grid = TubeGrid(spec, x1, axes)
+    need = spec.n**4 * math.prod(grid.shape) * 8
+    if need > LATTICE_BYTES:
+        raise InvalidSpec(
+            f"the {' x '.join(map(str, grid.shape))} lattice needs {need / 2**30:.3g} GiB "
+            f"for an n^4-slot tensor tube, above the {LATTICE_BYTES // 2**30} GiB limit"
+        )
+    return grid
 
 
 def _axis_nodes(axis, count, make):
@@ -429,9 +445,6 @@ class ExpressionField:
         self.expr = expr
         self.n = n
         self.what = what
-
-    def at(self, point):
-        return eval_field(self.expr, point)
 
     def on_transverse(self, x1, grid):
         """Values over all transverse nodes (flattened) at axial position x1."""

@@ -30,7 +30,7 @@ from .curvature import DEGENERACY_TOL, MetricField
 from .errors import DegenerateMetric, InvalidInit, InvalidSpec
 from .grid_field import Components, build_grid
 from .linalg import det_stack, inv_sym, mirror_upper
-from .ode import GuardConfig, StateRejected, march_report, march_tube
+from .ode import GuardConfig, StateRejected, march_report, march_tube, tube_dense
 
 
 class HypersurfaceMetricData:
@@ -153,8 +153,6 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
     if e not in (-1, 1):
         raise InvalidSpec(f"e must be +1 or -1, got {e!r}")
     grid = grid or build_grid(spec)
-    n = grid.n
-    k = n - 1
     tol = DEGENERACY_TOL if degeneracy_tol is None else float(degeneracy_tol)
     g0 = init.g_plane(grid)
     G0 = init.g1_plane(grid)
@@ -187,6 +185,5 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
     plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards)
     _relabel_collapse(plus, det0, tol)
     _relabel_collapse(minus, det0, tol)
-    block = np.moveaxis(whole[:, 0], 0, 2).reshape((k, k) + rgrid.shape)
-    metric = MetricField.semigeodesic(rgrid, block, e=e)
+    metric = MetricField.semigeodesic(rgrid, tube_dense(whole[:, 0], rgrid), e=e)
     return metric, march_report(grid, rgrid, plus, minus, whole)

@@ -12,20 +12,23 @@ comes from guards instead of step adaptation:
   floor of 1) is treated as an unresolved pole and rejected.  The second
   condition keeps fast linear growth (constant slope) from triggering.
 
-Every lattice march in the package is one lockstep march: the state
-carries all transverse nodes on its trailing axis (``node_axis=-1``),
-the right-hand side sees the whole node stack at each stage, and the
-guards reduce over the tensor axes per node and trip on the first
-offending node.  The systems marched here have no transverse coupling,
-so the lockstep march is exactly a per-node march, stopped at the first
-step that any node rejects.
+The trailing axis of every state is its node axis.  Every lattice
+march in the package is one lockstep march: the state carries all
+transverse nodes on that axis, the right-hand side sees the whole node
+stack at each stage, and the guards reduce over the other (tensor) axes
+per node and trip on the first offending node.  The systems marched
+here have no transverse coupling, so the lockstep march is exactly a
+per-node march, stopped at the first step that any node rejects.  A
+geodesic shot is a one-node march: its state is (position, velocity)
+with a trailing node axis of length 1.
 
 The right-hand side may also veto a stage by raising StateRejected, e.g.
 when a metric determinant crosses its degeneracy threshold; the marcher
 stops before completing that step.
 
 Both reconstructions march from x1 = 0 toward each end of the tube with
-``march_tube`` and summarize the two directions with ``march_report``.
+``march_tube``, relay the states as tensor tubes with ``tube_dense`` and
+summarize the two directions with ``march_report``.
 """
 
 from dataclasses import dataclass, field
@@ -96,73 +99,67 @@ class ReconstructionReport:
         return self.status == STATUS_COMPLETE
 
 
-def _per_node_max(values, node_axis):
-    """max |values| reduced over every axis except ``node_axis`` (or all)."""
-    a = np.abs(values)
-    if node_axis is None:
-        return np.max(a)
-    moved = np.moveaxis(a, node_axis, -1)
-    return moved.reshape((-1, moved.shape[-1])).max(axis=0)
+def _per_node_max(values):
+    """max |values| per node, reduced over every axis but the trailing one."""
+    return np.abs(values).reshape((-1, values.shape[-1])).max(axis=0)
 
 
-def _bad_nodes(state, threshold, node_axis):
+def _bad_nodes(state, threshold):
     bad = ~np.isfinite(state) | (np.abs(state) > threshold)
-    if node_axis is None:
-        return np.any(bad), None
-    moved = np.moveaxis(bad, node_axis, -1)
-    per_node = moved.reshape((-1, moved.shape[-1])).any(axis=0)
+    per_node = bad.reshape((-1, bad.shape[-1])).any(axis=0)
     if not np.any(per_node):
         return False, None
     return True, int(np.argmax(per_node))
 
 
-def rk4_step(rhs, x, h, state, guards, node_axis=None):
+def rk4_step(rhs, x, h, state, guards):
     """One guarded RK4 step; returns (new_state or None, stop_reason, detail).
 
-    The RHS is evaluated on every stage state before that state is
-    screened, so a semantic veto from the RHS (StateRejected, e.g. a
-    degenerate determinant) takes precedence over the generic blow-up
-    label for the same event.  Non-finite intermediates are tolerated and
-    caught by the screens.
+    The trailing axis of ``state`` is the node axis; ``detail`` is the
+    flat index of the first offending node.  The RHS is evaluated on
+    every stage state before that state is screened, so a semantic veto
+    from the RHS (StateRejected, e.g. a degenerate determinant) takes
+    precedence over the generic blow-up label for the same event.
+    Non-finite intermediates are tolerated and caught by the screens.
     """
     thr = guards.blowup_threshold
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k1 = rhs(x, state)
         s2 = state + (0.5 * h) * k1
         k2 = rhs(x + 0.5 * h, s2)
-        bad, node = _bad_nodes(s2, thr, node_axis)
+        bad, node = _bad_nodes(s2, thr)
         if bad:
             return None, "blowup", node
         s3 = state + (0.5 * h) * k2
         k3 = rhs(x + 0.5 * h, s3)
-        bad, node = _bad_nodes(s3, thr, node_axis)
+        bad, node = _bad_nodes(s3, thr)
         if bad:
             return None, "blowup", node
         s4 = state + h * k3
         k4 = rhs(x + h, s4)
-        bad, node = _bad_nodes(s4, thr, node_axis)
+        bad, node = _bad_nodes(s4, thr)
         if bad:
             return None, "blowup", node
         new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad, node = _bad_nodes(new, thr, node_axis)
+        bad, node = _bad_nodes(new, thr)
         if bad:
             return None, "blowup", node
-        growth = _per_node_max(new - state, node_axis) > guards.step_growth_limit * (
-            1.0 + _per_node_max(state, node_axis)
+        growth = _per_node_max(new - state) > guards.step_growth_limit * (
+            1.0 + _per_node_max(state)
         )
         if np.any(growth):
-            superlinear = _per_node_max(k4, node_axis) > guards.stage_slope_ratio * _per_node_max(
-                k1, node_axis
-            ) + 1.0
-            pole = growth & superlinear if node_axis is not None else (growth and superlinear)
+            superlinear = _per_node_max(k4) > guards.stage_slope_ratio * _per_node_max(k1) + 1.0
+            pole = growth & superlinear
             if np.any(pole):
-                node = int(np.argmax(pole)) if node_axis is not None else None
-                return None, "blowup", node
+                return None, "blowup", int(np.argmax(pole))
     return new, None, None
 
 
-def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False, node_axis=None):
+def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False):
     """March ``n_steps`` fixed steps of size h from (x0, state0).
+
+    The trailing axis of ``state0`` is the node axis (length 1 for a
+    single state, such as a geodesic shot).
 
     When ``record_half`` is set, each accepted step also launches one RK4
     step of size h/2 from the whole-step state to cache the midpoint
@@ -179,11 +176,11 @@ def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False, node_
         x = x0 + i * h
         try:
             if record_half:
-                mid, mid_stop, mid_detail = rk4_step(rhs, x, 0.5 * h, state, guards, node_axis)
+                mid, mid_stop, mid_detail = rk4_step(rhs, x, 0.5 * h, state, guards)
                 if mid is None:
                     stopped, detail = mid_stop or "blowup", mid_detail
                     break
-            new, stopped, detail = rk4_step(rhs, x, h, state, guards, node_axis)
+            new, stopped, detail = rk4_step(rhs, x, h, state, guards)
         except StateRejected as stop:
             stopped = stop.reason
             detail = stop.detail
@@ -218,11 +215,20 @@ def march_tube(rhs, grid, state0, guards, record_half=False):
     h1 = grid.spacing(1)
     k0 = grid.zero_index
     steps_plus = len(grid.x1_samples) - 1 - k0
-    plus = rk4_march(rhs, 0.0, h1, steps_plus, state0, guards, record_half, node_axis=-1)
-    minus = rk4_march(rhs, 0.0, -h1, k0, state0, guards, record_half, node_axis=-1)
+    plus = rk4_march(rhs, 0.0, h1, steps_plus, state0, guards, record_half)
+    minus = rk4_march(rhs, 0.0, -h1, k0, state0, guards, record_half)
     rgrid = grid.restrict_x1(k0 - minus.steps_done, k0 + plus.steps_done)
     whole = np.concatenate([minus.states[:0:-1], plus.states], axis=0)
     return plus, minus, rgrid, whole
+
+
+def tube_dense(whole, grid):
+    """March states (x1, *slots, node) relaid as a TensorTube array on ``grid``.
+
+    ``grid`` is the grid the states cover (the reached grid of
+    ``march_tube``); the result has shape (*slots, *grid.shape).
+    """
+    return np.moveaxis(whole, 0, -2).reshape(whole.shape[1:-1] + grid.shape)
 
 
 def _stop_note(grid, march):

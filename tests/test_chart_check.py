@@ -13,6 +13,7 @@ from semigeo.chart_check import (
 from semigeo.curvature import ConnectionField, MetricField, christoffel_from_metric
 from semigeo.errors import GridTooCoarse, InvalidSpec, LeftDomain, OutOfDomain
 from semigeo.grid_field import ChartSpec, build_grid
+from semigeo.ode import GuardConfig
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,43 @@ class TestShooting:
         assert isinstance(err.curve, Curve)
         assert len(err.curve.points) >= 2
         assert err.curve.s[-1] <= 0.55
+
+    @staticmethod
+    def pushed_conn():
+        # Gamma^1_22 = 8 x1 - 4 pushes x1 outward ever more weakly as it
+        # nears x1 = 0.5, so the completed step overshoots its last stage
+        # state: stage 4 stays inside while the accepted position is out
+        grid = build_grid(
+            ChartSpec(
+                n=2, x1_range=(-0.5, 0.5), h1=0.05, transverse_res=5, transverse_box=((-2.0, 2.0),)
+            )
+        )
+        return ConnectionField.from_fields(grid, {(1, 2, 2): "8*x1 - 4"})
+
+    @pytest.mark.parametrize("s_max", [0.5, 0.75], ids=["final-step", "mid-march"])
+    def test_accepted_step_outside_is_the_exit_point(self, s_max):
+        conn = self.pushed_conn()
+        with pytest.raises(LeftDomain, match=r"left the tube at s = 0\.5$") as exc:
+            geodesic_shoot(conn, (-0.04, 0.0), (0.25, 1.0), s_max, 0.25)
+        err = exc.value
+        assert err.exit_point[0] > 0.5
+        assert not conn.grid.contains(err.exit_point)
+        assert np.array_equal(err.curve.s, [0.0, 0.25])
+        assert all(conn.grid.contains(p) for p in err.curve.points)
+        assert not np.any(np.all(err.curve.points == err.exit_point, axis=1))
+
+    def test_guard_stop_keeps_partial_curve(self):
+        grid = build_grid(ChartSpec(n=2, x1_range=(-0.5, 0.5), h1=0.05, transverse_res=5))
+        conn = ConnectionField.from_fields(grid, {})
+        guards = GuardConfig(blowup_threshold=0.432)
+        # x2 = 0.3 + 0.1 s first exceeds the threshold at the stages of step 14
+        with pytest.raises(LeftDomain, match=r"state rejected \(blowup\)") as exc:
+            geodesic_shoot(conn, (-0.4, 0.3), (0.25, 0.1), 3.0, 0.1, guards=guards)
+        err = exc.value
+        assert len(err.curve.s) == 14
+        assert np.max(np.abs(err.curve.points)) <= 0.432
+        assert np.array_equal(err.exit_point, err.curve.points[-1])
+        assert np.allclose(err.curve.velocities, [0.25, 0.1], rtol=0, atol=1e-15)
 
     def test_start_state_validation(self, sphere_conn):
         with pytest.raises(OutOfDomain):

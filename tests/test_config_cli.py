@@ -798,6 +798,35 @@ class TestExitTwo:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert read_report(out / "report.txt")["error"] == message
 
+    @pytest.mark.parametrize(
+        "mode, fields",
+        [
+            ("forward", 'g.1.1 = "1"\ng.2.2 = "1"\ng.3.3 = "1"\n'),
+            ("reconstruct-metric", 'gtilde.2.2 = "1"\ngtilde.3.3 = "1"\n'),
+        ],
+        ids=["forward", "reconstruct-metric"],
+    )
+    def test_lattice_over_budget(self, tmp_path, capsys, mode, fields):
+        # every axis can be built, but an n^4 tube on the lattice would
+        # need about 1.7 PiB; the chart is rejected before any allocation
+        text = (
+            "[chart]\nn = 3\nx1_min = 0\nx1_max = 1\nh1 = 0.5\n"
+            "transverse_res = 1000000\ne = 1\n[fields]\n" + fields
+        )
+        code, out = run_cli(tmp_path, text, mode)
+        assert code == 2
+        message = (
+            "the 3 x 1000000 x 1000000 lattice needs 1.81e+06 GiB "
+            "for an n^4-slot tensor tube, above the 16 GiB limit"
+        )
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert read_report(out / "report.txt") == {
+            "mode": mode,
+            "status": "InvalidInput",
+            "error": message,
+            "exit_code": "2",
+        }
+
     def test_unknown_cli_mode_rejected_by_parser(self, tmp_path):
         cfg = write_cfg(tmp_path, FLAT_FORWARD)
         with pytest.raises(SystemExit):

@@ -8,7 +8,6 @@ from semigeo.expr import (
     Neg,
     Num,
     Var,
-    eval_field,
     eval_field_on,
     format_field,
     parse_field,
@@ -17,7 +16,7 @@ from semigeo.expr import (
 
 
 def ev(text, point=(0.0,), n=None):
-    return eval_field(parse_field(text, n if n is not None else len(point)), point)
+    return float(eval_field_on(parse_field(text, n if n is not None else len(point)), point))
 
 
 class TestPrecedence:
@@ -239,7 +238,7 @@ class TestEval:
     def test_deep_tree_is_an_eval_error(self):
         expr = parse_field("+".join(["x1"] * 3000), 1)
         for call in (
-            lambda: eval_field(expr, (1.0,)),
+            lambda: eval_field_on(expr, (1.0,)),
             lambda: eval_field_on(expr, (np.ones(3),)),
             lambda: variables(expr),
         ):
@@ -249,4 +248,4 @@ class TestEval:
     def test_missing_coordinate_value(self):
         expr = parse_field("x2", 2)
         with pytest.raises(EvalError):
-            eval_field(expr, (1.0,))
+            eval_field_on(expr, (1.0,))

@@ -20,7 +20,7 @@ from semigeo.grid_field import (
     write_curve_dump,
     write_tensor_dump,
 )
-from semigeo.expr import parse_field
+from semigeo.expr import eval_field_on, parse_field
 from semigeo.linalg import mirror_upper
 
 
@@ -331,7 +331,7 @@ class TestScalarFields:
         f = ExpressionField(parse_field("x1 * x2 + 1", 2), 2)
         dense = f.on_grid(g)
         assert dense.shape == g.shape
-        assert dense[2, 3] == f.at((g.x1_samples[2], g.transverse_axes[0][3]))
+        assert dense[2, 3] == eval_field_on(f.expr, (g.x1_samples[2], g.transverse_axes[0][3]))
         plane = f.on_transverse(0.25, g)
         assert np.array_equal(plane, dense[1])
 

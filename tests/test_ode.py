@@ -37,11 +37,11 @@ class TestAccuracy:
         assert np.allclose(res.states[:, 0], np.exp(x), atol=1e-7)
 
     @pytest.mark.parametrize(
-        "lam, node_axis",
-        [(np.array([1.0]), None), (-np.linspace(0.5, 1.5, 11), -1)],
+        "lam",
+        [np.array([1.0]), -np.linspace(0.5, 1.5, 11)],
         ids=["single", "lockstep-nodes"],
     )
-    def test_half_states_are_fourth_order(self, lam, node_axis):
+    def test_half_states_are_fourth_order(self, lam):
         errs = []
         for n in (10, 20):
             res = rk4_march(
@@ -51,7 +51,6 @@ class TestAccuracy:
                 n,
                 np.ones(lam.size),
                 record_half=True,
-                node_axis=node_axis,
             )
             assert res.half_states.shape == (n, lam.size)
             mid = (np.arange(n) + 0.5) / n
@@ -71,6 +70,8 @@ class TestGuards:
         guards = GuardConfig(blowup_threshold=100.0)
         res = rk4_march(lambda x, s: s, 0.0, 0.5, 100, np.array([1.0]), guards=guards)
         assert res.stopped == "blowup"
+        # a single state is a one-node march, so the offending node is 0
+        assert res.stop_detail == 0
         assert res.steps_done < 100
         assert res.states.shape == (res.steps_done + 1, 1)
         assert np.max(np.abs(res.states)) <= 100.0
@@ -142,9 +143,7 @@ class TestNodeAxis:
         # node 3 has the fastest pole; detail is its flat index
         u0 = np.full(8, 0.1)
         u0[3] = 0.9
-        res = rk4_march(
-            lambda x, s: s**2, 0.0, 0.05, 400, u0, node_axis=-1
-        )
+        res = rk4_march(lambda x, s: s**2, 0.0, 0.05, 400, u0)
         assert res.stopped == "blowup"
         assert res.stop_detail == 3
         assert res.states.shape == (res.steps_done + 1, 8)
@@ -157,7 +156,7 @@ class TestNodeAxis:
             return out
 
         u0 = np.array([500.0, 0.9])
-        res = rk4_march(rhs, 0.0, 0.05, 400, u0, node_axis=-1)
+        res = rk4_march(rhs, 0.0, 0.05, 400, u0)
         assert res.stopped == "blowup"
         assert res.stop_detail == 1
 
@@ -166,7 +165,7 @@ class TestNodeAxis:
         # off-diagonal slot of node 5, and the detail names that node
         u0 = np.full((2, 2, 7), 0.1)
         u0[0, 1, 5] = 0.9
-        res = rk4_march(lambda x, s: s**2, 0.0, 0.05, 400, u0, node_axis=-1)
+        res = rk4_march(lambda x, s: s**2, 0.0, 0.05, 400, u0)
         assert res.stopped == "blowup"
         assert res.stop_detail == 5
         assert res.states.shape == (res.steps_done + 1, 2, 2, 7)
@@ -183,7 +182,7 @@ class TestNodeAxis:
                 raise StateRejected("degenerate", int(np.argmax(over)))
             return grow * s
 
-        res = rk4_march(rhs, 0.0, 0.5, 50, np.ones(9), node_axis=-1)
+        res = rk4_march(rhs, 0.0, 0.5, 50, np.ones(9))
         assert res.stopped == "degenerate"
         assert res.stop_detail == 7
         assert res.states.shape == (res.steps_done + 1, 9)
