@@ -26,7 +26,9 @@ fourth-order-accurate values at the step midpoints, so stage 2 can
 evaluate Gamma^h_m1 and its transverse derivatives at the exact x1 of
 every RK4 stage without losing order.  Blow-up stops a direction and the
 reached extent is reported as delta_hat for that direction (the minimum
-over transverse nodes).
+over transverse nodes).  Each stage reads its sources A from an
+``ode.SourceBank``, which evaluates ``stage1_planes`` / ``stage2_planes``
+ahead of the march in batched x1 chunks; stage 2 keys them by half step.
 """
 
 import dataclasses
@@ -39,7 +41,14 @@ from .errors import InvalidInit, InvalidSpec
 from .grid_field import Components, TensorTube, TubeGrid, build_grid, fd_transverse
 from .linalg import mirror_upper
 # ReconstructionReport stays importable from this module
-from .ode import GuardConfig, ReconstructionReport, march_report, march_tube, tube_dense
+from .ode import (
+    GuardConfig,
+    ReconstructionReport,
+    SourceBank,
+    march_report,
+    march_tube,
+    tube_dense,
+)
 
 
 class HypersurfaceConnectionData:
@@ -95,15 +104,13 @@ class ConnectionCurvatureSpec:
         self.n = n
         self._fields = Components("A", n, entries)
 
-    def _box(self, x1, grid, lo, hi=None):
-        shape = grid.transverse_mesh()[0].shape
-        return self._fields.dense(shape, lambda f: f.on_transverse(x1, grid), lo, hi)
+    def stage1_planes(self, xs, grid):
+        """A^h_1k at each x1 of ``xs``, shaped (len(xs), n, n-1, N)."""
+        return self._fields.planes(xs, grid, (1, 1, 2), (self.n, 1, self.n))[:, :, 0]
 
-    def stage1_plane(self, x1, grid):
-        return self._box(x1, grid, (1, 1, 2), (self.n, 1, self.n))[:, 0]
-
-    def stage2_plane(self, x1, grid):
-        return self._box(x1, grid, (1, 2, 2))
+    def stage2_planes(self, xs, grid):
+        """A^h_ik (i, k >= 2) at each x1 of ``xs``, shaped (len(xs), n, n-1, n-1, N)."""
+        return self._fields.planes(xs, grid, (1, 2, 2))
 
     def dense_on(self, grid):
         """All prescribed values over a grid, shaped (n, n, n-1, *grid.shape)."""
@@ -168,15 +175,11 @@ def stage1_integrate(init, sources, spec, guards=None, grid=None):
     init.validate(grid)
     state0 = init.stage1_state0(grid)
     guards = guards or GuardConfig()
-    src_cache = {}
+    bank = SourceBank(sources.stage1_planes, grid, record_half=True)
 
     def rhs(x, u):
-        a1 = src_cache.get(x)
-        if a1 is None:
-            a1 = sources.stage1_plane(x, grid)
-            src_cache[x] = a1
         p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
-        return -np.einsum("qb...,aq...->ab...", u, p) + a1
+        return -np.einsum("qb...,aq...->ab...", u, p) + bank.plane(x)
 
     plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards, record_half=True)
     solution = Stage1Solution(
@@ -219,7 +222,8 @@ def stage2_integrate(
     tshape = grid.transverse_shape
     state0 = init.stage2_state0(grid)
     guards = guards or GuardConfig()
-    src_cache = {}
+    # keyed by half step, each plane evaluated at the first x of its key
+    bank = SourceBank(sources.stage2_planes, grid, key=lambda x: _half_key(x, h1))
     dk_cache = {}
 
     def dk_plane(key):
@@ -232,11 +236,8 @@ def stage2_integrate(
         return plane
 
     def rhs(x, w):
+        a2 = bank.plane(x)
         key = _half_key(x, h1)
-        a2 = src_cache.get(key)
-        if a2 is None:
-            a2 = sources.stage2_plane(x, grid)
-            src_cache[key] = a2
         u = stage1.plane(key)
         p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
         dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk_plane(key) + a2

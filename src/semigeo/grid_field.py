@@ -453,6 +453,24 @@ class ExpressionField:
         out = _eval_labelled(self.expr, (np.float64(x1),) + mesh, label)
         return np.broadcast_to(out, mesh[0].shape).astype(np.float64, copy=False)
 
+    def on_planes(self, xs, grid):
+        """``on_transverse`` at every x1 of ``xs`` at once, shaped (len(xs), N).
+
+        One evaluation over ``xs[:, None]`` against the transverse mesh,
+        bit for bit the per-plane values: every operation is elementwise
+        and numeric literals stay scalars.  An error names the x1 when
+        ``xs`` holds one value, else the range.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        mesh = grid.transverse_mesh()
+        if len(xs) == 1:
+            label = f"{self.what} at x1 = {float(xs[0])!r}"
+        else:
+            label = f"{self.what} at x1 in [{float(xs.min())!r}, {float(xs.max())!r}]"
+        coords = (xs[:, None],) + tuple(m[None, :] for m in mesh)
+        out = _eval_labelled(self.expr, coords, label)
+        return np.broadcast_to(out, (len(xs),) + mesh[0].shape).astype(np.float64, copy=False)
+
     def on_grid(self, grid):
         x1 = grid.x1_samples.reshape((-1,) + (1,) * (grid.n - 1))
         mesh = np.meshgrid(*grid.transverse_axes, indexing="ij")
@@ -486,6 +504,10 @@ class SampledField:
         if grid.transverse_shape != self.grid.transverse_shape:
             raise InvalidSpec("sampled field queried on a different transverse lattice")
         return _lerp(self.values, self.grid.x1_samples, float(x1)).reshape(-1)
+
+    def on_planes(self, xs, grid):
+        """``on_transverse`` at every x1 of ``xs``, shaped (len(xs), N)."""
+        return np.array([self.on_transverse(x1, grid) for x1 in xs])
 
     def on_grid(self, grid):
         if grid.shape != self.grid.shape:
@@ -643,6 +665,12 @@ class Components:
                 for pos in inside:
                     out[pos] = values
         return out
+
+    def planes(self, xs, grid, lo=None, hi=None):
+        """The index box at each x1 of ``xs``, over the flattened transverse
+        lattice: one ``dense`` call, shaped (len(xs), *box, N)."""
+        trailing = (len(xs),) + grid.transverse_mesh()[0].shape
+        return np.moveaxis(self.dense(trailing, lambda f: f.on_planes(xs, grid), lo, hi), -2, 0)
 
 
 # -------------------------------------------------------------------- dumps

@@ -10,7 +10,9 @@ transverse block is marched in x1 with the coupled first-order system
 and the full metric is assembled with g_11 = e, g_1j = 0 held exactly.
 The system has no transverse coupling: every transverse node integrates
 independently, so runs at different transverse resolutions agree bitwise
-at shared nodes.
+at shared nodes.  The sources a_ij do not depend on the march state, so
+the march reads them from an ``ode.SourceBank``, which evaluates
+``MetricCurvatureSpec.planes`` ahead of the march in batched x1 chunks.
 
 A direction stops, and its reached extent becomes delta_hat, when the
 transverse determinant at any node falls below ``degeneracy_tol`` times
@@ -30,7 +32,14 @@ from .curvature import DEGENERACY_TOL, MetricField
 from .errors import DegenerateMetric, InvalidInit, InvalidSpec
 from .grid_field import Components, build_grid
 from .linalg import det_stack, inv_sym, mirror_upper
-from .ode import GuardConfig, StateRejected, march_report, march_tube, tube_dense
+from .ode import (
+    GuardConfig,
+    SourceBank,
+    StateRejected,
+    march_report,
+    march_tube,
+    tube_dense,
+)
 
 
 class HypersurfaceMetricData:
@@ -71,9 +80,9 @@ class MetricCurvatureSpec:
         self.n = n
         self._fields = Components("a", n, entries)
 
-    def plane(self, x1, grid):
-        shape = grid.transverse_mesh()[0].shape
-        return self._fields.dense(shape, lambda f: f.on_transverse(x1, grid))
+    def planes(self, xs, grid):
+        """a_ij at each x1 of ``xs``, shaped (len(xs), n-1, n-1, N)."""
+        return self._fields.planes(xs, grid)
 
     def dense_on(self, grid):
         """All prescribed values over a grid, shaped (n-1, n-1, *grid.shape)."""
@@ -168,7 +177,7 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
     floor = tol * np.abs(det0)
     state0 = np.stack([g0, G0])
     guards = guards or GuardConfig()
-    src_cache = {}
+    bank = SourceBank(sources.planes, grid)
 
     def rhs(x, state):
         g, G = state[0], state[1]
@@ -176,11 +185,7 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
         bad = (np.abs(det) < floor) | (np.sign(det) * sign0 < 0)
         if np.any(bad):
             raise StateRejected("degenerate", int(np.argmax(bad)))
-        plane = src_cache.get(x)
-        if plane is None:
-            plane = sources.plane(x, grid)
-            src_cache[x] = plane
-        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * plane])
+        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * bank.plane(x)])
 
     plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards)
     _relabel_collapse(plus, det0, tol)

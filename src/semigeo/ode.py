@@ -28,12 +28,18 @@ stops before completing that step.
 
 Both reconstructions march from x1 = 0 toward each end of the tube with
 ``march_tube``, relay the states as tensor tubes with ``tube_dense`` and
-summarize the two directions with ``march_report``.
+summarize the two directions with ``march_report``.  Their prescribed
+sources do not depend on the march state, so a ``SourceBank`` evaluates
+every source plane a march will read ahead of it, in batched x1 chunks
+at the exact x the right-hand side receives (``tube_xs``).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import SemigeoError
 
 
 class StateRejected(Exception):
@@ -112,6 +118,16 @@ def _bad_nodes(state, threshold):
     return True, int(np.argmax(per_node))
 
 
+def _stage_xs(x, h):
+    """The x of the RK4 stages of a step of size h from x: start, middle, end."""
+    return x, x + 0.5 * h, x + h
+
+
+def _step_starts(x0, h, n_steps):
+    """The x each of ``rk4_march``'s steps starts from."""
+    return [x0 + i * h for i in range(n_steps)]
+
+
 def rk4_step(rhs, x, h, state, guards):
     """One guarded RK4 step; returns (new_state or None, stop_reason, detail).
 
@@ -123,20 +139,21 @@ def rk4_step(rhs, x, h, state, guards):
     Non-finite intermediates are tolerated and caught by the screens.
     """
     thr = guards.blowup_threshold
+    _, x_mid, x_end = _stage_xs(x, h)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k1 = rhs(x, state)
         s2 = state + (0.5 * h) * k1
-        k2 = rhs(x + 0.5 * h, s2)
+        k2 = rhs(x_mid, s2)
         bad, node = _bad_nodes(s2, thr)
         if bad:
             return None, "blowup", node
         s3 = state + (0.5 * h) * k2
-        k3 = rhs(x + 0.5 * h, s3)
+        k3 = rhs(x_mid, s3)
         bad, node = _bad_nodes(s3, thr)
         if bad:
             return None, "blowup", node
         s4 = state + h * k3
-        k4 = rhs(x + h, s4)
+        k4 = rhs(x_end, s4)
         bad, node = _bad_nodes(s4, thr)
         if bad:
             return None, "blowup", node
@@ -172,8 +189,7 @@ def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False):
     stopped = None
     detail = None
     done = 0
-    for i in range(n_steps):
-        x = x0 + i * h
+    for x in _step_starts(x0, h, n_steps):
         try:
             if record_half:
                 mid, mid_stop, mid_detail = rk4_step(rhs, x, 0.5 * h, state, guards)
@@ -205,6 +221,29 @@ def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False):
     )
 
 
+def _tube_marches(grid):
+    """(h, n_steps) of ``march_tube``'s plus and minus marches from x1 = 0."""
+    h1 = grid.spacing(1)
+    k0 = grid.zero_index
+    return (h1, len(grid.x1_samples) - 1 - k0), (-h1, k0)
+
+
+def tube_xs(grid, record_half=False):
+    """Every x ``march_tube`` on ``grid`` asks its right-hand side for.
+
+    In march order (plus, then minus), as if no step stops: the start,
+    middle and end x of each RK4 step, repeats included.  Built with the
+    march's own float arithmetic, so these are the exact x it will use.
+    """
+    xs = []
+    for h, n_steps in _tube_marches(grid):
+        for x in _step_starts(0.0, h, n_steps):
+            if record_half:
+                xs.extend(_stage_xs(x, 0.5 * h))
+            xs.extend(_stage_xs(x, h))
+    return xs
+
+
 def march_tube(rhs, grid, state0, guards, record_half=False):
     """March ``state0`` from x1 = 0 to both ends of ``grid``, all nodes in lockstep.
 
@@ -212,14 +251,80 @@ def march_tube(rhs, grid, state0, guards, record_half=False):
     restricted to the reached x1 samples, and the whole-step states
     stacked along ascending x1 (minus reversed, x1 = 0 once).
     """
-    h1 = grid.spacing(1)
-    k0 = grid.zero_index
-    steps_plus = len(grid.x1_samples) - 1 - k0
-    plus = rk4_march(rhs, 0.0, h1, steps_plus, state0, guards, record_half)
-    minus = rk4_march(rhs, 0.0, -h1, k0, state0, guards, record_half)
-    rgrid = grid.restrict_x1(k0 - minus.steps_done, k0 + plus.steps_done)
+    (h_plus, steps_plus), (h_minus, steps_minus) = _tube_marches(grid)
+    plus = rk4_march(rhs, 0.0, h_plus, steps_plus, state0, guards, record_half)
+    minus = rk4_march(rhs, 0.0, h_minus, steps_minus, state0, guards, record_half)
+    rgrid = grid.restrict_x1(steps_minus - minus.steps_done, steps_minus + plus.steps_done)
     whole = np.concatenate([minus.states[:0:-1], plus.states], axis=0)
     return plus, minus, rgrid, whole
+
+
+# Most points (x1 keys times transverse nodes) one batched source
+# evaluation covers.  It keeps each evaluator temporary at 256 KB however
+# long the march, while one call per 2^15 points, instead of one per
+# plane of 3 to a few thousand nodes, leaves no per-call cost to speak of.
+CHUNK_POINTS = 2**15
+
+
+class SourceBank:
+    """The source planes one ``march_tube`` run reads, evaluated ahead of it.
+
+    ``planes(xs, grid)`` returns the sources at each x1 of the array
+    ``xs`` over the flattened transverse lattice, stacked on a leading
+    axis.  The bank plans the x the march will ask for (``tube_xs``)
+    and splits them, in march order, into chunks of at most
+    CHUNK_POINTS points.  The first request for a planned x evaluates
+    its whole chunk in one ``planes`` call.  ``key(x)`` (default x
+    itself) names the plane an x reads; a key's plane is evaluated at
+    the first x of that key in march order.
+
+    A chunk whose evaluation raises SemigeoError is evaluated one key
+    at a time as the march asks for each key, so a key the march never
+    reaches cannot raise, and an error names the x that failed.  An x
+    outside the plan is evaluated alone, memoised and counted in
+    ``misses``: correct, only slower.
+    """
+
+    def __init__(self, planes, grid, record_half=False, key=None):
+        self._planes = planes
+        self._grid = grid
+        self._key = key or (lambda x: x)
+        first = {}
+        for x in tube_xs(grid, record_half):
+            first.setdefault(self._key(x), x)
+        per = max(1, CHUNK_POINTS // math.prod(grid.transverse_shape))
+        keys = list(first)
+        self._first = first
+        self._chunks = [keys[i : i + per] for i in range(0, len(keys), per)]
+        self._chunk_of = {k: c for c, chunk in enumerate(self._chunks) for k in chunk}
+        self._failed = set()
+        self._planes_of = {}
+        self.misses = 0
+
+    def plane(self, x):
+        """The source plane the right-hand side reads at x."""
+        key = self._key(x)
+        got = self._planes_of.get(key)
+        if got is None:
+            got = self._fill(key, x)
+        return got
+
+    def _fill(self, key, x):
+        c = self._chunk_of.get(key)
+        if c is None:
+            self.misses += 1
+        elif c not in self._failed:
+            chunk = self._chunks[c]
+            try:
+                planes = self._planes(np.array([self._first[k] for k in chunk]), self._grid)
+            except SemigeoError:
+                self._failed.add(c)
+            else:
+                self._planes_of.update(zip(chunk, planes))
+                return self._planes_of[key]
+        plane = self._planes(np.array([self._first.get(key, x)]), self._grid)[0]
+        self._planes_of[key] = plane
+        return plane
 
 
 def tube_dense(whole, grid):
