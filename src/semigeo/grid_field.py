@@ -19,6 +19,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -676,6 +677,18 @@ class Components:
 # -------------------------------------------------------------------- dumps
 
 
+# Special characters of the csv module's default dialect: a field holding
+# one is quoted, with inner quotes doubled (csv.QUOTE_MINIMAL).
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _csv_field(text):
+    """``text`` as one delimited field, quoted as ``csv.writer`` quotes it."""
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def write_tensor_dump(path, grid, tubes):
     """Delimited text dump: header, one row per (node, component).
 
@@ -683,26 +696,34 @@ def write_tensor_dump(path, grid, tubes):
     repr, which round-trips float64 exactly.  Row order is fixed: nodes in
     lexicographic grid order, then tensors in the given order, then full
     index tuples lexicographically, so identical inputs give identical
-    bytes.
+    bytes.  The bytes are those of ``csv.writer`` (minimal quoting,
+    "\\r\\n" line ends).  Lines are formatted and written one row of the
+    last grid axis at a time: a whole x1 plane or tube at once is no
+    faster and holds far more strings.
     """
     tubes = list(tubes)
     n = grid.n
-    axes = [grid.axis_coords(a) for a in range(1, n + 1)]
-    per_tube = [
-        [
-            (",".join(str(p + f) for p, f in zip(pos, tube.first)), tube.dense[pos])
-            for pos in np.ndindex(tube.dense.shape[: len(tube.first)])
-        ]
+    coords = [list(map(repr, grid.axis_coords(a).tolist())) for a in range(1, n + 1)]
+    infixes = [
+        f",{_csv_field(tube.name)},"
+        f"{_csv_field(','.join(str(p + f) for p, f in zip(pos, tube.first)))},"
         for tube in tubes
+        for pos in np.ndindex(tube.dense.shape[: len(tube.first)])
     ]
+    # each line of a row after its leading coordinates, up to its value
+    tails = [x + infix for x in coords[-1] for infix in infixes]
+    m = grid.shape[-1]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{k}" for k in range(1, n + 1)] + ["tensor", "indices", "value"])
-        for node in np.ndindex(grid.shape):
-            coords = [repr(float(axes[a][node[a]])) for a in range(n)]
-            for tube, comps in zip(tubes, per_tube):
-                for label, values in comps:
-                    writer.writerow(coords + [tube.name, label, repr(float(values[node]))])
+        header = [f"x{k}" for k in range(1, n + 1)] + ["tensor", "indices", "value"]
+        fh.write(",".join(header) + "\r\n")
+        if not tails:  # no components: the header alone
+            return
+        for lead in np.ndindex(grid.shape[:-1]):
+            head = "".join(axis[i] + "," for axis, i in zip(coords, lead))
+            row = (..., *lead, slice(None))
+            block = np.concatenate([t.dense[row].reshape(-1, m) for t in tubes])
+            values = map(repr, block.T.ravel().tolist())
+            fh.write(head + ("\r\n" + head).join(map(operator.add, tails, values)) + "\r\n")
 
 
 def read_tensor_dump(path):
@@ -729,10 +750,10 @@ def read_tensor_dump(path):
 
 
 def write_curve_dump(path, curve):
-    """Delimited curve dump: header, rows s, x1..xn."""
+    """Delimited curve dump: header, rows s, x1..xn, with the bytes of
+    ``csv.writer`` like ``write_tensor_dump``, written in one join."""
     n = curve.points.shape[1]
+    columns = [map(repr, c) for c in [curve.s.tolist()] + curve.points.T.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s"] + [f"x{k}" for k in range(1, n + 1)])
-        for s, p in zip(curve.s, curve.points):
-            writer.writerow([repr(float(s))] + [repr(float(c)) for c in p])
+        fh.write(",".join(["s"] + [f"x{k}" for k in range(1, n + 1)]) + "\r\n")
+        fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))

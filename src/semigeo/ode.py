@@ -34,6 +34,7 @@ every source plane a march will read ahead of it, in batched x1 chunks
 at the exact x the right-hand side receives (``tube_xs``).
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -111,6 +112,9 @@ def _per_node_max(values):
 
 
 def _bad_nodes(state, threshold):
+    # one reduction screens the common case; NaN fails it, like any bad node
+    if np.max(np.abs(state)) <= threshold:
+        return False, None
     bad = ~np.isfinite(state) | (np.abs(state) > threshold)
     per_node = bad.reshape((-1, bad.shape[-1])).any(axis=0)
     if not np.any(per_node):
@@ -278,9 +282,11 @@ class SourceBank:
     itself) names the plane an x reads; a key's plane is evaluated at
     the first x of that key in march order.
 
-    A chunk whose evaluation raises SemigeoError is evaluated one key
-    at a time as the march asks for each key, so a key the march never
-    reaches cannot raise, and an error names the x that failed.  An x
+    A chunk whose evaluation raises SemigeoError is split in halves and
+    the half holding the requested key is evaluated, halving again only
+    while the half fails; the other half stays a pending chunk.  So a
+    key the march never reaches cannot raise, a failing key raises when
+    the march asks for it, alone, and its error names its x.  An x
     outside the plan is evaluated alone, memoised and counted in
     ``misses``: correct, only slower.
     """
@@ -293,11 +299,12 @@ class SourceBank:
         for x in tube_xs(grid, record_half):
             first.setdefault(self._key(x), x)
         per = max(1, CHUNK_POINTS // math.prod(grid.transverse_shape))
-        keys = list(first)
+        self._keys = list(first)
         self._first = first
-        self._chunks = [keys[i : i + per] for i in range(0, len(keys), per)]
-        self._chunk_of = {k: c for c, chunk in enumerate(self._chunks) for k in chunk}
-        self._failed = set()
+        self._index = {k: i for i, k in enumerate(self._keys)}
+        # where each chunk begins in _keys, ascending; a chunk ends where
+        # the next begins
+        self._starts = list(range(0, len(self._keys), per))
         self._planes_of = {}
         self.misses = 0
 
@@ -310,21 +317,28 @@ class SourceBank:
         return got
 
     def _fill(self, key, x):
-        c = self._chunk_of.get(key)
-        if c is None:
+        i = self._index.get(key)
+        if i is None:
             self.misses += 1
-        elif c not in self._failed:
-            chunk = self._chunks[c]
+            plane = self._planes(np.array([x]), self._grid)[0]
+            self._planes_of[key] = plane
+            return plane
+        c = bisect.bisect_right(self._starts, i)
+        lo = self._starts[c - 1]
+        hi = self._starts[c] if c < len(self._starts) else len(self._keys)
+        while True:
+            chunk = self._keys[lo:hi]
             try:
                 planes = self._planes(np.array([self._first[k] for k in chunk]), self._grid)
             except SemigeoError:
-                self._failed.add(c)
+                if hi - lo == 1:
+                    raise
+                mid = (lo + hi) // 2
+                bisect.insort(self._starts, mid)
+                lo, hi = (lo, mid) if i < mid else (mid, hi)
             else:
                 self._planes_of.update(zip(chunk, planes))
                 return self._planes_of[key]
-        plane = self._planes(np.array([self._first.get(key, x)]), self._grid)[0]
-        self._planes_of[key] = plane
-        return plane
 
 
 def tube_dense(whole, grid):

@@ -187,3 +187,27 @@ class TestNodeAxis:
         assert res.stop_detail == 7
         assert res.states.shape == (res.steps_done + 1, 9)
         assert res.steps_done < 50
+
+
+# The screen tests one max |state| first and builds the per-node mask only
+# when that fails; NaN must fail it too, and the node reported is the first
+# offending one either way.
+SCREENED = {
+    "nan": ({2: np.nan}, 2),
+    "inf": ({5: -np.inf}, 5),
+    "above-threshold-before-nan": ({1: -2e6, 3: np.nan}, 1),
+    "nan-before-above-threshold": ({1: np.nan, 3: 2e6}, 1),
+    "at-threshold": ({4: 1e6}, None),
+}
+
+
+@pytest.mark.parametrize("entries, node", SCREENED.values(), ids=SCREENED.keys())
+def test_screen_reports_first_bad_node(entries, node):
+    state = np.full((2, 8), 0.5)
+    for k, v in entries.items():
+        state[1, k] = v
+    new, reason, detail = rk4_step(lambda x, s: np.zeros_like(s), 0.0, 0.1, state, GuardConfig())
+    if node is None:
+        assert reason is None and np.array_equal(new, state)
+    else:
+        assert new is None and reason == "blowup" and detail == node

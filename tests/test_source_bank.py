@@ -177,18 +177,50 @@ class TestBankRules:
         assert calls == [[0.123]]
         assert bank.misses == 1
 
-    def test_failed_chunk_falls_back_per_key(self):
+    def test_failed_chunk_is_split_in_halves(self):
         grid = line_grid()
         keys = list(dict.fromkeys(tube_xs(grid)))
         bad = next(x for x in keys if x > 0.5)
-        good = keys[keys.index(bad) - 1]
         calls = []
         bank = SourceBank(counting_planes(calls, fail_above=0.5), grid)
         assert bank.plane(0.0)[0] == 0.0
-        assert len(calls) == 2 and calls[0] == keys and calls[1] == [0.0]
-        assert bank.plane(good)[0] == good
+        assert calls[0] == keys and len(calls[1]) == len(keys) // 2
+        # every key the march reaches before the failing one, plus side
+        # and minus side, from a handful of calls; the one-key fallback
+        # made one call per key
+        below = [x for x in keys if x <= 0.5]
+        for x in below:
+            assert bank.plane(x)[0] == x
+        assert len(calls) <= 2 * math.ceil(math.log2(len(keys))) < len(below) // 10
+        assert all(len(chunk) > 1 for chunk in calls)
+        evaluated = [x for chunk in calls for x in chunk if x <= 0.5]
+        assert sorted(set(evaluated)) == sorted(below)
+        # the failing key raises when it is asked for, evaluated alone
         with pytest.raises(EvalError, match=re.escape(f"at x1 = {bad!r}")):
             bank.plane(bad)
+        assert calls[-1] == [bad]
+        assert bank.misses == 0
+
+    def test_split_keeps_the_other_half_pending(self):
+        grid = line_grid(h1=1e-4, res=9)
+        keys = list(dict.fromkeys(tube_xs(grid)))
+        per = CHUNK_POINTS // 9
+        calls = []
+        bank = SourceBank(counting_planes(calls, fail_above=0.9), grid)
+        reached = [x for x in keys if x <= 0.9]
+        for x in reached:
+            assert bank.plane(x)[0] == x
+        # a call fails iff it holds a key above 0.9; the successful ones
+        # evaluate every reached key exactly once, so a half split off is
+        # kept until asked for, not evaluated again
+        served = [x for chunk in calls if max(chunk) <= 0.9 for x in chunk]
+        assert sorted(served) == sorted(reached)
+        # each chunk once, plus at most two calls per halving in each of
+        # the chunks that hold a failing key (thousands with one-key
+        # fallback)
+        failing = {i // per for i, x in enumerate(keys) if x > 0.9}
+        bound = math.ceil(len(keys) / per) + len(failing) * 2 * math.ceil(math.log2(per))
+        assert len(calls) <= bound < 100
         assert bank.misses == 0
 
     def test_key_holds_first_x(self):
@@ -292,6 +324,19 @@ def chart_text(lo, hi):
     )
 
 
+def count_eval_calls(monkeypatch):
+    """The expressions of every ``eval_field_on`` call from now on."""
+    calls = []
+    real = grid_field.eval_field_on
+
+    def counted(expr, coords):
+        calls.append(expr)
+        return real(expr, coords)
+
+    monkeypatch.setattr(grid_field, "eval_field_on", counted)
+    return calls
+
+
 def run_cli(tmp_path, text, mode):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -300,14 +345,18 @@ def run_cli(tmp_path, text, mode):
 
 
 class TestLookAheadSafety:
-    def test_step_bound_stop_blowup(self, tmp_path):
+    def test_step_bound_stop_blowup(self, tmp_path, monkeypatch):
         # the source exists only for x1 <= 1.6, past the blow-up at pi/2
+        calls = count_eval_calls(monkeypatch)
         text = chart_text(0.0, 2.0) + '[fields]\nA.2.1.2 = "-1"\nA.1.1.2 = "0*sqrt(1.6 - x1)"\n'
         code, out = run_cli(tmp_path, text, "reconstruct-connection")
         report = read_report(out / "report.txt")
         assert code == 3
         assert report["status"] == "StoppedBlowup"
         assert report["delta_hat_plus"] == "1.5705"
+        # failed chunks are halved, not evaluated one plane at a time
+        # (20,464 calls)
+        assert 0 < len(calls) <= 100
 
     def test_undefined_region_in_a_later_chunk_on_the_minus_side(self, tmp_path):
         lo, hi = -2.0, 0.5
@@ -336,14 +385,7 @@ def test_band_round_trip_evaluates_each_chunk_once(tmp_path, monkeypatch):
     bound is (given components read) x (chunks) per march, fine and
     coarse, plus one whole-grid call per component for each residual.
     """
-    calls = []
-    real = grid_field.eval_field_on
-
-    def counted(expr, coords):
-        calls.append(expr)
-        return real(expr, coords)
-
-    monkeypatch.setattr(grid_field, "eval_field_on", counted)
+    calls = count_eval_calls(monkeypatch)
     text = (
         "[chart]\nn = 2\nx1_min = -1.0\nx1_max = 1.0\nh1 = 0.0005\n"
         "transverse_res = 5\ntransverse_box = 0.0, 1.0\n"
