@@ -13,6 +13,7 @@ vector, so the geodesic equation residual is exactly |Gamma^h_11(c(s))|;
 the two routes therefore agree bit for bit on lattice lines.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,10 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
         raise OutOfDomain(f"geodesic start {tuple(x0)} is outside the tube")
     if not step > 0:
         raise InvalidSpec(f"step must be positive, got {step}")
-    n_steps = int(np.floor(s_max / step + 1e-9))
+    steps = float(s_max) / float(step) + 1e-9
+    if not math.isfinite(steps):
+        raise InvalidSpec(f"s_max = {s_max} and step = {step} give no finite step count")
+    n_steps = math.floor(steps)
     if n_steps < 1:
         raise InvalidSpec("s_max admits no whole step")
 

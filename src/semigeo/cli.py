@@ -50,6 +50,7 @@ from .connection_recon import (
     reconstruct_connection,
 )
 from .curvature import (
+    SEMIGEO_TOL,
     ConnectionField,
     MetricField,
     christoffel_from_metric,
@@ -60,8 +61,6 @@ from .curvature import (
 from .errors import ConfigError, GridTooCoarse, LeftDomain, SemigeoError
 from .grid_field import ChartSpec, build_grid, write_curve_dump, write_tensor_dump
 from .metric_recon import HypersurfaceMetricData, MetricCurvatureSpec, reconstruct_metric
-
-SEMIGEO_TOL = 1e-12
 
 
 def build_parser():
@@ -148,9 +147,7 @@ def metric_roundtrip_residual(metric, sources, degeneracy_tol):
     grid = metric.grid
     if grid.shape[0] < 4:
         return None, None
-    axial = curvature04_semigeo(
-        metric, degeneracy_tol=degeneracy_tol, semigeo_tol=SEMIGEO_TOL
-    )
+    axial = curvature04_semigeo(metric, degeneracy_tol=degeneracy_tol)
     worst = float(np.max(np.abs(axial.dense[0, :, :, 0] - sources.dense_on(grid))))
     return worst, axial
 
@@ -201,9 +198,9 @@ def _run_forward(cfg, grid, out):
         dump("curvature13.csv", r13)
         r11, r1j = metric.semigeodesic_residuals()
         if max(r11, r1j) <= SEMIGEO_TOL:
-            axial = curvature04_semigeo(metric, degeneracy_tol=tol, semigeo_tol=SEMIGEO_TOL)
+            axial = curvature04_semigeo(metric, degeneracy_tol=tol)
             dump("curvature04.csv", axial)
-            _, identity = lower_and_check_identity(metric, r13, semigeo_tol=SEMIGEO_TOL)
+            _, identity = lower_and_check_identity(metric, r13)
             extra.append(("identity_residual", identity))
     else:
         r13 = curvature13(ConnectionField.from_fields(grid, cfg.fields["gamma"]))

@@ -22,6 +22,7 @@ typo must never silently become a zero field.
 import math
 from dataclasses import dataclass, field as dataclass_field
 
+from .curvature import DEGENERACY_TOL
 from .errors import ConfigError, FieldSyntaxError, InvalidSpec
 from .expr import parse_field
 from .grid_field import FAMILIES, ChartSpec
@@ -62,13 +63,13 @@ _MODE_INPUTS = {
 
 @dataclass
 class Tolerances:
-    """Numerical thresholds with their documented defaults."""
+    """Numerical thresholds; the guard and degeneracy defaults are the library's."""
 
-    blowup_threshold: float = 1e6
-    degeneracy_tol: float = 1e-10
+    blowup_threshold: float = GuardConfig.blowup_threshold
+    degeneracy_tol: float = DEGENERACY_TOL
     roundtrip_tol: float = 1e-6
-    step_growth_limit: float = 10.0
-    stage_slope_ratio: float = 5.0
+    step_growth_limit: float = GuardConfig.step_growth_limit
+    stage_slope_ratio: float = GuardConfig.stage_slope_ratio
 
     def guards(self):
         return GuardConfig(

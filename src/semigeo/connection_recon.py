@@ -21,14 +21,17 @@ Gamma^h_11 = 0 is held exactly (never integrated): the x1 lattice lines
 stay canonically parametrized geodesics.
 
 Both marches run from x1 = 0 toward each end of the tube with fixed-step
-RK4 over all transverse nodes in lockstep.  Stage 1 additionally caches
-fourth-order-accurate values at the step midpoints, so stage 2 can
-evaluate Gamma^h_m1 and its transverse derivatives at the exact x1 of
-every RK4 stage without losing order.  Blow-up stops a direction and the
-reached extent is reported as delta_hat for that direction (the minimum
-over transverse nodes).  Each stage reads its sources A from an
-``ode.SourceBank``, which evaluates ``stage1_planes`` / ``stage2_planes``
-ahead of the march in batched x1 chunks; stage 2 keys them by half step.
+RK4 over all transverse nodes in lockstep.  Stage 1 additionally records
+fourth-order-accurate values at the step midpoints and hands stage 2 one
+array, ``Stage1Solution.fine``, on the half-step x1 lattice of its
+reached grid.  Before its march, stage 2 pads that array with
+Gamma^h_11 = 0 and takes its transverse derivatives once, so every RK4
+stage reads Gamma^h_m1 and d_k Gamma^h_i1 at its exact x1 by index,
+without losing order.  Blow-up stops a direction and the reached extent
+is reported as delta_hat for that direction (the minimum over transverse
+nodes).  Each stage's ``ode.march_tube`` reads the sources A ahead of the
+march, in batched x1 chunks, from ``stage1_planes`` / ``stage2_planes``;
+stage 2 keys them by half step.
 """
 
 import dataclasses
@@ -41,14 +44,7 @@ from .errors import InvalidInit, InvalidSpec
 from .grid_field import Components, TensorTube, TubeGrid, build_grid, fd_transverse
 from .linalg import mirror_upper
 # ReconstructionReport stays importable from this module
-from .ode import (
-    GuardConfig,
-    ReconstructionReport,
-    SourceBank,
-    march_report,
-    march_tube,
-    tube_dense,
-)
+from .ode import ReconstructionReport, march_report, march_tube, tube_dense
 
 
 class HypersurfaceConnectionData:
@@ -122,36 +118,16 @@ class ConnectionCurvatureSpec:
 
 @dataclass
 class Stage1Solution:
-    """Stage-1 trajectories with midpoint cache, on the reached grid.
+    """Stage-1 states on the half-step x1 lattice of the reached grid.
 
-    ``whole`` has shape (T, n, n-1, N) over the reached x1 samples;
-    ``half_plus``/``half_minus`` hold the 4th-order midpoint values for
-    the steps in each direction.  ``zero_index`` locates x1 = 0 within
-    the reached grid.
+    ``fine`` has shape (2T-1, n, n-1, N) in ascending x1 over the T
+    reached samples of ``grid``: entry 2t is the whole-step state at
+    sample t, entry 2t+1 the fourth-order midpoint value between samples
+    t and t+1.  So x1 = k * h1/2 is entry k + 2 * grid.zero_index.
     """
 
     grid: TubeGrid
-    zero_index: int
-    whole: np.ndarray
-    half_plus: np.ndarray
-    half_minus: np.ndarray
-
-    def plane(self, half_key):
-        """Stage-1 plane at x1 = half_key * h1/2 (half_key may be odd)."""
-        if half_key % 2 == 0:
-            t = self.zero_index + half_key // 2
-            if not 0 <= t < self.whole.shape[0]:
-                raise InvalidSpec("stage-2 asked for an x1 plane beyond stage 1's reach")
-            return self.whole[t]
-        if half_key > 0:
-            j = (half_key - 1) // 2
-            bank = self.half_plus
-        else:
-            j = (-half_key - 1) // 2
-            bank = self.half_minus
-        if not 0 <= j < bank.shape[0]:
-            raise InvalidSpec("stage-2 asked for an x1 midpoint beyond stage 1's reach")
-        return bank[j]
+    fine: np.ndarray
 
 
 def _half_key(x, h1):
@@ -169,27 +145,23 @@ def stage1_integrate(init, sources, spec, guards=None, grid=None):
 
     Returns (Stage1Solution over the reached grid, ReconstructionReport).
     The solution holds Gamma^h_1k (k >= 2) at every reached x1 sample and
-    the midpoint cache that stage 2 needs.
+    step midpoint, which stage 2 reads.
     """
     grid = grid or build_grid(spec)
     init.validate(grid)
     state0 = init.stage1_state0(grid)
-    guards = guards or GuardConfig()
-    bank = SourceBank(sources.stage1_planes, grid, record_half=True)
 
-    def rhs(x, u):
+    def rhs(x, u, bank):
         p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
         return -np.einsum("qb...,aq...->ab...", u, p) + bank.plane(x)
 
-    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards, record_half=True)
-    solution = Stage1Solution(
-        grid=rgrid,
-        zero_index=minus.steps_done,
-        whole=whole,
-        half_plus=plus.half_states,
-        half_minus=minus.half_states,
+    plus, minus, rgrid, whole = march_tube(
+        rhs, grid, state0, sources.stage1_planes, guards, record_half=True
     )
-    return solution, march_report(grid, rgrid, plus, minus, whole)
+    fine = np.empty((2 * len(whole) - 1,) + whole.shape[1:])
+    fine[0::2] = whole
+    fine[1::2] = np.concatenate([minus.half_states[::-1], plus.half_states])
+    return Stage1Solution(rgrid, fine), march_report(grid, rgrid, plus, minus, whole)
 
 
 # ----------------------------------------------------------------- stage 2
@@ -206,7 +178,7 @@ def stage2_integrate(
     """March the transverse components Gamma^h_ik (i, k >= 2).
 
     ``stage1`` must be the Stage1Solution returned by
-    :func:`stage1_integrate` (it carries the midpoint cache).  Returns
+    :func:`stage1_integrate` (it carries the midpoint values).  Returns
     ("gamma2" TensorTube over slots (h, i, k), i, k >= 2, exactly
     symmetric in (i, k), ReconstructionReport).  The truncated variant
     behind ``omit_quadratic_cross_term`` exists only for regression tests.
@@ -214,39 +186,34 @@ def stage2_integrate(
     if not isinstance(stage1, Stage1Solution):
         raise InvalidSpec(
             "stage2_integrate needs the Stage1Solution produced by "
-            "stage1_integrate (midpoint cache missing)"
+            "stage1_integrate (midpoint values missing)"
         )
     grid = stage1.grid
     n = grid.n
     h1 = grid.spacing(1)
-    tshape = grid.transverse_shape
+    k0 = 2 * grid.zero_index
     state0 = init.stage2_state0(grid)
-    guards = guards or GuardConfig()
-    # keyed by half step, each plane evaluated at the first x of its key
-    bank = SourceBank(sources.stage2_planes, grid, key=lambda x: _half_key(x, h1))
-    dk_cache = {}
+    fine = stage1.fine
+    # Gamma^h_m1 with Gamma^h_11 = 0, and d_k Gamma^h_i1, on every half step
+    p = np.concatenate([np.zeros_like(fine[:, :, :1]), fine], axis=2)
+    planes = fine.reshape(fine.shape[:3] + grid.transverse_shape)
+    dk = np.stack([fd_transverse(planes, axis, grid) for axis in range(2, n + 1)], axis=3)
+    dk = dk.reshape(fine.shape[:3] + (n - 1, -1))
 
-    def dk_plane(key):
-        plane = dk_cache.get(key)
-        if plane is None:
-            u = stage1.plane(key).reshape((n, n - 1) + tshape)
-            parts = [fd_transverse(u, axis, grid) for axis in range(2, n + 1)]
-            plane = np.stack(parts, axis=2).reshape((n, n - 1, n - 1, -1))
-            dk_cache[key] = plane
-        return plane
-
-    def rhs(x, w):
+    def rhs(x, w, bank):
         a2 = bank.plane(x)
-        key = _half_key(x, h1)
-        u = stage1.plane(key)
-        p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
-        dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk_plane(key) + a2
+        i = _half_key(x, h1) + k0
+        u = fine[i]
+        dw = -np.einsum("qbc...,aq...->abc...", w, p[i]) + dk[i] + a2
         if not omit_quadratic_cross_term:
             dw = dw + np.einsum("b...,ac...->abc...", u[0], u)
             dw = dw + np.einsum("qb...,aqc...->abc...", u[1:], w)
         return mirror_upper(dw, axis=1)
 
-    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards)
+    # keyed by half step, each plane evaluated at the first x of its key
+    plus, minus, rgrid, whole = march_tube(
+        rhs, grid, state0, sources.stage2_planes, guards, key=lambda x: _half_key(x, h1)
+    )
     gamma2 = TensorTube("gamma2", rgrid, tube_dense(whole, rgrid), (1, 2, 2))
     return gamma2, march_report(grid, rgrid, plus, minus, whole)
 
@@ -280,8 +247,8 @@ def reconstruct_connection(
     )
     rgrid = stage2.grid
     n = grid.n
-    lo = stage1.zero_index - rgrid.zero_index
-    u = tube_dense(stage1.whole[lo : lo + rgrid.shape[0]], rgrid)
+    lo = stage1.grid.zero_index - rgrid.zero_index
+    u = tube_dense(stage1.fine[2 * lo : 2 * (lo + rgrid.shape[0]) : 2], rgrid)
     dense = np.zeros((n, n, n) + rgrid.shape)
     dense[:, 0, 1:] = u
     dense[:, 1:, 0] = u

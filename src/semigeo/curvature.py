@@ -25,6 +25,8 @@ from .grid_field import Components, TensorTube, fd_partial, fd_second
 from .linalg import det_stack, inv_sym, mirror_upper
 
 DEGENERACY_TOL = 1e-10
+# largest |g_11 - e| and |g_1j| a metric may show and still count as semigeodesic
+SEMIGEO_TOL = 1e-12
 
 
 class MetricField(TensorTube):
@@ -70,9 +72,9 @@ class MetricField(TensorTube):
             r1j = 0.0
         return r11, r1j
 
-    def require_semigeodesic(self, tol=1e-12):
+    def require_semigeodesic(self):
         r11, r1j = self.semigeodesic_residuals()
-        if r11 > tol or r1j > tol:
+        if r11 > SEMIGEO_TOL or r1j > SEMIGEO_TOL:
             raise NotSemigeodesic(
                 f"metric is not semigeodesic: |g_11 - e| up to {r11:.3e}, "
                 f"|g_1j| up to {r1j:.3e}"
@@ -117,7 +119,7 @@ def _degenerate_node(det, degeneracy_tol, grid):
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), grid.shape))
 
 
-def christoffel_from_metric(metric, grid=None, degeneracy_tol=DEGENERACY_TOL):
+def christoffel_from_metric(metric, degeneracy_tol=DEGENERACY_TOL):
     """Christoffel symbols of a sampled metric.
 
     Returns (ConnectionField, "gamma_first" TensorTube of C_ijk), both
@@ -127,7 +129,7 @@ def christoffel_from_metric(metric, grid=None, degeneracy_tol=DEGENERACY_TOL):
     det g is not finite at any node (the first offending node in
     lexicographic order is reported).
     """
-    grid = grid or metric.grid
+    grid = metric.grid
     n = grid.n
     g = metric.dense
     det = metric.det_nodes()
@@ -154,13 +156,13 @@ def christoffel_from_metric(metric, grid=None, degeneracy_tol=DEGENERACY_TOL):
     return ConnectionField(grid, second), TensorTube("gamma_first", grid, first)
 
 
-def curvature13(connection, grid=None):
+def curvature13(connection):
     """(1,3) curvature of a sampled connection.
 
     Antisymmetry in the last two slots is exact: both orderings reuse the
     same intermediate P^h_ijk = d_j G^h_ik + G^m_ik G^h_mj.
     """
-    grid = grid or connection.grid
+    grid = connection.grid
     n = grid.n
     gam = connection.dense
     dgam = np.empty((n, n, n, n) + grid.shape)
@@ -174,17 +176,17 @@ def curvature13(connection, grid=None):
     return CurvatureTube(grid, r)
 
 
-def curvature04_semigeo(metric, grid=None, degeneracy_tol=DEGENERACY_TOL, semigeo_tol=1e-12):
+def curvature04_semigeo(metric, degeneracy_tol=DEGENERACY_TOL):
     """Axial (0,4) curvature block R_1ij1 (i, j >= 2) of a semigeodesic metric.
 
     Returns an "R04" TensorTube over the 4-slot indices (1, i, j, 1); the
     block is mirrored from i <= j, so it is symmetric in (i, j) exactly.
-    Requires the metric block structure to hold within
-    ``semigeo_tol`` and the transverse block to be nondegenerate.
+    Requires the metric block structure to hold within SEMIGEO_TOL and
+    the transverse block to be nondegenerate.
     """
-    grid = grid or metric.grid
+    grid = metric.grid
     n = grid.n
-    metric.require_semigeodesic(tol=semigeo_tol)
+    metric.require_semigeodesic()
     gt = metric.dense[1:, 1:]
     det = det_stack(gt.reshape((n - 1, n - 1, -1)))
     node = _degenerate_node(det, degeneracy_tol, grid)
@@ -202,7 +204,7 @@ def curvature04_semigeo(metric, grid=None, degeneracy_tol=DEGENERACY_TOL, semige
     return TensorTube("R04", grid, block[None, :, :, None], (1, 2, 2, 1))
 
 
-def lower_and_check_identity(metric, r13, semigeo_tol=1e-12):
+def lower_and_check_identity(metric, r13):
     """Axial block via index lowering, plus its consistency residual.
 
     For a semigeodesic metric the axial block can be read off the (1,3)
@@ -216,7 +218,7 @@ def lower_and_check_identity(metric, r13, semigeo_tol=1e-12):
     TensorTube of g_im R^m_11j values mirrored from i <= j, max pairwise
     discrepancy over components/nodes).
     """
-    metric.require_semigeodesic(tol=semigeo_tol)
+    metric.require_semigeodesic()
     grid = metric.grid
     n = grid.n
     e = float(metric.e)

@@ -11,8 +11,9 @@ and the full metric is assembled with g_11 = e, g_1j = 0 held exactly.
 The system has no transverse coupling: every transverse node integrates
 independently, so runs at different transverse resolutions agree bitwise
 at shared nodes.  The sources a_ij do not depend on the march state, so
-the march reads them from an ``ode.SourceBank``, which evaluates
-``MetricCurvatureSpec.planes`` ahead of the march in batched x1 chunks.
+``ode.march_tube`` evaluates ``MetricCurvatureSpec.planes`` ahead of the
+march in batched x1 chunks, and the right-hand side reads each plane
+only after its degeneracy check has passed.
 
 A direction stops, and its reached extent becomes delta_hat, when the
 transverse determinant at any node falls below ``degeneracy_tol`` times
@@ -32,14 +33,7 @@ from .curvature import DEGENERACY_TOL, MetricField
 from .errors import DegenerateMetric, InvalidInit, InvalidSpec
 from .grid_field import Components, build_grid
 from .linalg import det_stack, inv_sym, mirror_upper
-from .ode import (
-    GuardConfig,
-    SourceBank,
-    StateRejected,
-    march_report,
-    march_tube,
-    tube_dense,
-)
+from .ode import StateRejected, march_report, march_tube, tube_dense
 
 
 class HypersurfaceMetricData:
@@ -176,10 +170,8 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
     sign0 = np.sign(det0)
     floor = tol * np.abs(det0)
     state0 = np.stack([g0, G0])
-    guards = guards or GuardConfig()
-    bank = SourceBank(sources.planes, grid)
 
-    def rhs(x, state):
+    def rhs(x, state, bank):
         g, G = state[0], state[1]
         det = det_stack(g)
         bad = (np.abs(det) < floor) | (np.sign(det) * sign0 < 0)
@@ -187,7 +179,7 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
             raise StateRejected("degenerate", int(np.argmax(bad)))
         return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * bank.plane(x)])
 
-    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, guards)
+    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, sources.planes, guards)
     _relabel_collapse(plus, det0, tol)
     _relabel_collapse(minus, det0, tol)
     metric = MetricField.semigeodesic(rgrid, tube_dense(whole[:, 0], rgrid), e=e)

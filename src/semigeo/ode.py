@@ -29,9 +29,12 @@ stops before completing that step.
 Both reconstructions march from x1 = 0 toward each end of the tube with
 ``march_tube``, relay the states as tensor tubes with ``tube_dense`` and
 summarize the two directions with ``march_report``.  Their prescribed
-sources do not depend on the march state, so a ``SourceBank`` evaluates
-every source plane a march will read ahead of it, in batched x1 chunks
-at the exact x the right-hand side receives (``tube_xs``).
+sources do not depend on the march state, so ``march_tube`` builds the
+one ``SourceBank`` of each march, from the grid, midpoint recording and
+plane key it marches with.  The bank evaluates every source plane the
+march will read ahead of it, in batched x1 chunks at the exact x the
+right-hand side receives (``tube_xs``), and the right-hand side reads
+each plane with ``bank.plane(x)`` when it needs it.
 """
 
 import bisect
@@ -248,16 +251,24 @@ def tube_xs(grid, record_half=False):
     return xs
 
 
-def march_tube(rhs, grid, state0, guards, record_half=False):
+def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=None):
     """March ``state0`` from x1 = 0 to both ends of ``grid``, all nodes in lockstep.
 
+    The right-hand side is called as ``rhs(x, state, bank)``, where
+    ``bank`` is the SourceBank of ``planes`` for this march, built with
+    the same ``record_half`` the march uses and the plane ``key``.
     Returns (plus, minus, rgrid, whole): the two MarchResults, the grid
     restricted to the reached x1 samples, and the whole-step states
     stacked along ascending x1 (minus reversed, x1 = 0 once).
     """
+    bank = SourceBank(planes, grid, record_half, key)
+
+    def bank_rhs(x, state):
+        return rhs(x, state, bank)
+
     (h_plus, steps_plus), (h_minus, steps_minus) = _tube_marches(grid)
-    plus = rk4_march(rhs, 0.0, h_plus, steps_plus, state0, guards, record_half)
-    minus = rk4_march(rhs, 0.0, h_minus, steps_minus, state0, guards, record_half)
+    plus = rk4_march(bank_rhs, 0.0, h_plus, steps_plus, state0, guards, record_half)
+    minus = rk4_march(bank_rhs, 0.0, h_minus, steps_minus, state0, guards, record_half)
     rgrid = grid.restrict_x1(steps_minus - minus.steps_done, steps_minus + plus.steps_done)
     whole = np.concatenate([minus.states[:0:-1], plus.states], axis=0)
     return plus, minus, rgrid, whole

@@ -180,6 +180,15 @@ class TestShooting:
         with pytest.raises(InvalidSpec):
             geodesic_shoot(sphere_conn, (0.0, 0.5), (1.0, 0.0), 0.001, 1e-2)
 
+    @pytest.mark.parametrize(
+        "s_max, step",
+        [(np.nan, 1e-2), (np.inf, 1e-2), (1.0, 1e-320)],
+        ids=["nan-s-max", "inf-s-max", "subnormal-step"],
+    )
+    def test_unbounded_step_count_is_invalid(self, sphere_conn, s_max, step):
+        with pytest.raises(InvalidSpec):
+            geodesic_shoot(sphere_conn, (0.0, 0.5), (1.0, 0.0), s_max, step)
+
 
 class TestResiduals:
     def test_residual_needs_three_samples(self, sphere_conn):

@@ -15,9 +15,10 @@ from semigeo.config import (
     load_config,
     validate_for_mode,
 )
-from semigeo.curvature import MetricField, christoffel_from_metric
+from semigeo.curvature import DEGENERACY_TOL, MetricField, christoffel_from_metric
 from semigeo.errors import ConfigError, DegenerateMetric
 from semigeo.grid_field import ChartSpec, build_grid
+from semigeo.ode import GuardConfig
 
 
 def load_text(tmp_path, text, name="run.cfg"):
@@ -361,6 +362,10 @@ class TestRunAndTolerances:
         assert cfg.tolerances.roundtrip_tol == 1e-4
         assert cfg.tolerances.blowup_threshold == 1e8
         assert cfg.tolerances.degeneracy_tol == 1e-10
+
+    def test_defaults_are_the_library_defaults(self):
+        assert Tolerances().guards() == GuardConfig()
+        assert Tolerances().degeneracy_tol == DEGENERACY_TOL
 
     def test_unknown_tolerance_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown \\[tolerances\\] key"):

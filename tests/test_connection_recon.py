@@ -105,18 +105,35 @@ class TestSymbolicScenario:
 
 
 class TestStages:
-    def test_stage1_solution_and_zero_index(self):
+    @staticmethod
+    def fine_errors(spec):
+        """Stage 1 on the sphere band: |Gamma^2_12 + tan x1| at samples and midpoints."""
         init, src = sphere_inputs()
-        sol, report = stage1_integrate(init, src, unit_interval_spec())
+        sol, report = stage1_integrate(init, src, spec)
         assert isinstance(sol, Stage1Solution)
         assert report.complete
         grid = sol.grid
-        assert grid.x1_samples[sol.zero_index] == 0.0
-        assert sol.whole.shape == (grid.shape[0], 2, 1, len(grid.transverse_mesh()[0]))
-        assert sol.half_plus.shape == (grid.shape[0] - 1, 2, 1, sol.whole.shape[-1])
-        x = grid.x1_samples[:, None] * np.ones((1,) + grid.transverse_shape)
-        gamma212 = sol.whole[:, 1, 0].reshape(grid.shape)
-        assert np.max(np.abs(gamma212 + np.tan(x))) < 1e-8
+        x1 = grid.x1_samples
+        assert sol.fine.shape == (2 * len(x1) - 1, 2, 1, len(grid.transverse_mesh()[0]))
+        gamma212 = sol.fine[:, 1, 0]
+        whole = np.max(np.abs(gamma212[0::2] + np.tan(x1)[:, None]))
+        half = np.max(np.abs(gamma212[1::2] + np.tan(0.5 * (x1[:-1] + x1[1:]))[:, None]))
+        return grid, sol, whole, half
+
+    def test_stage1_solution_and_zero_index(self):
+        grid, sol, whole, half = self.fine_errors(unit_interval_spec())
+        assert grid.x1_samples[grid.zero_index] == 0.0
+        assert whole < 1e-8
+        assert half < 1e-8
+
+    def test_stage1_fine_ascends_through_the_minus_side(self):
+        spec = ChartSpec(n=2, x1_range=(-0.5, 1.0), h1=1e-2, transverse_res=5)
+        grid, sol, whole, half = self.fine_errors(spec)
+        # x1 = 0 is entry 2 * zero_index, holding the initial data exactly
+        assert grid.zero_index == 50
+        assert np.all(sol.fine[2 * grid.zero_index] == 0.0)
+        assert whole < 1e-8
+        assert half < 1e-8
 
     def test_stage2_requires_stage1_tube(self):
         init, src = sphere_inputs()

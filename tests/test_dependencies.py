@@ -1,4 +1,5 @@
-"""The runtime imports only the standard library, numpy and semigeo itself."""
+"""The runtime imports only the standard library, numpy and semigeo itself,
+and only ``ode`` names the source bank its marches read from."""
 
 import ast
 import sys
@@ -12,10 +13,13 @@ ALLOWED = set(sys.stdlib_module_names) | {"numpy", "semigeo"}
 MODULES = sorted(Path(semigeo.__file__).parent.rglob("*.py"))
 
 
+def nodes(path):
+    return ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
 def imported_roots(path):
     """Top-level package of every absolute import in a module's source."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in ast.walk(tree):
+    for node in nodes(path):
         if isinstance(node, ast.Import):
             yield from (alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -30,3 +34,21 @@ def test_every_module_is_checked():
 def test_imports_stdlib_numpy_and_semigeo_only(path):
     foreign = sorted(set(imported_roots(path)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def names(path):
+    """Every identifier a module's code uses, defines, imports or reads as an attribute."""
+    for node in nodes(path):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield node.name
+
+
+def test_only_ode_names_the_source_bank():
+    # march_tube builds every march's bank from the grid and options it marches with
+    assert [p.name for p in MODULES if "SourceBank" in set(names(p))] == ["ode.py"]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from semigeo.errors import EvalError
+from semigeo.grid_field import ChartSpec, build_grid
 from semigeo.ode import (
     GuardConfig,
     StateRejected,
+    march_tube,
     rk4_march,
     rk4_step,
 )
@@ -211,3 +214,75 @@ def test_screen_reports_first_bad_node(entries, node):
         assert reason is None and np.array_equal(new, state)
     else:
         assert new is None and reason == "blowup" and detail == node
+
+
+# ------------------------------------------------------------- march_tube
+
+TUBE = build_grid(ChartSpec(n=2, x1_range=(-0.1, 0.2), h1=0.01, transverse_res=3))
+
+
+def tube_planes(xs, grid):
+    """Sources varying with x1 and node, shaped (len(xs), 1, N)."""
+    return np.cos(xs)[:, None, None] + grid.transverse_mesh()[0][None, None, :]
+
+
+def test_march_tube_veto_outranks_a_failing_source():
+    # the sources fail past |x1| = 0.04, where the rhs vetoes before it
+    # reads them, so the march stops on its own reason, not an error
+    def planes(xs, grid):
+        if np.any(np.abs(xs) > 0.04):
+            raise EvalError("source undefined")
+        return tube_planes(xs, grid)
+
+    def rhs(x, state, bank):
+        if abs(x) > 0.04:
+            raise StateRejected("degenerate", 2)
+        return bank.plane(x)
+
+    plus, minus, rgrid, _ = march_tube(rhs, TUBE, np.zeros((1, 3)), planes)
+    assert plus.stopped == minus.stopped == "degenerate"
+    assert plus.stop_detail == minus.stop_detail == 2
+    assert (plus.steps_done, minus.steps_done) == (3, 3)
+    assert rgrid.x1_samples[0] == -0.03 and rgrid.x1_samples[-1] == 0.03
+
+
+def half_key(x):
+    return int(round(x / 0.005))
+
+
+def keyed_planes(xs, grid):
+    """Sources that depend on x1 only through ``half_key``."""
+    keys = np.array([half_key(x) for x in xs], dtype=np.float64)
+    return tube_planes(0.005 * keys, grid)
+
+
+MARCHES = {
+    "plain": (False, None, tube_planes),
+    "record-half": (True, None, tube_planes),
+    "keyed": (False, half_key, keyed_planes),
+}
+
+
+@pytest.mark.parametrize("record_half, key, planes", MARCHES.values(), ids=MARCHES.keys())
+def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes):
+    read = []
+    banks = set()
+
+    def rhs(x, state, bank):
+        banks.add(bank)
+        plane = bank.plane(x)
+        read.append((x, plane))
+        return plane
+
+    plus, minus, _, whole = march_tube(
+        rhs, TUBE, np.zeros((1, 3)), planes, record_half=record_half, key=key
+    )
+    assert plus.stopped is None and minus.stopped is None
+    assert whole.shape == (TUBE.shape[0], 1, 3)
+    assert (plus.half_states is not None) == record_half
+    # one bank serves both directions, and it planned every x asked
+    (bank,) = banks
+    assert bank.misses == 0
+    assert len(read) == (8 if record_half else 4) * (TUBE.shape[0] - 1)
+    for x, plane in read:
+        assert np.array_equal(plane, planes(np.array([x]), TUBE)[0])

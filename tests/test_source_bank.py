@@ -16,7 +16,7 @@ import pytest
 
 import semigeo.connection_recon as connection_recon
 import semigeo.grid_field as grid_field
-import semigeo.metric_recon as metric_recon
+import semigeo.ode as ode
 from semigeo.cli import main, read_report
 from semigeo.connection_recon import (
     ConnectionCurvatureSpec,
@@ -258,8 +258,7 @@ def banks(monkeypatch):
             self.asked.append(x)
             return super().plane(x)
 
-    monkeypatch.setattr(metric_recon, "SourceBank", RecordingBank)
-    monkeypatch.setattr(connection_recon, "SourceBank", RecordingBank)
+    monkeypatch.setattr(ode, "SourceBank", RecordingBank)
     return made
 
 
