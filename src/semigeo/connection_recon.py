@@ -25,8 +25,9 @@ RK4 over all transverse nodes in lockstep.  Stage 1 additionally records
 fourth-order-accurate values at the step midpoints and hands stage 2 one
 array, ``Stage1Solution.fine``, on the half-step x1 lattice of its
 reached grid.  Before its march, stage 2 pads that array with
-Gamma^h_11 = 0 and takes its transverse derivatives once, so every RK4
-stage reads Gamma^h_m1 and d_k Gamma^h_i1 at its exact x1 by index,
+Gamma^h_11 = 0, takes its transverse derivatives and forms the
+state-free product Gamma^1_i1 Gamma^h_1k once, so every RK4 stage reads
+Gamma^h_m1, d_k Gamma^h_i1 and that product at its exact x1 by index,
 without losing order.  Blow-up stops a direction and the reached extent
 is reported as delta_hat for that direction (the minimum over transverse
 nodes).  Each stage's ``ode.march_tube`` reads the sources A ahead of the
@@ -151,8 +152,11 @@ def stage1_integrate(init, sources, spec, guards=None, grid=None):
     init.validate(grid)
     state0 = init.stage1_state0(grid)
 
+    # Gamma^h_1m with Gamma^h_11 = 0, refilled from each stage state
+    p = np.zeros((grid.n, grid.n) + state0.shape[2:])
+
     def rhs(x, u, bank):
-        p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
+        p[:, 1:] = u
         return -np.einsum("qb...,aq...->ab...", u, p) + bank.plane(x)
 
     plus, minus, rgrid, whole = march_tube(
@@ -199,6 +203,9 @@ def stage2_integrate(
     planes = fine.reshape(fine.shape[:3] + grid.transverse_shape)
     dk = np.stack([fd_transverse(planes, axis, grid) for axis in range(2, n + 1)], axis=3)
     dk = dk.reshape(fine.shape[:3] + (n - 1, -1))
+    if not omit_quadratic_cross_term:
+        # Gamma^m_i1 Gamma^h_mk with m = 1 is the only term free of the state
+        cross = np.einsum("zb...,zac...->zabc...", fine[:, 0], fine)
 
     def rhs(x, w, bank):
         a2 = bank.plane(x)
@@ -206,7 +213,7 @@ def stage2_integrate(
         u = fine[i]
         dw = -np.einsum("qbc...,aq...->abc...", w, p[i]) + dk[i] + a2
         if not omit_quadratic_cross_term:
-            dw = dw + np.einsum("b...,ac...->abc...", u[0], u)
+            dw = dw + cross[i]
             dw = dw + np.einsum("qb...,aqc...->abc...", u[1:], w)
         return mirror_upper(dw, axis=1)
 

@@ -15,6 +15,7 @@ Every input family's index layout is one row of FAMILIES, and
 ``Components.dense`` builds every dense input array from it.
 """
 
+import bisect
 import csv
 import functools
 import itertools
@@ -145,6 +146,13 @@ class TubeGrid:
             grids = np.meshgrid(*self.transverse_axes, indexing="ij")
             self._mesh_cache["flat"] = tuple(g.reshape(-1) for g in grids)
         return self._mesh_cache["flat"]
+
+    def coord_lists(self):
+        """Every axis's node coordinates (``axis_coords``) as Python floats."""
+        if "lists" not in self._mesh_cache:
+            axes = [self.axis_coords(axis) for axis in range(1, self.n + 1)]
+            self._mesh_cache["lists"] = tuple(a.tolist() for a in axes)
+        return self._mesh_cache["lists"]
 
     def contains(self, point):
         point = np.asarray(point, dtype=float)
@@ -320,15 +328,15 @@ def _in_range(coords, x):
 
 
 def _locate(coords, x):
-    """Cell index and fraction for query x on a sorted uniform axis."""
-    lo, hi = float(coords[0]), float(coords[-1])
+    """Cell index and fraction for query x on a sorted uniform axis (a list)."""
+    lo, hi = coords[0], coords[-1]
     if not _in_range(coords, x):
         raise OutOfDomain(f"coordinate {x} outside [{lo}, {hi}]")
     x = min(max(x, lo), hi)
-    i = int(np.searchsorted(coords, x, side="right")) - 1
+    i = bisect.bisect_right(coords, x) - 1
     i = min(max(i, 0), len(coords) - 2)
     t = (x - coords[i]) / (coords[i + 1] - coords[i])
-    return i, float(min(max(t, 0.0), 1.0))
+    return i, min(max(t, 0.0), 1.0)
 
 
 def _lerp(planes, coords, x):
@@ -356,12 +364,24 @@ def interpolate(values, grid, point):
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (grid.n,):
         raise OutOfDomain(f"point must have {grid.n} coordinates")
-    lead = values.ndim - grid.n
-    # grid axes first, so each linear step reduces the leading axis
-    out = np.moveaxis(values, range(lead), range(-lead, 0))
-    for axis in range(1, grid.n + 1):
-        out = _lerp(out, grid.axis_coords(axis), float(point[axis - 1]))
-    return float(out) if lead == 0 else np.array(out)
+    # the corner block: one node on an axis the point lies on, two otherwise
+    corner = [Ellipsis]
+    fractions = []
+    for coords, x in zip(grid.coord_lists(), point.tolist()):
+        i, t = _locate(coords, x)
+        if t == 0.0:
+            corner.append(i)
+        elif t == 1.0:
+            corner.append(i + 1)
+        else:
+            corner.append(slice(i, i + 2))
+            fractions.append(t)
+    out = values[tuple(corner)]
+    # the block's cell axes trail in axis order: reduce the first of them
+    for k, t in enumerate(fractions):
+        rest = (slice(None),) * (len(fractions) - 1 - k)
+        out = out[(Ellipsis, 0) + rest] * (1.0 - t) + out[(Ellipsis, 1) + rest] * t
+    return float(out) if values.ndim == grid.n else np.array(out)
 
 
 # -------------------------------------------------------------- tensor tubes
@@ -504,7 +524,7 @@ class SampledField:
     def on_transverse(self, x1, grid):
         if grid.transverse_shape != self.grid.transverse_shape:
             raise InvalidSpec("sampled field queried on a different transverse lattice")
-        return _lerp(self.values, self.grid.x1_samples, float(x1)).reshape(-1)
+        return _lerp(self.values, self.grid.coord_lists()[0], float(x1)).reshape(-1)
 
     def on_planes(self, xs, grid):
         """``on_transverse`` at every x1 of ``xs``, shaped (len(xs), N)."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,30 @@ class TestShooting:
         assert np.max(np.abs(err.curve.points)) <= 0.432
         assert np.array_equal(err.exit_point, err.curve.points[-1])
         assert np.allclose(err.curve.velocities, [0.25, 0.1], rtol=0, atol=1e-15)
+
+    @staticmethod
+    def shoot_out(conn, steps):
+        """A shot asked for ``steps`` steps of 0.1 that leaves in its first."""
+        with pytest.raises(LeftDomain) as exc:
+            geodesic_shoot(conn, (0.45, 0.5), (1.0, 0.0), steps * 0.1, 0.1)
+        return exc.value
+
+    def test_a_long_shot_that_leaves_at_once_allocates_little(self):
+        grid = build_grid(ChartSpec(n=2, x1_range=(-0.5, 0.5), h1=0.05, transverse_res=5))
+        conn = ConnectionField.from_fields(grid, {})
+        short = self.shoot_out(conn, 10)
+        tracemalloc.start()
+        try:
+            long = self.shoot_out(conn, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # listing every step start ahead of the march peaked at 32.5 MB
+        assert peak < 2**20
+        assert str(long) == str(short) == "geodesic left the tube within step 1"
+        assert long.exit_point.tobytes() == short.exit_point.tobytes()
+        for name in ("s", "points", "velocities"):
+            assert getattr(long.curve, name).tobytes() == getattr(short.curve, name).tobytes()
 
     def test_start_state_validation(self, sphere_conn):
         with pytest.raises(OutOfDomain):

@@ -7,12 +7,15 @@ from semigeo.connection_recon import (
     HypersurfaceConnectionData,
     ReconstructionReport,
     Stage1Solution,
+    _half_key,
     reconstruct_connection,
     stage1_integrate,
     stage2_integrate,
 )
 from semigeo.errors import InvalidInit, InvalidSpec
-from semigeo.grid_field import ChartSpec, TensorTube, build_grid
+from semigeo.grid_field import ChartSpec, TensorTube, build_grid, fd_transverse
+from semigeo.linalg import mirror_upper
+from semigeo.ode import GuardConfig, march_report, march_tube, tube_dense
 
 
 def sphere_inputs():
@@ -158,6 +161,74 @@ class TestStages:
         assert report.complete
         assert tube2.name == "gamma2" and tube2.first == (1, 2, 2)
         assert np.array_equal(tube2.component(1, 3, 2), tube2.component(1, 2, 3))
+
+
+def reference_stages(init, sources, spec, guards2):
+    """Both stages as they were before their products were hoisted.
+
+    Stage 1 pads its state with Gamma^h_11 = 0 by a concatenate in every
+    rhs call; stage 2, marched with ``guards2``, evaluates its state-free
+    cross term there too.  Returns (stage-1 fine array, gamma2 dense
+    array, stage-2 report).
+    """
+    grid = build_grid(spec)
+
+    def rhs1(x, u, bank):
+        p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
+        return -np.einsum("qb...,aq...->ab...", u, p) + bank.plane(x)
+
+    plus, minus, grid, whole = march_tube(
+        rhs1, grid, init.stage1_state0(grid), sources.stage1_planes, record_half=True
+    )
+    fine = np.empty((2 * len(whole) - 1,) + whole.shape[1:])
+    fine[0::2] = whole
+    fine[1::2] = np.concatenate([minus.half_states[::-1], plus.half_states])
+
+    n, h1, k0 = grid.n, grid.spacing(1), 2 * grid.zero_index
+    p = np.concatenate([np.zeros_like(fine[:, :, :1]), fine], axis=2)
+    planes = fine.reshape(fine.shape[:3] + grid.transverse_shape)
+    dk = np.stack([fd_transverse(planes, axis, grid) for axis in range(2, n + 1)], axis=3)
+    dk = dk.reshape(fine.shape[:3] + (n - 1, -1))
+
+    def rhs2(x, w, bank):
+        a2 = bank.plane(x)
+        i = _half_key(x, h1) + k0
+        u = fine[i]
+        dw = -np.einsum("qbc...,aq...->abc...", w, p[i]) + dk[i] + a2
+        dw = dw + np.einsum("b...,ac...->abc...", u[0], u)
+        dw = dw + np.einsum("qb...,aqc...->abc...", u[1:], w)
+        return mirror_upper(dw, axis=1)
+
+    plus, minus, rgrid, whole = march_tube(
+        rhs2,
+        grid,
+        init.stage2_state0(grid),
+        sources.stage2_planes,
+        guards2,
+        key=lambda x: _half_key(x, h1),
+    )
+    return fine, tube_dense(whole, rgrid), march_report(grid, rgrid, plus, minus, whole)
+
+
+# stage 2 grows from 0.305 at x1 = 0 to 0.355 at x1 = 0.5, so a 0.33
+# threshold stops its plus march part way
+@pytest.mark.parametrize("guards2", [None, GuardConfig(blowup_threshold=0.33)], ids=["complete", "stopped"])
+def test_hoisted_stage_products_keep_the_bits(guards2):
+    init_c, src_c, _, _ = orc.connection_scenario(3, 3, scale=0.2)
+    init = HypersurfaceConnectionData(3, init_c)
+    src = ConnectionCurvatureSpec(3, src_c)
+    spec = ChartSpec(
+        n=3, x1_range=(-0.3, 0.5), h1=0.02, transverse_box=((0, 1), (0, 1)), transverse_res=5
+    )
+    fine, gamma2, report2 = reference_stages(init, src, spec, guards2)
+    sol, _ = stage1_integrate(init, src, spec)
+    tube2, report = stage2_integrate(sol, init, src, spec, guards=guards2)
+    assert sol.fine.tobytes() == fine.tobytes()
+    assert tube2.dense.tobytes() == gamma2.tobytes()
+    assert report == report2
+    assert report.complete == (guards2 is None)
+    # the cross term is not negligible here
+    assert np.max(np.abs(fine[:, 0])) > 0.01
 
 
 class TestStops:

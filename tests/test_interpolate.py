@@ -1,0 +1,174 @@
+"""``interpolate`` against the moveaxis interpolation it replaces, bit for bit.
+
+``interpolate`` locates each axis with ``bisect`` on the grid's cached
+coordinate lists, slices the 2^n corner block and reduces it axis by
+axis.  The reference below is the implementation it replaced: the grid
+axes moved in front of the tensor axes, then one linear step per axis,
+each located with ``np.searchsorted``.  Both must give the same bytes at
+every point of the tube and the same OutOfDomain message outside it.
+"""
+
+import numpy as np
+import pytest
+
+from semigeo.errors import OutOfDomain
+from semigeo.grid_field import ChartSpec, build_grid, interpolate
+
+# ------------------------------------------------------------ the reference
+
+
+def reference_in_range(coords, x):
+    lo, hi = float(coords[0]), float(coords[-1])
+    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+    return lo - pad <= x <= hi + pad
+
+
+def reference_locate(coords, x):
+    lo, hi = float(coords[0]), float(coords[-1])
+    if not reference_in_range(coords, x):
+        raise OutOfDomain(f"coordinate {x} outside [{lo}, {hi}]")
+    x = min(max(x, lo), hi)
+    i = int(np.searchsorted(coords, x, side="right")) - 1
+    i = min(max(i, 0), len(coords) - 2)
+    t = (x - coords[i]) / (coords[i + 1] - coords[i])
+    return i, float(min(max(t, 0.0), 1.0))
+
+
+def reference_lerp(planes, coords, x):
+    i, t = reference_locate(coords, x)
+    if t == 0.0:
+        return planes[i]
+    if t == 1.0:
+        return planes[i + 1]
+    return planes[i] * (1.0 - t) + planes[i + 1] * t
+
+
+def reference_interpolate(values, grid, point):
+    values = np.asarray(values, dtype=np.float64)
+    point = np.asarray(point, dtype=np.float64)
+    if point.shape != (grid.n,):
+        raise OutOfDomain(f"point must have {grid.n} coordinates")
+    lead = values.ndim - grid.n
+    out = np.moveaxis(values, range(lead), range(-lead, 0))
+    for axis in range(1, grid.n + 1):
+        out = reference_lerp(out, grid.axis_coords(axis), float(point[axis - 1]))
+    return float(out) if lead == 0 else np.array(out)
+
+
+# ------------------------------------------------------------------- inputs
+
+GRIDS = {
+    2: dict(x1_range=(-0.5, 0.25), h1=0.125, transverse_res=5, transverse_box=((-1.0, 3.0),)),
+    3: dict(x1_range=(-0.3, 0.3), h1=0.1, transverse_res=(3, 4)),
+    4: dict(x1_range=(0.0, 0.5), h1=0.25, transverse_res=3, transverse_box=((0, 1), (-2, 5), (1, 1.5))),
+}
+
+
+def grid_of(n):
+    return build_grid(ChartSpec(n=n, **GRIDS[n]))
+
+
+def block(grid, slots, seed):
+    """Values of many magnitudes; a quarter are -0.0 and a few inf or nan.
+
+    A corner weighted by 0 still shows in the bits there (0 * inf is nan,
+    0.0 + -0.0 is 0.0), so skipping a node-aligned axis is observable.
+    """
+    rng = np.random.default_rng(seed)
+    shape = tuple(slots) + grid.shape
+    out = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    flat = out.reshape(-1)
+    flat[rng.random(flat.size) < 0.25] = -0.0
+    flat[rng.integers(flat.size, size=3)] = [np.inf, -np.inf, np.nan]
+    return out
+
+
+def inside_points(grid, seed):
+    """Random interior points, nodes, cell faces and points in the 1e-12 pad."""
+    rng = np.random.default_rng(seed)
+    axes = [grid.axis_coords(a) for a in range(1, grid.n + 1)]
+    lo = np.array([a[0] for a in axes])
+    hi = np.array([a[-1] for a in axes])
+    pad = 1e-12 * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
+    points = list(lo + (hi - lo) * rng.random((20, grid.n)))
+    for k in range(6):
+        # a node on every axis, then one axis moved onto a cell face from below
+        node = np.array([a[rng.integers(len(a))] for a in axes])
+        points.append(node)
+        moved = node.copy()
+        axis = k % grid.n
+        moved[axis] = np.nextafter(axes[axis][1 + k % (len(axes[axis]) - 1)], -np.inf)
+        points.append(moved)
+        points.append(np.where(rng.random(grid.n) < 0.5, lo, hi))
+    points.append(lo - 0.5 * pad)
+    points.append(hi + 0.5 * pad)
+    points.append(np.where(np.arange(grid.n) % 2 == 0, lo - 0.5 * pad, hi + 0.5 * pad))
+    return points
+
+
+def outside_points(grid):
+    axes = [grid.axis_coords(a) for a in range(1, grid.n + 1)]
+    mid = np.array([0.5 * (a[0] + a[-1]) for a in axes])
+    points = []
+    for axis in range(grid.n):
+        for x in (axes[axis][0] - 1e-9, axes[axis][-1] + 1.0, np.nan, np.inf):
+            p = mid.copy()
+            p[axis] = x
+            points.append(p)
+    points.append(np.full(grid.n, -np.inf))
+    return points
+
+
+SLOTS = {"scalar": (), "vector": (3,), "tensor": (2, 2, 2)}
+
+
+def same(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# -------------------------------------------------------------------- tests
+
+
+@pytest.mark.parametrize("slots", SLOTS.values(), ids=SLOTS.keys())
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_interpolate_matches_moveaxis_reference(n, slots):
+    grid = grid_of(n)
+    values = block(grid, slots, seed=n)
+    # inf - inf and 0 * inf are nan in both, with the same warning
+    with np.errstate(invalid="ignore"):
+        for point in inside_points(grid, seed=10 + n):
+            same(interpolate(values, grid, point), reference_interpolate(values, grid, point))
+
+
+@pytest.mark.parametrize("slots", SLOTS.values(), ids=SLOTS.keys())
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_interpolate_raises_the_reference_message_outside(n, slots):
+    grid = grid_of(n)
+    values = block(grid, slots, seed=n)
+    for point in outside_points(grid) + [np.zeros(n + 1), np.zeros((1, n))]:
+        with pytest.raises(OutOfDomain) as want:
+            reference_interpolate(values, grid, point)
+        with pytest.raises(OutOfDomain) as got:
+            interpolate(values, grid, point)
+        assert str(got.value) == str(want.value)
+
+
+def test_the_points_reach_every_case():
+    """The inputs hit cell faces from both sides, interior cells and the pad."""
+    grid = grid_of(3)
+    fractions = set()
+    for point in inside_points(grid, seed=13):
+        for axis in range(1, grid.n + 1):
+            _, t = reference_locate(grid.axis_coords(axis), float(point[axis - 1]))
+            fractions.add("0" if t == 0.0 else "1" if t == 1.0 else "inside")
+    assert fractions == {"0", "1", "inside"}
+
+
+def test_tensor_result_is_a_new_array():
+    grid = grid_of(2)
+    values = block(grid, (2,), seed=1)
+    node = [grid.axis_coords(1)[2], grid.axis_coords(2)[1]]
+    got = interpolate(values, grid, node)
+    got[0] = 7.0
+    assert values[0, 2, 1] != 7.0

@@ -216,6 +216,70 @@ def test_screen_reports_first_bad_node(entries, node):
         assert new is None and reason == "blowup" and detail == node
 
 
+# ------------------------------------------------- k1 shared by both steps
+
+
+def reference_record_half_march(rhs, x0, h, n_steps, state0):
+    """The record_half march with the rhs evaluated at (x, state) by each step.
+
+    Returns (states, half_states, stopped, detail), as ``rk4_march`` did
+    before the half and the whole step shared their first stage.
+    """
+    guards = GuardConfig()
+    state = np.array(state0, dtype=np.float64)
+    states, halves = [state], []
+    for i in range(n_steps):
+        x = x0 + i * h
+        try:
+            mid, stopped, detail = rk4_step(rhs, x, 0.5 * h, state, guards)
+            if mid is None:
+                return np.array(states), np.array(halves), stopped or "blowup", detail
+            new, stopped, detail = rk4_step(rhs, x, h, state, guards)
+        except StateRejected as stop:
+            return np.array(states), np.array(halves), stop.reason, stop.detail
+        if new is None:
+            return np.array(states), np.array(halves), stopped, detail
+        halves.append(mid)
+        states.append(new)
+        state = new
+    return np.array(states), np.array(halves), None, None
+
+
+# 6 * 0.1 is the start of step 6 and, unlike most step starts, not equal
+# to 5 * 0.1 + 0.1, the end stage of step 5; so only the first call of
+# step 6 sees it
+VETO_X = 6 * 0.1
+
+
+def veto_at_a_step_start(x, s):
+    if x == VETO_X:
+        raise StateRejected("degenerate", 4)
+    return np.cos(3.0 * x) * s - 0.5 * s**3 + x
+
+
+SHARED_K1 = {
+    "smooth": (lambda x, s: np.cos(3.0 * x) * s - 0.5 * s**3 + x, 0.05, 40, None, 40),
+    "pole": (lambda x, s: s**2 + x, 0.05, 400, "blowup", None),
+    "veto-at-a-step-start": (veto_at_a_step_start, 0.1, 20, "degenerate", 6),
+}
+
+
+@pytest.mark.parametrize("rhs, h, n_steps, stopped, done", SHARED_K1.values(), ids=SHARED_K1.keys())
+def test_record_half_shares_k1_bit_for_bit(rhs, h, n_steps, stopped, done):
+    state0 = np.linspace(0.2, 0.9, 10).reshape(2, 5)
+    got = rk4_march(rhs, 0.0, h, n_steps, state0, record_half=True)
+    states, halves, want_stop, want_detail = reference_record_half_march(
+        rhs, 0.0, h, n_steps, state0
+    )
+    assert got.stopped == want_stop == stopped
+    assert got.stop_detail == want_detail
+    if done is not None:
+        assert got.steps_done == done
+    assert got.states.tobytes() == states.tobytes()
+    assert got.half_states.tobytes() == halves.tobytes()
+    assert got.half_states.shape == (got.steps_done, 2, 5)
+
+
 # ------------------------------------------------------------- march_tube
 
 TUBE = build_grid(ChartSpec(n=2, x1_range=(-0.1, 0.2), h1=0.01, transverse_res=3))
@@ -283,6 +347,6 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes):
     # one bank serves both directions, and it planned every x asked
     (bank,) = banks
     assert bank.misses == 0
-    assert len(read) == (8 if record_half else 4) * (TUBE.shape[0] - 1)
+    assert len(read) == (7 if record_half else 4) * (TUBE.shape[0] - 1)
     for x, plane in read:
         assert np.array_equal(plane, planes(np.array([x]), TUBE)[0])

@@ -292,7 +292,7 @@ class TestExactKeys:
         _, report = band_connection(chart)
         assert report.complete
         stage1, stage2 = banks
-        assert len(stage1.asked) == 8 * 4000  # record_half: two RK4 steps per step
+        assert len(stage1.asked) == 7 * 4000  # record_half: two RK4 steps sharing k1
         assert len(stage2.asked) == 4 * 4000
         assert stage1.misses == 0 and stage2.misses == 0
 
