@@ -213,7 +213,6 @@ def _run_forward(cfg, grid, out):
 
 
 def _reconstruct_metric(cfg, chart):
-    grid = build_grid(chart)
     fields = cfg.fields
     init = HypersurfaceMetricData(chart.n, g=fields.get("gtilde"), g1=fields.get("Gtilde"))
     sources = MetricCurvatureSpec(chart.n, fields.get("a"))
@@ -223,19 +222,15 @@ def _reconstruct_metric(cfg, chart):
         chart.e,
         chart,
         guards=cfg.tolerances.guards(),
-        grid=grid,
         degeneracy_tol=cfg.tolerances.degeneracy_tol,
     )
     return metric, report, sources
 
 
 def _reconstruct_connection(cfg, chart):
-    grid = build_grid(chart)
     init = HypersurfaceConnectionData(chart.n, cfg.fields.get("gammatilde"))
     sources = ConnectionCurvatureSpec(chart.n, cfg.fields.get("A"))
-    conn, report = reconstruct_connection(
-        init, sources, chart, guards=cfg.tolerances.guards(), grid=grid
-    )
+    conn, report = reconstruct_connection(init, sources, chart, guards=cfg.tolerances.guards())
     return conn, report, sources
 
 
@@ -303,10 +298,11 @@ def _run_check_chart(cfg, grid, out):
             worst = 0.0
             v0 = np.zeros(grid.n)
             v0[0] = 1.0
+            guards = cfg.tolerances.guards()
             for rank, flat in enumerate(picks, start=1):
                 x0 = np.array([0.0] + [float(m[flat]) for m in mesh])
                 try:
-                    curve = geodesic_shoot(conn, x0, v0, s_max, step)
+                    curve = geodesic_shoot(conn, x0, v0, s_max, step, guards=guards)
                 except LeftDomain as stop:
                     curve = stop.curve
                 write_curve_dump(out / f"curve_{rank}.csv", curve)
@@ -336,9 +332,8 @@ def run(cfg, mode, out):
 
 
 def _run_mode(cfg, mode, out):
-    grid = build_grid(cfg.chart)
     if mode == "forward":
-        return _run_forward(cfg, grid, out)
+        return _run_forward(cfg, build_grid(cfg.chart), out)
     if mode in ("reconstruct-metric", "roundtrip-metric"):
         tol = cfg.tolerances.degeneracy_tol
         residual_of = None
@@ -350,7 +345,7 @@ def _run_mode(cfg, mode, out):
         return _run_reconstruction(
             cfg, out, mode, _reconstruct_connection, residual_of, "connection.csv"
         )
-    return _run_check_chart(cfg, grid, out)
+    return _run_check_chart(cfg, build_grid(cfg.chart), out)
 
 
 def main(argv=None):

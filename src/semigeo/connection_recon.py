@@ -64,12 +64,9 @@ class HypersurfaceConnectionData:
         self.n = n
         self._fields = Components("gammatilde", n, components)
 
-    def _box(self, grid, lo, hi=None):
-        return self._fields.dense(grid.transverse_mesh()[0].shape, lambda f: f.plane(grid), lo, hi)
-
     def validate(self, grid):
         """Check the Gamma^h_11 = 0 invariant at the transverse nodes."""
-        axial = self._box(grid, (1, 1, 1), (self.n, 1, 1))[:, 0, 0]
+        axial = self._fields.on_hypersurface(grid, (1, 1, 1), (self.n, 1, 1))[:, 0, 0]
         for h, values in enumerate(axial, start=1):
             if np.any(values != 0.0):
                 raise InvalidInit(
@@ -78,10 +75,10 @@ class HypersurfaceConnectionData:
                 )
 
     def stage1_state0(self, grid):
-        return self._box(grid, (1, 1, 2), (self.n, 1, self.n))[:, 0]
+        return self._fields.on_hypersurface(grid, (1, 1, 2), (self.n, 1, self.n))[:, 0]
 
     def stage2_state0(self, grid):
-        return self._box(grid, (1, 2, 2))
+        return self._fields.on_hypersurface(grid, (1, 2, 2))
 
 
 class ConnectionCurvatureSpec:
@@ -111,7 +108,7 @@ class ConnectionCurvatureSpec:
 
     def dense_on(self, grid):
         """All prescribed values over a grid, shaped (n, n, n-1, *grid.shape)."""
-        return self._fields.dense(grid.shape, lambda f: f.on_grid(grid))
+        return self._fields.on_grid(grid)
 
 
 # --------------------------------------------------------------- stage plumbing
@@ -208,8 +205,9 @@ def stage2_integrate(
         cross = np.einsum("zb...,zac...->zabc...", fine[:, 0], fine)
 
     def rhs(x, w, bank):
-        a2 = bank.plane(x)
-        i = _half_key(x, h1) + k0
+        key = _half_key(x, h1)
+        a2 = bank.plane(x, key)
+        i = key + k0
         u = fine[i]
         dw = -np.einsum("qbc...,aq...->abc...", w, p[i]) + dk[i] + a2
         if not omit_quadratic_cross_term:

@@ -41,8 +41,7 @@ class MetricField(TensorTube):
     @classmethod
     def from_fields(cls, grid, components, e=1):
         """Build from {(i, j): expression/field}, either order, missing -> 0."""
-        fields = Components("g", grid.n, components)
-        return cls(grid, fields.dense(grid.shape, lambda f: f.on_grid(grid)), e=e)
+        return cls(grid, Components("g", grid.n, components).on_grid(grid), e=e)
 
     @classmethod
     def semigeodesic(cls, grid, transverse_dense, e=1):
@@ -92,8 +91,7 @@ class ConnectionField(TensorTube):
     @classmethod
     def from_fields(cls, grid, components):
         """Build from {(h, i, j): expression/field}, either (i, j) order, missing -> 0."""
-        fields = Components("gamma", grid.n, components)
-        return cls(grid, fields.dense(grid.shape, lambda f: f.on_grid(grid)))
+        return cls(grid, Components("gamma", grid.n, components).on_grid(grid))
 
     def at(self, point):
         return mirror_upper(super().at(point), 1)

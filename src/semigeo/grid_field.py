@@ -11,8 +11,12 @@ derivative).
 Every tensor on the tube (metric, connection, curvature and their
 parts) is a TensorTube: one dense array with the tensor slots leading
 and the grid axes trailing, which the dump writer reads directly.
-Every input family's index layout is one row of FAMILIES, and
-``Components.dense`` builds every dense input array from it.
+Every input family's index layout is one row of FAMILIES.  An input
+field is read one way only, ``on_planes(xs, grid)``: its values at each
+x1 of ``xs`` over the flattened transverse lattice.  ``Components.dense``
+makes every such read and builds every dense input array from it: the
+source planes a march reads, the data on the hypersurface x1 = 0, and
+a field over the whole lattice.
 """
 
 import bisect
@@ -447,19 +451,11 @@ class TensorTube:
 # ------------------------------------------------------------- scalar fields
 
 
-def _eval_labelled(expr, coords, label):
-    """eval_field_on with ``label`` prefixed to any EvalError message."""
-    try:
-        return eval_field_on(expr, coords)
-    except EvalError as err:
-        raise EvalError(f"{label}: {err}") from err
-
-
 class ExpressionField:
     """Scalar field backed by a parsed expression over x1..xn.
 
     ``what`` names the field in evaluation errors, followed by the x1
-    position when one plane fails.
+    values of the read that failed.
     """
 
     def __init__(self, expr, n, what="expression"):
@@ -467,44 +463,35 @@ class ExpressionField:
         self.n = n
         self.what = what
 
-    def on_transverse(self, x1, grid):
-        """Values over all transverse nodes (flattened) at axial position x1."""
-        mesh = grid.transverse_mesh()
-        label = f"{self.what} at x1 = {float(x1)!r}"
-        out = _eval_labelled(self.expr, (np.float64(x1),) + mesh, label)
-        return np.broadcast_to(out, mesh[0].shape).astype(np.float64, copy=False)
-
     def on_planes(self, xs, grid):
-        """``on_transverse`` at every x1 of ``xs`` at once, shaped (len(xs), N).
+        """Values at every x1 of ``xs`` over the flattened transverse lattice.
 
-        One evaluation over ``xs[:, None]`` against the transverse mesh,
-        bit for bit the per-plane values: every operation is elementwise
-        and numeric literals stay scalars.  An error names the x1 when
-        ``xs`` holds one value, else the range.
+        Shaped (len(xs), N).  One evaluation over ``xs[:, None]`` against
+        the transverse mesh: every operation is elementwise and numeric
+        literals stay scalars, so each value has the bits of evaluating
+        its node alone.  An error names the x1 when ``xs`` holds one
+        value, else the range.
         """
         xs = np.asarray(xs, dtype=np.float64)
         mesh = grid.transverse_mesh()
-        if len(xs) == 1:
-            label = f"{self.what} at x1 = {float(xs[0])!r}"
-        else:
-            label = f"{self.what} at x1 in [{float(xs.min())!r}, {float(xs.max())!r}]"
         coords = (xs[:, None],) + tuple(m[None, :] for m in mesh)
-        out = _eval_labelled(self.expr, coords, label)
+        try:
+            out = eval_field_on(self.expr, coords)
+        except EvalError as err:
+            if len(xs) == 1:
+                where = f"at x1 = {float(xs[0])!r}"
+            else:
+                where = f"at x1 in [{float(xs.min())!r}, {float(xs.max())!r}]"
+            raise EvalError(f"{self.what} {where}: {err}") from err
         return np.broadcast_to(out, (len(xs),) + mesh[0].shape).astype(np.float64, copy=False)
-
-    def on_grid(self, grid):
-        x1 = grid.x1_samples.reshape((-1,) + (1,) * (grid.n - 1))
-        mesh = np.meshgrid(*grid.transverse_axes, indexing="ij")
-        coords = (x1,) + tuple(m[np.newaxis] for m in mesh)
-        out = _eval_labelled(self.expr, coords, self.what)
-        return np.broadcast_to(out, grid.shape).astype(np.float64, copy=False)
 
 
 class SampledField:
     """Scalar field given by node samples, multilinear between nodes.
 
-    ``on_transverse`` interpolates linearly between x1 planes, so the RK4
-    stage planes at half steps are second-order values: a march driven by
+    ``on_planes`` interpolates linearly between the sampled x1 planes, on
+    any grid with the samples' transverse lattice.  So the RK4 stage
+    planes at half steps are second-order values: a march driven by
     sampled sources converges at second order in h1, not fourth.  On the
     sphere metric (a = -cos(x1)^2, h1 = 0.02, 0.01, 0.005) the
     expression source gave errors of 3.6e-9, 2.2e-10, 1.3e-11 and the
@@ -521,73 +508,59 @@ class SampledField:
     def at(self, point):
         return interpolate(self.values, self.grid, point)
 
-    def on_transverse(self, x1, grid):
+    def on_planes(self, xs, grid):
+        """The samples lerped to every x1 of ``xs``, shaped (len(xs), N)."""
         if grid.transverse_shape != self.grid.transverse_shape:
             raise InvalidSpec("sampled field queried on a different transverse lattice")
-        return _lerp(self.values, self.grid.coord_lists()[0], float(x1)).reshape(-1)
+        coords = self.grid.coord_lists()[0]
+        return np.array([_lerp(self.values, coords, float(x1)).reshape(-1) for x1 in xs])
+
+
+class _HypersurfaceSamples:
+    """Hypersurface data given as node samples of the transverse lattice."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
 
     def on_planes(self, xs, grid):
-        """``on_transverse`` at every x1 of ``xs``, shaped (len(xs), N)."""
-        return np.array([self.on_transverse(x1, grid) for x1 in xs])
+        """The samples at every x1 of ``xs``, shaped (len(xs), N)."""
+        if self.values.shape != grid.transverse_shape:
+            raise InvalidInit(
+                f"sampled hypersurface data shape {self.values.shape} does not "
+                f"match the transverse lattice {grid.transverse_shape}"
+            )
+        return np.broadcast_to(self.values.reshape(-1), (len(xs), self.values.size))
 
-    def on_grid(self, grid):
-        if grid.shape != self.grid.shape:
-            raise InvalidSpec("sampled field queried on a different grid")
-        return self.values
 
+def as_field(value, n, what, hypersurface=False):
+    """Coerce an expression string, FieldExpr, field object or samples to a field.
 
-def as_field(value, n, what):
-    """Coerce an expression string, FieldExpr or field object to a field.
-
-    Strings are parsed over x1..xn; ExpressionField and SampledField pass
-    through.  Anything else raises InvalidSpec prefixed with ``what``, and
-    an expression built here names ``what`` in its evaluation errors.
+    Strings are parsed over x1..xn, and an expression built here names
+    ``what`` in its evaluation errors.  A tube field (``hypersurface``
+    false) may also be an ExpressionField or SampledField, which pass
+    through; anything else raises InvalidSpec prefixed with ``what``.
+    Hypersurface data may not use x1 (InvalidInit), a given
+    ExpressionField is relabelled with ``what``, and any other value is
+    an array of transverse node samples, shape-checked when read.
     """
     if isinstance(value, str):
         value = parse_field(value, n)
+    if hypersurface and isinstance(value, ExpressionField):
+        value = value.expr
     if isinstance(value, FieldExpr):
-        return ExpressionField(value, n, what)
-    if isinstance(value, (ExpressionField, SampledField)):
-        return value
-    raise InvalidSpec(f"{what}: cannot interpret {value!r} as a scalar field")
-
-
-class TransverseField:
-    """Scalar data on the hypersurface: expression in x2..xn or node samples.
-
-    ``what`` prefixes validation and evaluation errors.
-    """
-
-    def __init__(self, value, n, what):
-        self.n = n
-        self.what = what
-        if isinstance(value, str):
-            value = parse_field(value, n)
-        if isinstance(value, ExpressionField):
-            value = value.expr
-        if isinstance(value, FieldExpr):
+        if hypersurface:
             try:
                 uses_x1 = 1 in variables(value)
             except EvalError as err:
                 raise EvalError(f"{what}: {err}") from err
             if uses_x1:
                 raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
-            self.expr = value
-            self.samples = None
-        else:
-            self.expr = None
-            self.samples = np.asarray(value, dtype=np.float64)
-
-    def plane(self, grid):
-        """Values over the flattened transverse lattice."""
-        if self.expr is not None:
-            return ExpressionField(self.expr, self.n, self.what).on_transverse(0.0, grid)
-        if self.samples.shape != grid.transverse_shape:
-            raise InvalidInit(
-                f"sampled hypersurface data shape {self.samples.shape} does not "
-                f"match the transverse lattice {grid.transverse_shape}"
-            )
-        return self.samples.reshape(-1)
+        return ExpressionField(value, n, what)
+    if hypersurface:
+        return _HypersurfaceSamples(value)
+    if isinstance(value, (ExpressionField, SampledField)):
+        return value
+    raise InvalidSpec(f"{what}: cannot interpret {value!r} as a scalar field")
 
 
 # ---------------------------------------------------------- tensor families
@@ -599,8 +572,9 @@ class Family:
 
     ``first`` is the lowest 1-based index of each slot (the highest is
     n); ``sym`` is the symmetric slot pair or None; ``hypersurface``
-    families hold TransverseField data on x1 = 0, the others tube fields
-    (``as_field``); ``error`` is the exception their index errors raise.
+    families hold data on x1 = 0, which ``as_field`` coerces by its
+    hypersurface rules, the others tube fields; ``error`` is the
+    exception their index errors raise.
     """
 
     first: tuple
@@ -642,13 +616,15 @@ class Components:
 
     ``values`` maps 1-based index tuples to field values.  Out-of-range
     indices and a symmetric component given in both orderings raise the
-    family's exception; each value becomes a field labelled
-    ``f"{family}{key}"``.  Components not given are 0.
+    family's exception; each value becomes an ``as_field`` field labelled
+    ``f"{family}{key}"``, by the hypersurface rules when the family's row
+    says so.  Components not given are 0.  Every read of an input field
+    is one ``on_planes`` call from ``dense``; ``planes``,
+    ``on_hypersurface`` and ``on_grid`` lay its result out.
     """
 
     def __init__(self, family, n, values):
         fam = FAMILIES[family]
-        wrap = TransverseField if fam.hypersurface else as_field
         fields = {}
         for idx, value in (values or {}).items():
             idx = tuple(int(i) for i in idx)
@@ -658,23 +634,25 @@ class Components:
             key = fam.canonical(idx)
             if key in fields:
                 raise fam.error(f"{family}{key} given in both orderings")
-            fields[key] = wrap(value, n, f"{family}{key}")
+            fields[key] = as_field(value, n, f"{family}{key}", fam.hypersurface)
         self.layout = fam
         self.n = n
         self.fields = dict(sorted(fields.items()))
 
-    def dense(self, trailing, values_of, lo=None, hi=None):
-        """Components over the index box ``lo``..``hi`` as one array.
+    def dense(self, xs, grid, lo=None, hi=None):
+        """Components over the index box ``lo``..``hi`` at each x1 of ``xs``.
 
-        The box defaults to ``first``..n per slot; the array has one axis
-        per slot (entry 0 is index ``lo``), then ``trailing``.
-        ``values_of(field)`` is called once per given component with an
-        ordering inside the box, in index order, and its values are
+        The box defaults to ``first``..n per slot.  The array has one axis
+        per slot (entry 0 is index ``lo``), then one per x1 of ``xs``,
+        then the flattened transverse lattice: (*box, len(xs), N).  Each
+        given component with an ordering inside the box is read once, in
+        index order, with ``on_planes(xs, grid)``, and its values are
         written to every such ordering.
         """
         lo = self.layout.first if lo is None else tuple(lo)
         hi = (self.n,) * len(lo) if hi is None else tuple(hi)
-        out = np.zeros(tuple(b - a + 1 for a, b in zip(lo, hi)) + tuple(trailing))
+        box = tuple(b - a + 1 for a, b in zip(lo, hi))
+        out = np.zeros(box + (len(xs), math.prod(grid.transverse_shape)))
         for key, fld in self.fields.items():
             inside = [
                 tuple(i - a for i, a in zip(idx, lo))
@@ -682,16 +660,23 @@ class Components:
                 if all(a <= i <= b for a, i, b in zip(lo, idx, hi))
             ]
             if inside:
-                values = values_of(fld)
+                values = fld.on_planes(xs, grid)
                 for pos in inside:
                     out[pos] = values
         return out
 
     def planes(self, xs, grid, lo=None, hi=None):
-        """The index box at each x1 of ``xs``, over the flattened transverse
-        lattice: one ``dense`` call, shaped (len(xs), *box, N)."""
-        trailing = (len(xs),) + grid.transverse_mesh()[0].shape
-        return np.moveaxis(self.dense(trailing, lambda f: f.on_planes(xs, grid), lo, hi), -2, 0)
+        """The index box at each x1 of ``xs``, x1 axis first: (len(xs), *box, N)."""
+        return np.moveaxis(self.dense(xs, grid, lo, hi), -2, 0)
+
+    def on_hypersurface(self, grid, lo=None, hi=None):
+        """The index box on x1 = 0, shaped (*box, N)."""
+        return self.dense([0.0], grid, lo, hi)[..., 0, :]
+
+    def on_grid(self, grid):
+        """Every component over the whole lattice, shaped (*box, *grid.shape)."""
+        out = self.dense(grid.x1_samples, grid)
+        return out.reshape(out.shape[:-2] + grid.shape)
 
 
 # -------------------------------------------------------------------- dumps

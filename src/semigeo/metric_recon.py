@@ -30,7 +30,7 @@ recovers.
 import numpy as np
 
 from .curvature import DEGENERACY_TOL, MetricField
-from .errors import DegenerateMetric, InvalidInit, InvalidSpec
+from .errors import InvalidInit, InvalidSpec
 from .grid_field import Components, build_grid
 from .linalg import det_stack, inv_sym, mirror_upper
 from .ode import StateRejected, march_report, march_tube, tube_dense
@@ -53,10 +53,10 @@ class HypersurfaceMetricData:
         self._g1 = Components("Gtilde", n, g1)
 
     def g_plane(self, grid):
-        return self._g.dense(grid.transverse_mesh()[0].shape, lambda f: f.plane(grid))
+        return self._g.on_hypersurface(grid)
 
     def g1_plane(self, grid):
-        return self._g1.dense(grid.transverse_mesh()[0].shape, lambda f: f.plane(grid))
+        return self._g1.on_hypersurface(grid)
 
 
 class MetricCurvatureSpec:
@@ -80,45 +80,12 @@ class MetricCurvatureSpec:
 
     def dense_on(self, grid):
         """All prescribed values over a grid, shaped (n-1, n-1, *grid.shape)."""
-        return self._fields.dense(grid.shape, lambda f: f.on_grid(grid))
+        return self._fields.on_grid(grid)
 
 
 def _quadratic(ginv, G):
     """1/2 g^{rs} G_ir G_js, mirrored from i <= j so it is exactly symmetric."""
     return mirror_upper(0.5 * np.einsum("rs...,ir...,js...->ij...", ginv, G, G))
-
-
-def metric_rhs(g, G, a, degeneracy_tol=DEGENERACY_TOL):
-    """Axial derivative of (g, G) for the transverse block.
-
-    Inputs are (k, k) matrices or (k, k, N) node stacks, symmetric.
-    Returns (d1 g, d1 G) = (G, 1/2 g^{rs} G_ir G_js + 2 a), with the
-    quadratic term mirrored from i <= j so the output is symmetric
-    exactly.  Raises DegenerateMetric when |det g| < degeneracy_tol or
-    det g is not finite.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    single = g.ndim == 2
-    if single:
-        g, G, a = g[..., None], G[..., None], a[..., None]
-    k = g.shape[0]
-    det = det_stack(g.reshape((k, k, -1)))
-    bad = ~np.isfinite(det) | (np.abs(det) < degeneracy_tol)
-    if np.any(bad):
-        node = int(np.argmax(bad))
-        raise DegenerateMetric(
-            f"transverse block determinant {det[node]:.3e} below "
-            f"{degeneracy_tol:.1e} or not finite",
-            node=node,
-            det=float(det[node]),
-        )
-    ginv = inv_sym(g.reshape((k, k, -1)), det).reshape(g.shape)
-    dG = _quadratic(ginv, G) + 2.0 * a
-    if single:
-        return G[..., 0], dG[..., 0]
-    return G.copy(), dG
 
 
 def _relabel_collapse(march, det0, tol):

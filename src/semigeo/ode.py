@@ -336,9 +336,13 @@ class SourceBank:
         self._planes_of = {}
         self.misses = 0
 
-    def plane(self, x):
-        """The source plane the right-hand side reads at x."""
-        key = self._key(x)
+    def plane(self, x, key=None):
+        """The source plane the right-hand side reads at x.
+
+        ``key``, when given, is ``key(x)`` already computed.
+        """
+        if key is None:
+            key = self._key(x)
         got = self._planes_of.get(key)
         if got is None:
             got = self._fill(key, x)

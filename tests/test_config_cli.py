@@ -674,6 +674,18 @@ g.2.2 = "cos(x1)^2"
             assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-12)
             assert rows[1][2] == rows[-1][2]
 
+    def test_tolerances_reach_the_geodesic_shots(self, tmp_path):
+        # a shot's state holds its unit axial velocity, so a blow-up
+        # threshold of 0.5 stops every shot in its first step
+        text = self.SPHERE_CHECK + "\n[tolerances]\nblowup_threshold = 0.5\n"
+        code, out = run_cli(tmp_path, text, "check-chart")
+        assert code == 0
+        report = read_report(out / "report.txt")
+        assert report["status"] == "Complete"
+        for k in range(1, 6):
+            assert report[f"curve_{k}_samples"] == "1"
+            assert len((out / f"curve_{k}.csv").read_text().splitlines()) == 2
+
     def test_connection_only_check(self, tmp_path):
         text = self.SPHERE_CHECK.replace(
             'g.1.1 = "1"\ng.2.2 = "cos(x1)^2"', 'gamma.2.1.2 = "-sin(x1)/cos(x1)"'

@@ -1,5 +1,6 @@
 """The runtime imports only the standard library, numpy and semigeo itself,
-and only ``ode`` names the source bank its marches read from."""
+only ``ode`` names the source bank its marches read from, and only
+``grid_field`` names ``on_planes``, the one read of an input field."""
 
 import ast
 import sys
@@ -52,3 +53,8 @@ def names(path):
 def test_only_ode_names_the_source_bank():
     # march_tube builds every march's bank from the grid and options it marches with
     assert [p.name for p in MODULES if "SourceBank" in set(names(p))] == ["ode.py"]
+
+
+def test_only_grid_field_names_on_planes():
+    # Components.dense makes every input field read; the others use its layouts
+    assert [p.name for p in MODULES if "on_planes" in set(names(p))] == ["grid_field.py"]

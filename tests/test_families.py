@@ -5,11 +5,15 @@ import pytest
 
 from semigeo.curvature import ConnectionField, MetricField
 from semigeo.errors import InvalidInit, InvalidSpec
-from semigeo.grid_field import FAMILIES, ChartSpec, Components, build_grid
+from semigeo.grid_field import FAMILIES, ChartSpec, Components, ExpressionField, build_grid
 
 
 def grid2(res=3):
     return build_grid(ChartSpec(n=2, x1_range=(0.0, 0.5), h1=0.25, transverse_res=res))
+
+
+def grid3(res=3):
+    return build_grid(ChartSpec(n=3, x1_range=(0.0, 0.5), h1=0.25, transverse_res=res))
 
 
 def reference_slots(n, first, sym):
@@ -69,40 +73,55 @@ class TestFromFieldsIndices:
 
 class TestDense:
     def test_symmetric_component_fills_both_slots(self):
-        comps = Components("gamma", 3, {(2, 3, 1): "x2", (1, 2, 2): "1"})
-        out = comps.dense((4,), lambda f: np.arange(4.0) + f.n)
-        assert out.shape == (3, 3, 3, 4)
-        assert np.array_equal(out[1, 0, 2], np.arange(4.0) + 3)
+        grid = grid3()
+        comps = Components("gamma", 3, {(2, 3, 1): "x2 + x1", (1, 2, 2): "1"})
+        xs = np.array([0.0, 0.25, 0.5, 0.75])
+        out = comps.dense(xs, grid)
+        assert out.shape == (3, 3, 3, 4, 9)
+        x2 = grid.transverse_mesh()[0]
+        assert np.array_equal(out[1, 0, 2], xs[:, None] + x2[None, :])
         assert np.array_equal(out[1, 2, 0], out[1, 0, 2])
-        assert np.array_equal(out[0, 1, 1], np.arange(4.0) + 3)
-        assert np.count_nonzero(out.any(axis=-1)) == 3
+        assert np.all(out[0, 1, 1] == 1.0)
+        assert np.count_nonzero(out.any(axis=(-2, -1))) == 3
 
-    def test_values_of_called_once_per_component_in_box(self):
+    def test_each_component_read_once_per_box(self, monkeypatch):
+        grid = grid3()
         comps = Components(
             "gammatilde", 3, {(1, 3, 1): "1", (2, 2, 3): "2", (3, 3, 3): "3", (2, 1, 1): "0"}
         )
         calls = []
+        on_planes = ExpressionField.on_planes
 
-        def values_of(fld):
-            calls.append(fld.what)
-            return np.ones(2)
+        def recording(fld, xs, grid):
+            calls.append((fld.what, list(xs)))
+            return on_planes(fld, xs, grid)
 
-        out = comps.dense((2,), values_of, (1, 2, 2))
-        assert calls == ["gammatilde(2, 2, 3)", "gammatilde(3, 3, 3)"]
-        assert out.shape == (3, 2, 2, 2)
-        assert np.all(out[1, 0, 1] == 1.0) and np.all(out[1, 1, 0] == 1.0)
+        monkeypatch.setattr(ExpressionField, "on_planes", recording)
+        out = comps.dense([0.0], grid, (1, 2, 2))
+        assert calls == [("gammatilde(2, 2, 3)", [0.0]), ("gammatilde(3, 3, 3)", [0.0])]
+        assert out.shape == (3, 2, 2, 1, 9)
+        assert np.all(out[1, 0, 1] == 2.0) and np.all(out[1, 1, 0] == 2.0)
         calls.clear()
-        out = comps.dense((2,), values_of, (1, 1, 2), (3, 1, 3))
-        assert calls == ["gammatilde(1, 1, 3)"]
-        assert out.shape == (3, 1, 2, 2)
+        out = comps.dense([0.0, 0.0], grid, (1, 1, 2), (3, 1, 3))
+        assert calls == [("gammatilde(1, 1, 3)", [0.0, 0.0])]
+        assert out.shape == (3, 1, 2, 2, 9)
         assert np.all(out[0, 0, 1] == 1.0)
-        assert np.count_nonzero(out) == 2
+        assert np.count_nonzero(out) == 2 * 9
 
     def test_default_box_starts_at_first(self):
         comps = Components("A", 2, {(2, 1, 2): "-1"})
-        out = comps.dense((), lambda f: -1.0)
-        assert out.shape == (2, 2, 1)
-        assert out[1, 0, 0] == -1.0 and np.count_nonzero(out) == 1
+        out = comps.dense([0.0, 0.5], grid2())
+        assert out.shape == (2, 2, 1, 2, 3)
+        assert np.all(out[1, 0, 0] == -1.0) and np.count_nonzero(out) == 2 * 3
+
+    def test_layouts_read_dense(self):
+        grid = grid2(res=4)
+        comps = Components("a", 2, {(2, 2): "x1 - 2*x2"})
+        mesh = grid.x1_samples[:, None] - 2.0 * grid.transverse_mesh()[0][None, :]
+        xs = grid.x1_samples[::-1]
+        assert np.array_equal(comps.planes(xs, grid), mesh[::-1, None, None, :])
+        assert np.array_equal(comps.on_grid(grid), mesh.reshape((1, 1) + grid.shape))
+        assert np.array_equal(comps.on_hypersurface(grid), mesh[:1].reshape(1, 1, 4))
 
     @pytest.mark.parametrize(
         "family, values, error",

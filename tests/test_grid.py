@@ -3,13 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from semigeo.errors import EvalError, GridTooCoarse, InvalidSpec, OutOfDomain
+from semigeo.errors import EvalError, GridTooCoarse, InvalidInit, InvalidSpec, OutOfDomain
 from semigeo.grid_field import (
     ChartSpec,
     ExpressionField,
     SampledField,
     TensorTube,
-    TransverseField,
     as_field,
     build_grid,
     fd_partial,
@@ -271,10 +270,10 @@ class TestInterpolate:
             x1 = 0.5 * (g.x1_samples[i] + g.x1_samples[i + 1])
             t = (x1 - g.x1_samples[i]) / (g.x1_samples[i + 1] - g.x1_samples[i])
             blend = vals[i] * (1.0 - t) + vals[i + 1] * t
-            assert np.array_equal(f.on_transverse(x1, g), blend)
-            assert np.array_equal(f.on_transverse(g.x1_samples[i], g), vals[i])
+            assert np.array_equal(f.on_planes([x1], g)[0], blend)
+            assert np.array_equal(f.on_planes([g.x1_samples[i]], g)[0], vals[i])
         with pytest.raises(OutOfDomain):
-            f.on_transverse(1.5, g)
+            f.on_planes([1.5], g)
 
 
 def grid3(res=3):
@@ -329,17 +328,17 @@ class TestScalarFields:
     def test_expression_field_consistency(self):
         g = grid2(h1=0.25, res=5)
         f = ExpressionField(parse_field("x1 * x2 + 1", 2), 2)
-        dense = f.on_grid(g)
+        dense = f.on_planes(g.x1_samples, g)
         assert dense.shape == g.shape
         assert dense[2, 3] == eval_field_on(f.expr, (g.x1_samples[2], g.transverse_axes[0][3]))
-        plane = f.on_transverse(0.25, g)
-        assert np.array_equal(plane, dense[1])
+        plane = f.on_planes([0.25], g)
+        assert np.array_equal(plane, dense[1:2])
 
     def test_sampled_field_round_trip(self):
         g = grid2(h1=0.25, res=5)
         vals = np.random.default_rng(1).normal(size=g.shape)
         f = SampledField(g, vals)
-        assert f.on_grid(g) is vals or np.array_equal(f.on_grid(g), vals)
+        assert np.array_equal(f.on_planes(g.x1_samples, g), vals)
         assert f.at((0.25, 0.5)) == vals[1, 2]
 
     def test_sampled_field_shape_checked(self):
@@ -354,7 +353,7 @@ class TestAsField:
         f = as_field("x1 * x2 + 1", 2, "a2")
         assert isinstance(f, ExpressionField) and f.n == 2
         ref = ExpressionField(parse_field("x1 * x2 + 1", 2), 2)
-        assert np.array_equal(f.on_grid(g), ref.on_grid(g))
+        assert np.array_equal(f.on_planes(g.x1_samples, g), ref.on_planes(g.x1_samples, g))
 
     def test_parsed_expression_wrapped(self):
         expr = parse_field("cos(x2)", 2)
@@ -376,23 +375,44 @@ class TestAsField:
         with pytest.raises(InvalidSpec, match=r"^A\(2,1,2\): cannot interpret"):
             as_field(value, 2, "A(2,1,2)")
 
+    def test_hypersurface_data_may_not_use_x1(self):
+        with pytest.raises(InvalidInit, match=r"^gtilde\(2, 2\): hypersurface data may not"):
+            as_field("x1 + x2", 2, "gtilde(2, 2)", hypersurface=True)
+        expr = ExpressionField(parse_field("x1", 2), 2)
+        with pytest.raises(InvalidInit, match=r"^gtilde\(2, 2\): "):
+            as_field(expr, 2, "gtilde(2, 2)", hypersurface=True)
+
+    def test_hypersurface_expression_field_is_relabelled(self):
+        given = ExpressionField(parse_field("log(x2 - 2)", 2), 2, "mine")
+        f = as_field(given, 2, "gtilde(2, 2)", hypersurface=True)
+        assert isinstance(f, ExpressionField) and f is not given
+        assert f.expr is given.expr and f.what == "gtilde(2, 2)"
+
+    def test_hypersurface_samples_shape_checked_when_read(self):
+        g = grid2()
+        f = as_field(np.arange(5.0), 2, "gtilde(2, 2)", hypersurface=True)
+        assert np.array_equal(f.on_planes([0.0], g), np.arange(5.0)[None, :])
+        f = as_field(np.ones(4), 2, "gtilde(2, 2)", hypersurface=True)
+        with pytest.raises(InvalidInit, match=r"^sampled hypersurface data shape \(4,\)"):
+            f.on_planes([0.0], g)
+
 
 class TestFieldErrorLabels:
     def test_source_error_names_field_and_x1(self):
         g = grid2()
         f = as_field("log(0.5 - x1)", 2, "a(2, 2)")
         with pytest.raises(EvalError, match=r"^a\(2, 2\) at x1 = 0\.5: log of"):
-            f.on_transverse(0.5, g)
-        with pytest.raises(EvalError, match=r"^a\(2, 2\): log of"):
-            f.on_grid(g)
+            f.on_planes([0.5], g)
+        with pytest.raises(EvalError, match=r"^a\(2, 2\) at x1 in \[0\.0, 1\.0\]: log of"):
+            f.on_planes(g.x1_samples, g)
 
     def test_hypersurface_error_names_field(self):
-        f = TransverseField("log(x2 - 2)", 2, "gtilde(2, 2)")
+        f = as_field("log(x2 - 2)", 2, "gtilde(2, 2)", hypersurface=True)
         with pytest.raises(EvalError, match=r"^gtilde\(2, 2\) at x1 = 0\.0: log of"):
-            f.plane(grid2())
+            f.on_planes([0.0], grid2())
         deep = "+".join(["x2"] * 3000)
         with pytest.raises(EvalError, match=r"^gtilde\(2, 2\): expression nested too deeply"):
-            TransverseField(deep, 2, "gtilde(2, 2)")
+            as_field(deep, 2, "gtilde(2, 2)", hypersurface=True)
 
 
 class TestDumps:

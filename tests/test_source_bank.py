@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+import _replaced_reads as replaced
 import semigeo.connection_recon as connection_recon
 import semigeo.grid_field as grid_field
 import semigeo.ode as ode
@@ -86,9 +87,10 @@ class TestPlanesBitIdentity:
         batched = field.on_planes(xs, grid)
         assert batched.shape == (len(xs), 20)
         for x, row in zip(xs, batched):
-            assert_bits(row, field.on_transverse(x, grid))
+            assert_bits(row, replaced.on_transverse(field, x, grid))
         for x in xs[:: len(xs) // 7]:
-            assert_bits(field.on_planes(np.array([x]), grid)[0], field.on_transverse(x, grid))
+            want = replaced.on_transverse(field, x, grid)
+            assert_bits(field.on_planes(np.array([x]), grid)[0], want)
 
     def test_sampled_field(self):
         grid = bit_grid()
@@ -96,41 +98,39 @@ class TestPlanesBitIdentity:
         xs = planned_xs(grid)
         batched = field.on_planes(xs, grid)
         for x, row in zip(xs, batched):
-            assert_bits(row, field.on_transverse(x, grid))
+            assert_bits(row, replaced.on_transverse(field, x, grid))
 
     def test_metric_spec_planes(self):
         grid = bit_grid()
-        spec = MetricCurvatureSpec(
-            3, {(2, 2): EXPRESSIONS[1], (2, 3): sampled(grid, 2), (3, 3): EXPRESSIONS[2]}
-        )
+        values = {(2, 2): EXPRESSIONS[1], (2, 3): sampled(grid, 2), (3, 3): EXPRESSIONS[2]}
+        spec = MetricCurvatureSpec(3, values)
         xs = planned_xs(grid)[:50]
         batched = spec.planes(xs, grid)
         assert batched.shape == (50, 2, 2, 20)
         for x, plane in zip(xs, batched):
-            want = spec._fields.dense((20,), lambda f: f.on_transverse(x, grid))
+            values_of = lambda f: replaced.on_transverse(f, x, grid)
+            want = replaced.dense("a", 3, values, (20,), values_of)
             assert_bits(np.ascontiguousarray(plane), want)
 
     def test_connection_spec_planes(self):
         grid = bit_grid()
-        spec = ConnectionCurvatureSpec(
-            3,
-            {
-                (2, 1, 2): EXPRESSIONS[0],
-                (3, 1, 3): sampled(grid, 3),
-                (1, 2, 3): EXPRESSIONS[3],
-                (2, 3, 2): sampled(grid, 4),
-                (3, 3, 3): EXPRESSIONS[6],
-            },
-        )
+        values = {
+            (2, 1, 2): EXPRESSIONS[0],
+            (3, 1, 3): sampled(grid, 3),
+            (1, 2, 3): EXPRESSIONS[3],
+            (2, 3, 2): sampled(grid, 4),
+            (3, 3, 3): EXPRESSIONS[6],
+        }
+        spec = ConnectionCurvatureSpec(3, values)
         xs = planned_xs(grid)[:50]
         stage1 = spec.stage1_planes(xs, grid)
         stage2 = spec.stage2_planes(xs, grid)
         assert stage1.shape == (50, 3, 2, 20)
         assert stage2.shape == (50, 3, 2, 2, 20)
         for x, plane1, plane2 in zip(xs, stage1, stage2):
-            values_of = lambda f: f.on_transverse(x, grid)
-            want1 = spec._fields.dense((20,), values_of, (1, 1, 2), (3, 1, 3))[:, 0]
-            want2 = spec._fields.dense((20,), values_of, (1, 2, 2))
+            values_of = lambda f: replaced.on_transverse(f, x, grid)
+            want1 = replaced.dense("A", 3, values, (20,), values_of, (1, 1, 2), (3, 1, 3))[:, 0]
+            want2 = replaced.dense("A", 3, values, (20,), values_of, (1, 2, 2))
             assert_bits(np.ascontiguousarray(plane1), want1)
             assert_bits(np.ascontiguousarray(plane2), want2)
 
@@ -231,6 +231,8 @@ class TestBankRules:
         first = {}
         later = next(x for x in tube_xs(grid) if first.setdefault(key(x), x) != x)
         assert bank.plane(later)[0] == first[key(later)] != later
+        # a key the caller already computed reads the same plane
+        assert bank.plane(later, key(later)) is bank.plane(later)
         assert bank.misses == 0
 
 
@@ -254,9 +256,9 @@ def banks(monkeypatch):
             self.asked = []
             made.append(self)
 
-        def plane(self, x):
+        def plane(self, x, key=None):
             self.asked.append(x)
-            return super().plane(x)
+            return super().plane(x, key)
 
     monkeypatch.setattr(ode, "SourceBank", RecordingBank)
     return made
