@@ -5,12 +5,13 @@ given parametrization, are geodesics of the connection; that holds iff
 the axial-axial components Gamma^h_11 vanish.  A metric chart is
 *semigeodesic* when additionally g_11 is a constant sign e and g_1j = 0.
 
-Two routes to the same property are provided on purpose: reading the
-Gamma^h_11 components directly, and driving straight coordinate lines
-through the geodesic equation.  For the straight line c(s) = (s, q),
-q fixed, the acceleration vanishes and the velocity is the first basis
-vector, so the geodesic equation residual is exactly |Gamma^h_11(c(s))|;
-the two routes therefore agree bit for bit on lattice lines.
+Both properties are read off the lattice arrays.  The geodesic-line
+characterization needs no integration: on the straight line
+c(s) = (s, q), q fixed, the acceleration vanishes and the velocity is
+the first basis vector, so the geodesic equation residual is exactly
+|Gamma^h_11(c(s))|.  That is the same read of Gamma^h_11 as the
+pre-semigeodesic residual, so ``lemma1_check`` names it and returns the
+same value.
 """
 
 import math
@@ -58,24 +59,15 @@ def pre_semigeodesic_residual(conn):
     return float(np.max(np.abs(conn.dense[:, 0, 0])))
 
 
-def lemma1_check(conn, trials=None):
-    """Geodesic-line characterization residual over sampled x1 lines.
+def lemma1_check(conn):
+    """Geodesic-line characterization residual over every x1 lattice line.
 
     Substituting a straight lattice line with unit axial velocity into
     the geodesic equation leaves |Gamma^h_11| as the whole residual, so
-    the check reads those components along ``trials`` evenly spaced
-    transverse lines (all of them by default).  With all lines the result
-    equals :func:`pre_semigeodesic_residual` exactly.
+    this is :func:`pre_semigeodesic_residual` under the name of the
+    characterization it checks.
     """
-    vals = np.abs(conn.dense[:, 0, 0])
-    flat = vals.reshape(vals.shape[:2] + (-1,))
-    lines = flat.shape[2]
-    if trials is None or trials >= lines:
-        return float(np.max(flat))
-    if trials < 1:
-        raise InvalidSpec(f"trials must be >= 1, got {trials}")
-    sel = np.unique(np.round(np.linspace(0, lines - 1, trials)).astype(int))
-    return float(np.max(flat[:, :, sel]))
+    return pre_semigeodesic_residual(conn)
 
 
 def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
@@ -107,7 +99,7 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
     if n_steps < 1:
         raise InvalidSpec("s_max admits no whole step")
 
-    def rhs(s, state):
+    def rhs(_s, state):
         pos, vel = state[..., 0]
         try:
             gam = conn.at(pos)
@@ -159,9 +151,9 @@ def geodesic_residual(conn, curve):
     return worst
 
 
-def semigeodesic_check(metric, e=None):
-    """(max |g_11 - e|, max |g_1j|) over the lattice; (0, 0) iff semigeodesic."""
-    return metric.semigeodesic_residuals(e)
+def semigeodesic_check(metric):
+    """(max |g_11 - e|, max |g_1j|) over the lattice, e the metric's own sign."""
+    return metric.semigeodesic_residuals()
 
 
 def unit_speed_residual(metric, curve):

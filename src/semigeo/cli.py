@@ -38,7 +38,6 @@ import numpy as np
 
 from .chart_check import (
     geodesic_shoot,
-    lemma1_check,
     pre_semigeodesic_residual,
     semigeodesic_check,
     unit_speed_residual,
@@ -283,8 +282,10 @@ def _run_check_chart(cfg, grid, out):
         conn = ConnectionField.from_fields(grid, cfg.fields["gamma"])
     else:
         conn, _ = christoffel_from_metric(metric, degeneracy_tol=tol)
-    lines.append(("pre_semigeodesic_residual", pre_semigeodesic_residual(conn)))
-    lines.append(("lemma1_residual", lemma1_check(conn)))
+    # lemma1_check is this same read of Gamma^h_11, so both lines share it
+    residual = pre_semigeodesic_residual(conn)
+    lines.append(("pre_semigeodesic_residual", residual))
+    lines.append(("lemma1_residual", residual))
     if metric is not None:
         r11, r1j = semigeodesic_check(metric)
         lines.append(("semigeodesic_axial_residual", r11))

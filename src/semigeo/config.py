@@ -349,10 +349,18 @@ def load_config(path):
     """Parse a configuration file into a RunConfig.
 
     Raises ConfigError (with the 1-based line number when one applies)
-    on any unknown, repeated, malformed, or conflicting entry.
+    on any unknown, repeated, malformed, or conflicting entry, and on a
+    file that is not UTF-8.
     """
-    with open(path, encoding="utf-8") as fh:
-        entries = _tokenize(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the bytes before the first bad one decode, so lines count as _tokenize counts them
+        line = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"byte {data[err.start]:#04x} is not UTF-8", line=line) from None
+    entries = _tokenize(text)
 
     by_section = {name: [] for name in _SECTIONS}
     for entry in entries:

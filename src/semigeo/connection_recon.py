@@ -138,14 +138,14 @@ def _half_key(x, h1):
 # ----------------------------------------------------------------- stage 1
 
 
-def stage1_integrate(init, sources, spec, guards=None, grid=None):
-    """March the axial components Gamma^h_1k from the hypersurface data.
+def stage1_integrate(init, sources, spec, guards=None):
+    """March the axial components Gamma^h_1k on the lattice of ``spec``.
 
     Returns (Stage1Solution over the reached grid, ReconstructionReport).
     The solution holds Gamma^h_1k (k >= 2) at every reached x1 sample and
     step midpoint, which stage 2 reads.
     """
-    grid = grid or build_grid(spec)
+    grid = build_grid(spec)
     init.validate(grid)
     state0 = init.stage1_state0(grid)
 
@@ -168,18 +168,12 @@ def stage1_integrate(init, sources, spec, guards=None, grid=None):
 # ----------------------------------------------------------------- stage 2
 
 
-def stage2_integrate(
-    stage1,
-    init,
-    sources,
-    spec,
-    guards=None,
-    omit_quadratic_cross_term=False,
-):
+def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross_term=False):
     """March the transverse components Gamma^h_ik (i, k >= 2).
 
     ``stage1`` must be the Stage1Solution returned by
-    :func:`stage1_integrate` (it carries the midpoint values).  Returns
+    :func:`stage1_integrate` (it carries the midpoint values).  Stage 2
+    marches on its reached grid, so it takes no chart.  Returns
     ("gamma2" TensorTube over slots (h, i, k), i, k >= 2, exactly
     symmetric in (i, k), ReconstructionReport).  The truncated variant
     behind ``omit_quadratic_cross_term`` exists only for regression tests.
@@ -226,32 +220,23 @@ def stage2_integrate(
 # ------------------------------------------------------------- full pipeline
 
 
-def reconstruct_connection(
-    init,
-    sources,
-    spec,
-    guards=None,
-    grid=None,
-    omit_quadratic_cross_term=False,
-):
-    """Stage 1 then stage 2; assembles the full Gamma^h_ij field.
+def reconstruct_connection(init, sources, spec, guards=None, omit_quadratic_cross_term=False):
+    """Stage 1 then stage 2 on the lattice of ``spec``; assembles Gamma^h_ij.
 
     Returns (ConnectionField, ReconstructionReport).  The field lives on
     the grid both stages reached; Gamma^h_11 = 0 and the lower-index
     symmetry hold exactly by assembly.
     """
-    grid = grid or build_grid(spec)
-    stage1, report1 = stage1_integrate(init, sources, spec, guards=guards, grid=grid)
+    stage1, report1 = stage1_integrate(init, sources, spec, guards=guards)
     stage2, report2 = stage2_integrate(
         stage1,
         init,
         sources,
-        spec,
         guards=guards,
         omit_quadratic_cross_term=omit_quadratic_cross_term,
     )
     rgrid = stage2.grid
-    n = grid.n
+    n = rgrid.n
     lo = stage1.grid.zero_index - rgrid.zero_index
     u = tube_dense(stage1.fine[2 * lo : 2 * (lo + rgrid.shape[0]) : 2], rgrid)
     dense = np.zeros((n, n, n) + rgrid.shape)

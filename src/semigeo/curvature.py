@@ -62,9 +62,9 @@ class MetricField(TensorTube):
         flat = self.dense.reshape((self.n, self.n, -1))
         return det_stack(flat).reshape(self.grid.shape)
 
-    def semigeodesic_residuals(self, e=None):
-        e = self.e if e is None else int(e)
-        r11 = float(np.max(np.abs(self.dense[0, 0] - e)))
+    def semigeodesic_residuals(self):
+        """(max |g_11 - e|, max |g_1j|) over the lattice, with the metric's e."""
+        r11 = float(np.max(np.abs(self.dense[0, 0] - self.e)))
         if self.n > 1:
             r1j = float(np.max(np.abs(self.dense[0, 1:])))
         else:

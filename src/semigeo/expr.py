@@ -17,6 +17,7 @@ the interpreter's recursion limit is a FieldSyntaxError when parsing and
 an EvalError after.
 """
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,11 @@ FieldExpr = Num | Var | Neg | BinOp | Call
 # ---------------------------------------------------------------- tokenizer
 
 _OPS = set("+-*/^()")
+# ASCII only: str.isdigit and str.isalnum also accept digits such as "²"
+# or "٣", which int() and float() then reject or silently read
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT = _IDENT_START | _DIGITS
 
 
 def _tokenize(text):
@@ -86,28 +92,28 @@ def _tokenize(text):
             tokens.append(("op", c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < size and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < size and text[i + 1] in _DIGITS):
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and text[j] in _DIGITS:
                 j += 1
             if j < size and text[j] == ".":
                 j += 1
-                while j < size and text[j].isdigit():
+                while j < size and text[j] in _DIGITS:
                     j += 1
             if j < size and text[j] in "eE":
                 k = j + 1
                 if k < size and text[k] in "+-":
                     k += 1
-                if k < size and text[k].isdigit():
+                if k < size and text[k] in _DIGITS:
                     j = k
-                    while j < size and text[j].isdigit():
+                    while j < size and text[j] in _DIGITS:
                         j += 1
             tokens.append(("num", text[i:j], i))
             i = j
             continue
-        if c.isalpha() or c == "_":
+        if c in _IDENT_START:
             j = i
-            while j < size and (text[j].isalnum() or text[j] == "_"):
+            while j < size and text[j] in _IDENT:
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j

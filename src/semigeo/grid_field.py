@@ -168,25 +168,6 @@ class TubeGrid:
         """Sub-grid keeping x1 sample indices i_lo..i_hi inclusive."""
         return TubeGrid(self.chart, self.x1_samples[i_lo : i_hi + 1], self.transverse_axes)
 
-    def subsample(self, stride=2):
-        """Coarsen every axis by ``stride``, keeping x1=0 and the box corners.
-
-        Requires (len-1) divisible by stride on each axis and the zero
-        index divisible by stride on the x1 axis.
-        """
-        k0 = self.zero_index
-        t = len(self.x1_samples)
-        if k0 % stride or (t - 1 - k0) % stride:
-            raise InvalidSpec("x1 sample count does not subsample evenly")
-        for a in self.transverse_axes:
-            if (len(a) - 1) % stride:
-                raise InvalidSpec("transverse resolution does not subsample evenly")
-        return TubeGrid(
-            self.chart,
-            self.x1_samples[::stride],
-            tuple(a[::stride] for a in self.transverse_axes),
-        )
-
 
 # Largest tensor tube, in bytes, a chart may ask for.  The (1,3) curvature,
 # n^4 slots of float64 over the lattice, is the largest block any mode
@@ -520,7 +501,7 @@ class _HypersurfaceSamples:
     """Hypersurface data given as node samples of the transverse lattice."""
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
+        self.values = values
 
     def on_planes(self, xs, grid):
         """The samples at every x1 of ``xs``, shaped (len(xs), N)."""
@@ -541,7 +522,8 @@ def as_field(value, n, what, hypersurface=False):
     through; anything else raises InvalidSpec prefixed with ``what``.
     Hypersurface data may not use x1 (InvalidInit), a given
     ExpressionField is relabelled with ``what``, and any other value is
-    an array of transverse node samples, shape-checked when read.
+    an array of transverse node samples (InvalidInit if it is not
+    numeric), shape-checked when read.
     """
     if isinstance(value, str):
         value = parse_field(value, n)
@@ -557,7 +539,13 @@ def as_field(value, n, what, hypersurface=False):
                 raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
         return ExpressionField(value, n, what)
     if hypersurface:
-        return _HypersurfaceSamples(value)
+        try:
+            samples = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise InvalidInit(
+                f"{what}: expected numeric transverse node samples, got {type(value).__name__}"
+            ) from None
+        return _HypersurfaceSamples(samples)
     if isinstance(value, (ExpressionField, SampledField)):
         return value
     raise InvalidSpec(f"{what}: cannot interpret {value!r} as a scalar field")

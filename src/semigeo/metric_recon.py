@@ -110,8 +110,8 @@ def _relabel_collapse(march, det0, tol):
         march.stop_detail = int(np.argmin(node_min))
 
 
-def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degeneracy_tol=None):
-    """March the transverse block from (g~, G~) and assemble the metric.
+def reconstruct_metric(init, sources, e, spec, guards=None, degeneracy_tol=None):
+    """March the transverse block from (g~, G~) on the lattice of ``spec``.
 
     Returns (MetricField, ReconstructionReport).  ``e`` is the axial
     sign g_11; it never enters the transverse system.  Initial data must
@@ -122,7 +122,7 @@ def reconstruct_metric(init, sources, e, spec, guards=None, grid=None, degenerac
     """
     if e not in (-1, 1):
         raise InvalidSpec(f"e must be +1 or -1, got {e!r}")
-    grid = grid or build_grid(spec)
+    grid = build_grid(spec)
     tol = DEGENERACY_TOL if degeneracy_tol is None else float(degeneracy_tol)
     g0 = init.g_plane(grid)
     G0 = init.g1_plane(grid)

@@ -69,19 +69,9 @@ class TestLineCharacterization:
         assert lemma1_check(conn) == pre_semigeodesic_residual(conn)
         assert lemma1_check(conn) > 0.0
 
-    def test_line_subset_bounded_by_full(self):
-        grid = build_grid(ChartSpec(n=2, x1_range=(-0.2, 0.2), h1=0.05, transverse_res=7))
-        conn = ConnectionField.from_fields(grid, {(1, 1, 1): "0.3*x2"})
-        full = lemma1_check(conn)
-        for trials in (1, 2, 3, 7, 50):
-            assert lemma1_check(conn, trials=trials) <= full
-        assert lemma1_check(conn, trials=7) == full
-        with pytest.raises(InvalidSpec):
-            lemma1_check(conn, trials=0)
-
     def test_zero_on_pre_semigeodesic_chart(self, sphere_conn):
         assert pre_semigeodesic_residual(sphere_conn) == 0.0
-        assert lemma1_check(sphere_conn, trials=3) == 0.0
+        assert lemma1_check(sphere_conn) == 0.0
 
     def test_semigeodesic_check_routes_to_metric(self, sphere):
         assert semigeodesic_check(sphere) == (0.0, 0.0)
@@ -92,7 +82,8 @@ class TestLineCharacterization:
         r11, r1j = semigeodesic_check(skew)
         assert r11 == 0.0
         assert r1j == pytest.approx(0.1)
-        r11_flipped, _ = semigeodesic_check(skew, e=-1)
+        flipped = MetricField(grid, skew.dense, e=-1)
+        r11_flipped, _ = semigeodesic_check(flipped)
         assert r11_flipped == pytest.approx(2.0)
 
 

@@ -721,6 +721,23 @@ class TestExitTwo:
         err = capsys.readouterr().err
         assert "error: line 1: unknown section" in err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(FLAT_FORWARD.replace("n = 2", "# caf\xe9\nn = 2").encode("latin-1"))
+        code = main(["forward", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 5: byte 0xe9 is not UTF-8\n"
+
+    @pytest.mark.parametrize("value", ["x1²", "²", "①", "٣+x1"])
+    def test_non_ascii_digit_in_field(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FLAT_FORWARD.replace('g.2.2 = "1"', f'g.2.2 = "{value}"'), encoding="utf-8")
+        code = main(["forward", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 14: ") and err.count("\n") == 1
+        assert "unexpected character" in err
+
     def test_mode_mismatch(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FLAT_FORWARD)
         code = main(["check-chart", "--config", str(cfg), "--out", str(tmp_path / "o")])

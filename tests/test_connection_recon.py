@@ -143,7 +143,7 @@ class TestStages:
         grid = build_grid(unit_interval_spec())
         alien = TensorTube("gamma1", grid, np.zeros((2, 1, 2) + grid.shape))
         with pytest.raises(InvalidSpec):
-            stage2_integrate(alien, init, src, unit_interval_spec())
+            stage2_integrate(alien, init, src)
 
     def test_stage2_symmetric_slots(self):
         init_c, src_c, _, _ = orc.connection_scenario(3, 3, scale=0.2)
@@ -157,7 +157,7 @@ class TestStages:
         init = HypersurfaceConnectionData(3, init_c)
         src = ConnectionCurvatureSpec(3, src_c)
         sol, _ = stage1_integrate(init, src, spec)
-        tube2, report = stage2_integrate(sol, init, src, spec)
+        tube2, report = stage2_integrate(sol, init, src)
         assert report.complete
         assert tube2.name == "gamma2" and tube2.first == (1, 2, 2)
         assert np.array_equal(tube2.component(1, 3, 2), tube2.component(1, 2, 3))
@@ -222,7 +222,7 @@ def test_hoisted_stage_products_keep_the_bits(guards2):
     )
     fine, gamma2, report2 = reference_stages(init, src, spec, guards2)
     sol, _ = stage1_integrate(init, src, spec)
-    tube2, report = stage2_integrate(sol, init, src, spec, guards=guards2)
+    tube2, report = stage2_integrate(sol, init, src, guards=guards2)
     assert sol.fine.tobytes() == fine.tobytes()
     assert tube2.dense.tobytes() == gamma2.tobytes()
     assert report == report2

@@ -1,6 +1,7 @@
 """The runtime imports only the standard library, numpy and semigeo itself,
-only ``ode`` names the source bank its marches read from, and only
-``grid_field`` names ``on_planes``, the one read of an input field."""
+only ``ode`` names the source bank its marches read from, only
+``grid_field`` names ``on_planes``, the one read of an input field, and
+every parameter a function takes is read."""
 
 import ast
 import sys
@@ -58,3 +59,42 @@ def test_only_ode_names_the_source_bank():
 def test_only_grid_field_names_on_planes():
     # Components.dense makes every input field read; the others use its layouts
     assert [p.name for p in MODULES if "on_planes" in set(names(p))] == ["grid_field.py"]
+
+
+def unread_parameters(path):
+    """(line, function, parameter) for each parameter its function never reads.
+
+    A method's receiver (``self``, ``cls``) is exempt, since ``super()``
+    reads it implicitly, and so is any name starting with ``_``: a
+    callback with a fixed signature marks the arguments it ignores so.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    receivers = {
+        id(fn.args.args[0])
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.args.args
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            node.id
+            for stmt in body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for p in params:
+            if p.arg not in read and not p.arg.startswith("_") and id(p) not in receivers:
+                yield fn.lineno, getattr(fn, "name", "<lambda>"), p.arg
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a parameter no body reads is an option no caller can use
+    assert list(unread_parameters(path)) == []

@@ -160,6 +160,17 @@ class TestParseErrors:
         with pytest.raises(FieldSyntaxError):
             parse_field("1 + 2 )", 1)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("x1²", 2), ("²", 0), ("①", 0), ("٣+x1", 0), ("1.٣", 2), ("2e٣", 2), ("x_٣", 2)],
+    )
+    def test_non_ascii_digit_rejected_at_its_position(self, text, position):
+        # str.isdigit accepts these, but they are neither numbers nor names here
+        with pytest.raises(FieldSyntaxError) as exc:
+            parse_field(text, 2)
+        assert exc.value.position == position
+        assert "unexpected character" in str(exc.value)
+
 
 CORPUS = [
     "0",

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import _replaced_reads as replaced
+from semigeo.connection_recon import HypersurfaceConnectionData
 from semigeo.curvature import ConnectionField, MetricField
 from semigeo.errors import EvalError, InvalidInit, InvalidSpec
 from semigeo.grid_field import ChartSpec, Components, SampledField, build_grid
@@ -140,6 +141,14 @@ def test_metric_from_raw_samples_matches_expressions():
     texts = {(2, 2): "1 + 0.25*x3*x3", (2, 3): "0.1*x2", (3, 3): "1"}
     exprs, _ = reconstruct_metric(HypersurfaceMetricData(3, g=texts), sources, 1, grid.chart)
     assert_bits(samples.dense, exprs.dense)
+
+
+def test_non_numeric_hypersurface_data_is_invalid_init():
+    grid = grid3()
+    with pytest.raises(InvalidInit, match=r"^gtilde\(2, 2\): .* got SampledField$"):
+        HypersurfaceMetricData(3, g={(2, 2): SampledField(grid, np.ones(grid.shape))})
+    with pytest.raises(InvalidInit, match=r"^gammatilde\(1, 2, 2\): .* got object$"):
+        HypersurfaceConnectionData(3, {(1, 2, 2): object()})
 
 
 def test_hypersurface_errors_match_plane():

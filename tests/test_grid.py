@@ -92,16 +92,6 @@ class TestBuildGrid:
         assert not g.contains((0.5, -0.2))
         assert not g.contains((0.5,))
 
-    def test_subsample_halves_each_axis(self):
-        g = grid2(x1_range=(0.0, 1.0), h1=0.25, res=5)
-        s = g.subsample(2)
-        assert np.array_equal(s.x1_samples, np.array([0.0, 0.5, 1.0]))
-        assert s.transverse_shape == (3,)
-
-    def test_subsample_rejects_uneven_axes(self):
-        with pytest.raises(InvalidSpec):
-            grid2(res=4).subsample(2)
-
     def test_restrict_keeps_transverse(self):
         g = grid2()
         r = g.restrict_x1(0, 2)
