@@ -360,10 +360,7 @@ def main(argv=None):
         for name in defaulted_components(cfg, mode):
             print(f"note: {name} not set, defaulting to 0", file=sys.stderr)
         return run(cfg, mode, out)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except SemigeoError as err:
+    except (OSError, SemigeoError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

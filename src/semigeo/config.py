@@ -17,14 +17,26 @@ sections exist:
 ``#`` starts a comment outside quotes.  Unknown sections, unknown keys,
 repeated keys, and symmetric components given twice are all errors: a
 typo must never silently become a zero field.
+
+Numbers are ASCII decimal literals, as in expressions (``expr.NUMBER``)
+with an optional sign; integers are ASCII digits.  Other digits, such as
+``٢`` or ``１``, and ``_`` separators are errors.  ``inf``, ``infinity``
+and ``nan`` (any case) are read, and then rejected by the finiteness
+checks of the chart and the tolerances.
+
+The sections are read in the order [run], [chart], [tolerances],
+[fields], and each reports its first error: in [run], [chart] and
+[tolerances] an unknown or repeated key, in file order, before any
+value; then the values, [chart]'s in the order of the keys above.
 """
 
 import math
+import re
 from dataclasses import dataclass, field as dataclass_field
 
 from .curvature import DEGENERACY_TOL
 from .errors import ConfigError, FieldSyntaxError, InvalidSpec
-from .expr import parse_field
+from .expr import NUMBER, parse_field
 from .grid_field import FAMILIES, ChartSpec
 from .ode import GuardConfig
 
@@ -99,40 +111,23 @@ class RunConfig:
 # ---------------------------------------------------------------- tokenizing
 
 
-def _strip_comment(line):
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _split_assignment(line, line_no):
-    quoted = False
-    for pos, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "=" and not quoted:
-            key = line[:pos].strip()
-            value = line[pos + 1 :].strip()
-            if not key:
-                raise ConfigError("missing key before '='", line=line_no)
-            if not value:
-                raise ConfigError(f"{key}: missing value after '='", line=line_no)
-            return key, value
-    raise ConfigError(f"expected 'key = value', got {line.strip()!r}", line=line_no)
+def _unquoted(line, char):
+    """Offset of the first ``char`` outside double quotes, or None."""
+    start = 0
+    for k, part in enumerate(line.split('"')):
+        at = part.find(char) if k % 2 == 0 else -1
+        if at >= 0:
+            return start + at
+        start += len(part) + 1
+    return None
 
 
 def _tokenize(text):
-    """Yield (line_no, section, key, value) for every assignment."""
+    """Map each section name to its (line_no, key, value) assignments."""
+    sections = {name: [] for name in _SECTIONS}
     section = None
-    entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw[: _unquoted(raw, "#")]
         if line.count('"') % 2:
             raise ConfigError("unbalanced quotes", line=line_no)
         stripped = line.strip()
@@ -152,26 +147,36 @@ def _tokenize(text):
             continue
         if section is None:
             raise ConfigError("assignment before any section header", line=line_no)
-        key, value = _split_assignment(line, line_no)
-        entries.append((line_no, section, key, value))
-    return entries
+        at = _unquoted(line, "=")
+        if at is None:
+            raise ConfigError(f"expected 'key = value', got {stripped!r}", line=line_no)
+        key, value = line[:at].strip(), line[at + 1 :].strip()
+        if not key:
+            raise ConfigError("missing key before '='", line=line_no)
+        if not value:
+            raise ConfigError(f"{key}: missing value after '='", line=line_no)
+        sections[section].append((line_no, key, value))
+    return sections
 
 
 # ------------------------------------------------------------------ values
 
+# blanks around an integer are skipped, as in the key ``g. 2.2``
+_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+# with the words float() reads, so the finiteness checks can name them
+_FLOAT = re.compile(rf"[+-]?(?:{NUMBER}|infinity|inf|nan)", re.ASCII | re.IGNORECASE)
+
 
 def _parse_int(value, key, line_no):
-    try:
-        return int(value)
-    except ValueError:
+    if not _INT.fullmatch(value):
         raise ConfigError(f"{key}: expected an integer, got {value!r}", line=line_no)
+    return int(value)
 
 
 def _parse_float(value, key, line_no):
-    try:
-        return float(value)
-    except ValueError:
+    if not _FLOAT.fullmatch(value):
         raise ConfigError(f"{key}: expected a number, got {value!r}", line=line_no)
+    return float(value)
 
 
 def _parse_sign(value, key, line_no):
@@ -179,6 +184,21 @@ def _parse_sign(value, key, line_no):
     if sign not in (-1, 1):
         raise ConfigError(f"{key}: expected +1 or -1, got {value!r}", line=line_no)
     return sign
+
+
+def _parse_mode(value, key, line_no):
+    if value not in MODES:
+        raise ConfigError(
+            f"{key}: expected one of {', '.join(MODES)}, got {value!r}", line=line_no
+        )
+    return value
+
+
+def _parse_tolerance(value, key, line_no):
+    number = _parse_float(value, key, line_no)
+    if not 0.0 < number < math.inf:
+        raise ConfigError(f"{key}: must be finite and > 0, got {value!r}", line=line_no)
+    return number
 
 
 def _unquote(value, key, line_no):
@@ -201,91 +221,85 @@ def _parse_interval(value, key, line_no):
 
 # ------------------------------------------------------------------ sections
 
+# [chart] keys that may also be given per transverse axis, with their
+# parser and the value of an axis given neither way
+_PER_AXIS = {
+    "transverse_res": (_parse_int, 33),
+    "transverse_box": (_parse_interval, (0.0, 1.0)),
+}
+
+_REQUIRED = object()
+
+
+def _keyed(entries, section, keys):
+    """{key: (value, line_no)} for one section's assignments, in file order.
+
+    A per-axis key such as ``transverse_res.2`` is keyed (base, axis), so
+    ``transverse_res.02`` repeats it.
+    """
+    keyed = {}
+    for line_no, key, value in entries:
+        base, _, suffix = key.partition(".")
+        if suffix and base in keys and base in _PER_AXIS:
+            slot = (base, _parse_int(suffix, key, line_no))
+        elif key in keys:
+            slot = key
+        else:
+            raise ConfigError(f"unknown [{section}] key {key!r}", line=line_no)
+        if slot in keyed:
+            raise ConfigError(f"{key} given twice", line=line_no)
+        keyed[slot] = (value, line_no)
+    return keyed
+
+
+def _get(keyed, key, parse, default=_REQUIRED):
+    """``key``'s value read by ``parse``, or ``default`` when it is absent."""
+    if key not in keyed:
+        if default is _REQUIRED:
+            # only [chart] has required keys
+            raise ConfigError(f"[chart] is missing required key {key!r}")
+        return default
+    value, line_no = keyed[key]
+    name = key if isinstance(key, str) else f"{key[0]}.{key[1]}"
+    return parse(value, name, line_no)
+
 
 def _read_chart(entries):
-    plain = {}
-    per_axis = {"transverse_res": {}, "transverse_box": {}}
-    for line_no, _, key, value in entries:
-        base, _, suffix = key.partition(".")
-        if suffix and base in per_axis:
-            axis = _parse_int(suffix, key, line_no)
-            if axis in per_axis[base]:
-                raise ConfigError(f"{key} given twice", line=line_no)
-            per_axis[base][axis] = (value, line_no)
-            continue
-        if key not in _CHART_KEYS:
-            raise ConfigError(f"unknown [chart] key {key!r}", line=line_no)
-        if key in plain:
-            raise ConfigError(f"{key} given twice", line=line_no)
-        plain[key] = (value, line_no)
-
-    def require(key):
-        if key not in plain:
-            raise ConfigError(f"[chart] is missing required key {key!r}")
-        return plain[key]
-
-    value, line_no = require("n")
-    n = _parse_int(value, "n", line_no)
+    chart = _keyed(entries, "chart", _CHART_KEYS)
+    n = _get(chart, "n", _parse_int)
     if n < 2:
-        raise ConfigError(f"n: must be >= 2, got {n}", line=line_no)
+        raise ConfigError(f"n: must be >= 2, got {n}", line=chart["n"][1])
+    x1_min = _get(chart, "x1_min", _parse_float, 0.0)
+    x1_max = _get(chart, "x1_max", _parse_float)
+    h1 = _get(chart, "h1", _parse_float)
+    e = _get(chart, "e", _parse_sign, 1)
 
-    x1_min = 0.0
-    if "x1_min" in plain:
-        value, line_no = plain["x1_min"]
-        x1_min = _parse_float(value, "x1_min", line_no)
-    value, line_no = require("x1_max")
-    x1_max = _parse_float(value, "x1_max", line_no)
-    value, line_no = require("h1")
-    h1 = _parse_float(value, "h1", line_no)
-
-    e_given = "e" in plain
-    if e_given:
-        value, line_no = plain["e"]
-        e = _parse_sign(value, "e", line_no)
-    else:
-        e = 1
-
-    for base, slots in per_axis.items():
-        if slots and base in plain:
-            line_no = min(entry[1] for entry in slots.values())
+    axes = range(2, n + 1)
+    # every per-axis key is checked before any per-axis value is read
+    for base in _PER_AXIS:
+        slots = [
+            (key[1], line_no)
+            for key, (_, line_no) in chart.items()
+            if isinstance(key, tuple) and key[0] == base
+        ]
+        if slots and base in chart:
             raise ConfigError(
                 f"{base}: give either one global value or per-axis values, not both",
-                line=line_no,
+                line=min(line_no for _, line_no in slots),
             )
-        for axis, (_, line_no) in slots.items():
-            if not 2 <= axis <= n:
+        for axis, line_no in slots:
+            if axis not in axes:
                 raise ConfigError(
                     f"{base}.{axis}: transverse axis must be in 2..{n}", line=line_no
                 )
-
-    def per_axis_values(base, parse, default):
-        out = []
-        for axis in range(2, n + 1):
-            if axis in per_axis[base]:
-                value, line_no = per_axis[base][axis]
-                out.append(parse(value, f"{base}.{axis}", line_no))
-            else:
-                out.append(default)
-        return tuple(out)
-
-    if per_axis["transverse_res"]:
-        res = per_axis_values("transverse_res", _parse_int, 33)
-    elif "transverse_res" in plain:
-        value, line_no = plain["transverse_res"]
-        res = _parse_int(value, "transverse_res", line_no)
-    else:
-        res = 33
-
-    if per_axis["transverse_box"]:
-        box = per_axis_values("transverse_box", _parse_interval, (0.0, 1.0))
-    elif "transverse_box" in plain:
-        value, line_no = plain["transverse_box"]
-        box = (_parse_interval(value, "transverse_box", line_no),) * (n - 1)
-    else:
-        box = None
+    per_axis = []
+    for base, (parse, default) in _PER_AXIS.items():
+        whole = _get(chart, base, parse, default)
+        per_axis.append(tuple(_get(chart, (base, axis), parse, whole) for axis in axes))
+    res, box = per_axis
 
     try:
-        chart = ChartSpec(
+        spec = ChartSpec(
             n=n,
             x1_range=(x1_min, x1_max),
             h1=h1,
@@ -295,13 +309,13 @@ def _read_chart(entries):
         )
     except InvalidSpec as err:
         raise ConfigError(f"[chart]: {err}")
-    return chart, e_given
+    return spec, "e" in chart
 
 
 def _read_fields(entries, n):
     fields = {}
     first_line = {}
-    for line_no, _, key, value in entries:
+    for line_no, key, value in entries:
         parts = key.split(".")
         family = parts[0]
         if family not in FAMILIES:
@@ -360,55 +374,20 @@ def load_config(path):
         # the bytes before the first bad one decode, so lines count as _tokenize counts them
         line = len((data[: err.start].decode("utf-8") + "x").splitlines())
         raise ConfigError(f"byte {data[err.start]:#04x} is not UTF-8", line=line) from None
-    entries = _tokenize(text)
-
-    by_section = {name: [] for name in _SECTIONS}
-    for entry in entries:
-        by_section[entry[1]].append(entry)
-
-    mode = None
-    out = None
-    seen = set()
-    for line_no, _, key, value in by_section["run"]:
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"unknown [run] key {key!r}", line=line_no)
-        if key in seen:
-            raise ConfigError(f"{key} given twice", line=line_no)
-        seen.add(key)
-        if key == "mode":
-            if value not in MODES:
-                raise ConfigError(
-                    f"mode: expected one of {', '.join(MODES)}, got {value!r}",
-                    line=line_no,
-                )
-            mode = value
-        else:
-            out = value
-
-    chart, e_given = _read_chart(by_section["chart"])
-
-    tolerances = Tolerances()
-    seen = set()
-    for line_no, _, key, value in by_section["tolerances"]:
-        if key not in _TOLERANCE_KEYS:
-            raise ConfigError(f"unknown [tolerances] key {key!r}", line=line_no)
-        if key in seen:
-            raise ConfigError(f"{key} given twice", line=line_no)
-        seen.add(key)
-        number = _parse_float(value, key, line_no)
-        if not 0.0 < number < math.inf:
-            raise ConfigError(f"{key}: must be finite and > 0, got {value!r}", line=line_no)
-        setattr(tolerances, key, number)
-
-    fields = _read_fields(by_section["fields"], chart.n)
-
+    sections = _tokenize(text)
+    run = _keyed(sections["run"], "run", _RUN_KEYS)
+    mode = _get(run, "mode", _parse_mode, None)
+    out = _get(run, "out", lambda value, _key, _line_no: value, None)
+    chart, e_given = _read_chart(sections["chart"])
+    keyed = _keyed(sections["tolerances"], "tolerances", _TOLERANCE_KEYS)
+    tolerances = Tolerances(**{key: _get(keyed, key, _parse_tolerance) for key in keyed})
     return RunConfig(
         chart=chart,
         mode=mode,
         out=out,
         e_given=e_given,
         tolerances=tolerances,
-        fields=fields,
+        fields=_read_fields(sections["fields"], chart.n),
     )
 
 

@@ -65,10 +65,7 @@ class MetricField(TensorTube):
     def semigeodesic_residuals(self):
         """(max |g_11 - e|, max |g_1j|) over the lattice, with the metric's e."""
         r11 = float(np.max(np.abs(self.dense[0, 0] - self.e)))
-        if self.n > 1:
-            r1j = float(np.max(np.abs(self.dense[0, 1:])))
-        else:
-            r1j = 0.0
+        r1j = float(np.max(np.abs(self.dense[0, 1:])))
         return r11, r1j
 
     def require_semigeodesic(self):

@@ -8,6 +8,7 @@ Grammar (whitespace insignificant, no implicit multiplication)::
     power  := atom ('^' unary)?          # right-associative, binds above unary -
     atom   := NUMBER | VAR | FUNC '(' expr ')' | '(' expr ')'
 
+NUMBER is an ASCII decimal literal, the pattern ``NUMBER`` below.
 Variables are ``x1 .. xn``; functions are sin, cos, tan, sinh, cosh, exp,
 log, sqrt, abs.  Evaluation is IEEE double and every invalid operation
 (division by zero, log/sqrt domain, non-finite result) raises
@@ -17,7 +18,7 @@ the interpreter's recursion limit is a FieldSyntaxError when parsing and
 an EvalError after.
 """
 
-import string
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,55 +71,24 @@ FieldExpr = Num | Var | Neg | BinOp | Call
 
 # ---------------------------------------------------------------- tokenizer
 
-_OPS = set("+-*/^()")
-# ASCII only: str.isdigit and str.isalnum also accept digits such as "²"
-# or "٣", which int() and float() then reject or silently read
-_DIGITS = frozenset("0123456789")
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT = _IDENT_START | _DIGITS
+# ASCII only: float() also reads digits such as "٣" and separators as in
+# "1_0"; the config reader takes its numbers with this pattern too
+NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<num>{NUMBER})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))"
+)
 
 
 def _tokenize(text):
     """Yield (kind, value, position) triples; kind in {num, ident, op}."""
     tokens = []
-    i = 0
-    size = len(text)
-    while i < size:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < size and text[i + 1] in _DIGITS):
-            j = i
-            while j < size and text[j] in _DIGITS:
-                j += 1
-            if j < size and text[j] == ".":
-                j += 1
-                while j < size and text[j] in _DIGITS:
-                    j += 1
-            if j < size and text[j] in "eE":
-                k = j + 1
-                if k < size and text[k] in "+-":
-                    k += 1
-                if k < size and text[k] in _DIGITS:
-                    j = k
-                    while j < size and text[j] in _DIGITS:
-                        j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < size and text[j] in _IDENT:
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise FieldSyntaxError(f"unexpected character {c!r}", i)
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        token = (kind, match[kind], match.start(kind))
+        if kind == "bad":
+            raise FieldSyntaxError(f"unexpected character {token[1]!r}", token[2])
+        tokens.append(token)
     return tokens
 
 

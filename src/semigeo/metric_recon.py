@@ -114,14 +114,15 @@ def reconstruct_metric(init, sources, e, spec, guards=None, degeneracy_tol=None)
     """March the transverse block from (g~, G~) on the lattice of ``spec``.
 
     Returns (MetricField, ReconstructionReport).  ``e`` is the axial
-    sign g_11; it never enters the transverse system.  Initial data must
+    sign g_11 and must equal ``spec.e`` (InvalidSpec otherwise); it
+    never enters the transverse system.  Initial data must
     have a finite, nondegenerate determinant at each node (InvalidInit otherwise).
     A direction stops at degeneracy (ratio ``degeneracy_tol``, default
     1e-10, against the initial determinant per node, or a determinant
     sign change) or at blow-up; the report carries the reached extents.
     """
-    if e not in (-1, 1):
-        raise InvalidSpec(f"e must be +1 or -1, got {e!r}")
+    if e != spec.e:
+        raise InvalidSpec(f"e = {e!r} differs from the chart's e = {spec.e!r}")
     grid = build_grid(spec)
     tol = DEGENERACY_TOL if degeneracy_tol is None else float(degeneracy_tol)
     g0 = init.g_plane(grid)

@@ -316,6 +316,11 @@ class TestFieldsSection:
         with pytest.raises(ConfigError, match="g.2.2"):
             load_text(tmp_path, BASE2 + 'g.2.2 = "x3"\n')
 
+    def test_blanks_inside_a_dotted_index(self, tmp_path):
+        # the ASCII integer grammar skips surrounding blanks, as int() did
+        cfg = load_text(tmp_path, BASE2 + 'g. 2 .+2 = "1"\n')
+        assert set(cfg.fields["g"]) == {(2, 2)}
+
     def test_symmetric_storage_is_canonical(self, tmp_path):
         cfg = load_text(tmp_path, BASE3 + 'gamma.1.3.2 = "x1"\n')
         assert (1, 2, 3) in cfg.fields["gamma"]
@@ -737,6 +742,44 @@ class TestExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: line 14: ") and err.count("\n") == 1
         assert "unexpected character" in err
+
+    # config numbers take the expression grammar: ASCII digits, no "_" separators
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("n = 2", "n = ٢", 5, "n: expected an integer, got '٢'"),
+            ('g.2.2 = "1"', 'g.٢.٢ = "1"', 14, "g.٢.٢: expected an integer, got '٢'"),
+            ("x1_max = 0.5", "x1_max = 1_0", 7, "x1_max: expected a number, got '1_0'"),
+            (
+                "transverse_res = 5",
+                "transverse_res = 1_1",
+                9,
+                "transverse_res: expected an integer, got '1_1'",
+            ),
+            (
+                "transverse_res = 5",
+                "transverse_res = 5\ntransverse_box = 0, １",
+                10,
+                "transverse_box: expected a number, got '１'",
+            ),
+            (
+                "transverse_res = 5",
+                "transverse_res.٢ = 5",
+                9,
+                "transverse_res.٢: expected an integer, got '٢'",
+            ),
+            ("h1 = 0.01", "h1 = ١e-1", 8, "h1: expected a number, got '١e-1'"),
+        ],
+    )
+    def test_number_outside_the_grammar(self, tmp_path, capsys, old, new, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FLAT_FORWARD.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.line == line
+        code = main(["forward", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
     def test_mode_mismatch(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FLAT_FORWARD)

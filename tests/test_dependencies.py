@@ -1,7 +1,8 @@
 """The runtime imports only the standard library, numpy and semigeo itself,
 only ``ode`` names the source bank its marches read from, only
-``grid_field`` names ``on_planes``, the one read of an input field, and
-every parameter a function takes is read."""
+``grid_field`` names ``on_planes``, the one read of an input field,
+every parameter a function takes is read, and the config reader turns
+text into numbers only in ``_parse_int`` and ``_parse_float``."""
 
 import ast
 import sys
@@ -98,3 +99,23 @@ def unread_parameters(path):
 def test_every_parameter_is_read(path):
     # a parameter no body reads is an option no caller can use
     assert list(unread_parameters(path)) == []
+
+
+def number_reads(path):
+    """(top-level definition, builtin) for each ``int`` or ``float`` a call names.
+
+    Both ``int(text)`` and ``map(int, parts)`` count; annotations do not.
+    """
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(stmt, "name", "<module>")
+        for call in ast.walk(stmt):
+            if isinstance(call, ast.Call):
+                for node in [call.func, *call.args]:
+                    if isinstance(node, ast.Name) and node.id in ("int", "float"):
+                        yield owner, node.id
+
+
+def test_config_reads_numbers_with_one_grammar():
+    # a bare int() or float() also reads "٢" and "1_0"; these two check the grammar first
+    config = Path(semigeo.__file__).parent / "config.py"
+    assert set(number_reads(config)) == {("_parse_int", "int"), ("_parse_float", "float")}

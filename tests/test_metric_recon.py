@@ -14,8 +14,8 @@ from semigeo.metric_recon import (
 )
 
 
-def surface_spec(h1=1e-2, x1_range=(0.0, 1.0), res=3):
-    return ChartSpec(n=2, x1_range=x1_range, h1=h1, transverse_res=res)
+def surface_spec(h1=1e-2, x1_range=(0.0, 1.0), res=3, e=1):
+    return ChartSpec(n=2, x1_range=x1_range, h1=h1, transverse_res=res, e=e)
 
 
 def axial(grid):
@@ -183,7 +183,7 @@ class TestValidation:
     def test_lorentzian_axial_sign(self):
         init = HypersurfaceMetricData(2, g={(2, 2): "1"})
         src = MetricCurvatureSpec(2, {(2, 2): "-cos(x1)^2"})
-        metric, report = reconstruct_metric(init, src, -1, surface_spec())
+        metric, report = reconstruct_metric(init, src, -1, surface_spec(e=-1))
         assert report.complete
         assert metric.e == -1
         assert np.all(metric.component(1, 1) == -1.0)
@@ -193,6 +193,12 @@ class TestValidation:
         init = HypersurfaceMetricData(2, g={(2, 2): "1"})
         with pytest.raises(InvalidSpec):
             reconstruct_metric(init, MetricCurvatureSpec(2), 2, surface_spec())
+
+    def test_axial_sign_must_match_chart(self):
+        # the chart's e is the one the CLI passes; a second, different e is refused
+        init = HypersurfaceMetricData(2, g={(2, 2): "1"})
+        with pytest.raises(InvalidSpec, match=r"^e = -1 differs from the chart's e = 1$"):
+            reconstruct_metric(init, MetricCurvatureSpec(2), -1, surface_spec())
 
     def test_degenerate_initial_block(self):
         init = HypersurfaceMetricData(2, g={(2, 2): "x2"})
