@@ -105,7 +105,10 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
             gam = conn.at(pos)
         except OutOfDomain:
             raise StateRejected("left") from None
-        return np.stack([vel, -np.einsum("hij,i,j->h", gam, vel, vel)])[..., None]
+        out = np.empty((2, n, 1))
+        out[0, :, 0] = vel
+        out[1, :, 0] = -np.einsum("hij,i,j->h", gam, vel, vel)
+        return out
 
     march = rk4_march(rhs, 0.0, step, n_steps, np.stack([x0, v0])[..., None], guards)
     states = march.states[..., 0]

@@ -27,7 +27,10 @@ estimate of the fine-lattice discretization error (``error_estimate``).
 The gate is max(roundtrip_tol, 10 * error_estimate): a residual of pure
 discretization origin sits well under it, while source fields that are
 not the curvature of any connection (or metric) leave a resolution-
-independent residual that the gate flags as exit 4.
+independent residual that the gate flags as exit 4.  The report line
+``coarse_rerun`` says how the coarse rerun went: ``done``, ``skipped
+(<why>)``, ``stopped (<status>)`` or ``error (<message>)``; without
+``done`` there is no estimate and the gate is roundtrip_tol.
 """
 
 import argparse
@@ -115,24 +118,6 @@ def _report_recon(lines, report):
 
 
 # ------------------------------------------------------------------ helpers
-
-
-def _coarse_chart(chart):
-    """Once-coarsened chart for the Richardson estimate, or None."""
-    res = tuple((r - 1) // 2 + 1 for r in chart.transverse_res)
-    if any((r - 1) % 2 for r in chart.transverse_res) or any(r < 3 for r in res):
-        return None
-    lo, hi = chart.x1_range
-    if (hi - lo) < 4.0 * chart.h1:
-        return None
-    return ChartSpec(
-        n=chart.n,
-        x1_range=chart.x1_range,
-        h1=2.0 * chart.h1,
-        transverse_box=chart.transverse_box,
-        transverse_res=res,
-        e=chart.e,
-    )
 
 
 def metric_roundtrip_residual(metric, sources, degeneracy_tol):
@@ -254,15 +239,8 @@ def _run_reconstruction(cfg, out, mode, reconstruct, residual_of, dump_name):
         raise GridTooCoarse(f"{mode}: the x1 axis is too short for the curvature oracle")
     if oracle is not None:
         write_tensor_dump(out / "curvature_oracle.csv", field.grid, [oracle])
-    coarse_residual = None
-    coarse = _coarse_chart(cfg.chart)
-    if coarse is not None and residual is not None:
-        try:
-            field2, report2, _ = reconstruct(cfg, coarse)
-            if report2.complete:
-                coarse_residual, _ = residual_of(field2, sources)
-        except SemigeoError:
-            coarse_residual = None
+    coarse_residual, outcome = _coarse_rerun(cfg, reconstruct, residual_of, sources, residual)
+    lines.append(("coarse_rerun", outcome))
     estimate, gate = roundtrip_gate(residual, coarse_residual, cfg.tolerances.roundtrip_tol)
     lines.append(("max_error", float("nan") if residual is None else residual))
     lines.append(("error_estimate", estimate))
@@ -270,6 +248,45 @@ def _run_reconstruction(cfg, out, mode, reconstruct, residual_of, dump_name):
     if code == 0 and residual is not None and residual > gate:
         code = 4
     return code, lines
+
+
+def _coarse_rerun(cfg, reconstruct, residual_of, sources, residual):
+    """(coarse residual or None, report outcome) of the Richardson rerun.
+
+    The rerun uses the once-coarsened chart: h1 doubled and every
+    transverse resolution r made (r - 1) / 2 + 1.  The outcome is
+    ``done``, ``skipped (<why>)``, ``stopped (<status>)`` or
+    ``error (<message>)``; only ``done`` comes with a residual.
+    """
+    chart = cfg.chart
+    res = tuple((r - 1) // 2 + 1 for r in chart.transverse_res)
+    lo, hi = chart.x1_range
+    if residual is None:
+        return None, "skipped (no fine residual)"
+    if any((r - 1) % 2 for r in chart.transverse_res):
+        return None, "skipped (even transverse_res)"
+    if any(r < 3 for r in res):
+        return None, "skipped (coarsened transverse_res below 3)"
+    if (hi - lo) < 4.0 * chart.h1:
+        return None, "skipped (x1 axis shorter than 4*h1)"
+    coarse = ChartSpec(
+        n=chart.n,
+        x1_range=chart.x1_range,
+        h1=2.0 * chart.h1,
+        transverse_box=chart.transverse_box,
+        transverse_res=res,
+        e=chart.e,
+    )
+    try:
+        field, report, _ = reconstruct(cfg, coarse)
+        if not report.complete:
+            return None, f"stopped ({report.status})"
+        coarse_residual, _ = residual_of(field, sources)
+    except SemigeoError as err:
+        return None, f"error ({err})"
+    if coarse_residual is None:
+        return None, "skipped (coarse x1 axis too short for the oracle)"
+    return coarse_residual, "done"
 
 
 def _run_check_chart(cfg, grid, out):

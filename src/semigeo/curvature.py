@@ -165,8 +165,12 @@ def curvature13(connection):
         for a in range(1, n + 1):
             dgam[a - 1] = fd_partial(gam, a, grid)
         quad = np.einsum("mik...,hmj...->hijk...", gam, gam)
-        # p[h,i,j,k] = d_j G^h_ik + G^m_ik G^h_mj; dgam axes are (j, h, i, k, ...)
-        p = np.transpose(dgam, (1, 2, 0, 3) + tuple(range(4, dgam.ndim))) + quad
+        # p[h,i,j,k] = d_j G^h_ik + G^m_ik G^h_mj; dgam axes are (j, h, i, k, ...).
+        # p is formed in quad's memory and dgam dropped before r, so at most
+        # two n^4 tubes are alive at once
+        dgam = np.transpose(dgam, (1, 2, 0, 3) + tuple(range(4, dgam.ndim)))
+        p = np.add(dgam, quad, out=quad)
+        del dgam
         r = p - np.swapaxes(p, 2, 3)
     return CurvatureTube(grid, r)
 
@@ -195,7 +199,10 @@ def curvature04_semigeo(metric, degeneracy_tol=DEGENERACY_TOL):
     d1 = fd_partial(gt, 1, grid)
     d11 = fd_second(gt, 1, grid)
     quad = np.einsum("rs...,ir...,js...->ij...", ginv_t, d1, d1)
-    block = mirror_upper(0.5 * d11 - 0.25 * quad)
+    # 0.5 * d11 - 0.25 * quad, formed in place to hold fewer lattice blocks
+    d11 *= 0.5
+    quad *= 0.25
+    block = mirror_upper(np.subtract(d11, quad, out=quad))
     return TensorTube("R04", grid, block[None, :, :, None], (1, 2, 2, 1))
 
 

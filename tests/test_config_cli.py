@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from semigeo import cli
 from semigeo.cli import main, read_report, roundtrip_gate
 from semigeo.config import (
     MODES,
@@ -16,7 +17,7 @@ from semigeo.config import (
     validate_for_mode,
 )
 from semigeo.curvature import DEGENERACY_TOL, MetricField, christoffel_from_metric
-from semigeo.errors import ConfigError, DegenerateMetric
+from semigeo.errors import ConfigError, DegenerateMetric, InvalidSpec
 from semigeo.grid_field import ChartSpec, build_grid
 from semigeo.ode import GuardConfig
 
@@ -607,6 +608,113 @@ class TestRoundtripRuns:
         assert code == 0
 
 
+# A 2-D connection whose stage-1 solution is tan(sqrt(a) x1): a pole at
+# pi / (2 sqrt(a)), between the second and third samples for a = 3e3 and
+# between the first and second for a = 1e4 (h1 = 0.01).
+POLE_ROUNDTRIP = (
+    CONNECTION_ROUNDTRIP.replace("h1 = 0.001", "h1 = 0.01")
+    .replace('A.1.2.2 = "cos(x1)^2"\n', "")
+    .replace("transverse_res = 9", "transverse_res = 5")
+)
+
+
+class TestCoarseRerun:
+    """The report names the outcome of the Richardson coarse rerun, just
+    before ``max_error``; every outcome but ``done`` leaves the gate at
+    ``roundtrip_tol``."""
+
+    SPHERE = SPHERE_ROUNDTRIP.replace("h1 = 0.001", "h1 = 0.01")
+
+    @pytest.mark.parametrize(
+        "text, mode, code, outcome",
+        [
+            (SPHERE, "roundtrip-metric", 0, "done"),
+            (
+                SPHERE.replace("transverse_res = 5", "transverse_res = 4"),
+                "roundtrip-metric",
+                4,
+                "skipped (even transverse_res)",
+            ),
+            (
+                SPHERE.replace("transverse_res = 5", "transverse_res = 3"),
+                "roundtrip-metric",
+                4,
+                "skipped (coarsened transverse_res below 3)",
+            ),
+            (
+                # 0.75 < 4 * h1: four samples, enough for the fine oracle
+                SPHERE.replace("h1 = 0.01", "h1 = 0.25").replace("x1_max = 1.0", "x1_max = 0.75"),
+                "roundtrip-metric",
+                4,
+                "skipped (x1 axis shorter than 4*h1)",
+            ),
+            (
+                # the coarse rerun has three samples, one short of the oracle
+                SPHERE.replace("h1 = 0.01", "h1 = 0.25"),
+                "roundtrip-metric",
+                4,
+                "skipped (coarse x1 axis too short for the oracle)",
+            ),
+            (
+                POLE_ROUNDTRIP.replace('A.2.1.2 = "-1"', 'A.2.1.2 = "-1e4"'),
+                "roundtrip-connection",
+                3,
+                "skipped (no fine residual)",
+            ),
+            (
+                POLE_ROUNDTRIP.replace('A.2.1.2 = "-1"', 'A.2.1.2 = "-3e3"'),
+                "roundtrip-connection",
+                3,
+                "stopped (StoppedBlowup)",
+            ),
+        ],
+        ids=[
+            "done",
+            "even-res",
+            "coarse-res-below-3",
+            "short-axis",
+            "coarse-too-short",
+            "no-fine-residual",
+            "stopped",
+        ],
+    )
+    def test_outcome(self, tmp_path, text, mode, code, outcome):
+        got, out = run_cli(tmp_path, text, mode)
+        assert got == code
+        report = read_report(out / "report.txt")
+        assert report["coarse_rerun"] == outcome
+        assert list(report)[-5:] == [
+            "coarse_rerun",
+            "max_error",
+            "error_estimate",
+            "gate",
+            "exit_code",
+        ]
+        if outcome == "done":
+            assert float(report["error_estimate"]) > 0.0
+        else:
+            assert float(report["error_estimate"]) == 0.0
+            assert float(report["gate"]) == 1e-6
+
+    def test_error(self, tmp_path, monkeypatch):
+        # no configuration is known that fails on the coarse chart alone,
+        # so the coarse reconstruction is made to raise
+        real = cli._reconstruct_metric
+
+        def coarse_fails(cfg, chart):
+            if chart is not cfg.chart:
+                raise InvalidSpec("coarse chart refused")
+            return real(cfg, chart)
+
+        monkeypatch.setattr(cli, "_reconstruct_metric", coarse_fails)
+        code, out = run_cli(tmp_path, self.SPHERE, "roundtrip-metric")
+        assert code == 4
+        report = read_report(out / "report.txt")
+        assert report["coarse_rerun"] == "error (coarse chart refused)"
+        assert float(report["error_estimate"]) == 0.0
+        assert float(report["gate"]) == 1e-6
+
+
 class TestNumericalStops:
     def test_degenerate_metric_exit3(self, tmp_path):
         text = SPHERE_ROUNDTRIP.replace("mode = roundtrip-metric", "mode = reconstruct-metric")
@@ -943,7 +1051,8 @@ class TestDeterminismAndPlumbing:
         assert code == 0
         keys = list(read_report(out / "report.txt"))
         head = ["mode", "status", "delta_hat_plus", "delta_hat_minus", "max_component"]
-        tail = ["max_error", "error_estimate", "gate"] if mode.startswith("roundtrip") else []
+        tail = ["coarse_rerun", "max_error", "error_estimate", "gate"]
+        tail = tail if mode.startswith("roundtrip") else []
         assert keys[:5] == head
         assert keys[-1] == "exit_code"
         middle = keys[5 : len(keys) - 1 - len(tail)]

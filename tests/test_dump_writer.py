@@ -3,16 +3,20 @@
 ``write_tensor_dump`` and ``write_curve_dump`` format rows of numbers
 with ``repr`` and write them without the csv module.  The reference
 writers below are the csv.writer implementations they replaced; every
-case must give the same bytes.  A memory guard pins that the tensor
-writer streams one row of the last grid axis at a time.
+case must give the same bytes.  Memory guards pin that the tensor
+writer streams one row of the last grid axis at a time, and a counting
+``repr`` pins that it formats each distinct component once per node.
 """
 
+import builtins
 import csv
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from semigeo import grid_field
 from semigeo.chart_check import Curve
 from semigeo.grid_field import (
     ChartSpec,
@@ -21,6 +25,7 @@ from semigeo.grid_field import (
     write_curve_dump,
     write_tensor_dump,
 )
+from semigeo.linalg import mirror_upper
 
 # ------------------------------------------------------------ the reference
 
@@ -124,6 +129,45 @@ def case_no_tubes():
     return grid_of(2, 3), []
 
 
+# NaNs that differ only in their payload bits; both print as "nan"
+NAN_A, NAN_B = np.array([0x7FF8000000000001, 0x7FF8000000000002]).view(np.float64)
+
+
+def case_constant_components():
+    g = grid_of(2, 3)
+    const = np.empty((2, 2) + g.shape)
+    for pos, value in zip(np.ndindex(2, 2), [0.0, -0.0, np.inf, np.nan]):
+        const[pos] = value
+    return g, [TensorTube("c", g, const), tube("v", g, (2,), seed=13)]
+
+
+def case_one_negative_zero():
+    g = grid_of(2, 3)
+    dense = np.zeros((2,) + g.shape)
+    dense[0, 1, 2] = -0.0  # one -0.0 node: component 1 is not the constant 0.0
+    return g, [TensorTube("z", g, dense)]
+
+
+def case_mirrored():
+    g = grid_of(3, (3, 4))
+    return g, [TensorTube("g", g, mirror_upper(values((3, 3) + g.shape, 14)))]
+
+
+def case_shared_component():
+    g = grid_of(2, 4)
+    a = tube("a", g, (2, 2), seed=15)
+    b = values((2,) + g.shape, 16)
+    b[1] = a.dense[0, 1]
+    return g, [a, TensorTube("b", g, b)]
+
+
+def case_nan_payloads():
+    g = grid_of(2, 3)
+    dense = np.repeat(values(g.shape, 17)[None], 2, axis=0)
+    dense[0, 2, 1], dense[1, 2, 1] = NAN_A, NAN_B
+    return g, [TensorTube("p", g, dense)]
+
+
 CASES = {
     "n2": case_n2,
     "n3": case_n3,
@@ -133,6 +177,11 @@ CASES = {
     "quoted-names": case_quoted_names,
     "scalar-tube": case_scalar_tube,
     "no-tubes": case_no_tubes,
+    "constant-components": case_constant_components,
+    "one-negative-zero": case_one_negative_zero,
+    "mirrored": case_mirrored,
+    "shared-component": case_shared_component,
+    "nan-payloads": case_nan_payloads,
 }
 
 
@@ -175,19 +224,70 @@ def test_curve_dump_matches_csv_writer(s, points, tmp_path):
     assert got.read_bytes() == want.read_bytes()
 
 
+def wide_dump_peak(path, dense):
+    """Traced peak bytes of dumping a 3x3 tube on the 33x33x101 lattice."""
+    grid = grid_of(3, 33, x1_range=(-0.5, 0.5), h1=0.01)
+    assert grid.shape == (101, 33, 33)
+    t = TensorTube("g", grid, dense(grid.shape))
+    tracemalloc.start()
+    try:
+        write_tensor_dump(path, grid, [t])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_tensor_dump_streams_one_row_at_a_time(tmp_path):
     """Writing a 3x3 tube on a 33x33x101 lattice allocates well under 0.5 MB.
 
     One row of the last axis (9 x 33 lines) peaks near 0.1 MB; one x1
     plane per write peaks at 1.8 MB.
     """
-    grid = grid_of(3, 33, x1_range=(-0.5, 0.5), h1=0.01)
-    assert grid.shape == (101, 33, 33)
-    t = TensorTube("g", grid, np.full((3, 3) + grid.shape, 0.1 + 0.2))
-    tracemalloc.start()
-    try:
-        write_tensor_dump(tmp_path / "wide.csv", grid, [t])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = wide_dump_peak(tmp_path / "wide.csv", lambda shape: np.full((3, 3) + shape, 0.1 + 0.2))
     assert peak < 0.5 * 2**20
+
+
+def test_varying_symmetric_dump_streams_one_row_at_a_time(tmp_path):
+    """The same bound for a tube whose components vary over the lattice.
+
+    A constant tube takes only the path of prebuilt lines; here six
+    components are formatted at every node and three mirror them.
+    """
+    peak = wide_dump_peak(
+        tmp_path / "wide.csv", lambda shape: mirror_upper(values((3, 3) + shape, 18))
+    )
+    assert peak < 0.5 * 2**20
+
+
+def test_each_distinct_component_is_formatted_once(monkeypatch, tmp_path):
+    """``repr`` runs once per node for each distinct component, once per
+    constant component and once per coordinate; nothing else is formatted.
+
+    Of the 9 + 1 components below, 3 are constant, the mirrored slots and
+    the second tube's one copy earlier components, and 4 are distinct:
+    slots (2,2) and (3,3) differ only in one NaN payload, and slot (1,3)
+    is 0.0 but for one -0.0 node.
+    """
+    grid = grid_of(3, (3, 4))
+    dense = np.zeros((3, 3) + grid.shape)
+    dense[0, 0] = 1.0
+    dense[0, 1] = -0.0
+    dense[1, 1] = values(grid.shape, 19)
+    dense[1, 2] = values(grid.shape, 20)
+    dense[2, 2] = dense[1, 1]
+    dense[1, 1, 1, 2, 3], dense[2, 2, 1, 2, 3] = NAN_A, NAN_B
+    dense[0, 2, 2, 1, 0] = -0.0
+    tubes = [TensorTube("g", grid, mirror_upper(dense)), TensorTube("h", grid, dense[1, 2][None])]
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(grid_field, "repr", counting_repr, raising=False)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_tensor_dump(got, grid, tubes)
+    assert len(calls) == 4 * math.prod(grid.shape) + sum(grid.shape) + 3
+    reference_tensor_dump(want, grid, tubes)
+    assert got.read_bytes() == want.read_bytes()
