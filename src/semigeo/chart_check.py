@@ -12,6 +12,13 @@ the first basis vector, so the geodesic equation residual is exactly
 |Gamma^h_11(c(s))|.  That is the same read of Gamma^h_11 as the
 pre-semigeodesic residual, so ``lemma1_check`` names it and returns the
 same value.
+
+Shot geodesics check the same properties along curves off the lattice
+lines.  Every read along them is one point query for many points: the
+shots of a check march as one K-node ``rk4_march`` that reads the
+connection at all K positions per stage, and ``unit_speed_residual`` and
+``geodesic_residual`` read a whole curve at once.  Each keeps the bytes
+of reading its points one at a time.
 """
 
 import math
@@ -73,23 +80,33 @@ def lemma1_check(conn):
 def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
     """Integrate the geodesic equation from (x0, v0) through the tube.
 
-    The shot is a one-node ``rk4_march`` of the first-order system
-    (x' = v, v' = -Gamma v v) for floor(s_max / step) steps.  Returns a
-    Curve carrying points and velocities.  If the geodesic escapes the
-    tube, raises LeftDomain with the partial curve attached as
-    ``.curve``.  When an accepted step lands outside the tube, that
-    position is ``exit_point`` and is not part of the curve; when a step
-    is stopped before completing (a stage leaves the tube or a guard
-    trips), ``exit_point`` is the last position on the curve.
+    ``x0`` and ``v0`` are one start, shaped (n,), or K starts, shaped
+    (n, K).  All shots are one K-node ``rk4_march`` of the first-order
+    system (x' = v, v' = -Gamma v v) for floor(s_max / step) steps, whose
+    right-hand side reads the connection at all K positions with one
+    query.  When a node stops (a stage leaves the tube or a guard trips),
+    the march is relaunched from the last accepted states without it;
+    the right-hand side does not read s and the nodes do not interact,
+    so every shot has the bits of marching it alone.
+
+    A shot whose geodesic escapes the tube stops with a LeftDomain that
+    carries the partial curve as ``.curve``.  When an accepted step
+    lands outside the tube, that position is ``exit_point`` and is not
+    part of the curve; when a step is stopped before completing,
+    ``exit_point`` is the last position on the curve.  One start
+    returns its Curve (points and velocities) or raises that LeftDomain;
+    K starts return a list of K (Curve, LeftDomain or None) pairs.
     """
     grid = conn.grid
     n = grid.n
     x0 = np.asarray(x0, dtype=np.float64)
     v0 = np.asarray(v0, dtype=np.float64)
-    if x0.shape != (n,) or v0.shape != (n,):
+    if x0.shape[:1] != (n,) or x0.ndim > 2 or v0.shape != x0.shape:
         raise InvalidSpec(f"start point and velocity must have {n} components")
-    if not grid.contains(x0):
-        raise OutOfDomain(f"geodesic start {tuple(x0)} is outside the tube")
+    state = np.stack([x0, v0]).reshape(2, n, -1)
+    for start in state[0].T:
+        if not grid.contains(start):
+            raise OutOfDomain(f"geodesic start {tuple(start)} is outside the tube")
     if not step > 0:
         raise InvalidSpec(f"step must be positive, got {step}")
     steps = float(s_max) / float(step) + 1e-9
@@ -100,34 +117,62 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
         raise InvalidSpec("s_max admits no whole step")
 
     def rhs(_s, state):
-        pos, vel = state[..., 0]
+        pos, vel = state
         try:
             gam = conn.at(pos)
         except OutOfDomain:
-            raise StateRejected("left") from None
-        out = np.empty((2, n, 1))
-        out[0, :, 0] = vel
-        out[1, :, 0] = -np.einsum("hij,i,j->h", gam, vel, vel)
+            left = next(k for k, p in enumerate(pos.T) if not grid.contains(p))
+            raise StateRejected("left", left) from None
+        out = np.empty_like(state)
+        out[0] = vel
+        out[1] = -np.einsum("hijN,iN,jN->hN", gam, vel, vel)
         return out
 
-    march = rk4_march(rhs, 0.0, step, n_steps, np.stack([x0, v0])[..., None], guards)
-    states = march.states[..., 0]
-    done = march.steps_done
+    # each node's trajectory pieces, and how its march ended
+    pieces = [[] for _ in range(state.shape[-1])]
+    stopped = [None] * len(pieces)
+    live = list(range(len(pieces)))
+    done = 0
+    skip = 0
+    while live:
+        march = rk4_march(rhs, done * step, step, n_steps - done, state, guards)
+        for col, node in enumerate(live):
+            pieces[node].append(march.states[skip:, ..., col])
+        if march.stopped is None:
+            break
+        col = march.stop_detail
+        stopped[live.pop(col)] = march.stopped
+        state = np.delete(march.states[-1], col, axis=-1)
+        done += march.steps_done
+        # a relaunch starts from states its nodes already hold
+        skip = 1
+    shots = [_shot_outcome(grid, np.concatenate(p), s, step) for p, s in zip(pieces, stopped)]
+    if x0.ndim == 2:
+        return shots
+    curve, stop = shots[0]
+    if stop is not None:
+        raise stop
+    return curve
+
+
+def _shot_outcome(grid, states, stopped, step):
+    """(Curve, LeftDomain or None) of one shot's accepted states (steps, 2, n)."""
+    done = len(states) - 1
     if not grid.contains(states[-1, 0]):
         done -= 1
         message = f"geodesic left the tube at s = {done * step + step}"
-    elif march.stopped == "left":
+    elif stopped == "left":
         message = f"geodesic left the tube within step {done + 1}"
-    elif march.stopped is not None:
-        message = f"geodesic state rejected ({march.stopped}) at s = {done * step + step}"
+    elif stopped is not None:
+        message = f"geodesic state rejected ({stopped}) at s = {done * step + step}"
     else:
         message = None
     curve = Curve(np.arange(done + 1) * step, states[: done + 1, 0], states[: done + 1, 1])
     if message is None:
-        return curve
+        return curve, None
     err = LeftDomain(message, exit_point=states[-1, 0])
     err.curve = curve
-    raise err
+    return curve, err
 
 
 def geodesic_residual(conn, curve):
@@ -135,7 +180,9 @@ def geodesic_residual(conn, curve):
 
     Velocities come from the curve when present, else from second-order
     differences of the points; accelerations always use the 3-point
-    second difference, so only interior samples are scored.
+    second difference, so only interior samples are scored.  The
+    connection is read at every interior sample with one query; a
+    sample whose residual is nan is skipped.
     """
     step = curve.uniform_step()
     pts = curve.points
@@ -146,12 +193,10 @@ def geodesic_residual(conn, curve):
     else:
         vel = np.gradient(pts, step, axis=0, edge_order=2)
     acc = (pts[:-2] - 2.0 * pts[1:-1] + pts[2:]) / (step * step)
-    worst = 0.0
-    for i in range(1, len(pts) - 1):
-        gam = conn.at(pts[i])
-        res = acc[i - 1] + np.einsum("hij,i,j->h", gam, vel[i], vel[i])
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    gam = conn.at(pts[1:-1].T)
+    v = vel[1:-1].T
+    res = acc.T + np.einsum("hijN,iN,jN->hN", gam, v, v)
+    return float(np.fmax.reduce(np.abs(res).max(axis=0), initial=0.0))
 
 
 def semigeodesic_check(metric):
@@ -163,15 +208,16 @@ def unit_speed_residual(metric, curve):
     """Largest |v g(x) v - e| along a curve with velocities.
 
     For a semigeodesic metric, axial lattice lines make this vanish to
-    interpolation accuracy: their speed is g_11 = e throughout.
+    interpolation accuracy: their speed is g_11 = e throughout.  The
+    metric is read at every sample with one query; a sample whose
+    residual is nan is skipped.
     """
     if curve.velocities is None:
         vel = np.gradient(curve.points, curve.uniform_step(), axis=0, edge_order=2)
     else:
         vel = curve.velocities
-    e = float(metric.e)
-    worst = 0.0
-    for pt, v in zip(curve.points, vel):
-        g = metric.at(pt)
-        worst = max(worst, abs(float(v @ g @ v) - e))
-    return worst
+    # a contiguous (K, n, n) stack: v g v goes through the same BLAS
+    # products as on one sample's own block
+    g = np.ascontiguousarray(np.moveaxis(metric.at(curve.points.T), -1, 0))
+    speed = np.vecdot((vel[:, None, :] @ g)[:, 0], vel)
+    return float(np.fmax.reduce(np.abs(speed - float(metric.e)), initial=0.0))

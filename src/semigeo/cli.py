@@ -60,7 +60,7 @@ from .curvature import (
     curvature13,
     lower_and_check_identity,
 )
-from .errors import ConfigError, GridTooCoarse, LeftDomain, SemigeoError
+from .errors import ConfigError, GridTooCoarse, SemigeoError
 from .grid_field import ChartSpec, build_grid, write_curve_dump, write_tensor_dump
 from .metric_recon import HypersurfaceMetricData, MetricCurvatureSpec, reconstruct_metric
 
@@ -119,6 +119,11 @@ def _report_recon(lines, report):
 
 # ------------------------------------------------------------------ helpers
 
+# x1 samples each forward curvature oracle needs: the metric's takes a
+# second x1 difference, the connection's a first
+METRIC_ORACLE_SAMPLES = 4
+CONNECTION_ORACLE_SAMPLES = 3
+
 
 def metric_roundtrip_residual(metric, sources, degeneracy_tol):
     """Forward-oracle discrepancy of a reconstructed metric, or None.
@@ -129,7 +134,7 @@ def metric_roundtrip_residual(metric, sources, degeneracy_tol):
     axially for the second-derivative stencil).
     """
     grid = metric.grid
-    if grid.shape[0] < 4:
+    if grid.shape[0] < METRIC_ORACLE_SAMPLES:
         return None, None
     axial = curvature04_semigeo(metric, degeneracy_tol=degeneracy_tol)
     worst = float(np.max(np.abs(axial.dense[0, :, :, 0] - sources.dense_on(grid))))
@@ -139,7 +144,7 @@ def metric_roundtrip_residual(metric, sources, degeneracy_tol):
 def connection_roundtrip_residual(conn, sources):
     """Forward-oracle discrepancy of a reconstructed connection, or None."""
     grid = conn.grid
-    if grid.shape[0] < 3:
+    if grid.shape[0] < CONNECTION_ORACLE_SAMPLES:
         return None, None
     r13 = curvature13(conn)
     target = sources.dense_on(grid)
@@ -218,28 +223,29 @@ def _reconstruct_connection(cfg, chart):
     return conn, report, sources
 
 
-def _run_reconstruction(cfg, out, mode, reconstruct, residual_of, dump_name):
+def _run_reconstruction(cfg, out, mode, reconstruct, oracle, dump_name):
     """Reconstruct on the configured chart and dump the field; round trips
-    (``residual_of`` given) also dump the oracle and gate its residual.
+    (``oracle`` given) also dump the oracle and gate its residual.
 
-    ``reconstruct(cfg, chart)`` returns (field, report, sources) and
-    ``residual_of(field, sources)`` returns (max error, oracle), both None
-    when the reached grid is too short for the oracle.  Only the fine
-    run's oracle is dumped.
+    ``reconstruct(cfg, chart)`` returns (field, report, sources).  The
+    ``oracle`` is (residual_of, samples): ``residual_of(field, sources)``
+    returns (max error, oracle), both None when the reached grid has
+    fewer than ``samples`` x1 samples.  Only the fine run's oracle is
+    dumped.
     """
     field, report, sources = reconstruct(cfg, cfg.chart)
     write_tensor_dump(out / dump_name, field.grid, [field])
     lines = [("mode", mode)]
     _report_recon(lines, report)
     code = 0 if report.complete else 3
-    if residual_of is None:
+    if oracle is None:
         return code, lines
-    residual, oracle = residual_of(field, sources)
+    residual, tube = oracle[0](field, sources)
     if residual is None and code == 0:
         raise GridTooCoarse(f"{mode}: the x1 axis is too short for the curvature oracle")
-    if oracle is not None:
-        write_tensor_dump(out / "curvature_oracle.csv", field.grid, [oracle])
-    coarse_residual, outcome = _coarse_rerun(cfg, reconstruct, residual_of, sources, residual)
+    if tube is not None:
+        write_tensor_dump(out / "curvature_oracle.csv", field.grid, [tube])
+    coarse_residual, outcome = _coarse_rerun(cfg, reconstruct, oracle, sources, residual)
     lines.append(("coarse_rerun", outcome))
     estimate, gate = roundtrip_gate(residual, coarse_residual, cfg.tolerances.roundtrip_tol)
     lines.append(("max_error", float("nan") if residual is None else residual))
@@ -250,14 +256,17 @@ def _run_reconstruction(cfg, out, mode, reconstruct, residual_of, dump_name):
     return code, lines
 
 
-def _coarse_rerun(cfg, reconstruct, residual_of, sources, residual):
+def _coarse_rerun(cfg, reconstruct, oracle, sources, residual):
     """(coarse residual or None, report outcome) of the Richardson rerun.
 
     The rerun uses the once-coarsened chart: h1 doubled and every
-    transverse resolution r made (r - 1) / 2 + 1.  The outcome is
-    ``done``, ``skipped (<why>)``, ``stopped (<status>)`` or
-    ``error (<message>)``; only ``done`` comes with a residual.
+    transverse resolution r made (r - 1) / 2 + 1.  It is skipped, before
+    anything is reconstructed, when that chart's x1 axis has fewer
+    samples than the oracle needs.  The outcome is ``done``, ``skipped
+    (<why>)``, ``stopped (<status>)`` or ``error (<message>)``; only
+    ``done`` comes with a residual.
     """
+    residual_of, samples = oracle
     chart = cfg.chart
     res = tuple((r - 1) // 2 + 1 for r in chart.transverse_res)
     lo, hi = chart.x1_range
@@ -278,14 +287,15 @@ def _coarse_rerun(cfg, reconstruct, residual_of, sources, residual):
         e=chart.e,
     )
     try:
+        if build_grid(coarse).shape[0] < samples:
+            return None, "skipped (coarse x1 axis too short for the oracle)"
         field, report, _ = reconstruct(cfg, coarse)
         if not report.complete:
             return None, f"stopped ({report.status})"
+        # complete: the reached grid is the whole coarse grid, long enough
         coarse_residual, _ = residual_of(field, sources)
     except SemigeoError as err:
         return None, f"error ({err})"
-    if coarse_residual is None:
-        return None, "skipped (coarse x1 axis too short for the oracle)"
     return coarse_residual, "done"
 
 
@@ -313,18 +323,17 @@ def _run_check_chart(cfg, grid, out):
             mesh = grid.transverse_mesh()
             count = len(mesh[0])
             picks = np.unique(np.round(np.linspace(0, count - 1, 5)).astype(int))
-            worst = 0.0
-            v0 = np.zeros(grid.n)
+            # one shot per pick, all marched at once: from x1 = 0 along the x1 axis
+            x0 = np.array([np.zeros(len(picks))] + [m[picks] for m in mesh])
+            v0 = np.zeros_like(x0)
             v0[0] = 1.0
-            guards = cfg.tolerances.guards()
-            for rank, flat in enumerate(picks, start=1):
-                x0 = np.array([0.0] + [float(m[flat]) for m in mesh])
-                try:
-                    curve = geodesic_shoot(conn, x0, v0, s_max, step, guards=guards)
-                except LeftDomain as stop:
-                    curve = stop.curve
+            shots = geodesic_shoot(conn, x0, v0, s_max, step, guards=cfg.tolerances.guards())
+            worst = 0.0
+            for rank, (curve, stop) in enumerate(shots, start=1):
                 write_curve_dump(out / f"curve_{rank}.csv", curve)
                 lines.append((f"curve_{rank}_samples", len(curve.s)))
+                if stop is not None:
+                    lines.append((f"curve_{rank}_stop", str(stop)))
                 worst = max(worst, unit_speed_residual(metric, curve))
             lines.append(("unit_speed_residual", worst))
     return 0, lines
@@ -354,14 +363,19 @@ def _run_mode(cfg, mode, out):
         return _run_forward(cfg, build_grid(cfg.chart), out)
     if mode in ("reconstruct-metric", "roundtrip-metric"):
         tol = cfg.tolerances.degeneracy_tol
-        residual_of = None
+        oracle = None
         if mode == "roundtrip-metric":
-            residual_of = lambda metric, sources: metric_roundtrip_residual(metric, sources, tol)
-        return _run_reconstruction(cfg, out, mode, _reconstruct_metric, residual_of, "metric.csv")
+            oracle = (
+                lambda metric, sources: metric_roundtrip_residual(metric, sources, tol),
+                METRIC_ORACLE_SAMPLES,
+            )
+        return _run_reconstruction(cfg, out, mode, _reconstruct_metric, oracle, "metric.csv")
     if mode in ("reconstruct-connection", "roundtrip-connection"):
-        residual_of = connection_roundtrip_residual if mode == "roundtrip-connection" else None
+        oracle = None
+        if mode == "roundtrip-connection":
+            oracle = (connection_roundtrip_residual, CONNECTION_ORACLE_SAMPLES)
         return _run_reconstruction(
-            cfg, out, mode, _reconstruct_connection, residual_of, "connection.csv"
+            cfg, out, mode, _reconstruct_connection, oracle, "connection.csv"
         )
     return _run_check_chart(cfg, build_grid(cfg.chart), out)
 

@@ -45,7 +45,7 @@ from .errors import InvalidInit, InvalidSpec
 from .grid_field import Components, TensorTube, TubeGrid, build_grid, fd_transverse
 from .linalg import mirror_upper
 # ReconstructionReport stays importable from this module
-from .ode import ReconstructionReport, march_report, march_tube, tube_dense
+from .ode import STATUS_COMPLETE, ReconstructionReport, march_report, march_tube, tube_dense
 
 
 class HypersurfaceConnectionData:
@@ -175,8 +175,11 @@ def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross
     :func:`stage1_integrate` (it carries the midpoint values).  Stage 2
     marches on its reached grid, so it takes no chart.  Returns
     ("gamma2" TensorTube over slots (h, i, k), i, k >= 2, exactly
-    symmetric in (i, k), ReconstructionReport).  The truncated variant
-    behind ``omit_quadratic_cross_term`` exists only for regression tests.
+    symmetric in (i, k), ReconstructionReport).  When stage 1 stopped
+    within its first step both ways, its reached grid is the x1 = 0 plane
+    alone and stage 2 returns that plane's data, complete.  The truncated
+    variant behind ``omit_quadratic_cross_term`` exists only for
+    regression tests.
     """
     if not isinstance(stage1, Stage1Solution):
         raise InvalidSpec(
@@ -185,9 +188,14 @@ def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross
         )
     grid = stage1.grid
     n = grid.n
+    state0 = init.stage2_state0(grid)
+    if grid.shape[0] == 1:
+        # stage 1 stopped within its first step both ways: stage 2 holds the
+        # x1 = 0 plane and has no step to take
+        report = ReconstructionReport(STATUS_COMPLETE, 0.0, 0.0, float(np.max(np.abs(state0))))
+        return TensorTube("gamma2", grid, tube_dense(state0[None], grid), (1, 2, 2)), report
     h1 = grid.spacing(1)
     k0 = 2 * grid.zero_index
-    state0 = init.stage2_state0(grid)
     fine = stage1.fine
     # Gamma^h_m1 with Gamma^h_11 = 0, and d_k Gamma^h_i1, on every half step
     p = np.concatenate([np.zeros_like(fine[:, :, :1]), fine], axis=2)

@@ -160,19 +160,19 @@ def curvature13(connection):
     grid = connection.grid
     n = grid.n
     gam = connection.dense
-    dgam = np.empty((n, n, n, n) + grid.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(1, n + 1):
-            dgam[a - 1] = fd_partial(gam, a, grid)
-        quad = np.einsum("mik...,hmj...->hijk...", gam, gam)
-        # p[h,i,j,k] = d_j G^h_ik + G^m_ik G^h_mj; dgam axes are (j, h, i, k, ...).
-        # p is formed in quad's memory and dgam dropped before r, so at most
-        # two n^4 tubes are alive at once
-        dgam = np.transpose(dgam, (1, 2, 0, 3) + tuple(range(4, dgam.ndim)))
-        p = np.add(dgam, quad, out=quad)
-        del dgam
-        r = p - np.swapaxes(p, 2, 3)
-    return CurvatureTube(grid, r)
+        # p[h,i,j,k] = d_j G^h_ik + G^m_ik G^h_mj, then r = p[..j,k] - p[..k,j],
+        # both formed in the quadratic term's memory a slice at a time: one
+        # n^4 tube is alive, beside one derivative d_j G (an n^3 tube)
+        p = np.einsum("mik...,hmj...->hijk...", gam, gam)
+        for j in range(n):
+            np.add(fd_partial(gam, j + 1, grid), p[:, :, j], out=p[:, :, j])
+        for j in range(n):
+            for k in range(j, n):
+                jk = p[:, :, j, k] - p[:, :, k, j]
+                p[:, :, k, j] = p[:, :, k, j] - p[:, :, j, k]
+                p[:, :, j, k] = jk
+    return CurvatureTube(grid, p)
 
 
 def curvature04_semigeo(metric, degeneracy_tol=DEGENERACY_TOL):

@@ -334,39 +334,107 @@ def _lerp(planes, coords, x):
     return planes[i] * (1.0 - t) + planes[i + 1] * t
 
 
-def interpolate(values, grid, point):
-    """Multilinear interpolation of node values at a point of the tube.
+def _axis_table(grid):
+    """The arrays ``interpolate`` locates points with, made once per grid.
 
-    ``values`` may carry leading tensor axes before ``grid.shape``: the
-    cell is found once per axis and the whole block is interpolated, each
-    entry with the same arithmetic as on its own.  Returns a float for a
-    scalar field, else a new array of the tensor shape.  Exact at nodes;
-    within a cell each entry is a convex combination of its 2^n corner
-    values, so it never leaves their range.  Raises OutOfDomain outside
-    the tube.
+    Per axis: ``edges``, whose right-sided search count less one is the
+    cell of a point and is out of 0..cells-1 exactly when the point is
+    outside the padded range (``_in_range``); the cell's start and width
+    in one concatenation over all axes, at ``first`` + cell; the axis's
+    flat stride in ``grid.shape``.  An axis of one node has one cell of
+    infinite width, so its fraction is always 0.  Last, the two
+    thresholds a fraction t meets to take the cell's second node: as
+    its first corner when t >= 1, as its second when t > 0 (t >= the
+    least positive float).
+    """
+    table = grid._mesh_cache.get("table")
+    if table is None:
+        edges, starts, widths, sizes = [], [], [], []
+        for coords in grid.coord_lists():
+            lo, hi = coords[0], coords[-1]
+            pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+            inner = coords[1:-1]
+            edges.append(np.array([lo - pad] + inner + [math.nextafter(hi + pad, math.inf)]))
+            starts += coords[:-1] or coords
+            widths += [b - a for a, b in zip(coords, coords[1:])] or [math.inf]
+            sizes.append(len(coords))
+        cells = np.array([[len(e) - 1] for e in edges])
+        strides = np.cumprod([1] + sizes[:0:-1])[::-1].reshape(-1, 1, 1)
+        table = grid._mesh_cache["table"] = (
+            edges,
+            cells,
+            np.cumsum(cells, axis=0) - cells,
+            np.array(starts),
+            np.array(widths),
+            strides,
+            np.array([[1.0], [math.ulp(0.0)]]),
+        )
+    return table
+
+
+def interpolate(values, grid, point):
+    """Multilinear interpolation of node values at points of the tube.
+
+    ``values`` may carry leading tensor axes before ``grid.shape``.
+    ``point`` is one point, shaped (n,), or K points, shaped (n, K).
+    One point gives a float for a scalar field, else a new array of the
+    tensor shape; K points give a new array of the tensor shape plus a
+    trailing axis of length K.
+
+    Each point makes its own choice per axis: at a fraction of 0 or 1 it
+    takes that node, else it blends the cell's two nodes, and the axes
+    are reduced in axis order.  So every entry has the bits of
+    interpolating its point alone, and no node is blended in with a
+    weight of 0 (which would turn -0.0 into 0.0 and inf into nan).
+    Exact at nodes; within a cell each entry is a convex combination of
+    its 2^n corner values, so it never leaves their range.  Raises
+    OutOfDomain outside the tube, naming the first coordinate out of
+    range of the first point outside.
     """
     values = np.asarray(values, dtype=np.float64)
     point = np.asarray(point, dtype=np.float64)
-    if point.shape != (grid.n,):
-        raise OutOfDomain(f"point must have {grid.n} coordinates")
-    # the corner block: one node on an axis the point lies on, two otherwise
-    corner = [Ellipsis]
-    fractions = []
-    for coords, x in zip(grid.coord_lists(), point.tolist()):
-        i, t = _locate(coords, x)
-        if t == 0.0:
-            corner.append(i)
-        elif t == 1.0:
-            corner.append(i + 1)
-        else:
-            corner.append(slice(i, i + 2))
-            fractions.append(t)
-    out = values[tuple(corner)]
-    # the block's cell axes trail in axis order: reduce the first of them
-    for k, t in enumerate(fractions):
-        rest = (slice(None),) * (len(fractions) - 1 - k)
-        out = out[(Ellipsis, 0) + rest] * (1.0 - t) + out[(Ellipsis, 1) + rest] * t
-    return float(out) if values.ndim == grid.n else np.array(out)
+    n = grid.n
+    if point.ndim not in (1, 2) or point.shape[0] != n:
+        raise OutOfDomain(f"point must have {n} coordinates")
+    x = point.reshape(n, -1)
+    edges, cells, first, starts, widths, strides, take_second = _axis_table(grid)
+    cell = np.empty(x.shape, dtype=np.intp)
+    for k in range(n):
+        cell[k] = np.searchsorted(edges[k], x[k], side="right")
+    cell -= 1
+    if (cell.view(np.uintp) >= cells).any():
+        _raise_outside(grid, x)
+    index = cell + first
+    # outside [0, 1] only in the 1e-12 pad, where the end node is taken
+    t = (x - starts[index]) / widths[index]
+    # (n, 2, K): each axis's node at a corner bit of 0 and of 1; the two
+    # are one node where the point takes a node, so the corners hold it
+    nodes = (t[:, None] >= take_second) + cell[:, None]
+    flat = nodes * strides
+    corners = flat[0]
+    for k in range(1, n):
+        corners = corners[..., None, :] + flat[k]
+    # (2, ..., 2, K, C): the corner axes lead, in axis order
+    lead = values.shape[: values.ndim - n]
+    size = math.prod(lead)
+    out = values.reshape(size, -1).take(corners.reshape(-1), axis=1)
+    out = np.ascontiguousarray(out.T).reshape(corners.shape + (size,))
+    blend = (nodes[:, 0] != nodes[:, 1])[..., None]
+    w = t[..., None]
+    # blends a point does not take are discarded: their 0 * inf is no error
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n):
+            out = np.where(blend[k], out[0] * (1.0 - w[k]) + out[1] * w[k], out[0])
+    if point.ndim == 2:
+        return out.T.reshape(lead + (x.shape[1],))
+    return out[0].reshape(lead) if lead else float(out[0, 0])
+
+
+def _raise_outside(grid, x):
+    """Raise ``_locate``'s OutOfDomain for the first point of (n, K) ``x`` outside."""
+    for k in range(x.shape[1]):
+        for coords, value in zip(grid.coord_lists(), x[:, k].tolist()):
+            _locate(coords, value)
 
 
 # -------------------------------------------------------------- tensor tubes
@@ -422,7 +490,8 @@ class TensorTube:
         return self.dense[pos]
 
     def at(self, point):
-        """Every component at one point of the tube (``interpolate``)."""
+        """Every component at one point, shaped (n,), or at K points,
+        shaped (n, K) with K trailing in the result (``interpolate``)."""
         return interpolate(self.dense, self.grid, point)
 
     def max_abs(self):

@@ -150,5 +150,8 @@ def reconstruct_metric(init, sources, e, spec, guards=None, degeneracy_tol=None)
     plus, minus, rgrid, whole = march_tube(rhs, grid, state0, sources.planes, guards)
     _relabel_collapse(plus, det0, tol)
     _relabel_collapse(minus, det0, tol)
+    # the report's |whole|-sized temporary is made and freed before the
+    # metric's arrays exist, so it does not add to the peak memory
+    report = march_report(grid, rgrid, plus, minus, whole)
     metric = MetricField.semigeodesic(rgrid, tube_dense(whole[:, 0], rgrid), e=e)
-    return metric, march_report(grid, rgrid, plus, minus, whole)
+    return metric, report

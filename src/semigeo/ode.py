@@ -18,9 +18,11 @@ transverse nodes on that axis, the right-hand side sees the whole node
 stack at each stage, and the guards reduce over the other (tensor) axes
 per node and trip on the first offending node.  The systems marched
 here have no transverse coupling, so the lockstep march is exactly a
-per-node march, stopped at the first step that any node rejects.  A
-geodesic shot is a one-node march: its state is (position, velocity)
-with a trailing node axis of length 1.
+per-node march, stopped at the first step that any node rejects.  The
+geodesic shots of a chart check are one march too: the state is
+(position, velocity) with one node per shot, and when a node stops the
+shots relaunch the march from the last accepted states without it (the
+geodesic right-hand side does not read x, so nothing else changes).
 
 The right-hand side may also veto a stage by raising StateRejected, e.g.
 when a metric determinant crosses its degeneracy threshold; the marcher
@@ -195,7 +197,7 @@ def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False):
     """March ``n_steps`` fixed steps of size h from (x0, state0).
 
     The trailing axis of ``state0`` is the node axis (length 1 for a
-    single state, such as a geodesic shot).
+    single state, such as a lone geodesic shot).
 
     When ``record_half`` is set, each accepted step also launches one RK4
     step of size h/2 from the whole-step state to cache the midpoint

@@ -3,6 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _replaced_points import (
+    reference_geodesic_residual,
+    reference_shoot,
+    reference_unit_speed_residual,
+)
 from semigeo.chart_check import (
     Curve,
     geodesic_residual,
@@ -232,3 +237,227 @@ class TestResiduals:
         vel = np.tile([2.0, 0.0], (5, 1))
         c = Curve(s, pts, velocities=vel)
         assert unit_speed_residual(sphere, c) == pytest.approx(3.0, abs=1e-12)
+
+
+# ----------------------------------------------------------- batched shots
+
+
+def pushed():
+    return TestShooting.pushed_conn()
+
+
+def flat_conn():
+    grid = build_grid(ChartSpec(n=2, x1_range=(-0.5, 0.5), h1=0.05, transverse_res=5))
+    return ConnectionField.from_fields(grid, {})
+
+
+def bent_3d():
+    """A 3-D metric whose geodesics bend off the lattice nodes, and its connection."""
+    grid = build_grid(
+        ChartSpec(
+            n=3,
+            x1_range=(-0.2, 0.6),
+            h1=0.02,
+            transverse_res=(7, 5),
+            transverse_box=((-1.0, 1.0), (-0.5, 1.5)),
+        )
+    )
+    metric = MetricField.from_fields(
+        grid,
+        {
+            (1, 1): "1 + 0.3*x2^2 + 0.1*x1*x3",
+            (1, 2): "0.05*x3",
+            (2, 2): "1 + 0.2*sin(x1 + x3)",
+            (2, 3): "0.1*x1*x2",
+            (3, 3): "cos(0.7*x1)^2 + 0.1*x2^2",
+        },
+    )
+    return metric, christoffel_from_metric(metric)[0]
+
+
+def sphere_case():
+    grid = build_grid(ChartSpec(n=2, x1_range=(-0.3, 1.0), h1=1e-2, transverse_res=5))
+    metric = MetricField.from_fields(grid, {(1, 1): "1", (2, 2): "cos(x1)^2"})
+    return metric, christoffel_from_metric(metric)[0]
+
+
+# (connection, starts, velocities, s_max, step, blow-up threshold): each a batch
+SHOTS = {
+    # oblique geodesics of the sphere, bending off the nodes
+    "complete": lambda: (
+        sphere_case()[1],
+        [[0.0, 0.1, 0.3, -0.2, 0.05], [0.1, 0.5, 0.45, 0.9, 0.33]],
+        [[1.0, 0.8, 0.6, 0.9, 0.99], [0.0, 0.6, 0.8, -0.4, 0.1]],
+        0.5,
+        1e-2,
+        1e6,
+    ),
+    # a stage of step 1 leaves the tube
+    "leave-within-step": lambda: (
+        flat_conn(),
+        [[0.45, 0.0, 0.4], [0.5, 0.5, 0.2]],
+        [[1.0, 0.3, -1.0], [0.0, 0.1, 0.0]],
+        0.8,
+        0.1,
+        1e6,
+    ),
+    # the final accepted step lands outside the tube, for two nodes at once
+    # ("mixed" lands one mid-march)
+    "landed-outside": lambda: (
+        pushed(),
+        [[-0.04, -0.04, 0.0], [0.0, 0.0, 0.0]],
+        [[0.25, 0.25, 0.0], [1.0, 1.0, 0.1]],
+        0.5,
+        0.25,
+        1e6,
+    ),
+    # x2 = 0.3 + 0.1 s passes the threshold within step 14, x2 = 0.35 +
+    # 0.05 s within step 17; the others stay under it
+    "guard-blowup": lambda: (
+        flat_conn(),
+        [[-0.4, 0.0, -0.1, 0.0], [0.3, 0.0, 0.2, 0.35]],
+        [[0.25, 0.1, 0.1, 0.05], [0.1, 0.05, 0.0, 0.05]],
+        3.0,
+        0.1,
+        0.432,
+    ),
+    # every outcome at once: landed outside, complete twice, left, blown up
+    "mixed": lambda: (
+        pushed(),
+        [[-0.04, 0.3, -0.4, 0.45, 0.0], [0.0, 0.0, 0.5, 0.0, -1.0]],
+        [[0.25, 0.0, 0.05, 1.0, 0.1], [1.0, 0.1, 0.1, 0.0, 3.9]],
+        0.75,
+        0.25,
+        6.0,
+    ),
+    # 3-D geodesics with their own start and velocity, some leaving the tube
+    "3d": lambda: (
+        bent_3d()[1],
+        [[0.0, 0.1, -0.1, 0.3, 0.0], [0.0, 0.5, -0.9, 0.2, 0.95], [0.5, 0.0, 1.4, 0.7, -0.4]],
+        [[1.0, 0.7, 0.9, 0.5, 0.2], [0.1, -0.5, 0.2, 0.3, 1.0], [0.0, 0.3, 0.4, -0.6, 0.1]],
+        0.6,
+        0.02,
+        1e6,
+    ),
+}
+
+
+def outcome_bytes(curve, stop):
+    arrays = (curve.s, curve.points, curve.velocities)
+    if stop is None:
+        return [a.tobytes() for a in arrays], None
+    assert stop.curve is curve
+    return [a.tobytes() for a in arrays], (str(stop), stop.exit_point.tobytes())
+
+
+class TestBatchedShots:
+    """One K-node march gives every shot the bytes of marching it alone."""
+
+    @pytest.mark.parametrize("case", sorted(SHOTS))
+    def test_batch_matches_one_node_reference(self, case):
+        conn, x0, v0, s_max, step, threshold = SHOTS[case]()
+        x0, v0 = np.array(x0), np.array(v0)
+        guards = GuardConfig(blowup_threshold=threshold)
+        shots = geodesic_shoot(conn, x0, v0, s_max, step, guards=guards)
+        assert len(shots) == x0.shape[1]
+        for k, (curve, stop) in enumerate(shots):
+            want = reference_shoot(conn, x0[:, k], v0[:, k], s_max, step, guards)
+            assert outcome_bytes(curve, stop) == outcome_bytes(*want)
+
+    @pytest.mark.parametrize("case", sorted(SHOTS))
+    def test_single_start_matches_one_node_reference(self, case):
+        conn, x0, v0, s_max, step, threshold = SHOTS[case]()
+        guards = GuardConfig(blowup_threshold=threshold)
+        for start, velocity in zip(np.array(x0).T, np.array(v0).T):
+            want = reference_shoot(conn, start, velocity, s_max, step, guards)
+            if want[1] is None:
+                got = (geodesic_shoot(conn, start, velocity, s_max, step, guards=guards), None)
+            else:
+                with pytest.raises(LeftDomain) as exc:
+                    geodesic_shoot(conn, start, velocity, s_max, step, guards=guards)
+                got = (exc.value.curve, exc.value)
+            assert outcome_bytes(*got) == outcome_bytes(*want)
+
+    @staticmethod
+    def kind(stop):
+        if stop is None:
+            return "complete"
+        for key, kind in (("left the tube at s", "landed"), ("within step", "left")):
+            if key in str(stop):
+                return kind
+        return str(stop).split(" at ")[0]
+
+    @pytest.mark.parametrize(
+        "case, kinds",
+        [
+            ("mixed", {"landed", "complete", "left", "geodesic state rejected (blowup)"}),
+            ("guard-blowup", {"complete", "geodesic state rejected (blowup)"}),
+            ("landed-outside", {"landed", "complete"}),
+            ("3d", {"complete", "left"}),
+        ],
+    )
+    def test_cases_reach_their_outcomes(self, case, kinds):
+        conn, x0, v0, s_max, step, threshold = SHOTS[case]()
+        guards = GuardConfig(blowup_threshold=threshold)
+        shots = geodesic_shoot(conn, np.array(x0), np.array(v0), s_max, step, guards=guards)
+        assert {self.kind(stop) for _, stop in shots} == kinds
+
+    def test_starts_are_checked_one_by_one(self, sphere_conn):
+        x0 = np.array([[0.0, 2.0], [0.5, 0.5]])
+        with pytest.raises(OutOfDomain, match=r"geodesic start \(np.float64\(2.0\)"):
+            geodesic_shoot(sphere_conn, x0, np.ones_like(x0), 0.1, 1e-2)
+        with pytest.raises(InvalidSpec):
+            geodesic_shoot(sphere_conn, x0, np.ones((2, 3)), 0.1, 1e-2)
+
+
+class TestWholeCurveResiduals:
+    """The residuals read a whole curve with one query and keep the
+    per-sample bytes: ``float(v @ g @ v)`` through BLAS, and the
+    per-sample ``einsum`` of the geodesic equation."""
+
+    @pytest.mark.parametrize("case", ["complete", "3d"])
+    def test_residuals_of_bent_shots(self, case):
+        metric = sphere_case()[0] if case == "complete" else bent_3d()[0]
+        conn, x0, v0, s_max, step, _ = SHOTS[case]()
+        shots = geodesic_shoot(conn, np.array(x0), np.array(v0), s_max, step)
+        for curve, _ in shots:
+            assert unit_speed_residual(metric, curve) == reference_unit_speed_residual(metric, curve)
+            if len(curve.s) >= 3:
+                got = geodesic_residual(conn, curve)
+                assert got == reference_geodesic_residual(conn, curve)
+
+    def test_residuals_from_points_alone(self):
+        metric, conn = bent_3d()
+        s = np.arange(31) * 0.02
+        pts = np.stack([s, 0.3 * np.sin(3 * s) - 0.2, 0.5 + 0.2 * s**2], axis=1)
+        curve = Curve(s, pts)
+        assert geodesic_residual(conn, curve) == reference_geodesic_residual(conn, curve)
+        assert unit_speed_residual(metric, curve) == reference_unit_speed_residual(metric, curve)
+
+    def test_random_samples_match_per_sample_products(self):
+        rng = np.random.default_rng(7)
+        for metric, conn in (sphere_case(), bent_3d()):
+            grid = metric.grid
+            lo = np.array([grid.axis_coords(a)[0] for a in range(1, grid.n + 1)])
+            hi = np.array([grid.axis_coords(a)[-1] for a in range(1, grid.n + 1)])
+            for _ in range(20):
+                s = np.arange(12) * 0.01
+                pts = lo + (hi - lo) * rng.random((12, grid.n))
+                vel = rng.normal(size=(12, grid.n)) * 10.0 ** rng.integers(-3, 3, size=(12, 1))
+                curve = Curve(s, pts, velocities=vel)
+                want = reference_unit_speed_residual(metric, curve)
+                assert unit_speed_residual(metric, curve) == want
+                assert geodesic_residual(conn, curve) == reference_geodesic_residual(conn, curve)
+
+    def test_nan_samples_are_skipped(self):
+        grid = build_grid(ChartSpec(n=2, x1_range=(0.0, 0.1), h1=0.05, transverse_res=3))
+        dense = np.zeros((2, 2) + grid.shape)
+        dense[0, 0] = 1.0
+        dense[1, 1] = 1.0
+        dense[1, 1, 2] = np.nan
+        metric = MetricField(grid, dense)
+        s = np.array([0.0, 0.05, 0.1])
+        pts = np.array([[0.0, 0.5], [0.05, 0.5], [0.1, 0.5]])
+        curve = Curve(s, pts, velocities=np.array([[1.0, 0.5]] * 3))
+        assert reference_unit_speed_residual(metric, curve) == 0.25
+        assert unit_speed_residual(metric, curve) == 0.25

@@ -696,6 +696,43 @@ class TestCoarseRerun:
             assert float(report["error_estimate"]) == 0.0
             assert float(report["gate"]) == 1e-6
 
+    @pytest.mark.parametrize(
+        "text, mode, name",
+        [
+            # fine x1 axis [0, 1] at h1 = 0.25: 5 samples; the coarse one has 3 of 4
+            (
+                SPHERE.replace("h1 = 0.01", "h1 = 0.25"),
+                "roundtrip-metric",
+                "_reconstruct_metric",
+            ),
+            # fine x1 axis [-0.016, 0.026] at h1 = 0.01: 4 samples; the coarse one has 2 of 3
+            (
+                POLE_ROUNDTRIP.replace("x1_max = 1.0", "x1_min = -0.016\nx1_max = 0.026"),
+                "roundtrip-connection",
+                "_reconstruct_connection",
+            ),
+        ],
+        ids=["metric", "connection"],
+    )
+    def test_too_short_coarse_axis_reconstructs_nothing(
+        self, tmp_path, monkeypatch, text, mode, name
+    ):
+        real = getattr(cli, name)
+        charts = []
+
+        def counted(cfg, chart):
+            charts.append(chart)
+            return real(cfg, chart)
+
+        monkeypatch.setattr(cli, name, counted)
+        code, out = run_cli(tmp_path, text, mode)
+        report = read_report(out / "report.txt")
+        assert report["coarse_rerun"] == "skipped (coarse x1 axis too short for the oracle)"
+        assert report["status"] == "Complete"
+        assert code in (0, 4)
+        assert len(charts) == 1
+        assert charts[0].h1 == load_config(tmp_path / "run.cfg").chart.h1
+
     def test_error(self, tmp_path, monkeypatch):
         # no configuration is known that fails on the coarse chart alone,
         # so the coarse reconstruction is made to raise
@@ -729,6 +766,27 @@ class TestNumericalStops:
         assert float(report["delta_hat_plus"]) == pytest.approx(1.0, abs=1e-2)
         assert "degenerate at transverse node" in report["stop_plus"]
         assert (out / "metric.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["reconstruct-connection", "roundtrip-connection"])
+    def test_stage1_stop_within_its_first_step(self, tmp_path, mode):
+        # tan(1000 x1) has its poles at x1 = +-pi / 2000, inside the first
+        # step of h1 = 0.01 both ways: stage 1 reaches the x1 = 0 plane alone
+        text = POLE_ROUNDTRIP.replace('A.2.1.2 = "-1"', 'A.2.1.2 = "-1e6"')
+        text = text.replace("x1_max = 1.0", "x1_min = -0.1\nx1_max = 0.1")
+        code, out = run_cli(tmp_path, text.replace("roundtrip-connection", mode), mode)
+        assert code == 3
+        report = read_report(out / "report.txt")
+        assert report["status"] == "StoppedBlowup"
+        assert report["exit_code"] == "3"
+        assert float(report["delta_hat_plus"]) == float(report["delta_hat_minus"]) == 0.0
+        assert "blowup at transverse node" in report["stop_plus"]
+        assert "blowup at transverse node" in report["stop_minus"]
+        header, rows = dump_values(out / "connection.csv")
+        assert {float(r[0]) for r in rows} == {0.0}
+        assert len(rows) == 5 * 2 * 2 * 2
+        if mode == "roundtrip-connection":
+            assert report["coarse_rerun"] == "skipped (no fine residual)"
+            assert report["max_error"] == "nan"
 
     def test_blowup_roundtrip_exit3_dominates_gate(self, tmp_path):
         # solution has a pole inside the range: stop reported as 3 even
@@ -795,9 +853,33 @@ g.2.2 = "cos(x1)^2"
         assert code == 0
         report = read_report(out / "report.txt")
         assert report["status"] == "Complete"
+        keys = list(report)
         for k in range(1, 6):
             assert report[f"curve_{k}_samples"] == "1"
             assert len((out / f"curve_{k}.csv").read_text().splitlines()) == 2
+            # the stop reason follows the sample count
+            at = keys.index(f"curve_{k}_samples")
+            assert keys[at + 1] == f"curve_{k}_stop"
+            assert report[f"curve_{k}_stop"] == "geodesic state rejected (blowup) at s = 0.01"
+
+    def test_shots_that_complete_write_no_stop(self, tmp_path):
+        code, out = run_cli(tmp_path, self.SPHERE_CHECK, "check-chart")
+        assert code == 0
+        assert not any(key.endswith("_stop") for key in read_report(out / "report.txt"))
+
+    def test_shots_that_leave_name_where(self, tmp_path):
+        # g_11 = 1 + x2^2 + 3 x1 x2 bends the x1 lines out of the box |x2| <= 0.3
+        text = self.SPHERE_CHECK.replace('g.1.1 = "1"', 'g.1.1 = "1 + x2^2 + 3*x2*x1"')
+        text = text.replace('g.2.2 = "cos(x1)^2"', 'g.2.2 = "1 + x1^2"')
+        text = text.replace("transverse_res = 9", "transverse_res = 9\ntransverse_box = -0.3, 0.3")
+        code, out = run_cli(tmp_path, text, "check-chart")
+        assert code == 0
+        report = read_report(out / "report.txt")
+        stops = {k: report.get(f"curve_{k}_stop") for k in range(1, 6)}
+        assert stops[3] is None
+        for k in (1, 2, 4, 5):
+            samples = int(report[f"curve_{k}_samples"])
+            assert stops[k] == f"geodesic left the tube within step {samples}"
 
     def test_connection_only_check(self, tmp_path):
         text = self.SPHERE_CHECK.replace(

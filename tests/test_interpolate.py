@@ -1,59 +1,21 @@
-"""``interpolate`` against the moveaxis interpolation it replaces, bit for bit.
+"""``interpolate`` against the one-point interpolation it replaces, bit for bit.
 
-``interpolate`` locates each axis with ``bisect`` on the grid's cached
-coordinate lists, slices the 2^n corner block and reduces it axis by
-axis.  The reference below is the implementation it replaced: the grid
-axes moved in front of the tensor axes, then one linear step per axis,
-each located with ``np.searchsorted``.  Both must give the same bytes at
-every point of the tube and the same OutOfDomain message outside it.
+``interpolate`` answers K points at once: it locates each axis with one
+search over the grid's cached cell edges, gathers the 2^n corners of
+every point with one flat index and reduces them axis by axis, each
+point taking a node wherever its fraction is 0 or 1.  The reference,
+``_replaced_points.reference_interpolate``, answers one point: the grid
+axes moved in front of the tensor axes, then one linear step per axis.
+Both must give the same bytes at every point of the tube, one point or
+many, and the same OutOfDomain message outside it.
 """
 
 import numpy as np
 import pytest
 
+from _replaced_points import reference_interpolate, reference_locate
 from semigeo.errors import OutOfDomain
 from semigeo.grid_field import ChartSpec, build_grid, interpolate
-
-# ------------------------------------------------------------ the reference
-
-
-def reference_in_range(coords, x):
-    lo, hi = float(coords[0]), float(coords[-1])
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-    return lo - pad <= x <= hi + pad
-
-
-def reference_locate(coords, x):
-    lo, hi = float(coords[0]), float(coords[-1])
-    if not reference_in_range(coords, x):
-        raise OutOfDomain(f"coordinate {x} outside [{lo}, {hi}]")
-    x = min(max(x, lo), hi)
-    i = int(np.searchsorted(coords, x, side="right")) - 1
-    i = min(max(i, 0), len(coords) - 2)
-    t = (x - coords[i]) / (coords[i + 1] - coords[i])
-    return i, float(min(max(t, 0.0), 1.0))
-
-
-def reference_lerp(planes, coords, x):
-    i, t = reference_locate(coords, x)
-    if t == 0.0:
-        return planes[i]
-    if t == 1.0:
-        return planes[i + 1]
-    return planes[i] * (1.0 - t) + planes[i + 1] * t
-
-
-def reference_interpolate(values, grid, point):
-    values = np.asarray(values, dtype=np.float64)
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (grid.n,):
-        raise OutOfDomain(f"point must have {grid.n} coordinates")
-    lead = values.ndim - grid.n
-    out = np.moveaxis(values, range(lead), range(-lead, 0))
-    for axis in range(1, grid.n + 1):
-        out = reference_lerp(out, grid.axis_coords(axis), float(point[axis - 1]))
-    return float(out) if lead == 0 else np.array(out)
-
 
 # ------------------------------------------------------------------- inputs
 
@@ -172,3 +134,74 @@ def test_tensor_result_is_a_new_array():
     got = interpolate(values, grid, node)
     got[0] = 7.0
     assert values[0, 2, 1] != 7.0
+
+
+# ------------------------------------------------------------- K points
+
+
+@pytest.mark.parametrize("slots", SLOTS.values(), ids=SLOTS.keys())
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_k_points_match_the_reference_point_by_point(n, slots):
+    # no errstate here: the batch warns of nothing, not even of the
+    # blends that its node-aligned points discard
+    grid = grid_of(n)
+    values = block(grid, slots, seed=n)
+    points = inside_points(grid, seed=10 + n)
+    got = interpolate(values, grid, np.array(points).T)
+    assert got.shape == slots + (len(points),)
+    with np.errstate(invalid="ignore"):
+        for k, point in enumerate(points):
+            want = np.asarray(reference_interpolate(values, grid, point), dtype=np.float64)
+            assert got[..., k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_one_point_and_no_points_as_batches(n):
+    grid = grid_of(n)
+    values = block(grid, (2, 3), seed=n)
+    point = inside_points(grid, seed=n)[0]
+    one = interpolate(values, grid, point[:, None])
+    assert one.shape == (2, 3, 1)
+    assert one[..., 0].tobytes() == interpolate(values, grid, point).tobytes()
+    assert interpolate(values, grid, np.empty((n, 0))).shape == (2, 3, 0)
+
+
+@pytest.mark.parametrize("slots", SLOTS.values(), ids=SLOTS.keys())
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_k_points_name_the_first_point_outside(n, slots):
+    grid = grid_of(n)
+    values = block(grid, slots, seed=n)
+    inside = inside_points(grid, seed=20 + n)[:4]
+    later = outside_points(grid)[-1]
+    for bad in outside_points(grid):
+        with pytest.raises(OutOfDomain) as want:
+            reference_interpolate(values, grid, bad)
+        for at in (0, 2, 4):
+            batch = np.array(inside[:at] + [bad] + inside[at:] + [later]).T
+            with pytest.raises(OutOfDomain) as got:
+                interpolate(values, grid, batch)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1), (3, 4), ()], ids=["3-d", "n+1-rows", "0-d"])
+def test_k_points_need_n_rows(shape):
+    grid = grid_of(2)
+    with pytest.raises(OutOfDomain, match="point must have 2 coordinates"):
+        interpolate(block(grid, (), seed=1), grid, np.zeros(shape))
+
+
+def test_an_axis_of_one_node_takes_its_node():
+    """A reached grid of the x1 = 0 plane alone reads that plane."""
+    grid = grid_of(3)
+    k0 = grid.zero_index
+    plane = grid.restrict_x1(k0, k0)
+    values = block(grid, (2,), seed=5)
+    points = [p for p in inside_points(grid, seed=6)]
+    for p in points:
+        p[0] = 0.0
+    got = interpolate(values[:, k0 : k0 + 1], plane, np.array(points).T)
+    with np.errstate(invalid="ignore"):
+        for k, point in enumerate(points):
+            assert got[:, k].tobytes() == reference_interpolate(values, grid, point).tobytes()
+    with pytest.raises(OutOfDomain, match=r"coordinate 0\.01 outside \[0\.0, 0\.0\]"):
+        interpolate(values[:, k0 : k0 + 1], plane, points[0] + [0.01, 0.0, 0.0])
