@@ -7,16 +7,18 @@ four field lines with random families, indices and expressions up to
 depth 3.  Each runs in-process through ``cli.main`` with numpy's
 RuntimeWarnings turned into errors.  The oracle is the documented exit
 contract: the code is 0, 2, 3 or 4, nothing escapes as an exception, and
-a run that exits 0 reports only finite numbers.
+a run that exits 0 reports only finite numbers.  Each run must also
+leave the bytes recorded in ``fuzz_digests.json`` (exit code, stderr
+and artifacts; see ``record_digests.py``).
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
+from record_digests import digest, load, mismatch_message, run_case
 
-from semigeo.cli import main, read_report
+from semigeo.cli import read_report
 from semigeo.config import MODES
 
 SEED = 20261018
@@ -143,17 +145,21 @@ _RNG = np.random.default_rng(SEED)
 CONFIGS = [_config(_RNG) for _ in range(CASES)]
 
 
+@pytest.fixture(scope="module")
+def recorded():
+    digests = load()
+    assert digests["seed"] == SEED, "fuzz_digests.json was recorded for another seed"
+    return digests
+
+
 @pytest.mark.parametrize("case", range(CASES), ids=[f"case{i:03d}" for i in range(CASES)])
-def test_exit_contract(tmp_path, capsys, case):
+def test_exit_contract(tmp_path, recorded, case):
     mode, text = CONFIGS[case]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main([mode, "--config", str(cfg), "--out", str(out)])
-    capsys.readouterr()
+    code, stderr, out = run_case(mode, text, tmp_path)
     assert code in (0, 2, 3, 4), text
+    running = digest(code, stderr, out)
+    name = f"case{case:03d}"
+    assert running == recorded["digests"][name], mismatch_message(name, recorded, running)
     if code == 0:
         for key, value in read_report(out / "report.txt").items():
             try:
