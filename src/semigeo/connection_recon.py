@@ -52,8 +52,8 @@ class HypersurfaceConnectionData:
     """Connection components restricted to x1 = 0.
 
     ``components`` maps (h, i, j) with 1-based indices to an expression
-    string, a parsed FieldExpr, or an array of transverse node samples.
-    The (i, j) pair is symmetric; giving both orderings raises
+    string, FieldExpr or ExpressionField, free of x1; any other value
+    raises InvalidInit.  The (i, j) pair is symmetric; giving both orderings raises
     InvalidInit.  Components (h, 1, 1) must be zero.  Missing components
     default to 0.  Each stage evaluates only the components it reads.
     """
@@ -87,8 +87,8 @@ class ConnectionCurvatureSpec:
     A^h_i1 would be forced to zero by the antisymmetry of the curvature
     in its last index pair, so k = 1 entries are rejected rather than
     silently ignored.  The (i, k) pair is NOT symmetric.  Entries are
-    expression strings, FieldExpr, ExpressionField, or SampledField on
-    the tube; missing entries are zero.  Each stage evaluates only the
+    expression strings, FieldExpr or ExpressionField on the tube; any
+    other value raises InvalidSpec.  Missing entries are zero.  Each stage evaluates only the
     sources it reads.
     """
 

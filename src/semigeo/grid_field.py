@@ -11,12 +11,13 @@ derivative).
 Every tensor on the tube (metric, connection, curvature and their
 parts) is a TensorTube: one dense array with the tensor slots leading
 and the grid axes trailing, which the dump writer reads directly.
-Every input family's index layout is one row of FAMILIES.  An input
-field is read one way only, ``on_planes(xs, grid)``: its values at each
-x1 of ``xs`` over the flattened transverse lattice.  ``Components.dense``
-makes every such read and builds every dense input array from it: the
-source planes a march reads, the data on the hypersurface x1 = 0, and
-a field over the whole lattice.
+Every input family's index layout is one row of FAMILIES.  Every input
+field is an expression (an ExpressionField), read one way only,
+``on_planes(xs, grid)``: its values at each x1 of ``xs`` over the
+flattened transverse lattice.  ``Components.dense`` makes every such
+read and builds every dense input array from it: the source planes a
+march reads, the data on the hypersurface x1 = 0, and a field over the
+whole lattice.
 """
 
 import bisect
@@ -324,16 +325,6 @@ def _locate(coords, x):
     return i, min(max(t, 0.0), 1.0)
 
 
-def _lerp(planes, coords, x):
-    """Linear step: the leading axis of ``planes``, sampled on ``coords``, at x."""
-    i, t = _locate(coords, x)
-    if t == 0.0:
-        return planes[i]
-    if t == 1.0:
-        return planes[i + 1]
-    return planes[i] * (1.0 - t) + planes[i + 1] * t
-
-
 def _axis_table(grid):
     """The arrays ``interpolate`` locates points with, made once per grid.
 
@@ -536,88 +527,30 @@ class ExpressionField:
         return np.broadcast_to(out, (len(xs),) + mesh[0].shape).astype(np.float64, copy=False)
 
 
-class SampledField:
-    """Scalar field given by node samples, multilinear between nodes.
-
-    ``on_planes`` interpolates linearly between the sampled x1 planes, on
-    any grid with the samples' transverse lattice.  So the RK4 stage
-    planes at half steps are second-order values: a march driven by
-    sampled sources converges at second order in h1, not fourth.  On the
-    sphere metric (a = -cos(x1)^2, h1 = 0.02, 0.01, 0.005) the
-    expression source gave errors of 3.6e-9, 2.2e-10, 1.3e-11 and the
-    sampled source 2.9e-5, 7.3e-6, 1.8e-6.
-    """
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise InvalidSpec(f"sample shape {values.shape} != grid {grid.shape}")
-        self.grid = grid
-        self.values = values
-
-    def at(self, point):
-        return interpolate(self.values, self.grid, point)
-
-    def on_planes(self, xs, grid):
-        """The samples lerped to every x1 of ``xs``, shaped (len(xs), N)."""
-        if grid.transverse_shape != self.grid.transverse_shape:
-            raise InvalidSpec("sampled field queried on a different transverse lattice")
-        coords = self.grid.coord_lists()[0]
-        return np.array([_lerp(self.values, coords, float(x1)).reshape(-1) for x1 in xs])
-
-
-class _HypersurfaceSamples:
-    """Hypersurface data given as node samples of the transverse lattice."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def on_planes(self, xs, grid):
-        """The samples at every x1 of ``xs``, shaped (len(xs), N)."""
-        if self.values.shape != grid.transverse_shape:
-            raise InvalidInit(
-                f"sampled hypersurface data shape {self.values.shape} does not "
-                f"match the transverse lattice {grid.transverse_shape}"
-            )
-        return np.broadcast_to(self.values.reshape(-1), (len(xs), self.values.size))
-
-
 def as_field(value, n, what, hypersurface=False):
-    """Coerce an expression string, FieldExpr, field object or samples to a field.
+    """Coerce an expression string, FieldExpr or ExpressionField to a field.
 
-    Strings are parsed over x1..xn, and an expression built here names
-    ``what`` in its evaluation errors.  A tube field (``hypersurface``
-    false) may also be an ExpressionField or SampledField, which pass
-    through; anything else raises InvalidSpec prefixed with ``what``.
-    Hypersurface data may not use x1 (InvalidInit), a given
-    ExpressionField is relabelled with ``what``, and any other value is
-    an array of transverse node samples (InvalidInit if it is not
-    numeric), shape-checked when read.
+    Strings are parsed over x1..xn.  Every accepted value becomes a new
+    ExpressionField that names ``what`` in its evaluation errors.  Any
+    other value raises InvalidInit for hypersurface data and InvalidSpec
+    for a tube field, prefixed with ``what``.  Hypersurface data may not
+    use x1 (InvalidInit).
     """
     if isinstance(value, str):
         value = parse_field(value, n)
-    if hypersurface and isinstance(value, ExpressionField):
+    if isinstance(value, ExpressionField):
         value = value.expr
-    if isinstance(value, FieldExpr):
-        if hypersurface:
-            try:
-                uses_x1 = 1 in variables(value)
-            except EvalError as err:
-                raise EvalError(f"{what}: {err}") from err
-            if uses_x1:
-                raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
-        return ExpressionField(value, n, what)
+    if not isinstance(value, FieldExpr):
+        error = InvalidInit if hypersurface else InvalidSpec
+        raise error(f"{what}: cannot interpret {type(value).__name__} as an expression")
     if hypersurface:
         try:
-            samples = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise InvalidInit(
-                f"{what}: expected numeric transverse node samples, got {type(value).__name__}"
-            ) from None
-        return _HypersurfaceSamples(samples)
-    if isinstance(value, (ExpressionField, SampledField)):
-        return value
-    raise InvalidSpec(f"{what}: cannot interpret {value!r} as a scalar field")
+            uses_x1 = 1 in variables(value)
+        except EvalError as err:
+            raise EvalError(f"{what}: {err}") from err
+        if uses_x1:
+            raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
+    return ExpressionField(value, n, what)
 
 
 # ---------------------------------------------------------- tensor families

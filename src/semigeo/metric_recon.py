@@ -40,9 +40,9 @@ class HypersurfaceMetricData:
     """Transverse metric block and its axial derivative on x1 = 0.
 
     ``g`` and ``g1`` map (i, j) with 2 <= i, j <= n to expression
-    strings, FieldExpr, or transverse node sample arrays.  Each (i, j)
-    fills both symmetric slots; giving both orderings raises InvalidInit.
-    Missing components default to 0.
+    strings, FieldExpr or ExpressionField, free of x1; any other value
+    raises InvalidInit.  Each (i, j) fills both symmetric slots; giving
+    both orderings raises InvalidInit.  Missing components default to 0.
     """
 
     def __init__(self, n, g=None, g1=None):
@@ -64,8 +64,8 @@ class MetricCurvatureSpec:
 
     Each (i, j) fills both symmetric slots (curvature symmetry forces
     it); giving both orderings raises InvalidInit.  Entries are
-    expression strings, FieldExpr, ExpressionField, or SampledField on
-    the tube; missing entries are 0.
+    expression strings, FieldExpr or ExpressionField on the tube; any
+    other value raises InvalidSpec.  Missing entries are 0.
     """
 
     def __init__(self, n, entries=None):

@@ -335,7 +335,10 @@ class SourceBank:
         # where each chunk begins in _keys, ascending; a chunk ends where
         # the next begins
         self._starts = list(range(0, len(self._keys), per))
-        self._planes_of = {}
+        # per key index, (evaluated chunk, its first index) once evaluated:
+        # one tuple per chunk, shared by its keys
+        self._held = [None] * len(self._keys)
+        self._missed = {}
         self.misses = 0
 
     def plane(self, x, key=None):
@@ -345,25 +348,30 @@ class SourceBank:
         """
         if key is None:
             key = self._key(x)
-        got = self._planes_of.get(key)
-        if got is None:
-            got = self._fill(key, x)
-        return got
-
-    def _fill(self, key, x):
         i = self._index.get(key)
         if i is None:
+            return self._miss(key, x)
+        held = self._held[i]
+        if held is None:
+            held = self._fill(i)
+        chunk, lo = held
+        return chunk[i - lo]
+
+    def _miss(self, key, x):
+        plane = self._missed.get(key)
+        if plane is None:
             self.misses += 1
-            plane = self._planes(np.array([x]), self._grid)[0]
-            self._planes_of[key] = plane
-            return plane
+            plane = self._missed[key] = self._planes(np.array([x]), self._grid)[0]
+        return plane
+
+    def _fill(self, i):
         c = bisect.bisect_right(self._starts, i)
         lo = self._starts[c - 1]
         hi = self._starts[c] if c < len(self._starts) else len(self._keys)
         while True:
-            chunk = self._keys[lo:hi]
+            xs = np.array([self._first[k] for k in self._keys[lo:hi]])
             try:
-                planes = self._planes(np.array([self._first[k] for k in chunk]), self._grid)
+                planes = self._planes(xs, self._grid)
             except SemigeoError:
                 if hi - lo == 1:
                     raise
@@ -371,8 +379,9 @@ class SourceBank:
                 bisect.insort(self._starts, mid)
                 lo, hi = (lo, mid) if i < mid else (mid, hi)
             else:
-                self._planes_of.update(zip(chunk, planes))
-                return self._planes_of[key]
+                held = (planes, lo)
+                self._held[lo:hi] = [held] * (hi - lo)
+                return held
 
 
 def tube_dense(whole, grid):

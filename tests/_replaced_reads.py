@@ -5,15 +5,17 @@ Before every input field was read with ``on_planes(xs, grid)`` from
 x1 plane), ``on_grid`` (the whole lattice, with its own coordinate
 layout) and, for hypersurface data, ``TransverseField.plane``.
 ``Components.dense`` took a ``values_of`` callback choosing among them.
-Those implementations are copied here unchanged, so the tests can check
-that ``planes``, ``on_grid`` and ``on_hypersurface`` give their bytes.
+Those implementations are copied here, less their branches for the
+sample-array inputs the library no longer takes, so the tests can check
+that ``planes``, ``on_grid`` and ``on_hypersurface`` give their bytes
+for expression inputs.
 """
 
 import numpy as np
 
-from semigeo.errors import EvalError, InvalidInit, InvalidSpec
-from semigeo.expr import FieldExpr, eval_field_on, parse_field, variables
-from semigeo.grid_field import FAMILIES, ExpressionField, SampledField, _lerp, as_field
+from semigeo.errors import EvalError, InvalidInit
+from semigeo.expr import eval_field_on, parse_field, variables
+from semigeo.grid_field import FAMILIES, ExpressionField, as_field
 
 
 def _eval_labelled(expr, coords, label):
@@ -25,10 +27,6 @@ def _eval_labelled(expr, coords, label):
 
 def on_transverse(field, x1, grid):
     """Values over all transverse nodes (flattened) at axial position x1."""
-    if isinstance(field, SampledField):
-        if grid.transverse_shape != field.grid.transverse_shape:
-            raise InvalidSpec("sampled field queried on a different transverse lattice")
-        return _lerp(field.values, field.grid.coord_lists()[0], float(x1)).reshape(-1)
     mesh = grid.transverse_mesh()
     label = f"{field.what} at x1 = {float(x1)!r}"
     out = _eval_labelled(field.expr, (np.float64(x1),) + mesh, label)
@@ -37,10 +35,6 @@ def on_transverse(field, x1, grid):
 
 def on_grid(field, grid):
     """Values over the whole lattice, shaped ``grid.shape``."""
-    if isinstance(field, SampledField):
-        if grid.shape != field.grid.shape:
-            raise InvalidSpec("sampled field queried on a different grid")
-        return field.values
     x1 = grid.x1_samples.reshape((-1,) + (1,) * (grid.n - 1))
     mesh = np.meshgrid(*grid.transverse_axes, indexing="ij")
     coords = (x1,) + tuple(m[np.newaxis] for m in mesh)
@@ -49,7 +43,8 @@ def on_grid(field, grid):
 
 
 class TransverseField:
-    """Scalar data on the hypersurface: expression in x2..xn or node samples."""
+    """Scalar data on the hypersurface: an expression in x2..xn (a string,
+    FieldExpr or ExpressionField)."""
 
     def __init__(self, value, n, what):
         self.n = n
@@ -58,29 +53,17 @@ class TransverseField:
             value = parse_field(value, n)
         if isinstance(value, ExpressionField):
             value = value.expr
-        if isinstance(value, FieldExpr):
-            try:
-                uses_x1 = 1 in variables(value)
-            except EvalError as err:
-                raise EvalError(f"{what}: {err}") from err
-            if uses_x1:
-                raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
-            self.expr = value
-            self.samples = None
-        else:
-            self.expr = None
-            self.samples = np.asarray(value, dtype=np.float64)
+        try:
+            uses_x1 = 1 in variables(value)
+        except EvalError as err:
+            raise EvalError(f"{what}: {err}") from err
+        if uses_x1:
+            raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
+        self.expr = value
 
     def plane(self, grid):
         """Values over the flattened transverse lattice."""
-        if self.expr is not None:
-            return on_transverse(ExpressionField(self.expr, self.n, self.what), 0.0, grid)
-        if self.samples.shape != grid.transverse_shape:
-            raise InvalidInit(
-                f"sampled hypersurface data shape {self.samples.shape} does not "
-                f"match the transverse lattice {grid.transverse_shape}"
-            )
-        return self.samples.reshape(-1)
+        return on_transverse(ExpressionField(self.expr, self.n, self.what), 0.0, grid)
 
 
 def dense(family, n, values, trailing, values_of, lo=None, hi=None):

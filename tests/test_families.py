@@ -1,5 +1,7 @@
 """The tensor family table and the Components builder in grid_field."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,26 @@ class TestDense:
     def test_index_errors_raise_family_class(self, family, values, error):
         with pytest.raises(error):
             Components(family, 3, values)
+
+
+# each factory makes a value that is not an expression
+NOT_EXPRESSIONS = {
+    "array": lambda: np.ones(5),
+    "list": lambda: [1.0, 2.0],
+    "float": lambda: 1.5,
+    "none": lambda: None,
+    "array-1e6": lambda: np.ones(10**6),
+}
+
+
+@pytest.mark.parametrize("make", NOT_EXPRESSIONS.values(), ids=NOT_EXPRESSIONS.keys())
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_values_that_are_not_expressions_are_rejected(family, make):
+    # hypersurface data is InvalidInit, a tube field InvalidSpec; the
+    # message names the type, never the value's repr
+    layout = FAMILIES[family]
+    value = make()
+    error = InvalidInit if layout.hypersurface else InvalidSpec
+    message = f"{family}{layout.first}: cannot interpret {type(value).__name__} as an expression"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Components(family, 3, {layout.first: value})

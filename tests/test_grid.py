@@ -7,7 +7,6 @@ from semigeo.errors import EvalError, GridTooCoarse, InvalidInit, InvalidSpec, O
 from semigeo.grid_field import (
     ChartSpec,
     ExpressionField,
-    SampledField,
     TensorTube,
     as_field,
     build_grid,
@@ -252,19 +251,6 @@ class TestInterpolate:
         with pytest.raises(OutOfDomain):
             TensorTube("T", g, np.zeros((2, 2) + g.shape)).at(point)
 
-    def test_sampled_half_step_matches_plane_blend(self):
-        g = grid2(h1=0.25, res=5)
-        vals = np.random.default_rng(3).normal(size=g.shape)
-        f = SampledField(g, vals)
-        for i in range(len(g.x1_samples) - 1):
-            x1 = 0.5 * (g.x1_samples[i] + g.x1_samples[i + 1])
-            t = (x1 - g.x1_samples[i]) / (g.x1_samples[i + 1] - g.x1_samples[i])
-            blend = vals[i] * (1.0 - t) + vals[i + 1] * t
-            assert np.array_equal(f.on_planes([x1], g)[0], blend)
-            assert np.array_equal(f.on_planes([g.x1_samples[i]], g)[0], vals[i])
-        with pytest.raises(OutOfDomain):
-            f.on_planes([1.5], g)
-
 
 def grid3(res=3):
     return build_grid(ChartSpec(n=3, x1_range=(0.0, 0.5), h1=0.25, transverse_res=res))
@@ -324,18 +310,6 @@ class TestScalarFields:
         plane = f.on_planes([0.25], g)
         assert np.array_equal(plane, dense[1:2])
 
-    def test_sampled_field_round_trip(self):
-        g = grid2(h1=0.25, res=5)
-        vals = np.random.default_rng(1).normal(size=g.shape)
-        f = SampledField(g, vals)
-        assert np.array_equal(f.on_planes(g.x1_samples, g), vals)
-        assert f.at((0.25, 0.5)) == vals[1, 2]
-
-    def test_sampled_field_shape_checked(self):
-        g = grid2()
-        with pytest.raises(InvalidSpec):
-            SampledField(g, np.zeros((2, 2)))
-
 
 class TestAsField:
     def test_string_parsed_over_n_coordinates(self):
@@ -351,14 +325,14 @@ class TestAsField:
         assert isinstance(f, ExpressionField)
         assert f.expr is expr and f.n == 2
 
-    @pytest.mark.parametrize("kind", ["expression", "sampled"])
+    @pytest.mark.parametrize("kind", ["expression", "parsed"])
     def test_field_objects_pass_through(self, kind):
-        g = grid2()
-        if kind == "expression":
-            field = ExpressionField(parse_field("x2", 2), 2)
-        else:
-            field = SampledField(g, np.zeros(g.shape))
-        assert as_field(field, 2, "a2") is field
+        # the expression object passes through, into a new field named ``what``
+        expr = parse_field("x2", 2)
+        given = ExpressionField(expr, 2, "mine") if kind == "expression" else expr
+        f = as_field(given, 2, "a2")
+        assert isinstance(f, ExpressionField) and f is not given
+        assert f.expr is expr and f.what == "a2"
 
     @pytest.mark.parametrize("value", [1.5, None, [1.0, 2.0]], ids=["float", "none", "list"])
     def test_other_values_rejected_with_prefix(self, value):
@@ -377,14 +351,6 @@ class TestAsField:
         f = as_field(given, 2, "gtilde(2, 2)", hypersurface=True)
         assert isinstance(f, ExpressionField) and f is not given
         assert f.expr is given.expr and f.what == "gtilde(2, 2)"
-
-    def test_hypersurface_samples_shape_checked_when_read(self):
-        g = grid2()
-        f = as_field(np.arange(5.0), 2, "gtilde(2, 2)", hypersurface=True)
-        assert np.array_equal(f.on_planes([0.0], g), np.arange(5.0)[None, :])
-        f = as_field(np.ones(4), 2, "gtilde(2, 2)", hypersurface=True)
-        with pytest.raises(InvalidInit, match=r"^sampled hypersurface data shape \(4,\)"):
-            f.on_planes([0.0], g)
 
 
 class TestFieldErrorLabels:

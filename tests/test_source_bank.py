@@ -10,6 +10,7 @@ into an input error, and how many evaluator calls a run makes.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from semigeo.connection_recon import (
 )
 from semigeo.errors import EvalError
 from semigeo.expr import parse_field
-from semigeo.grid_field import ChartSpec, ExpressionField, SampledField, build_grid
+from semigeo.grid_field import ChartSpec, ExpressionField, build_grid
 from semigeo.metric_recon import HypersurfaceMetricData, MetricCurvatureSpec, reconstruct_metric
 from semigeo.ode import CHUNK_POINTS, SourceBank, tube_xs
 
@@ -74,8 +75,10 @@ def planned_xs(grid):
     return np.array(list(dict.fromkeys(tube_xs(grid, record_half=True))))
 
 
-def sampled(grid, seed):
-    return SampledField(grid, np.random.default_rng(seed).uniform(-2.0, 2.0, grid.shape))
+def seeded(seed):
+    """A seeded random source: one of EXPRESSIONS times a random coefficient."""
+    rng = np.random.default_rng(seed)
+    return f"{rng.uniform(-2.0, 2.0)!r}*({EXPRESSIONS[rng.integers(len(EXPRESSIONS))]})"
 
 
 class TestPlanesBitIdentity:
@@ -92,17 +95,9 @@ class TestPlanesBitIdentity:
             want = replaced.on_transverse(field, x, grid)
             assert_bits(field.on_planes(np.array([x]), grid)[0], want)
 
-    def test_sampled_field(self):
-        grid = bit_grid()
-        field = sampled(grid, 1)
-        xs = planned_xs(grid)
-        batched = field.on_planes(xs, grid)
-        for x, row in zip(xs, batched):
-            assert_bits(row, replaced.on_transverse(field, x, grid))
-
     def test_metric_spec_planes(self):
         grid = bit_grid()
-        values = {(2, 2): EXPRESSIONS[1], (2, 3): sampled(grid, 2), (3, 3): EXPRESSIONS[2]}
+        values = {(2, 2): EXPRESSIONS[1], (2, 3): seeded(2), (3, 3): EXPRESSIONS[2]}
         spec = MetricCurvatureSpec(3, values)
         xs = planned_xs(grid)[:50]
         batched = spec.planes(xs, grid)
@@ -116,9 +111,9 @@ class TestPlanesBitIdentity:
         grid = bit_grid()
         values = {
             (2, 1, 2): EXPRESSIONS[0],
-            (3, 1, 3): sampled(grid, 3),
+            (3, 1, 3): seeded(3),
             (1, 2, 3): EXPRESSIONS[3],
-            (2, 3, 2): sampled(grid, 4),
+            (2, 3, 2): seeded(4),
             (3, 3, 3): EXPRESSIONS[6],
         }
         spec = ConnectionCurvatureSpec(3, values)
@@ -232,8 +227,30 @@ class TestBankRules:
         later = next(x for x in tube_xs(grid) if first.setdefault(key(x), x) != x)
         assert bank.plane(later)[0] == first[key(later)] != later
         # a key the caller already computed reads the same plane
-        assert bank.plane(later, key(later)) is bank.plane(later)
+        got = bank.plane(later, key(later))
+        assert np.shares_memory(got, bank.plane(later))
+        assert_bits(got, bank.plane(later))
+        assert len(calls) == 1 and bank.misses == 0
+
+    def test_reads_hold_no_object_per_key(self):
+        # 40,001 keys in four chunks; the bank keeps each evaluated chunk
+        # once, not one plane view per key (about 145 B each)
+        grid = line_grid(h1=1e-4)
+        keys = list(dict.fromkeys(tube_xs(grid)))
+        assert len(keys) == 40001
+        planes = lambda xs, grid: np.repeat(xs[:, None], 3, axis=1)
+        tracemalloc.start()
+        try:
+            bank = SourceBank(planes, grid)
+            before = tracemalloc.get_traced_memory()[0]
+            for x in keys:
+                bank.plane(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
         assert bank.misses == 0
+        plane_data = len(keys) * 3 * 8
+        assert held - plane_data <= 16 * len(keys)
 
 
 # ----------------------------------------------------------- exact keys
