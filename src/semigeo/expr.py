@@ -13,13 +13,25 @@ Variables are ``x1 .. xn``; functions are sin, cos, tan, sinh, cosh, exp,
 log, sqrt, abs.  Evaluation is IEEE double and every invalid operation
 (division by zero, log/sqrt domain, non-finite result) raises
 :class:`~semigeo.errors.EvalError` instead of propagating NaN or inf.
-Parse, evaluation and ``variables`` recurse over the tree; nesting past
-the interpreter's recursion limit is a FieldSyntaxError when parsing and
-an EvalError after.
+The parser is recursive descent and interns each node it builds, with
+one table per ``parse_field`` call, so equal subtrees of a parse are one
+object: a parsed tree is a DAG.  Nesting past the interpreter's
+recursion limit is a FieldSyntaxError while parsing.  Nothing after the
+parser recurses.  The first evaluation of a tree compiles it, with an
+explicit stack, into a flat program that holds each distinct subtree
+once, in the postorder of its first occurrence, and keeps it on the
+root node.  Every evaluation runs that program in one loop: each node
+applies its checked operation to its operands' values, and a value is
+dropped after its last read.  So every value has the bits, and every
+error the node and message, of evaluating the tree node by node.  A
+tree more than MAX_DEPTH nodes deep is an EvalError ("expression nested
+too deeply") when it is compiled, for evaluation and ``variables``
+alike.
 """
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -93,11 +105,28 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive-descent parser that interns every node it builds.
+
+    ``_nodes`` maps a direct key of each node (its literal, its index,
+    or its operator and the ids of its interned operands) to the one
+    node built for it, so equal subtrees of a parse are one object.
+    """
+
     def __init__(self, tokens, n, text_len):
         self.tokens = tokens
         self.n = n
         self.pos = 0
         self.text_len = text_len
+        self._nodes = {}
+
+    def _intern(self, key, make, *fields):
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = make(*fields)
+        return node
+
+    def _binop(self, op, left, right):
+        return self._intern((op, id(left), id(right)), BinOp, op, left, right)
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -127,7 +156,7 @@ class _Parser:
             tok = self._peek()
             if tok and tok[0] == "op" and tok[1] in "+-":
                 self.pos += 1
-                node = BinOp(tok[1], node, self.term())
+                node = self._binop(tok[1], node, self.term())
             else:
                 return node
 
@@ -137,7 +166,7 @@ class _Parser:
             tok = self._peek()
             if tok and tok[0] == "op" and tok[1] in "*/":
                 self.pos += 1
-                node = BinOp(tok[1], node, self.unary())
+                node = self._binop(tok[1], node, self.unary())
             else:
                 return node
 
@@ -145,7 +174,8 @@ class _Parser:
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.pos += 1
-            return Neg(self.unary())
+            operand = self.unary()
+            return self._intern(("-", id(operand)), Neg, operand)
         return self.power()
 
     def power(self):
@@ -153,7 +183,7 @@ class _Parser:
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "^":
             self.pos += 1
-            return BinOp("^", base, self.unary())
+            return self._binop("^", base, self.unary())
         return base
 
     def atom(self):
@@ -163,7 +193,7 @@ class _Parser:
             number = float(value)
             if not np.isfinite(number):
                 raise FieldSyntaxError(f"number {value!r} is not finite", pos)
-            return Num(number)
+            return self._intern(number, Num, number)
         if kind == "op" and value == "(":
             node = self.expr()
             self._expect_op(")")
@@ -173,14 +203,14 @@ class _Parser:
                 self._expect_op("(")
                 arg = self.expr()
                 self._expect_op(")")
-                return Call(value, arg)
+                return self._intern((value, id(arg)), Call, value, arg)
             if value.startswith("x") and value[1:].isdigit():
                 index = int(value[1:])
                 if not 1 <= index <= self.n:
                     raise VariableOutOfRange(
                         f"variable {value} out of range for dimension {self.n}", pos
                     )
-                return Var(index)
+                return self._intern(("x", index), Var, index)
             raise UnknownSymbol(f"unknown symbol {value!r}", pos)
         raise FieldSyntaxError(f"unexpected token {value!r}", pos)
 
@@ -249,45 +279,136 @@ def format_field(node):
 
 # ---------------------------------------------------------------- evaluator
 
+# deepest tree, counted in nodes from the root to its deepest leaf, that
+# compiles; a sum of k terms is k deep
+MAX_DEPTH = 900
 
-def _eval(node, coords):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.index > len(coords):
-            raise EvalError(f"no value supplied for x{node.index}")
-        return coords[node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, coords)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, coords)
-        if node.func == "log" and np.any(np.asarray(arg) <= 0.0):
-            raise EvalError("log of a non-positive value")
-        if node.func == "sqrt" and np.any(np.asarray(arg) < 0.0):
-            raise EvalError("sqrt of a negative value")
-        with np.errstate(all="ignore"):
-            out = FUNCTIONS[node.func](arg)
-        if not np.all(np.isfinite(out)):
-            raise EvalError(f"{node.func} produced a non-finite value")
-        return out
-    left = _eval(node.left, coords)
-    right = _eval(node.right, coords)
-    if node.op == "/" and np.any(np.asarray(right) == 0.0):
-        raise EvalError("division by zero")
+
+def _program(root):
+    """The compiled program of ``root``, built on first use and kept on it.
+
+    The program is (nodes, reads).  ``nodes`` holds every distinct
+    subtree but the root once, in postorder of its first occurrence; the
+    root runs last.  ``reads`` holds, flat and in run order, the slots
+    (positions in that order) each node reads; a slot read for the last
+    time is stored as ``~slot``, so its value is dropped there.  A tree
+    deeper than MAX_DEPTH raises EvalError and keeps no program.
+    """
+    program = root.__dict__.get("_program")
+    if program is not None:
+        return program
+    slots = {}  # id(node) -> slot
+    heights = []  # per slot: nodes on its deepest path
+    nodes = []
+    reads = []
+    stack = [(root, 1, None)]
+    while stack:
+        node, depth, kids = stack.pop()
+        if id(node) in slots:
+            continue
+        if kids is None:
+            if depth > MAX_DEPTH:
+                raise EvalError("expression nested too deeply")
+            kids = _operands(node)
+            if kids:
+                stack.append((node, depth, kids))
+                # right first, so the left operand compiles first
+                stack.extend([(kid, depth + 1, None) for kid in reversed(kids)])
+                continue
+        # a subtree met before may sit deeper here than where it compiled
+        height = 1
+        for kid in kids:
+            slot = slots[id(kid)]
+            reads.append(slot)
+            height = max(height, heights[slot] + 1)
+        if height > MAX_DEPTH:
+            raise EvalError("expression nested too deeply")
+        slots[id(node)] = len(nodes)
+        heights.append(height)
+        nodes.append(node)
+    seen = set()
+    for i in range(len(reads) - 1, -1, -1):
+        if reads[i] not in seen:
+            seen.add(reads[i])
+            reads[i] = ~reads[i]
+    # the root stays out of its own program: no reference cycle
+    program = (tuple(nodes[:-1]), np.array(reads, dtype=np.int32))
+    object.__setattr__(root, "_program", program)
+    return program
+
+
+def _operands(node):
+    kind = type(node)
+    if kind is BinOp:
+        return (node.left, node.right)
+    if kind is Neg:
+        return (node.operand,)
+    if kind is Call:
+        return (node.arg,)
+    return ()
+
+
+def _run(root, coords):
+    """Value of ``root``; every operation checked as it runs."""
+    nodes, reads = _program(root)
+    values = [None] * (len(nodes) + 1)
+    read = iter(reads.tolist()).__next__
     with np.errstate(all="ignore"):
-        if node.op == "+":
-            out = left + right
-        elif node.op == "-":
-            out = left - right
-        elif node.op == "*":
-            out = left * right
-        elif node.op == "/":
-            out = left / right
-        else:
-            out = np.power(left, right, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise EvalError(f"operator {node.op!r} produced a non-finite value")
-    return out
+        for k, node in enumerate(chain(nodes, (root,))):
+            kind = type(node)
+            if kind is Num:
+                values[k] = node.value
+                continue
+            if kind is Var:
+                if node.index > len(coords):
+                    raise EvalError(f"no value supplied for x{node.index}")
+                values[k] = coords[node.index - 1]
+                continue
+            i = read()
+            if i < 0:
+                i = ~i
+                arg, values[i] = values[i], None
+            else:
+                arg = values[i]
+            if kind is Neg:
+                values[k] = -arg
+                continue
+            if kind is Call:
+                func = node.func
+                if func == "log" and (np.asarray(arg) <= 0.0).any():
+                    raise EvalError("log of a non-positive value")
+                if func == "sqrt" and (np.asarray(arg) < 0.0).any():
+                    raise EvalError("sqrt of a negative value")
+                out = FUNCTIONS[func](arg)
+                if not np.isfinite(out).all():
+                    raise EvalError(f"{func} produced a non-finite value")
+                values[k] = out
+                continue
+            j = read()
+            if j < 0:
+                j = ~j
+                right, values[j] = values[j], None
+            else:
+                right = values[j]
+            op = node.op
+            if op == "+":
+                out = arg + right
+            elif op == "-":
+                out = arg - right
+            elif op == "*":
+                out = arg * right
+            elif op == "/":
+                if (np.asarray(right) == 0.0).any():
+                    raise EvalError("division by zero")
+                out = arg / right
+            else:
+                out = np.power(arg, right, dtype=np.float64)
+            # a Call or Neg next rebinds only arg: free a last-read right
+            right = None
+            if not np.isfinite(out).all():
+                raise EvalError(f"operator {op!r} produced a non-finite value")
+            values[k] = out
+    return values[-1]
 
 
 def eval_field_on(expr, coords):
@@ -297,28 +418,11 @@ def eval_field_on(expr, coords):
     broadcast against each other, one per coordinate x1..xn.
     """
     arrays = [np.asarray(c, dtype=np.float64) for c in coords]
-    try:
-        out = _eval(expr, arrays)
-    except RecursionError:
-        raise EvalError("expression nested too deeply") from None
+    out = _run(expr, arrays)
     return np.asarray(out, dtype=np.float64) + np.zeros(np.broadcast(*arrays).shape)
-
-
-def _variables(expr):
-    if isinstance(expr, Var):
-        return {expr.index}
-    if isinstance(expr, Neg):
-        return _variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return _variables(expr.left) | _variables(expr.right)
-    if isinstance(expr, Call):
-        return _variables(expr.arg)
-    return set()
 
 
 def variables(expr):
     """Set of 1-based coordinate indices the expression references."""
-    try:
-        return _variables(expr)
-    except RecursionError:
-        raise EvalError("expression nested too deeply") from None
+    nodes = chain(_program(expr)[0], (expr,))
+    return {node.index for node in nodes if type(node) is Var}

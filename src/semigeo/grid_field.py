@@ -225,13 +225,16 @@ def _axis_nodes(axis, count, make):
 
 
 def _fd1(values, axis0, h):
-    # difference-form stencils: constants differentiate to exactly zero
+    # difference-form stencils: constants differentiate to exactly zero;
+    # the interior is formed in the output, with no full-size temporary
     values = np.asarray(values, dtype=np.float64)
     if values.shape[axis0] < 3:
         raise GridTooCoarse("first derivative needs at least 3 nodes along the axis")
     v = np.moveaxis(values, axis0, 0)
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    inner = out[1:-1]
+    np.subtract(v[2:], v[:-2], out=inner)
+    np.divide(inner, 2.0 * h, out=inner)
     out[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / (2.0 * h)
     out[-1] = (4.0 * (v[-1] - v[-2]) - (v[-1] - v[-3])) / (2.0 * h)
     return np.moveaxis(out, 0, axis0)
@@ -244,7 +247,10 @@ def _fd2(values, axis0, h):
         raise GridTooCoarse("second derivative needs at least 4 nodes along the axis")
     v = np.moveaxis(values, axis0, 0)
     out = np.empty_like(v)
-    out[1:-1] = ((v[:-2] - v[1:-1]) + (v[2:] - v[1:-1])) / (h * h)
+    inner = out[1:-1]
+    np.subtract(v[:-2], v[1:-1], out=inner)
+    np.add(inner, v[2:] - v[1:-1], out=inner)
+    np.divide(inner, h * h, out=inner)
     out[0] = (2.0 * (v[0] - v[1]) - 3.0 * (v[1] - v[2]) + (v[2] - v[3])) / (h * h)
     out[-1] = (2.0 * (v[-1] - v[-2]) - 3.0 * (v[-2] - v[-3]) + (v[-3] - v[-4])) / (h * h)
     return np.moveaxis(out, 0, axis0)

@@ -325,19 +325,23 @@ class SourceBank:
         self._planes = planes
         self._grid = grid
         self._key = key or (lambda x: x)
-        first = {}
+        # per key, its index; per index, the first x of its key, where
+        # its plane is evaluated
+        self._index = {}
+        first = []
         for x in tube_xs(grid, record_half):
-            first.setdefault(self._key(x), x)
+            k = self._key(x)
+            if k not in self._index:
+                self._index[k] = len(first)
+                first.append(x)
+        self._xs = np.array(first, dtype=np.float64)
         per = max(1, CHUNK_POINTS // math.prod(grid.transverse_shape))
-        self._keys = list(first)
-        self._first = first
-        self._index = {k: i for i, k in enumerate(self._keys)}
-        # where each chunk begins in _keys, ascending; a chunk ends where
+        # where each chunk begins in _xs, ascending; a chunk ends where
         # the next begins
-        self._starts = list(range(0, len(self._keys), per))
+        self._starts = list(range(0, len(first), per))
         # per key index, (evaluated chunk, its first index) once evaluated:
         # one tuple per chunk, shared by its keys
-        self._held = [None] * len(self._keys)
+        self._held = [None] * len(first)
         self._missed = {}
         self.misses = 0
 
@@ -367,11 +371,10 @@ class SourceBank:
     def _fill(self, i):
         c = bisect.bisect_right(self._starts, i)
         lo = self._starts[c - 1]
-        hi = self._starts[c] if c < len(self._starts) else len(self._keys)
+        hi = self._starts[c] if c < len(self._starts) else len(self._xs)
         while True:
-            xs = np.array([self._first[k] for k in self._keys[lo:hi]])
             try:
-                planes = self._planes(xs, self._grid)
+                planes = self._planes(self._xs[lo:hi], self._grid)
             except SemigeoError:
                 if hi - lo == 1:
                     raise

@@ -18,6 +18,7 @@ from semigeo.config import (
 )
 from semigeo.curvature import DEGENERACY_TOL, MetricField, christoffel_from_metric
 from semigeo.errors import ConfigError, DegenerateMetric, InvalidSpec
+from semigeo.expr import MAX_DEPTH
 from semigeo.grid_field import ChartSpec, build_grid
 from semigeo.ode import GuardConfig
 
@@ -1020,6 +1021,24 @@ class TestExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1], ids=["cap", "past-cap"])
+    def test_depth_cap(self, tmp_path, capsys, depth):
+        # -cos(x1)^2 is four nodes deep; each "+ 0" adds one level
+        value = "-cos(x1)^2" + " + 0" * (depth - 4)
+        text = (
+            SPHERE_ROUNDTRIP.replace("mode = roundtrip-metric", "mode = reconstruct-metric")
+            .replace("h1 = 0.001", "h1 = 0.25")
+            .replace('"-cos(x1)^2"', f'"{value}"')
+        )
+        code, out = run_cli(tmp_path, text, "reconstruct-metric")
+        err = capsys.readouterr().err
+        if depth == MAX_DEPTH:
+            assert code == 0, err
+            assert read_report(out / "report.txt")["status"] == "Complete"
+        else:
+            assert code == 2
+            assert err == "error: a(2, 2) at x1 = 0.0: expression nested too deeply\n"
 
     def test_mid_run_error_names_field_and_writes_report(self, tmp_path, capsys):
         text = (

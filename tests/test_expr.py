@@ -1,8 +1,14 @@
+import random
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from semigeo.errors import EvalError, FieldSyntaxError, UnknownSymbol, VariableOutOfRange
 from semigeo.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     Neg,
@@ -256,7 +262,176 @@ class TestEval:
             with pytest.raises(EvalError, match="nested too deeply"):
                 call()
 
+    def test_depth_cap_counts_a_shared_subtree_where_it_sits_deepest(self):
+        # the 800-term sum compiles first on the left, 801 deep; under
+        # 150 minus signs on the right it reaches 951
+        inner = "+".join(["x1"] * 800)
+        assert float(eval_field_on(parse_field(inner, 1), (1.0,))) == 800.0
+        expr = parse_field(f"({inner}) + {'-' * 150}({inner})", 1)
+        node = expr.right
+        for _ in range(150):
+            node = node.operand
+        assert node is expr.left  # one object
+        for call in (lambda: eval_field_on(expr, (1.0,)), lambda: variables(expr)):
+            with pytest.raises(EvalError, match="nested too deeply"):
+                call()
+        ok = parse_field(f"({inner}) + {'-' * 99}({inner})", 1)
+        assert float(eval_field_on(ok, (1.0,))) == 0.0
+        assert variables(ok) == {1}
+
     def test_missing_coordinate_value(self):
         expr = parse_field("x2", 2)
         with pytest.raises(EvalError):
             eval_field_on(expr, (1.0,))
+
+
+# ------------------------------------------------- reference evaluator
+
+
+def reference_eval(node, coords):
+    """Recursive evaluation with the semantics the compiled program keeps:
+    literals stay Python floats, and each operation is checked, in
+    postorder, before its parent runs."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        if node.index > len(coords):
+            raise EvalError(f"no value supplied for x{node.index}")
+        return coords[node.index - 1]
+    if isinstance(node, Neg):
+        return -reference_eval(node.operand, coords)
+    if isinstance(node, Call):
+        arg = reference_eval(node.arg, coords)
+        if node.func == "log" and np.any(np.asarray(arg) <= 0.0):
+            raise EvalError("log of a non-positive value")
+        if node.func == "sqrt" and np.any(np.asarray(arg) < 0.0):
+            raise EvalError("sqrt of a negative value")
+        with np.errstate(all="ignore"):
+            out = FUNCTIONS[node.func](arg)
+        if not np.all(np.isfinite(out)):
+            raise EvalError(f"{node.func} produced a non-finite value")
+        return out
+    left = reference_eval(node.left, coords)
+    right = reference_eval(node.right, coords)
+    if node.op == "/" and np.any(np.asarray(right) == 0.0):
+        raise EvalError("division by zero")
+    with np.errstate(all="ignore"):
+        if node.op == "+":
+            out = left + right
+        elif node.op == "-":
+            out = left - right
+        elif node.op == "*":
+            out = left * right
+        elif node.op == "/":
+            out = left / right
+        else:
+            out = np.power(left, right, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
+        raise EvalError(f"operator {node.op!r} produced a non-finite value")
+    return out
+
+
+def reference(expr, coords):
+    arrays = [np.asarray(c, dtype=np.float64) for c in coords]
+    out = reference_eval(expr, arrays)
+    return np.asarray(out, dtype=np.float64) + np.zeros(np.broadcast(*arrays).shape)
+
+
+LEAVES = ("x1", "x2", "x3", "0", "0.5", "2", "3", "1e300", "1e-300")
+
+
+def _draw(rng, pool, depth):
+    """Expression text; half the draws reuse an earlier subexpression."""
+    if pool and rng.random() < 0.5:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.2:
+        text = rng.choice(LEAVES)
+    elif rng.random() < 0.35:
+        text = f"{rng.choice(sorted(FUNCTIONS))}({_draw(rng, pool, depth - 1)})"
+    elif rng.random() < 0.15:
+        text = f"-({_draw(rng, pool, depth - 1)})"
+    else:
+        left, right = _draw(rng, pool, depth - 1), _draw(rng, pool, depth - 1)
+        text = f"({left} {rng.choice('+-*/^')} {right})"
+    pool.append(text)
+    return text
+
+
+def _walk(node):
+    """Every node of the tree, a repeated subtree once per occurrence."""
+    yield node
+    for field in ("left", "right", "operand", "arg"):
+        if hasattr(node, field):
+            yield from _walk(getattr(node, field))
+
+
+def _corpus(seed, count):
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        pool = []
+        parts = [_draw(rng, pool, rng.randrange(2, 7)) for _ in range(3)]
+        texts.append(f"{parts[0]} {rng.choice('+-*/^')} {parts[1]} * {parts[2]}")
+    return texts
+
+
+def _outcome(evaluate, expr, coords):
+    try:
+        return "value", evaluate(expr, coords).view(np.int64).tolist()
+    except EvalError as err:
+        return type(err).__name__, str(err)
+
+
+REFERENCE_COORDS = {
+    "scalar": (0.3, -0.7, 1.25),
+    "scalar-zero": (0.0, 2.0, -1.0),
+    "broadcast": (
+        np.array([-1.5, -0.5, 0.0, 0.25, 2.0])[:, None],
+        np.array([0.0, 1.0, -2.0])[None, :],
+        0.5,
+    ),
+    "broadcast-positive": (np.array([0.1, 0.7, 1.3])[:, None], np.array([0.4, 2.5])[None, :], 3.0),
+}
+
+
+class TestAgainstReference:
+    TEXTS = _corpus(20261019, 240)
+
+    def test_draws_cover_the_language_with_reuse(self):
+        joined = " ".join(self.TEXTS)
+        assert all(f"{name}(" in joined for name in FUNCTIONS)
+        assert "^" in joined and "-(" in joined
+        nodes = [list(_walk(parse_field(text, 3))) for text in self.TEXTS]
+        # the parser interns repeated subtrees: one object per distinct one
+        distinct = sum(len({id(node) for node in walk}) for walk in nodes)
+        assert sum(map(len, nodes)) > 2 * distinct
+
+    @pytest.mark.parametrize("where", sorted(REFERENCE_COORDS))
+    def test_same_bits_or_same_error(self, where):
+        coords = REFERENCE_COORDS[where]
+        kinds = set()
+        for text in self.TEXTS:
+            expr = parse_field(text, 3)
+            expected = _outcome(reference, expr, coords)
+            assert _outcome(eval_field_on, expr, coords) == expected, text
+            kinds.add(expected[0] if expected[0] == "value" else expected[1])
+        assert "value" in kinds and len(kinds) >= 4, kinds
+
+
+class TestMemory:
+    def test_parsed_fields_and_their_programs_stay_small(self):
+        # the 55 KB metric scenario: 18,420 tree nodes, 1,490 distinct
+        # subtrees; as trees of distinct objects they held about 1.9 MB
+        path = Path(__file__).parents[1] / "perfbench" / "inputs" / "metric3d-seed11.fields"
+        sources = re.findall(r'^\S+ = "(.*)"$', path.read_text(), flags=re.M)
+        assert len(sources) == 9
+        coords = (np.array([-0.3, 0.0, 0.3])[:, None], np.array([0.0, 0.5, 1.0]), 0.5)
+        tracemalloc.start()
+        try:
+            trees = [parse_field(source, 3) for source in sources]
+            for tree in trees:
+                assert eval_field_on(tree, coords).shape == (3, 3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1_000_000

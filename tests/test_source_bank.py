@@ -252,6 +252,21 @@ class TestBankRules:
         plane_data = len(keys) * 3 * 8
         assert held - plane_data <= 16 * len(keys)
 
+    def test_plan_holds_one_x_per_key(self):
+        # the plan is a key -> index dict and one float64 array of first
+        # x: about 101 B per key here; a list and a dict of keys beside
+        # the index took about 133 B
+        grid = line_grid(h1=1e-4)
+        planes = lambda xs, grid: np.repeat(xs[:, None], 3, axis=1)
+        tracemalloc.start()
+        try:
+            bank = SourceBank(planes, grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(bank._held) == 40001
+        assert held <= 115 * 40001
+
 
 # ----------------------------------------------------------- exact keys
 
