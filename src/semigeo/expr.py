@@ -13,20 +13,20 @@ Variables are ``x1 .. xn``; functions are sin, cos, tan, sinh, cosh, exp,
 log, sqrt, abs.  Evaluation is IEEE double and every invalid operation
 (division by zero, log/sqrt domain, non-finite result) raises
 :class:`~semigeo.errors.EvalError` instead of propagating NaN or inf.
-The parser is recursive descent and interns each node it builds, with
-one table per ``parse_field`` call, so equal subtrees of a parse are one
-object: a parsed tree is a DAG.  Nesting past the interpreter's
-recursion limit is a FieldSyntaxError while parsing.  Nothing after the
-parser recurses.  The first evaluation of a tree compiles it, with an
-explicit stack, into a flat program that holds each distinct subtree
-once, in the postorder of its first occurrence, and keeps it on the
-root node.  Every evaluation runs that program in one loop: each node
-applies its checked operation to its operands' values, and a value is
-dropped after its last read.  So every value has the bits, and every
-error the node and message, of evaluating the tree node by node.  A
-tree more than MAX_DEPTH nodes deep is an EvalError ("expression nested
-too deeply") when it is compiled, for evaluation and ``variables``
-alike.
+The parser reads the tokens in one loop with explicit stacks and
+interns each node it builds, with one table per ``parse_field`` call,
+so equal subtrees of a parse are one object: a parsed tree is a DAG.
+More than MAX_DEPTH pending parentheses, calls and operators is a
+FieldSyntaxError while parsing.  Nothing recurses.  The first
+evaluation of a tree compiles it, with an explicit stack, into a flat
+program that holds each distinct subtree once, in the postorder of its
+first occurrence, and keeps it on the root node.  Every evaluation runs
+that program in one loop: each node applies its checked operation to
+its operands' values, and a value is dropped after its last read.  So
+every value has the bits, and every error the node and message, of
+evaluating the tree node by node.  A tree more than MAX_DEPTH nodes
+deep is an EvalError ("expression nested too deeply") when it is
+compiled, for evaluation, ``variables`` and ``format_field`` alike.
 """
 
 import re
@@ -104,183 +104,155 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser that interns every node it builds.
-
-    ``_nodes`` maps a direct key of each node (its literal, its index,
-    or its operator and the ids of its interned operands) to the one
-    node built for it, so equal subtrees of a parse are one object.
-    """
-
-    def __init__(self, tokens, n, text_len):
-        self.tokens = tokens
-        self.n = n
-        self.pos = 0
-        self.text_len = text_len
-        self._nodes = {}
-
-    def _intern(self, key, make, *fields):
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = make(*fields)
-        return node
-
-    def _binop(self, op, left, right):
-        return self._intern((op, id(left), id(right)), BinOp, op, left, right)
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise FieldSyntaxError("unexpected end of expression", self.text_len)
-        self.pos += 1
-        return tok
-
-    def _expect_op(self, op):
-        tok = self._next()
-        if tok[0] != "op" or tok[1] != op:
-            raise FieldSyntaxError(f"expected {op!r}", tok[2])
-
-    def parse(self):
-        node = self.expr()
-        tok = self._peek()
-        if tok is not None:
-            raise FieldSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.pos += 1
-                node = self._binop(tok[1], node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.pos += 1
-                node = self._binop(tok[1], node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.pos += 1
-            operand = self.unary()
-            return self._intern(("-", id(operand)), Neg, operand)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.pos += 1
-            return self._binop("^", base, self.unary())
-        return base
-
-    def atom(self):
-        tok = self._next()
-        kind, value, pos = tok
-        if kind == "num":
-            number = float(value)
-            if not np.isfinite(number):
-                raise FieldSyntaxError(f"number {value!r} is not finite", pos)
-            return self._intern(number, Num, number)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self._expect_op(")")
-            return node
-        if kind == "ident":
-            if value in FUNCTIONS:
-                self._expect_op("(")
-                arg = self.expr()
-                self._expect_op(")")
-                return self._intern((value, id(arg)), Call, value, arg)
-            if value.startswith("x") and value[1:].isdigit():
-                index = int(value[1:])
-                if not 1 <= index <= self.n:
-                    raise VariableOutOfRange(
-                        f"variable {value} out of range for dimension {self.n}", pos
-                    )
-                return self._intern(("x", index), Var, index)
-            raise UnknownSymbol(f"unknown symbol {value!r}", pos)
-        raise FieldSyntaxError(f"unexpected token {value!r}", pos)
+# how tightly each binary operator binds; unary minus binds at 3, between
+# * / and ^, and ( and function calls at 0, so no operator reduces past them
+_BINDS = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
 def parse_field(text, n):
     """Parse ``text`` into a FieldExpr over coordinates x1..x``n``.
 
-    Nesting deeper than the interpreter's recursion limit is a
-    FieldSyntaxError at the token where the parser gave up.
+    One loop over the tokens, with a stack of operands and a stack of
+    pending entries (open parentheses, calls, unary minuses and binary
+    operators waiting for their right operand).  More than MAX_DEPTH
+    pending entries is a FieldSyntaxError at the token that made one
+    too many.
     """
     if not isinstance(n, int) or n < 1:
         raise FieldSyntaxError("dimension must be a positive integer", 0)
-    parser = _Parser(_tokenize(text), n, len(text))
-    try:
-        return parser.parse()
-    except RecursionError:
-        tok = parser._peek()
-        raise FieldSyntaxError(
-            "expression nested too deeply", len(text) if tok is None else tok[2]
-        ) from None
+    tokens = _tokenize(text)
+    tokens.append(("end", "", len(text)))
+    next_token = iter(tokens).__next__
+    nodes = {}  # direct key (literal, index, or operator and operand ids) -> node
+    operands = []
+    pending = []  # (binding, "(", a function name, "neg" or an operator)
+
+    def intern(key, make, *fields):
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = make(*fields)
+        return node
+
+    def reduce(least):
+        # build every pending operator that binds at least ``least``
+        while pending and pending[-1][0] >= least:
+            what = pending.pop()[1]
+            right = operands.pop()
+            if what == "neg":
+                operands.append(intern(("-", id(right)), Neg, right))
+            else:
+                left = operands.pop()
+                operands.append(intern((what, id(left), id(right)), BinOp, what, left, right))
+
+    def push(binding, what, pos):
+        pending.append((binding, what))
+        if len(pending) > MAX_DEPTH:
+            raise FieldSyntaxError("expression nested too deeply", pos)
+
+    while True:
+        kind, value, pos = next_token()
+        # an operand: first any unary minuses, parentheses and calls it opens
+        if kind == "op" and value == "-":
+            push(3, "neg", pos)
+            continue
+        if kind == "op" and value == "(":
+            push(0, "(", pos)
+            continue
+        if kind == "num":
+            number = float(value)
+            if not np.isfinite(number):
+                raise FieldSyntaxError(f"number {value!r} is not finite", pos)
+            operands.append(intern(number, Num, number))
+        elif kind == "ident" and value in FUNCTIONS:
+            after = next_token()
+            if after[0] == "end":
+                raise FieldSyntaxError("unexpected end of expression", after[2])
+            if after[:2] != ("op", "("):
+                raise FieldSyntaxError("expected '('", after[2])
+            push(0, value, pos)
+            continue
+        elif kind == "ident" and value.startswith("x") and value[1:].isdigit():
+            index = int(value[1:])
+            if not 1 <= index <= n:
+                raise VariableOutOfRange(f"variable {value} out of range for dimension {n}", pos)
+            operands.append(intern(("x", index), Var, index))
+        elif kind == "ident":
+            raise UnknownSymbol(f"unknown symbol {value!r}", pos)
+        elif kind == "end":
+            raise FieldSyntaxError("unexpected end of expression", pos)
+        else:
+            raise FieldSyntaxError(f"unexpected token {value!r}", pos)
+        # then the closing parentheses that follow it, up to a binary operator
+        while True:
+            kind, value, pos = next_token()
+            if kind == "op" and value in _BINDS:
+                # ^ is right-associative: nothing pending binds above it
+                if value != "^":
+                    reduce(_BINDS[value])
+                push(_BINDS[value], value, pos)
+                break
+            reduce(1)
+            if not pending:
+                if kind == "end":
+                    return operands[0]
+                raise FieldSyntaxError(f"unexpected token {value!r}", pos)
+            if kind == "end":
+                raise FieldSyntaxError("unexpected end of expression", pos)
+            if value != ")":
+                raise FieldSyntaxError("expected ')'", pos)
+            opened = pending.pop()[1]
+            if opened != "(":
+                arg = operands.pop()
+                operands.append(intern((opened, id(arg)), Call, opened, arg))
 
 
 # ------------------------------------------------------------------ printer
 
-# precedence: +- = 1, */ = 2, unary - = 3, ^ = 4, atoms = 5
-def _prec(node):
-    if isinstance(node, BinOp):
-        return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[node.op]
-    if isinstance(node, Neg):
-        return 3
-    return 5
+# per operator, the least precedence (_BINDS; unary minus 3, atoms 5) its
+# left and its right operand print without parentheses
+_UNPARENTHESIZED = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (5, 3)}
 
 
 def format_field(node):
-    """Render a FieldExpr to text; parse(format_field(parse(s))) == parse(s)."""
-    if isinstance(node, Num):
-        if node.value == int(node.value) and abs(node.value) < 1e16:
-            return str(int(node.value))
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Call):
-        return f"{node.func}({format_field(node.arg)})"
-    if isinstance(node, Neg):
-        inner = format_field(node.operand)
-        if _prec(node.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    left, right = format_field(node.left), format_field(node.right)
-    if node.op in "+-":
-        # right operand at the same level would re-associate: keep parens
-        if isinstance(node.right, BinOp) and node.right.op in "+-":
-            right = f"({right})"
-    elif node.op in "*/":
-        if _prec(node.left) < 2:
-            left = f"({left})"
-        if _prec(node.right) <= 2:
-            right = f"({right})"
-    else:  # ^ is right-assoc and binds above unary minus
-        if _prec(node.left) <= 4:
-            left = f"({left})"
-        if isinstance(node.right, BinOp) and node.right.op != "^":
-            right = f"({right})"
-    return f"{left} {node.op} {right}" if node.op != "^" else f"{left}^{right}"
+    """Render a FieldExpr to text; parse(format_field(parse(s))) == parse(s).
+
+    Prints the compiled program in one loop, so a tree deeper than
+    MAX_DEPTH raises EvalError, as evaluation and ``variables`` do.
+    """
+    nodes, reads = _program(node)
+    printed = []  # per slot: (text, precedence)
+    read = iter(reads.tolist()).__next__
+
+    def operand(least):
+        slot = read()
+        text, prec = printed[slot if slot >= 0 else ~slot]
+        return f"({text})" if prec < least else text
+
+    for sub in chain(nodes, (node,)):
+        kind = type(sub)
+        if kind is Num:
+            value = sub.value
+            text = str(int(value)) if value == int(value) and abs(value) < 1e16 else repr(value)
+            printed.append((text, 5))
+        elif kind is Var:
+            printed.append((f"x{sub.index}", 5))
+        elif kind is Call:
+            printed.append((f"{sub.func}({operand(0)})", 5))
+        elif kind is Neg:
+            printed.append((f"-{operand(3)}", 3))
+        else:
+            left_least, right_least = _UNPARENTHESIZED[sub.op]
+            left, right = operand(left_least), operand(right_least)
+            text = f"{left}^{right}" if sub.op == "^" else f"{left} {sub.op} {right}"
+            printed.append((text, _BINDS[sub.op]))
+    return printed[-1][0]
 
 
 # ---------------------------------------------------------------- evaluator
 
 # deepest tree, counted in nodes from the root to its deepest leaf, that
-# compiles; a sum of k terms is k deep
+# compiles (a sum of k terms is k deep), and most entries the parser
+# holds pending at once
 MAX_DEPTH = 900
 
 

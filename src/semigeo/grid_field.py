@@ -20,7 +20,6 @@ march reads, the data on the hypersurface x1 = 0, and a field over the
 whole lattice.
 """
 
-import bisect
 import csv
 import functools
 import itertools
@@ -319,18 +318,6 @@ def _in_range(coords, x):
     return lo - pad <= x <= hi + pad
 
 
-def _locate(coords, x):
-    """Cell index and fraction for query x on a sorted uniform axis (a list)."""
-    lo, hi = coords[0], coords[-1]
-    if not _in_range(coords, x):
-        raise OutOfDomain(f"coordinate {x} outside [{lo}, {hi}]")
-    x = min(max(x, lo), hi)
-    i = bisect.bisect_right(coords, x) - 1
-    i = min(max(i, 0), len(coords) - 2)
-    t = (x - coords[i]) / (coords[i + 1] - coords[i])
-    return i, min(max(t, 0.0), 1.0)
-
-
 def _axis_table(grid):
     """The arrays ``interpolate`` locates points with, made once per grid.
 
@@ -399,8 +386,13 @@ def interpolate(values, grid, point):
     for k in range(n):
         cell[k] = np.searchsorted(edges[k], x[k], side="right")
     cell -= 1
-    if (cell.view(np.uintp) >= cells).any():
-        _raise_outside(grid, x)
+    outside = cell.view(np.uintp) >= cells
+    if outside.any():
+        # the first axis outside of the first point outside
+        k = int(outside.any(axis=0).argmax())
+        axis = int(outside[:, k].argmax())
+        coords = grid.coord_lists()[axis]
+        raise OutOfDomain(f"coordinate {x[axis, k].item()} outside [{coords[0]}, {coords[-1]}]")
     index = cell + first
     # outside [0, 1] only in the 1e-12 pad, where the end node is taken
     t = (x - starts[index]) / widths[index]
@@ -425,13 +417,6 @@ def interpolate(values, grid, point):
     if point.ndim == 2:
         return out.T.reshape(lead + (x.shape[1],))
     return out[0].reshape(lead) if lead else float(out[0, 0])
-
-
-def _raise_outside(grid, x):
-    """Raise ``_locate``'s OutOfDomain for the first point of (n, K) ``x`` outside."""
-    for k in range(x.shape[1]):
-        for coords, value in zip(grid.coord_lists(), x[:, k].tolist()):
-            _locate(coords, value)
 
 
 # -------------------------------------------------------------- tensor tubes

@@ -1,0 +1,142 @@
+"""The recursive-descent parser that the stack parser replaced, kept as a reference.
+
+``expr.parse_field`` once parsed with one method per grammar rule and
+turned a ``RecursionError`` into ``expression nested too deeply``.  This
+copy keeps that code, so the tests can check that the one-loop parser
+raises the same error at the same position, or builds a tree that
+compiles to the same program, for every input under both nesting caps.
+"""
+
+import numpy as np
+
+from semigeo.errors import FieldSyntaxError, UnknownSymbol, VariableOutOfRange
+from semigeo.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var, _tokenize
+
+
+class _Parser:
+    """Recursive-descent parser that interns every node it builds.
+
+    ``_nodes`` maps a direct key of each node (its literal, its index,
+    or its operator and the ids of its interned operands) to the one
+    node built for it, so equal subtrees of a parse are one object.
+    """
+
+    def __init__(self, tokens, n, text_len):
+        self.tokens = tokens
+        self.n = n
+        self.pos = 0
+        self.text_len = text_len
+        self._nodes = {}
+
+    def _intern(self, key, make, *fields):
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = make(*fields)
+        return node
+
+    def _binop(self, op, left, right):
+        return self._intern((op, id(left), id(right)), BinOp, op, left, right)
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _next(self):
+        tok = self._peek()
+        if tok is None:
+            raise FieldSyntaxError("unexpected end of expression", self.text_len)
+        self.pos += 1
+        return tok
+
+    def _expect_op(self, op):
+        tok = self._next()
+        if tok[0] != "op" or tok[1] != op:
+            raise FieldSyntaxError(f"expected {op!r}", tok[2])
+
+    def parse(self):
+        node = self.expr()
+        tok = self._peek()
+        if tok is not None:
+            raise FieldSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+        return node
+
+    def expr(self):
+        node = self.term()
+        while True:
+            tok = self._peek()
+            if tok and tok[0] == "op" and tok[1] in "+-":
+                self.pos += 1
+                node = self._binop(tok[1], node, self.term())
+            else:
+                return node
+
+    def term(self):
+        node = self.unary()
+        while True:
+            tok = self._peek()
+            if tok and tok[0] == "op" and tok[1] in "*/":
+                self.pos += 1
+                node = self._binop(tok[1], node, self.unary())
+            else:
+                return node
+
+    def unary(self):
+        tok = self._peek()
+        if tok and tok[0] == "op" and tok[1] == "-":
+            self.pos += 1
+            operand = self.unary()
+            return self._intern(("-", id(operand)), Neg, operand)
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        tok = self._peek()
+        if tok and tok[0] == "op" and tok[1] == "^":
+            self.pos += 1
+            return self._binop("^", base, self.unary())
+        return base
+
+    def atom(self):
+        tok = self._next()
+        kind, value, pos = tok
+        if kind == "num":
+            number = float(value)
+            if not np.isfinite(number):
+                raise FieldSyntaxError(f"number {value!r} is not finite", pos)
+            return self._intern(number, Num, number)
+        if kind == "op" and value == "(":
+            node = self.expr()
+            self._expect_op(")")
+            return node
+        if kind == "ident":
+            if value in FUNCTIONS:
+                self._expect_op("(")
+                arg = self.expr()
+                self._expect_op(")")
+                return self._intern((value, id(arg)), Call, value, arg)
+            if value.startswith("x") and value[1:].isdigit():
+                index = int(value[1:])
+                if not 1 <= index <= self.n:
+                    raise VariableOutOfRange(
+                        f"variable {value} out of range for dimension {self.n}", pos
+                    )
+                return self._intern(("x", index), Var, index)
+            raise UnknownSymbol(f"unknown symbol {value!r}", pos)
+        raise FieldSyntaxError(f"unexpected token {value!r}", pos)
+
+
+def reference_parse_field(text, n):
+    """Parse ``text`` into a FieldExpr over coordinates x1..x``n``.
+
+    Nesting deeper than the interpreter's recursion limit is a
+    FieldSyntaxError at the token where the parser gave up.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise FieldSyntaxError("dimension must be a positive integer", 0)
+    parser = _Parser(_tokenize(text), n, len(text))
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser._peek()
+        raise FieldSyntaxError(
+            "expression nested too deeply", len(text) if tok is None else tok[2]
+        ) from None

@@ -1040,6 +1040,18 @@ class TestExitTwo:
             assert code == 2
             assert err == "error: a(2, 2) at x1 = 0.0: expression nested too deeply\n"
 
+    def test_deep_parentheses_run(self, tmp_path, capsys):
+        # the parser caps pending parentheses by count, not by the call stack
+        value = "(" * 300 + "-cos(x1)^2" + ")" * 300
+        text = (
+            SPHERE_ROUNDTRIP.replace("mode = roundtrip-metric", "mode = reconstruct-metric")
+            .replace("h1 = 0.001", "h1 = 0.25")
+            .replace('"-cos(x1)^2"', f'"{value}"')
+        )
+        code, out = run_cli(tmp_path, text, "reconstruct-metric")
+        assert code == 0, capsys.readouterr().err
+        assert read_report(out / "report.txt")["status"] == "Complete"
+
     def test_mid_run_error_names_field_and_writes_report(self, tmp_path, capsys):
         text = (
             SPHERE_ROUNDTRIP.replace("mode = roundtrip-metric", "mode = reconstruct-metric")

@@ -226,6 +226,10 @@ CASES = {
         FIELDS2 + 'g.2.2 = "1e999"\n',
         "line 6: g.2.2: number '1e999' is not finite (at position 0)",
     ),
+    "field-nesting": (
+        FIELDS2 + 'g.2.2 = "' + "(" * 901 + "x2" + ")" * 901 + '"\n',
+        "line 6: g.2.2: expression nested too deeply (at position 900)",
+    ),
     "field-character": (
         FIELDS2 + 'g.2.2 = "x2 . 2"\n',
         "line 6: g.2.2: unexpected character '.' (at position 3)",

@@ -2,8 +2,8 @@
 only ``ode`` names the source bank its marches read from, only
 ``grid_field`` names ``on_planes``, the one read of an input field,
 which only ``ExpressionField`` defines, every parameter a function
-takes is read, and the config reader turns text into numbers only in
-``_parse_int`` and ``_parse_float``."""
+takes is read, the config reader turns text into numbers only in
+``_parse_int`` and ``_parse_float``, and no function recurses."""
 
 import ast
 import sys
@@ -129,3 +129,62 @@ def test_config_reads_numbers_with_one_grammar():
     # a bare int() or float() also reads "٢" and "1_0"; these two check the grammar first
     config = Path(semigeo.__file__).parent / "config.py"
     assert set(number_reads(config)) == {("_parse_int", "int"), ("_parse_float", "float")}
+
+
+def call_graph(path):
+    """Each function or method name in a module -> the names of its own
+    functions and methods it calls, by name or as ``self.<name>``.
+
+    A nested function is a node of its own; a lambda's calls count as
+    its enclosing function's.
+    """
+    functions = [fn for fn in nodes(path) if isinstance(fn, ast.FunctionDef)]
+    defined = {fn.name for fn in functions}
+    graph = {name: set() for name in defined}
+    for fn in functions:
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            todo.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Call):
+                callee = node.func
+                if isinstance(callee, ast.Name):
+                    graph[fn.name].add(callee.id)
+                elif isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                    if callee.value.id == "self":
+                        graph[fn.name].add(callee.attr)
+    return {name: calls & defined for name, calls in graph.items()}
+
+
+def recursive(graph):
+    """Sorted names that can reach themselves through the call graph."""
+    found = []
+    for start in graph:
+        seen, todo = set(), list(graph[start])
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(graph[name])
+        if start in seen:
+            found.append(start)
+    return sorted(found)
+
+
+def test_call_graph_finds_a_cycle(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "def a(x):\n    return b(x)\n\n"
+        "def b(x):\n    def inner():\n        return b(x)\n    return inner()\n\n"
+        "class C:\n    def m(self):\n        return self.m()\n"
+        "    def k(self):\n        return [a(i) for i in range(2)]\n"
+    )
+    assert recursive(call_graph(path)) == ["b", "inner", "m"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_recurses(path):
+    # recursion depth would follow the caller's stack, not a fixed rule
+    assert recursive(call_graph(path)) == []

@@ -1,11 +1,13 @@
 import random
 import re
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _replaced_parser import reference_parse_field
 from semigeo.errors import EvalError, FieldSyntaxError, UnknownSymbol, VariableOutOfRange
 from semigeo.expr import (
     FUNCTIONS,
@@ -14,6 +16,7 @@ from semigeo.expr import (
     Neg,
     Num,
     Var,
+    _program,
     eval_field_on,
     format_field,
     parse_field,
@@ -162,6 +165,41 @@ class TestParseErrors:
         with pytest.raises(FieldSyntaxError, match="nested too deeply"):
             parse_field("(" * 1000 + "x1" + ")" * 1000, 1)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(" * 900 + "x1" + ")" * 900, None),
+            ("(" * 901 + "x1" + ")" * 901, 900),
+            ("-" * 900 + "x1", None),
+            ("-" * 901 + "x1", 900),
+            ("sin(" * 901 + "x1" + ")" * 901, 3600),
+            ("x1 * (" * 450 + "x1" + ")" * 450, None),
+            ("x1 * (" * 451 + "x1" + ")" * 451, 2703),
+        ],
+        ids=["parens", "parens-past", "minus", "minus-past", "calls-past", "mixed", "mixed-past"],
+    )
+    def test_nesting_cap(self, text, position):
+        # a fixed count of pending parentheses, calls and operators
+        if position is None:
+            parse_field(text, 1)
+        else:
+            with pytest.raises(FieldSyntaxError, match="nested too deeply") as exc:
+                parse_field(text, 1)
+            assert exc.value.position == position
+
+    def test_nesting_does_not_depend_on_the_call_stack(self):
+        def parse_below(frames):
+            if frames:
+                return parse_below(frames - 1)
+            return parse_field("(" * 150 + "x1" + ")" * 150, 1)
+
+        assert parse_below(300) == Var(1)
+
+    def test_long_power_chain(self):
+        # right-associative: 599 operators pending before the last operand
+        expr = parse_field("^".join(["x1"] * 600), 1)
+        assert float(eval_field_on(expr, (1.0,))) == 1.0
+
     def test_garbage_after_expression(self):
         with pytest.raises(FieldSyntaxError):
             parse_field("1 + 2 )", 1)
@@ -209,6 +247,10 @@ class TestFormat:
     def test_integral_constants_print_without_decimal(self):
         assert format_field(parse_field("2.0", 1)) == "2"
         assert format_field(parse_field("2.5", 1)) == "2.5"
+
+    def test_deep_tree_is_an_eval_error(self):
+        with pytest.raises(EvalError, match="nested too deeply"):
+            format_field(parse_field("+".join(["x1"] * 3000), 1))
 
     def test_random_trees_roundtrip(self):
         rng = np.random.default_rng(2024)
@@ -416,6 +458,90 @@ class TestAgainstReference:
             assert _outcome(eval_field_on, expr, coords) == expected, text
             kinds.add(expected[0] if expected[0] == "value" else expected[1])
         assert "value" in kinds and len(kinds) >= 4, kinds
+
+
+# ------------------------------------------- reference (recursive) parser
+
+# tokens of the random strings: non-finite and malformed literals, names
+# that are neither variables nor functions, function names with no "("
+# and unbalanced parentheses; a few strings also get a bad character
+VOCABULARY = (
+    "x1", "x2", "x3", "x0", "x", "y", "0", "2", "0.5", "1e999", "1e", ".5e-3",
+    "+", "-", "-", "*", "/", "^", "(", "(", ")", ")", "sin", "cos(", "log", "sqrt(", "abs(",
+)
+BAD = ("@", "²", ",", "٣")
+ATOMS = ("x1", "x2", "x3", "0", "2", "0.5", "1e-3")
+
+
+def _token_string(rng):
+    parts = [rng.choice(VOCABULARY) for _ in range(rng.randrange(10))]
+    if rng.random() < 0.05:
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(BAD))
+    return "".join(part + rng.choice(("", " ", " ", " ")) for part in parts)
+
+
+def _structured(rng, pool, depth):
+    """Expression text with few parentheses, so precedence decides the
+    shape; two draws in five reuse an earlier subexpression."""
+    if pool and rng.random() < 0.4:
+        return rng.choice(pool)
+    pick = rng.random()
+    if depth == 0 or pick < 0.2:
+        text = rng.choice(ATOMS)
+    elif pick < 0.35:
+        text = f"{rng.choice(sorted(FUNCTIONS))}({_structured(rng, pool, depth - 1)})"
+    elif pick < 0.45:
+        text = "-" + _structured(rng, pool, depth - 1)
+    elif pick < 0.55:
+        text = f"({_structured(rng, pool, depth - 1)})"
+    else:
+        left, right = _structured(rng, pool, depth - 1), _structured(rng, pool, depth - 1)
+        text = f"{left} {rng.choice('+-*/^')} {right}"
+    pool.append(text)
+    return text
+
+
+def _parsed(parse, text, n):
+    """The error a parse raises, or the program its tree compiles to:
+    each node's kind and value (leaves compare by value), and the reads."""
+    try:
+        tree = parse(text, n)
+    except FieldSyntaxError as err:
+        return type(err).__name__, str(err), err.position
+    nodes, reads = _program(tree)
+    labels = [
+        node if type(node) in (Num, Var) else (type(node), getattr(node, "op", getattr(node, "func", None)))
+        for node in chain(nodes, (tree,))
+    ]
+    return labels, reads.tolist()
+
+
+class TestAgainstReplacedParser:
+    """The one-loop parser against the recursive-descent one it replaced:
+    the same error type, message and position, or the same program."""
+
+    @pytest.mark.parametrize("draw", ["token-strings", "structured"])
+    def test_same_error_or_same_program(self, draw):
+        rng = random.Random(20261019)
+        outcomes = {}
+        for _ in range(20_000):
+            if draw == "token-strings":
+                text, n = _token_string(rng), rng.randrange(1, 4)
+            else:
+                text, n = _structured(rng, [], rng.randrange(1, 5)), 3
+            expected = _parsed(reference_parse_field, text, n)
+            assert _parsed(parse_field, text, n) == expected, (text, n)
+            key = "program" if isinstance(expected[0], list) else expected[1].split(" (at")[0]
+            outcomes[key] = outcomes.get(key, 0) + 1
+        assert all("nested too deeply" not in key for key in outcomes)
+        if draw == "token-strings":
+            # every kind of parse error shows up, and some strings parse
+            fixed = {"program", "unexpected end of expression", "expected '('", "expected ')'"}
+            assert fixed <= set(outcomes)
+            for kind in ("unexpected token", "unexpected character", "number", "unknown", "variable"):
+                assert any(key.startswith(kind) for key in outcomes), kind
+        else:
+            assert outcomes == {"program": 20_000}
 
 
 class TestMemory:
