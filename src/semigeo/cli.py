@@ -34,6 +34,7 @@ independent residual that the gate flags as exit 4.  The report line
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -61,7 +62,7 @@ from .curvature import (
     lower_and_check_identity,
 )
 from .errors import ConfigError, GridTooCoarse, SemigeoError
-from .grid_field import ChartSpec, build_grid, write_curve_dump, write_tensor_dump
+from .grid_field import build_grid, write_curve_dump, write_tensor_dump
 from .metric_recon import HypersurfaceMetricData, MetricCurvatureSpec, reconstruct_metric
 
 
@@ -278,14 +279,7 @@ def _coarse_rerun(cfg, reconstruct, oracle, sources, residual):
         return None, "skipped (coarsened transverse_res below 3)"
     if (hi - lo) < 4.0 * chart.h1:
         return None, "skipped (x1 axis shorter than 4*h1)"
-    coarse = ChartSpec(
-        n=chart.n,
-        x1_range=chart.x1_range,
-        h1=2.0 * chart.h1,
-        transverse_box=chart.transverse_box,
-        transverse_res=res,
-        e=chart.e,
-    )
+    coarse = dataclasses.replace(chart, h1=2.0 * chart.h1, transverse_res=res)
     try:
         if build_grid(coarse).shape[0] < samples:
             return None, "skipped (coarse x1 axis too short for the oracle)"

@@ -16,17 +16,19 @@ log, sqrt, abs.  Evaluation is IEEE double and every invalid operation
 The parser reads the tokens in one loop with explicit stacks and
 interns each node it builds, with one table per ``parse_field`` call,
 so equal subtrees of a parse are one object: a parsed tree is a DAG.
-More than MAX_DEPTH pending parentheses, calls and operators is a
-FieldSyntaxError while parsing.  Nothing recurses.  The first
-evaluation of a tree compiles it, with an explicit stack, into a flat
-program that holds each distinct subtree once, in the postorder of its
-first occurrence, and keeps it on the root node.  Every evaluation runs
-that program in one loop: each node applies its checked operation to
-its operands' values, and a value is dropped after its last read.  So
-every value has the bits, and every error the node and message, of
-evaluating the tree node by node.  A tree more than MAX_DEPTH nodes
-deep is an EvalError ("expression nested too deeply") when it is
-compiled, for evaluation, ``variables`` and ``format_field`` alike.
+As it builds each new node it also emits the flat program the tree
+runs as, which holds each distinct subtree once, in the order the
+parser built them, and keeps it on the root node.  Nothing recurses.
+One rule bounds depth, checked while parsing: at most MAX_DEPTH
+pending parentheses, calls and operators, and at most MAX_DEPTH nodes
+from a node to its deepest leaf; either is a FieldSyntaxError
+("expression nested too deeply").  Every evaluation runs the program
+in one loop: each node applies its checked operation to its operands'
+values, and a value is dropped after its last read.  So every value
+has the bits, and every error the node and message, of evaluating the
+tree node by node.  Only trees made by ``parse_field`` carry a program;
+evaluating, printing or listing the variables of any other value is an
+EvalError.
 """
 
 import re
@@ -108,41 +110,58 @@ def _tokenize(text):
 # * / and ^, and ( and function calls at 0, so no operator reduces past them
 _BINDS = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
+# most nodes from a node to its deepest leaf (a sum of k terms is k high),
+# and most entries the parser holds pending at once
+MAX_DEPTH = 900
+
 
 def parse_field(text, n):
     """Parse ``text`` into a FieldExpr over coordinates x1..x``n``.
 
     One loop over the tokens, with a stack of operands and a stack of
     pending entries (open parentheses, calls, unary minuses and binary
-    operators waiting for their right operand).  More than MAX_DEPTH
-    pending entries is a FieldSyntaxError at the token that made one
-    too many.
+    operators waiting for their right operand).  Each new node takes the
+    next slot of the program, reads its operands' slots and records its
+    height, one more than its highest operand's.  More than MAX_DEPTH
+    pending entries, or a node higher than MAX_DEPTH, is a
+    FieldSyntaxError at the token that made one too many.
     """
     if not isinstance(n, int) or n < 1:
         raise FieldSyntaxError("dimension must be a positive integer", 0)
     tokens = _tokenize(text)
     tokens.append(("end", "", len(text)))
     next_token = iter(tokens).__next__
-    nodes = {}  # direct key (literal, index, or operator and operand ids) -> node
-    operands = []
+    slots = {}  # direct key (literal, index, or operator and operand slots) -> slot
+    built = []  # per slot: its node, in the order built
+    heights = []  # per slot: nodes on its deepest path
+    reads = []  # per slot in turn: its operands' slots
+    operands = []  # slots
     pending = []  # (binding, "(", a function name, "neg" or an operator)
 
-    def intern(key, make, *fields):
-        node = nodes.get(key)
-        if node is None:
-            node = nodes[key] = make(*fields)
-        return node
+    def add(key, pos, reading, make, *fields):
+        # push the slot of the node for ``key``; a new node takes the next
+        # slot and reads the slots in ``reading``
+        slot = slots.get(key)
+        if slot is None:
+            height = 1 + max([heights[i] for i in reading], default=0)
+            if height > MAX_DEPTH:
+                raise FieldSyntaxError("expression nested too deeply", pos)
+            slot = slots[key] = len(built)
+            built.append(make(*fields))
+            heights.append(height)
+            reads.extend(reading)
+        operands.append(slot)
 
-    def reduce(least):
+    def reduce(least, pos):
         # build every pending operator that binds at least ``least``
         while pending and pending[-1][0] >= least:
             what = pending.pop()[1]
             right = operands.pop()
             if what == "neg":
-                operands.append(intern(("-", id(right)), Neg, right))
+                add(("-", right), pos, (right,), Neg, built[right])
             else:
                 left = operands.pop()
-                operands.append(intern((what, id(left), id(right)), BinOp, what, left, right))
+                add((what, left, right), pos, (left, right), BinOp, what, built[left], built[right])
 
     def push(binding, what, pos):
         pending.append((binding, what))
@@ -162,7 +181,7 @@ def parse_field(text, n):
             number = float(value)
             if not np.isfinite(number):
                 raise FieldSyntaxError(f"number {value!r} is not finite", pos)
-            operands.append(intern(number, Num, number))
+            add(number, pos, (), Num, number)
         elif kind == "ident" and value in FUNCTIONS:
             after = next_token()
             if after[0] == "end":
@@ -175,7 +194,7 @@ def parse_field(text, n):
             index = int(value[1:])
             if not 1 <= index <= n:
                 raise VariableOutOfRange(f"variable {value} out of range for dimension {n}", pos)
-            operands.append(intern(("x", index), Var, index))
+            add(("x", index), pos, (), Var, index)
         elif kind == "ident":
             raise UnknownSymbol(f"unknown symbol {value!r}", pos)
         elif kind == "end":
@@ -188,13 +207,13 @@ def parse_field(text, n):
             if kind == "op" and value in _BINDS:
                 # ^ is right-associative: nothing pending binds above it
                 if value != "^":
-                    reduce(_BINDS[value])
+                    reduce(_BINDS[value], pos)
                 push(_BINDS[value], value, pos)
                 break
-            reduce(1)
+            reduce(1, pos)
             if not pending:
                 if kind == "end":
-                    return operands[0]
+                    return _with_program(built, reads)
                 raise FieldSyntaxError(f"unexpected token {value!r}", pos)
             if kind == "end":
                 raise FieldSyntaxError("unexpected end of expression", pos)
@@ -203,7 +222,40 @@ def parse_field(text, n):
             opened = pending.pop()[1]
             if opened != "(":
                 arg = operands.pop()
-                operands.append(intern((opened, id(arg)), Call, opened, arg))
+                add((opened, arg), pos, (arg,), Call, opened, built[arg])
+
+
+def _with_program(built, reads):
+    """The root of a parse, with its program stored on it.
+
+    The program is (nodes, reads).  ``nodes`` holds every node but the
+    root, each distinct subtree once, in the order the parser built
+    them; the root, built last since it holds all the others, runs
+    last.  ``reads`` holds, flat and in run order, the slots (positions
+    in that order) each node reads; a slot read for the last time is
+    stored as ``~slot``, so its value is dropped there.
+    """
+    seen = set()
+    for i in range(len(reads) - 1, -1, -1):
+        if reads[i] not in seen:
+            seen.add(reads[i])
+            reads[i] = ~reads[i]
+    root = built[-1]
+    # the root stays out of its own program: no reference cycle
+    object.__setattr__(root, "_program", (tuple(built[:-1]), np.array(reads, dtype=np.int32)))
+    return root
+
+
+def is_parsed(value):
+    """Whether ``value`` is a FieldExpr made by ``parse_field``."""
+    return isinstance(value, FieldExpr) and "_program" in value.__dict__
+
+
+def _program(root):
+    """The program ``parse_field`` stored on ``root``; EvalError if none."""
+    if not is_parsed(root):
+        raise EvalError(f"{type(root).__name__} was not made by parse_field")
+    return root._program
 
 
 # ------------------------------------------------------------------ printer
@@ -214,10 +266,9 @@ _UNPARENTHESIZED = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (5,
 
 
 def format_field(node):
-    """Render a FieldExpr to text; parse(format_field(parse(s))) == parse(s).
+    """Render a parsed FieldExpr to text; parse(format_field(parse(s))) == parse(s).
 
-    Prints the compiled program in one loop, so a tree deeper than
-    MAX_DEPTH raises EvalError, as evaluation and ``variables`` do.
+    Prints the program ``parse_field`` stored on it, in one loop.
     """
     nodes, reads = _program(node)
     printed = []  # per slot: (text, precedence)
@@ -249,75 +300,6 @@ def format_field(node):
 
 
 # ---------------------------------------------------------------- evaluator
-
-# deepest tree, counted in nodes from the root to its deepest leaf, that
-# compiles (a sum of k terms is k deep), and most entries the parser
-# holds pending at once
-MAX_DEPTH = 900
-
-
-def _program(root):
-    """The compiled program of ``root``, built on first use and kept on it.
-
-    The program is (nodes, reads).  ``nodes`` holds every distinct
-    subtree but the root once, in postorder of its first occurrence; the
-    root runs last.  ``reads`` holds, flat and in run order, the slots
-    (positions in that order) each node reads; a slot read for the last
-    time is stored as ``~slot``, so its value is dropped there.  A tree
-    deeper than MAX_DEPTH raises EvalError and keeps no program.
-    """
-    program = root.__dict__.get("_program")
-    if program is not None:
-        return program
-    slots = {}  # id(node) -> slot
-    heights = []  # per slot: nodes on its deepest path
-    nodes = []
-    reads = []
-    stack = [(root, 1, None)]
-    while stack:
-        node, depth, kids = stack.pop()
-        if id(node) in slots:
-            continue
-        if kids is None:
-            if depth > MAX_DEPTH:
-                raise EvalError("expression nested too deeply")
-            kids = _operands(node)
-            if kids:
-                stack.append((node, depth, kids))
-                # right first, so the left operand compiles first
-                stack.extend([(kid, depth + 1, None) for kid in reversed(kids)])
-                continue
-        # a subtree met before may sit deeper here than where it compiled
-        height = 1
-        for kid in kids:
-            slot = slots[id(kid)]
-            reads.append(slot)
-            height = max(height, heights[slot] + 1)
-        if height > MAX_DEPTH:
-            raise EvalError("expression nested too deeply")
-        slots[id(node)] = len(nodes)
-        heights.append(height)
-        nodes.append(node)
-    seen = set()
-    for i in range(len(reads) - 1, -1, -1):
-        if reads[i] not in seen:
-            seen.add(reads[i])
-            reads[i] = ~reads[i]
-    # the root stays out of its own program: no reference cycle
-    program = (tuple(nodes[:-1]), np.array(reads, dtype=np.int32))
-    object.__setattr__(root, "_program", program)
-    return program
-
-
-def _operands(node):
-    kind = type(node)
-    if kind is BinOp:
-        return (node.left, node.right)
-    if kind is Neg:
-        return (node.operand,)
-    if kind is Call:
-        return (node.arg,)
-    return ()
 
 
 def _run(root, coords):

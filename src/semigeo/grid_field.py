@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvalError, GridTooCoarse, InvalidInit, InvalidSpec, OutOfDomain
-from .expr import FieldExpr, eval_field_on, parse_field, variables
+from .expr import eval_field_on, is_parsed, parse_field, variables
 
 
 # -------------------------------------------------------------------- chart
@@ -159,9 +159,14 @@ class TubeGrid:
         return self._mesh_cache["lists"]
 
     def contains(self, point):
+        """Whether ``point``, shaped (n,), lies in a cell ``interpolate`` reads."""
         point = np.asarray(point, dtype=float)
-        return point.shape == (self.n,) and all(
-            _in_range(self.axis_coords(axis), point[axis - 1]) for axis in range(1, self.n + 1)
+        if point.shape != (self.n,):
+            return False
+        edges, cells = _axis_table(self)[:2]
+        return all(
+            0 <= np.searchsorted(e, x, side="right") - 1 < c
+            for e, x, c in zip(edges, point, cells[:, 0])
         )
 
     def restrict_x1(self, i_lo, i_hi):
@@ -311,25 +316,19 @@ def fd_transverse(values, axis, grid):
 # --------------------------------------------------------------- interpolate
 
 
-def _in_range(coords, x):
-    """Whether x lies on the axis, padded by 1e-12 of the axis scale."""
-    lo, hi = float(coords[0]), float(coords[-1])
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-    return lo - pad <= x <= hi + pad
-
-
 def _axis_table(grid):
     """The arrays ``interpolate`` locates points with, made once per grid.
 
     Per axis: ``edges``, whose right-sided search count less one is the
     cell of a point and is out of 0..cells-1 exactly when the point is
-    outside the padded range (``_in_range``); the cell's start and width
-    in one concatenation over all axes, at ``first`` + cell; the axis's
-    flat stride in ``grid.shape``.  An axis of one node has one cell of
-    infinite width, so its fraction is always 0.  Last, the two
-    thresholds a fraction t meets to take the cell's second node: as
-    its first corner when t >= 1, as its second when t > 0 (t >= the
-    least positive float).
+    outside the axis padded by 1e-12 of its scale (the one definition of
+    inside the tube, which ``TubeGrid.contains`` reads too); the cell's
+    start and width in one concatenation over all axes, at ``first`` +
+    cell; the axis's flat stride in ``grid.shape``.  An axis of one node
+    has one cell of infinite width, so its fraction is always 0.  Last,
+    the two thresholds a fraction t meets to take the cell's second
+    node: as its first corner when t >= 1, as its second when t > 0
+    (t >= the least positive float).
     """
     table = grid._mesh_cache.get("table")
     if table is None:
@@ -519,7 +518,7 @@ class ExpressionField:
 
 
 def as_field(value, n, what, hypersurface=False):
-    """Coerce an expression string, FieldExpr or ExpressionField to a field.
+    """Coerce an expression string, parsed FieldExpr or ExpressionField to a field.
 
     Strings are parsed over x1..xn.  Every accepted value becomes a new
     ExpressionField that names ``what`` in its evaluation errors.  Any
@@ -531,16 +530,11 @@ def as_field(value, n, what, hypersurface=False):
         value = parse_field(value, n)
     if isinstance(value, ExpressionField):
         value = value.expr
-    if not isinstance(value, FieldExpr):
+    if not is_parsed(value):
         error = InvalidInit if hypersurface else InvalidSpec
         raise error(f"{what}: cannot interpret {type(value).__name__} as an expression")
-    if hypersurface:
-        try:
-            uses_x1 = 1 in variables(value)
-        except EvalError as err:
-            raise EvalError(f"{what}: {err}") from err
-        if uses_x1:
-            raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
+    if hypersurface and 1 in variables(value):
+        raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
     return ExpressionField(value, n, what)
 
 

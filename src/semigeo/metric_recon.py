@@ -40,7 +40,7 @@ class HypersurfaceMetricData:
     """Transverse metric block and its axial derivative on x1 = 0.
 
     ``g`` and ``g1`` map (i, j) with 2 <= i, j <= n to expression
-    strings, FieldExpr or ExpressionField, free of x1; any other value
+    strings, parsed FieldExpr or ExpressionField, free of x1; any other value
     raises InvalidInit.  Each (i, j) fills both symmetric slots; giving
     both orderings raises InvalidInit.  Missing components default to 0.
     """
@@ -64,7 +64,7 @@ class MetricCurvatureSpec:
 
     Each (i, j) fills both symmetric slots (curvature symmetry forces
     it); giving both orderings raises InvalidInit.  Entries are
-    expression strings, FieldExpr or ExpressionField on the tube; any
+    expression strings, parsed FieldExpr or ExpressionField on the tube; any
     other value raises InvalidSpec.  Missing entries are 0.
     """
 

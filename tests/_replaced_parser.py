@@ -1,16 +1,19 @@
-"""The recursive-descent parser that the stack parser replaced, kept as a reference.
+"""The recursive-descent parser and the tree-walking compiler that the
+one-loop parser replaced, kept as a reference.
 
 ``expr.parse_field`` once parsed with one method per grammar rule and
-turned a ``RecursionError`` into ``expression nested too deeply``.  This
-copy keeps that code, so the tests can check that the one-loop parser
-raises the same error at the same position, or builds a tree that
-compiles to the same program, for every input under both nesting caps.
+turned a ``RecursionError`` into ``expression nested too deeply``; the
+first evaluation of its tree then compiled it with ``_program`` below.
+This copy keeps that code, so the tests can check that the one-loop
+parser raises the same error at the same position, or stores the
+program this compiler makes of the replaced parser's tree, for every
+input under both nesting caps.
 """
 
 import numpy as np
 
-from semigeo.errors import FieldSyntaxError, UnknownSymbol, VariableOutOfRange
-from semigeo.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var, _tokenize
+from semigeo.errors import EvalError, FieldSyntaxError, UnknownSymbol, VariableOutOfRange
+from semigeo.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Neg, Num, Var, _tokenize
 
 
 class _Parser:
@@ -140,3 +143,67 @@ def reference_parse_field(text, n):
         raise FieldSyntaxError(
             "expression nested too deeply", len(text) if tok is None else tok[2]
         ) from None
+
+
+def _program(root):
+    """The compiled program of ``root``, built on first use and kept on it.
+
+    The program is (nodes, reads).  ``nodes`` holds every distinct
+    subtree but the root once, in postorder of its first occurrence; the
+    root runs last.  ``reads`` holds, flat and in run order, the slots
+    (positions in that order) each node reads; a slot read for the last
+    time is stored as ``~slot``, so its value is dropped there.  A tree
+    deeper than MAX_DEPTH raises EvalError and keeps no program.
+    """
+    program = root.__dict__.get("_program")
+    if program is not None:
+        return program
+    slots = {}  # id(node) -> slot
+    heights = []  # per slot: nodes on its deepest path
+    nodes = []
+    reads = []
+    stack = [(root, 1, None)]
+    while stack:
+        node, depth, kids = stack.pop()
+        if id(node) in slots:
+            continue
+        if kids is None:
+            if depth > MAX_DEPTH:
+                raise EvalError("expression nested too deeply")
+            kids = _operands(node)
+            if kids:
+                stack.append((node, depth, kids))
+                # right first, so the left operand compiles first
+                stack.extend([(kid, depth + 1, None) for kid in reversed(kids)])
+                continue
+        # a subtree met before may sit deeper here than where it compiled
+        height = 1
+        for kid in kids:
+            slot = slots[id(kid)]
+            reads.append(slot)
+            height = max(height, heights[slot] + 1)
+        if height > MAX_DEPTH:
+            raise EvalError("expression nested too deeply")
+        slots[id(node)] = len(nodes)
+        heights.append(height)
+        nodes.append(node)
+    seen = set()
+    for i in range(len(reads) - 1, -1, -1):
+        if reads[i] not in seen:
+            seen.add(reads[i])
+            reads[i] = ~reads[i]
+    # the root stays out of its own program: no reference cycle
+    program = (tuple(nodes[:-1]), np.array(reads, dtype=np.int32))
+    object.__setattr__(root, "_program", program)
+    return program
+
+
+def _operands(node):
+    kind = type(node)
+    if kind is BinOp:
+        return (node.left, node.right)
+    if kind is Neg:
+        return (node.operand,)
+    if kind is Call:
+        return (node.arg,)
+    return ()

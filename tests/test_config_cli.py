@@ -1037,8 +1037,12 @@ class TestExitTwo:
             assert code == 0, err
             assert read_report(out / "report.txt")["status"] == "Complete"
         else:
+            # refused while loading, at the end of the text, before any output
             assert code == 2
-            assert err == "error: a(2, 2) at x1 = 0.0: expression nested too deeply\n"
+            assert err == (
+                "error: line 14: a.2.2: expression nested too deeply (at position 3598)\n"
+            )
+            assert not out.exists()
 
     def test_deep_parentheses_run(self, tmp_path, capsys):
         # the parser caps pending parentheses by count, not by the call stack

@@ -230,6 +230,11 @@ CASES = {
         FIELDS2 + 'g.2.2 = "' + "(" * 901 + "x2" + ")" * 901 + '"\n',
         "line 6: g.2.2: expression nested too deeply (at position 900)",
     ),
+    "field-height": (
+        # the 901-term sum is 901 nodes high, built at the end of the text
+        FIELDS2 + 'g.2.2 = "' + "+".join(["x2"] * 901) + '"\n',
+        "line 6: g.2.2: expression nested too deeply (at position 2702)",
+    ),
     "field-character": (
         FIELDS2 + 'g.2.2 = "x2 . 2"\n',
         "line 6: g.2.2: unexpected character '.' (at position 3)",

@@ -3,7 +3,8 @@ only ``ode`` names the source bank its marches read from, only
 ``grid_field`` names ``on_planes``, the one read of an input field,
 which only ``ExpressionField`` defines, every parameter a function
 takes is read, the config reader turns text into numbers only in
-``_parse_int`` and ``_parse_float``, and no function recurses."""
+``_parse_int`` and ``_parse_float``, no function recurses, and no code
+walks a parsed tree through its nodes' operands."""
 
 import ast
 import sys
@@ -188,3 +189,28 @@ def test_call_graph_finds_a_cycle(tmp_path):
 def test_no_function_recurses(path):
     # recursion depth would follow the caller's stack, not a fixed rule
     assert recursive(call_graph(path)) == []
+
+
+# the fields of expr's nodes that hold their operands
+OPERANDS = {"left", "right", "operand", "arg"}
+
+
+def operand_reads(path):
+    """(line, attribute) for each read of an attribute named like an operand."""
+    for node in nodes(path):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr in OPERANDS:
+                yield node.lineno, node.attr
+
+
+def test_operand_reads_are_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("def f(node):\n    node.arg = 1\n    return node.left, node.operand.right\n")
+    assert sorted(operand_reads(path)) == [(3, "left"), (3, "operand"), (3, "right")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_tree_walk(path):
+    # operands reach a program only through the parse loop, which builds
+    # it in the order it builds the nodes; nothing walks the tree again
+    assert list(operand_reads(path)) == []

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _replaced_parser import _program as reference_program
 from _replaced_parser import reference_parse_field
 from semigeo.errors import EvalError, FieldSyntaxError, UnknownSymbol, VariableOutOfRange
 from semigeo.expr import (
@@ -170,7 +171,7 @@ class TestParseErrors:
         [
             ("(" * 900 + "x1" + ")" * 900, None),
             ("(" * 901 + "x1" + ")" * 901, 900),
-            ("-" * 900 + "x1", None),
+            ("-" * 900 + "x1", 902),
             ("-" * 901 + "x1", 900),
             ("sin(" * 901 + "x1" + ")" * 901, 3600),
             ("x1 * (" * 450 + "x1" + ")" * 450, None),
@@ -179,7 +180,8 @@ class TestParseErrors:
         ids=["parens", "parens-past", "minus", "minus-past", "calls-past", "mixed", "mixed-past"],
     )
     def test_nesting_cap(self, text, position):
-        # a fixed count of pending parentheses, calls and operators
+        # a fixed count of pending parentheses, calls and operators, and
+        # of nodes in height: 900 minus signs over x1 are 901 nodes high
         if position is None:
             parse_field(text, 1)
         else:
@@ -248,31 +250,38 @@ class TestFormat:
         assert format_field(parse_field("2.0", 1)) == "2"
         assert format_field(parse_field("2.5", 1)) == "2.5"
 
-    def test_deep_tree_is_an_eval_error(self):
-        with pytest.raises(EvalError, match="nested too deeply"):
-            format_field(parse_field("+".join(["x1"] * 3000), 1))
+    def test_deep_tree_is_refused_at_parse(self):
+        # the 901-term sum is built at the "+" after its last term
+        with pytest.raises(FieldSyntaxError, match="nested too deeply") as exc:
+            parse_field("+".join(["x1"] * 3000), 1)
+        assert exc.value.position == 2702
+        with pytest.raises(EvalError, match="^BinOp was not made by parse_field$"):
+            format_field(BinOp("+", Var(1), Num(1.0)))
 
     def test_random_trees_roundtrip(self):
         rng = np.random.default_rng(2024)
 
-        def tree(depth):
-            # only parser-producible shapes: literals are unsigned (a
-            # leading minus always parses as Neg)
+        def text(depth):
+            # fully parenthesized, so the parse alone decides the tree
             pick = rng.integers(0, 6 if depth < 4 else 2)
             if pick == 0:
-                return Num(float(rng.integers(0, 4)))
+                return str(rng.integers(0, 4))
             if pick == 1:
-                return Var(int(rng.integers(1, 4)))
+                return f"x{rng.integers(1, 4)}"
             if pick == 2:
-                return Neg(tree(depth + 1))
+                return f"-({text(depth + 1)})"
             if pick == 3:
-                return Call(["sin", "cos", "exp", "abs"][rng.integers(0, 4)], tree(depth + 1))
-            op = "+-*/^"[rng.integers(0, 5)]
-            return BinOp(op, tree(depth + 1), tree(depth + 1))
+                return f"{['sin', 'cos', 'exp', 'abs'][rng.integers(0, 4)]}({text(depth + 1)})"
+            return f"({text(depth + 1)}) {'+-*/^'[rng.integers(0, 5)]} ({text(depth + 1)})"
 
+        kinds = set()
         for _ in range(200):
-            t = tree(0)
-            assert parse_field(format_field(t), 3) == t
+            t = parse_field(text(0), 3)
+            kinds |= {type(node) for node in chain(_program(t)[0], (t,))}
+            printed = format_field(t)
+            assert parse_field(printed, 3) == t
+            assert format_field(parse_field(printed, 3)) == printed
+        assert kinds == {Num, Var, Neg, Call, BinOp}
 
 
 class TestEval:
@@ -294,30 +303,35 @@ class TestEval:
         assert variables(parse_field("x1 + cos(x3)", 3)) == {1, 3}
         assert variables(parse_field("4", 3)) == set()
 
-    def test_deep_tree_is_an_eval_error(self):
-        expr = parse_field("+".join(["x1"] * 3000), 1)
-        for call in (
-            lambda: eval_field_on(expr, (1.0,)),
-            lambda: eval_field_on(expr, (np.ones(3),)),
-            lambda: variables(expr),
-        ):
-            with pytest.raises(EvalError, match="nested too deeply"):
-                call()
+    def test_deep_tree_is_refused_at_parse(self):
+        with pytest.raises(FieldSyntaxError, match="nested too deeply") as exc:
+            parse_field("+".join(["x1"] * 3000), 1)
+        assert exc.value.position == 2702
+        # only a parse makes a program: any other value is an EvalError
+        for value in (BinOp("+", Var(1), Num(1.0)), Var(1), "x1", None):
+            for call in (
+                lambda: eval_field_on(value, (1.0,)),
+                lambda: eval_field_on(value, (np.ones(3),)),
+                lambda: variables(value),
+            ):
+                with pytest.raises(EvalError, match="was not made by parse_field$"):
+                    call()
 
     def test_depth_cap_counts_a_shared_subtree_where_it_sits_deepest(self):
-        # the 800-term sum compiles first on the left, 801 deep; under
-        # 150 minus signs on the right it reaches 951
+        # the 800-term sum is built first on the left, 800 high; under
+        # 150 minus signs on the right the 101st is 901 high, built at
+        # the end of the text
         inner = "+".join(["x1"] * 800)
         assert float(eval_field_on(parse_field(inner, 1), (1.0,))) == 800.0
-        expr = parse_field(f"({inner}) + {'-' * 150}({inner})", 1)
-        node = expr.right
-        for _ in range(150):
-            node = node.operand
-        assert node is expr.left  # one object
-        for call in (lambda: eval_field_on(expr, (1.0,)), lambda: variables(expr)):
-            with pytest.raises(EvalError, match="nested too deeply"):
-                call()
+        text = f"({inner}) + {'-' * 150}({inner})"
+        with pytest.raises(FieldSyntaxError, match="nested too deeply") as exc:
+            parse_field(text, 1)
+        assert exc.value.position == len(text) == 4955
         ok = parse_field(f"({inner}) + {'-' * 99}({inner})", 1)
+        node = ok.right
+        for _ in range(99):
+            node = node.operand
+        assert node is ok.left  # one object
         assert float(eval_field_on(ok, (1.0,))) == 0.0
         assert variables(ok) == {1}
 
@@ -501,14 +515,14 @@ def _structured(rng, pool, depth):
     return text
 
 
-def _parsed(parse, text, n):
-    """The error a parse raises, or the program its tree compiles to:
-    each node's kind and value (leaves compare by value), and the reads."""
+def _parsed(parse, program, text, n):
+    """The error a parse raises, or the program of its tree: each node's
+    kind and value (leaves compare by value), and the reads."""
     try:
         tree = parse(text, n)
     except FieldSyntaxError as err:
         return type(err).__name__, str(err), err.position
-    nodes, reads = _program(tree)
+    nodes, reads = program(tree)
     labels = [
         node if type(node) in (Num, Var) else (type(node), getattr(node, "op", getattr(node, "func", None)))
         for node in chain(nodes, (tree,))
@@ -518,7 +532,8 @@ def _parsed(parse, text, n):
 
 class TestAgainstReplacedParser:
     """The one-loop parser against the recursive-descent one it replaced:
-    the same error type, message and position, or the same program."""
+    the same error type, message and position, or the program it stored
+    is the one the replaced compiler makes of the replaced parser's tree."""
 
     @pytest.mark.parametrize("draw", ["token-strings", "structured"])
     def test_same_error_or_same_program(self, draw):
@@ -529,8 +544,8 @@ class TestAgainstReplacedParser:
                 text, n = _token_string(rng), rng.randrange(1, 4)
             else:
                 text, n = _structured(rng, [], rng.randrange(1, 5)), 3
-            expected = _parsed(reference_parse_field, text, n)
-            assert _parsed(parse_field, text, n) == expected, (text, n)
+            expected = _parsed(reference_parse_field, reference_program, text, n)
+            assert _parsed(parse_field, _program, text, n) == expected, (text, n)
             key = "program" if isinstance(expected[0], list) else expected[1].split(" (at")[0]
             outcomes[key] = outcomes.get(key, 0) + 1
         assert all("nested too deeply" not in key for key in outcomes)

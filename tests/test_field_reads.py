@@ -17,7 +17,7 @@ import pytest
 import _replaced_reads as replaced
 from semigeo.connection_recon import HypersurfaceConnectionData
 from semigeo.curvature import ConnectionField, MetricField
-from semigeo.errors import EvalError, InvalidInit
+from semigeo.errors import EvalError, FieldSyntaxError, InvalidInit
 from semigeo.grid_field import ChartSpec, Components, build_grid
 from semigeo.metric_recon import HypersurfaceMetricData
 from test_source_bank import EXPRESSIONS, seeded
@@ -123,7 +123,7 @@ def test_hypersurface_errors_match_plane():
         Components("Gtilde", 3, {(2, 3): value}).on_hypersurface(grid)
     assert str(new.value) == str(old.value)
     for value in ["x1 + x2", "+".join(["x2"] * 3000)]:
-        with pytest.raises((InvalidInit, EvalError)) as old:
+        with pytest.raises((InvalidInit, FieldSyntaxError)) as old:
             replaced.TransverseField(value, 3, "Gtilde(2, 3)")
         with pytest.raises(type(old.value), match=f"^{re.escape(str(old.value))}$"):
             Components("Gtilde", 3, {(2, 3): value})

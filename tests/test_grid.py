@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from semigeo.errors import EvalError, GridTooCoarse, InvalidInit, InvalidSpec, OutOfDomain
+from semigeo.errors import (
+    EvalError,
+    FieldSyntaxError,
+    GridTooCoarse,
+    InvalidInit,
+    InvalidSpec,
+    OutOfDomain,
+)
 from semigeo.grid_field import (
     ChartSpec,
     ExpressionField,
@@ -18,7 +25,7 @@ from semigeo.grid_field import (
     write_curve_dump,
     write_tensor_dump,
 )
-from semigeo.expr import eval_field_on, parse_field
+from semigeo.expr import BinOp, Num, Var, eval_field_on, parse_field
 from semigeo.linalg import mirror_upper
 
 
@@ -90,6 +97,32 @@ class TestBuildGrid:
         assert not g.contains((1.1, 0.5))
         assert not g.contains((0.5, -0.2))
         assert not g.contains((0.5,))
+        # each axis is padded by 1e-12 of its scale, and contains agrees
+        # with interpolate there, past it, at nan and inf, and on an axis
+        # of one node
+        for g in (grid2(box=((-3.0, 5.0),)), grid2(x1_range=(0.0, 0.0), box=((-3.0, 5.0),))):
+            values = np.zeros(g.shape)
+            for axis in (0, 1):
+                coords = g.axis_coords(axis + 1)
+                lo, hi = float(coords[0]), float(coords[-1])
+                pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+                inside = [lo - pad, hi + pad, lo, hi]
+                outside = [
+                    np.nextafter(lo - pad, -np.inf),
+                    np.nextafter(hi + pad, np.inf),
+                    np.nan,
+                    np.inf,
+                    -np.inf,
+                ]
+                for x, expected in [(x, True) for x in inside] + [(x, False) for x in outside]:
+                    point = [0.0, 1.0]  # inside both grids
+                    point[axis] = x
+                    assert g.contains(point) is expected, (g.shape, axis, x)
+                    if expected:
+                        interpolate(values, g, point)
+                    else:
+                        with pytest.raises(OutOfDomain):
+                            interpolate(values, g, point)
 
     def test_restrict_keeps_transverse(self):
         g = grid2()
@@ -334,10 +367,18 @@ class TestAsField:
         assert isinstance(f, ExpressionField) and f is not given
         assert f.expr is expr and f.what == "a2"
 
-    @pytest.mark.parametrize("value", [1.5, None, [1.0, 2.0]], ids=["float", "none", "list"])
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, None, [1.0, 2.0], BinOp("+", Var(1), Num(1.0))],
+        ids=["float", "none", "list", "unparsed-tree"],
+    )
     def test_other_values_rejected_with_prefix(self, value):
-        with pytest.raises(InvalidSpec, match=r"^A\(2,1,2\): cannot interpret"):
+        # only parse_field makes a tree a field can run
+        message = rf"^A\(2,1,2\): cannot interpret {type(value).__name__} as an expression$"
+        with pytest.raises(InvalidSpec, match=message):
             as_field(value, 2, "A(2,1,2)")
+        with pytest.raises(InvalidInit, match=message.replace("A", "Gtilde", 1)):
+            as_field(value, 2, "Gtilde(2,1,2)", hypersurface=True)
 
     def test_hypersurface_data_may_not_use_x1(self):
         with pytest.raises(InvalidInit, match=r"^gtilde\(2, 2\): hypersurface data may not"):
@@ -366,8 +407,10 @@ class TestFieldErrorLabels:
         f = as_field("log(x2 - 2)", 2, "gtilde(2, 2)", hypersurface=True)
         with pytest.raises(EvalError, match=r"^gtilde\(2, 2\) at x1 = 0\.0: log of"):
             f.on_planes([0.0], grid2())
+        # too deep is refused by the parse, before the field has a name
         deep = "+".join(["x2"] * 3000)
-        with pytest.raises(EvalError, match=r"^gtilde\(2, 2\): expression nested too deeply"):
+        message = r"^expression nested too deeply \(at position 2702\)$"
+        with pytest.raises(FieldSyntaxError, match=message):
             as_field(deep, 2, "gtilde(2, 2)", hypersurface=True)
 
 

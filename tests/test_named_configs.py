@@ -4,8 +4,8 @@ Each config runs in-process through ``cli.main`` like the fuzz corpus
 (``record_digests.run_case``) and must leave the exit code, stderr and
 artifacts recorded in ``named_digests.json``.  Together they cover every
 mode, evaluation errors met mid-march, an error in a subexpression two
-components share, numerical stops, a shot that leaves the tube and a
-missed gate.
+components share, a field too deep to load, numerical stops, a shot
+that leaves the tube and a missed gate.
 """
 
 import pytest
@@ -96,6 +96,9 @@ NAMED = {
         + _fields('g.1.1 = "1 + x2^2 + 3*x2*x1"', 'g.2.2 = "1 + x1^2"'),
         0,
     ),
+    # -cos(x1)^2 is four nodes high and each "+ 0" adds one: 901 is past
+    # expr.MAX_DEPTH, refused while the config loads, before any output
+    "deep-sum": ("reconstruct-metric", _metric_source("-cos(x1)^2" + " + 0" * 897), 2),
     # transverse_res = 4 cannot be halved, so the gate is roundtrip_tol alone
     "gate-miss": ("roundtrip-metric", _chart(2, 0.0, 1.0, 0.01, 4) + SPHERE, 4),
 }
