@@ -13,27 +13,25 @@ Variables are ``x1 .. xn``; functions are sin, cos, tan, sinh, cosh, exp,
 log, sqrt, abs.  Evaluation is IEEE double and every invalid operation
 (division by zero, log/sqrt domain, non-finite result) raises
 :class:`~semigeo.errors.EvalError` instead of propagating NaN or inf.
-The parser reads the tokens in one loop with explicit stacks and
-interns each node it builds, with one table per ``parse_field`` call,
-so equal subtrees of a parse are one object: a parsed tree is a DAG.
-As it builds each new node it also emits the flat program the tree
-runs as, which holds each distinct subtree once, in the order the
-parser built them, and keeps it on the root node.  Nothing recurses.
+The parser reads the tokens in one loop with explicit stacks.  A
+parsed field is its flat program, a FieldExpr: one instruction per
+distinct subtree, in the order the parser built them, each reading the
+slots of earlier ones, so equal subtrees of a parse are one
+instruction and equal parses are equal values.  Nothing recurses.
 One rule bounds depth, checked while parsing: at most MAX_DEPTH
-pending parentheses, calls and operators, and at most MAX_DEPTH nodes
-from a node to its deepest leaf; either is a FieldSyntaxError
-("expression nested too deeply").  Every evaluation runs the program
-in one loop: each node applies its checked operation to its operands'
-values, and a value is dropped after its last read.  So every value
-has the bits, and every error the node and message, of evaluating the
-tree node by node.  Only trees made by ``parse_field`` carry a program;
-evaluating, printing or listing the variables of any other value is an
-EvalError.
+pending parentheses, calls and operators, and at most MAX_DEPTH
+instructions from one to its deepest leaf; either is a
+FieldSyntaxError ("expression nested too deeply").  Every evaluation
+runs the program in one loop: each instruction applies its checked
+operation to its operands' values, and a value is dropped after its
+last read.  So every value has the bits, and every error the message,
+of evaluating the expression's tree node by node.  Only ``parse_field``
+makes a FieldExpr; evaluating, printing or listing the variables of
+any other value is an EvalError.
 """
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -53,34 +51,18 @@ FUNCTIONS = {
 
 
 @dataclass(frozen=True)
-class Num:
-    value: float
+class FieldExpr:
+    """A parsed field: its program, made only by ``parse_field``.
 
+    ``code`` holds one instruction per distinct subtree, in the order
+    the parser built them, the root last: ``("n", value)``, ``("x",
+    index)``, ``("-", slot)``, ``(function, slot)`` or ``(operator,
+    left, right)``, where a slot is the position of an earlier
+    instruction and a slot read for the last time is stored as
+    ``~slot``.  Equal parses have equal code.
+    """
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based coordinate index
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "FieldExpr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "FieldExpr"
-    right: "FieldExpr"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "FieldExpr"
-
-
-FieldExpr = Num | Var | Neg | BinOp | Call
+    code: tuple
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -120,10 +102,10 @@ def parse_field(text, n):
 
     One loop over the tokens, with a stack of operands and a stack of
     pending entries (open parentheses, calls, unary minuses and binary
-    operators waiting for their right operand).  Each new node takes the
-    next slot of the program, reads its operands' slots and records its
+    operators waiting for their right operand).  Each new instruction
+    takes the next slot, reads its operands' slots and records its
     height, one more than its highest operand's.  More than MAX_DEPTH
-    pending entries, or a node higher than MAX_DEPTH, is a
+    pending entries, or an instruction higher than MAX_DEPTH, is a
     FieldSyntaxError at the token that made one too many.
     """
     if not isinstance(n, int) or n < 1:
@@ -131,25 +113,23 @@ def parse_field(text, n):
     tokens = _tokenize(text)
     tokens.append(("end", "", len(text)))
     next_token = iter(tokens).__next__
-    slots = {}  # direct key (literal, index, or operator and operand slots) -> slot
-    built = []  # per slot: its node, in the order built
-    heights = []  # per slot: nodes on its deepest path
-    reads = []  # per slot in turn: its operands' slots
+    slots = {}  # instruction -> slot
+    code = []  # per slot: its instruction, in the order built
+    heights = []  # per slot: instructions on its deepest path
     operands = []  # slots
     pending = []  # (binding, "(", a function name, "neg" or an operator)
 
-    def add(key, pos, reading, make, *fields):
-        # push the slot of the node for ``key``; a new node takes the next
-        # slot and reads the slots in ``reading``
+    def add(key, pos, reading):
+        # push the slot of the instruction ``key``; a new one takes the
+        # next slot and reads the slots in ``reading``
         slot = slots.get(key)
         if slot is None:
             height = 1 + max([heights[i] for i in reading], default=0)
             if height > MAX_DEPTH:
                 raise FieldSyntaxError("expression nested too deeply", pos)
-            slot = slots[key] = len(built)
-            built.append(make(*fields))
+            slot = slots[key] = len(code)
+            code.append(key)
             heights.append(height)
-            reads.extend(reading)
         operands.append(slot)
 
     def reduce(least, pos):
@@ -158,10 +138,10 @@ def parse_field(text, n):
             what = pending.pop()[1]
             right = operands.pop()
             if what == "neg":
-                add(("-", right), pos, (right,), Neg, built[right])
+                add(("-", right), pos, (right,))
             else:
                 left = operands.pop()
-                add((what, left, right), pos, (left, right), BinOp, what, built[left], built[right])
+                add((what, left, right), pos, (left, right))
 
     def push(binding, what, pos):
         pending.append((binding, what))
@@ -181,7 +161,7 @@ def parse_field(text, n):
             number = float(value)
             if not np.isfinite(number):
                 raise FieldSyntaxError(f"number {value!r} is not finite", pos)
-            add(number, pos, (), Num, number)
+            add(("n", number), pos, ())
         elif kind == "ident" and value in FUNCTIONS:
             after = next_token()
             if after[0] == "end":
@@ -194,7 +174,7 @@ def parse_field(text, n):
             index = int(value[1:])
             if not 1 <= index <= n:
                 raise VariableOutOfRange(f"variable {value} out of range for dimension {n}", pos)
-            add(("x", index), pos, (), Var, index)
+            add(("x", index), pos, ())
         elif kind == "ident":
             raise UnknownSymbol(f"unknown symbol {value!r}", pos)
         elif kind == "end":
@@ -213,7 +193,7 @@ def parse_field(text, n):
             reduce(1, pos)
             if not pending:
                 if kind == "end":
-                    return _with_program(built, reads)
+                    return _mark_last_reads(code)
                 raise FieldSyntaxError(f"unexpected token {value!r}", pos)
             if kind == "end":
                 raise FieldSyntaxError("unexpected end of expression", pos)
@@ -222,40 +202,30 @@ def parse_field(text, n):
             opened = pending.pop()[1]
             if opened != "(":
                 arg = operands.pop()
-                add((opened, arg), pos, (arg,), Call, opened, built[arg])
+                add((opened, arg), pos, (arg,))
 
 
-def _with_program(built, reads):
-    """The root of a parse, with its program stored on it.
-
-    The program is (nodes, reads).  ``nodes`` holds every node but the
-    root, each distinct subtree once, in the order the parser built
-    them; the root, built last since it holds all the others, runs
-    last.  ``reads`` holds, flat and in run order, the slots (positions
-    in that order) each node reads; a slot read for the last time is
-    stored as ``~slot``, so its value is dropped there.
-    """
+def _mark_last_reads(code):
+    """The FieldExpr of ``code``, each slot's last read marked ``~slot``,
+    so its value is dropped there."""
     seen = set()
-    for i in range(len(reads) - 1, -1, -1):
-        if reads[i] not in seen:
-            seen.add(reads[i])
-            reads[i] = ~reads[i]
-    root = built[-1]
-    # the root stays out of its own program: no reference cycle
-    object.__setattr__(root, "_program", (tuple(built[:-1]), np.array(reads, dtype=np.int32)))
-    return root
+    marked = []
+    for ins in reversed(code):
+        if ins[0] not in ("n", "x"):
+            reads = []  # last operand first
+            for slot in reversed(ins[1:]):
+                reads.append(slot if slot in seen else ~slot)
+                seen.add(slot)
+            ins = (ins[0], *reversed(reads))
+        marked.append(ins)
+    return FieldExpr(tuple(reversed(marked)))
 
 
-def is_parsed(value):
-    """Whether ``value`` is a FieldExpr made by ``parse_field``."""
-    return isinstance(value, FieldExpr) and "_program" in value.__dict__
-
-
-def _program(root):
-    """The program ``parse_field`` stored on ``root``; EvalError if none."""
-    if not is_parsed(root):
-        raise EvalError(f"{type(root).__name__} was not made by parse_field")
-    return root._program
+def _code(expr):
+    """The code of ``expr``; EvalError for any value parse_field did not make."""
+    if not isinstance(expr, FieldExpr):
+        raise EvalError(f"{type(expr).__name__} was not made by parse_field")
+    return expr.code
 
 
 # ------------------------------------------------------------------ printer
@@ -265,102 +235,97 @@ def _program(root):
 _UNPARENTHESIZED = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (5, 3)}
 
 
-def format_field(node):
+def format_field(expr):
     """Render a parsed FieldExpr to text; parse(format_field(parse(s))) == parse(s).
 
-    Prints the program ``parse_field`` stored on it, in one loop.
+    Prints its code in one loop.
     """
-    nodes, reads = _program(node)
     printed = []  # per slot: (text, precedence)
-    read = iter(reads.tolist()).__next__
 
-    def operand(least):
-        slot = read()
+    def operand(slot, least):
         text, prec = printed[slot if slot >= 0 else ~slot]
         return f"({text})" if prec < least else text
 
-    for sub in chain(nodes, (node,)):
-        kind = type(sub)
-        if kind is Num:
-            value = sub.value
+    for ins in _code(expr):
+        kind = ins[0]
+        if kind == "n":
+            value = ins[1]
             text = str(int(value)) if value == int(value) and abs(value) < 1e16 else repr(value)
             printed.append((text, 5))
-        elif kind is Var:
-            printed.append((f"x{sub.index}", 5))
-        elif kind is Call:
-            printed.append((f"{sub.func}({operand(0)})", 5))
-        elif kind is Neg:
-            printed.append((f"-{operand(3)}", 3))
+        elif kind == "x":
+            printed.append((f"x{ins[1]}", 5))
+        elif len(ins) == 3:
+            left_least, right_least = _UNPARENTHESIZED[kind]
+            left, right = operand(ins[1], left_least), operand(ins[2], right_least)
+            text = f"{left}^{right}" if kind == "^" else f"{left} {kind} {right}"
+            printed.append((text, _BINDS[kind]))
+        elif kind == "-":
+            printed.append((f"-{operand(ins[1], 3)}", 3))
         else:
-            left_least, right_least = _UNPARENTHESIZED[sub.op]
-            left, right = operand(left_least), operand(right_least)
-            text = f"{left}^{right}" if sub.op == "^" else f"{left} {sub.op} {right}"
-            printed.append((text, _BINDS[sub.op]))
+            printed.append((f"{kind}({operand(ins[1], 0)})", 5))
     return printed[-1][0]
 
 
 # ---------------------------------------------------------------- evaluator
 
 
-def _run(root, coords):
-    """Value of ``root``; every operation checked as it runs."""
-    nodes, reads = _program(root)
-    values = [None] * (len(nodes) + 1)
-    read = iter(reads.tolist()).__next__
+def _run(expr, coords):
+    """Value of ``expr``; every operation checked as it runs."""
+    code = _code(expr)
+    values = [None] * len(code)
     with np.errstate(all="ignore"):
-        for k, node in enumerate(chain(nodes, (root,))):
-            kind = type(node)
-            if kind is Num:
-                values[k] = node.value
+        for k, ins in enumerate(code):
+            kind = ins[0]
+            if kind == "n":
+                values[k] = ins[1]
                 continue
-            if kind is Var:
-                if node.index > len(coords):
-                    raise EvalError(f"no value supplied for x{node.index}")
-                values[k] = coords[node.index - 1]
+            if kind == "x":
+                index = ins[1]
+                if index > len(coords):
+                    raise EvalError(f"no value supplied for x{index}")
+                values[k] = coords[index - 1]
                 continue
-            i = read()
+            i = ins[1]
             if i < 0:
                 i = ~i
                 arg, values[i] = values[i], None
             else:
                 arg = values[i]
-            if kind is Neg:
-                values[k] = -arg
-                continue
-            if kind is Call:
-                func = node.func
-                if func == "log" and (np.asarray(arg) <= 0.0).any():
+            if len(ins) == 2:
+                if kind == "-":
+                    values[k] = -arg
+                    continue
+                if kind == "log" and (np.asarray(arg) <= 0.0).any():
                     raise EvalError("log of a non-positive value")
-                if func == "sqrt" and (np.asarray(arg) < 0.0).any():
+                if kind == "sqrt" and (np.asarray(arg) < 0.0).any():
                     raise EvalError("sqrt of a negative value")
-                out = FUNCTIONS[func](arg)
+                out = FUNCTIONS[kind](arg)
                 if not np.isfinite(out).all():
-                    raise EvalError(f"{func} produced a non-finite value")
+                    raise EvalError(f"{kind} produced a non-finite value")
                 values[k] = out
                 continue
-            j = read()
+            j = ins[2]
             if j < 0:
                 j = ~j
                 right, values[j] = values[j], None
             else:
                 right = values[j]
-            op = node.op
-            if op == "+":
+            if kind == "+":
                 out = arg + right
-            elif op == "-":
+            elif kind == "-":
                 out = arg - right
-            elif op == "*":
+            elif kind == "*":
                 out = arg * right
-            elif op == "/":
+            elif kind == "/":
                 if (np.asarray(right) == 0.0).any():
                     raise EvalError("division by zero")
                 out = arg / right
             else:
                 out = np.power(arg, right, dtype=np.float64)
-            # a Call or Neg next rebinds only arg: free a last-read right
+            # a call or negation next rebinds only arg: free a last-read right
             right = None
             if not np.isfinite(out).all():
-                raise EvalError(f"operator {op!r} produced a non-finite value")
+                raise EvalError(f"operator {kind!r} produced a non-finite value")
             values[k] = out
     return values[-1]
 
@@ -378,5 +343,4 @@ def eval_field_on(expr, coords):
 
 def variables(expr):
     """Set of 1-based coordinate indices the expression references."""
-    nodes = chain(_program(expr)[0], (expr,))
-    return {node.index for node in nodes if type(node) is Var}
+    return {ins[1] for ins in _code(expr) if ins[0] == "x"}

@@ -25,12 +25,12 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvalError, GridTooCoarse, InvalidInit, InvalidSpec, OutOfDomain
-from .expr import eval_field_on, is_parsed, parse_field, variables
+from .expr import FieldExpr, eval_field_on, parse_field, variables
 
 
 # -------------------------------------------------------------------- chart
@@ -110,7 +110,6 @@ class TubeGrid:
     chart: ChartSpec
     x1_samples: np.ndarray
     transverse_axes: tuple
-    _mesh_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self):
@@ -146,24 +145,31 @@ class TubeGrid:
 
     def transverse_mesh(self):
         """Flattened transverse coordinate arrays, one of length N per axis."""
-        if "flat" not in self._mesh_cache:
-            grids = np.meshgrid(*self.transverse_axes, indexing="ij")
-            self._mesh_cache["flat"] = tuple(g.reshape(-1) for g in grids)
-        return self._mesh_cache["flat"]
+        return self._flat_mesh
 
     def coord_lists(self):
         """Every axis's node coordinates (``axis_coords``) as Python floats."""
-        if "lists" not in self._mesh_cache:
-            axes = [self.axis_coords(axis) for axis in range(1, self.n + 1)]
-            self._mesh_cache["lists"] = tuple(a.tolist() for a in axes)
-        return self._mesh_cache["lists"]
+        return self._coord_lists
+
+    @functools.cached_property
+    def _flat_mesh(self):
+        grids = np.meshgrid(*self.transverse_axes, indexing="ij")
+        return tuple(g.reshape(-1) for g in grids)
+
+    @functools.cached_property
+    def _coord_lists(self):
+        return tuple(self.axis_coords(axis).tolist() for axis in range(1, self.n + 1))
+
+    @functools.cached_property
+    def _table(self):
+        return _axis_table(self)
 
     def contains(self, point):
         """Whether ``point``, shaped (n,), lies in a cell ``interpolate`` reads."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.n,):
             return False
-        edges, cells = _axis_table(self)[:2]
+        edges, cells = self._table[:2]
         return all(
             0 <= np.searchsorted(e, x, side="right") - 1 < c
             for e, x, c in zip(edges, point, cells[:, 0])
@@ -317,7 +323,7 @@ def fd_transverse(values, axis, grid):
 
 
 def _axis_table(grid):
-    """The arrays ``interpolate`` locates points with, made once per grid.
+    """The arrays ``interpolate`` locates points with, kept as ``grid._table``.
 
     Per axis: ``edges``, whose right-sided search count less one is the
     cell of a point and is out of 0..cells-1 exactly when the point is
@@ -330,29 +336,26 @@ def _axis_table(grid):
     node: as its first corner when t >= 1, as its second when t > 0
     (t >= the least positive float).
     """
-    table = grid._mesh_cache.get("table")
-    if table is None:
-        edges, starts, widths, sizes = [], [], [], []
-        for coords in grid.coord_lists():
-            lo, hi = coords[0], coords[-1]
-            pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-            inner = coords[1:-1]
-            edges.append(np.array([lo - pad] + inner + [math.nextafter(hi + pad, math.inf)]))
-            starts += coords[:-1] or coords
-            widths += [b - a for a, b in zip(coords, coords[1:])] or [math.inf]
-            sizes.append(len(coords))
-        cells = np.array([[len(e) - 1] for e in edges])
-        strides = np.cumprod([1] + sizes[:0:-1])[::-1].reshape(-1, 1, 1)
-        table = grid._mesh_cache["table"] = (
-            edges,
-            cells,
-            np.cumsum(cells, axis=0) - cells,
-            np.array(starts),
-            np.array(widths),
-            strides,
-            np.array([[1.0], [math.ulp(0.0)]]),
-        )
-    return table
+    edges, starts, widths, sizes = [], [], [], []
+    for coords in grid.coord_lists():
+        lo, hi = coords[0], coords[-1]
+        pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+        inner = coords[1:-1]
+        edges.append(np.array([lo - pad] + inner + [math.nextafter(hi + pad, math.inf)]))
+        starts += coords[:-1] or coords
+        widths += [b - a for a, b in zip(coords, coords[1:])] or [math.inf]
+        sizes.append(len(coords))
+    cells = np.array([[len(e) - 1] for e in edges])
+    strides = np.cumprod([1] + sizes[:0:-1])[::-1].reshape(-1, 1, 1)
+    return (
+        edges,
+        cells,
+        np.cumsum(cells, axis=0) - cells,
+        np.array(starts),
+        np.array(widths),
+        strides,
+        np.array([[1.0], [math.ulp(0.0)]]),
+    )
 
 
 def interpolate(values, grid, point):
@@ -380,7 +383,7 @@ def interpolate(values, grid, point):
     if point.ndim not in (1, 2) or point.shape[0] != n:
         raise OutOfDomain(f"point must have {n} coordinates")
     x = point.reshape(n, -1)
-    edges, cells, first, starts, widths, strides, take_second = _axis_table(grid)
+    edges, cells, first, starts, widths, strides, take_second = grid._table
     cell = np.empty(x.shape, dtype=np.intp)
     for k in range(n):
         cell[k] = np.searchsorted(edges[k], x[k], side="right")
@@ -483,15 +486,14 @@ class TensorTube:
 
 
 class ExpressionField:
-    """Scalar field backed by a parsed expression over x1..xn.
+    """Scalar field backed by the FieldExpr program of an expression over x1..xn.
 
     ``what`` names the field in evaluation errors, followed by the x1
     values of the read that failed.
     """
 
-    def __init__(self, expr, n, what="expression"):
+    def __init__(self, expr, what="expression"):
         self.expr = expr
-        self.n = n
         self.what = what
 
     def on_planes(self, xs, grid):
@@ -530,12 +532,12 @@ def as_field(value, n, what, hypersurface=False):
         value = parse_field(value, n)
     if isinstance(value, ExpressionField):
         value = value.expr
-    if not is_parsed(value):
+    if not isinstance(value, FieldExpr):
         error = InvalidInit if hypersurface else InvalidSpec
         raise error(f"{what}: cannot interpret {type(value).__name__} as an expression")
     if hypersurface and 1 in variables(value):
         raise InvalidInit(f"{what}: hypersurface data may not depend on x1")
-    return ExpressionField(value, n, what)
+    return ExpressionField(value, what)
 
 
 # ---------------------------------------------------------- tensor families

@@ -40,8 +40,8 @@ class HypersurfaceMetricData:
     """Transverse metric block and its axial derivative on x1 = 0.
 
     ``g`` and ``g1`` map (i, j) with 2 <= i, j <= n to expression
-    strings, parsed FieldExpr or ExpressionField, free of x1; any other value
-    raises InvalidInit.  Each (i, j) fills both symmetric slots; giving
+    strings, the FieldExpr programs ``parse_field`` makes of them, or
+    ExpressionFields, free of x1; any other value raises InvalidInit.  Each (i, j) fills both symmetric slots; giving
     both orderings raises InvalidInit.  Missing components default to 0.
     """
 
@@ -64,8 +64,9 @@ class MetricCurvatureSpec:
 
     Each (i, j) fills both symmetric slots (curvature symmetry forces
     it); giving both orderings raises InvalidInit.  Entries are
-    expression strings, parsed FieldExpr or ExpressionField on the tube; any
-    other value raises InvalidSpec.  Missing entries are 0.
+    expression strings, the FieldExpr programs ``parse_field`` makes of
+    them, or ExpressionFields, on the tube; any other value raises
+    InvalidSpec.  Missing entries are 0.
     """
 
     def __init__(self, n, entries=None):

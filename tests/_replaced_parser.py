@@ -1,19 +1,53 @@
-"""The recursive-descent parser and the tree-walking compiler that the
-one-loop parser replaced, kept as a reference.
+"""The recursive-descent parser, the tree it built and the tree-walking
+compiler that the one-loop parser replaced, kept as a reference.
 
-``expr.parse_field`` once parsed with one method per grammar rule and
-turned a ``RecursionError`` into ``expression nested too deeply``; the
-first evaluation of its tree then compiled it with ``_program`` below.
-This copy keeps that code, so the tests can check that the one-loop
-parser raises the same error at the same position, or stores the
-program this compiler makes of the replaced parser's tree, for every
-input under both nesting caps.
+``expr.parse_field`` once parsed with one method per grammar rule into
+a tree of the five node classes below, and turned a ``RecursionError``
+into ``expression nested too deeply``; the first evaluation of its tree
+then compiled it with ``_program`` below.  This copy keeps that code,
+so the tests can check that the one-loop parser raises the same error
+at the same position, or makes the code this compiler makes of the
+replaced parser's tree, for every input under both nesting caps, and
+can evaluate that tree recursively.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from semigeo.errors import EvalError, FieldSyntaxError, UnknownSymbol, VariableOutOfRange
-from semigeo.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Neg, Num, Var, _tokenize
+from semigeo.expr import FUNCTIONS, MAX_DEPTH, _tokenize
+
+
+@dataclass(frozen=True)
+class Num:
+    value: float
+
+
+@dataclass(frozen=True)
+class Var:
+    index: int  # 1-based coordinate index
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: "FieldExpr"
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # one of + - * / ^
+    left: "FieldExpr"
+    right: "FieldExpr"
+
+
+@dataclass(frozen=True)
+class Call:
+    func: str
+    arg: "FieldExpr"
+
+
+FieldExpr = Num | Var | Neg | BinOp | Call
 
 
 class _Parser:

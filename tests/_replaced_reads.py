@@ -47,7 +47,6 @@ class TransverseField:
     FieldExpr or ExpressionField)."""
 
     def __init__(self, value, n, what):
-        self.n = n
         self.what = what
         if isinstance(value, str):
             value = parse_field(value, n)
@@ -63,7 +62,7 @@ class TransverseField:
 
     def plane(self, grid):
         """Values over the flattened transverse lattice."""
-        return on_transverse(ExpressionField(self.expr, self.n, self.what), 0.0, grid)
+        return on_transverse(ExpressionField(self.expr, self.what), 0.0, grid)
 
 
 def dense(family, n, values, trailing, values_of, lo=None, hi=None):

@@ -3,8 +3,9 @@ only ``ode`` names the source bank its marches read from, only
 ``grid_field`` names ``on_planes``, the one read of an input field,
 which only ``ExpressionField`` defines, every parameter a function
 takes is read, the config reader turns text into numbers only in
-``_parse_int`` and ``_parse_float``, no function recurses, and no code
-walks a parsed tree through its nodes' operands."""
+``_parse_int`` and ``_parse_float``, no function recurses, no code
+walks a parsed tree through its nodes' operands, and only ``expr``
+makes a FieldExpr or reads its code."""
 
 import ast
 import sys
@@ -214,3 +215,32 @@ def test_no_tree_walk(path):
     # operands reach a program only through the parse loop, which builds
     # it in the order it builds the nodes; nothing walks the tree again
     assert list(operand_reads(path)) == []
+
+
+def program_layout_uses(path):
+    """(line, use) for each call of a name ``FieldExpr`` and each read of
+    an attribute ``code``."""
+    for node in nodes(path):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+            if name == "FieldExpr":
+                yield node.lineno, "FieldExpr("
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr == "code":
+                yield node.lineno, ".code"
+
+
+def test_program_layout_uses_are_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from . import expr\n\n"
+        "def f(e, FieldExpr):\n    e.code = 1\n"
+        "    return FieldExpr(e.code), expr.FieldExpr(()), isinstance(e, FieldExpr)\n"
+    )
+    assert sorted(program_layout_uses(path)) == [(5, ".code"), (5, "FieldExpr("), (5, "FieldExpr(")]
+
+
+def test_only_expr_lays_out_programs():
+    # the instruction forms of FieldExpr.code are expr's alone to decide
+    assert [p.name for p in MODULES if list(program_layout_uses(p))] == ["expr.py"]

@@ -8,21 +8,9 @@ import numpy as np
 import pytest
 
 from _replaced_parser import _program as reference_program
-from _replaced_parser import reference_parse_field
+from _replaced_parser import BinOp, Call, Neg, Num, Var, reference_parse_field
 from semigeo.errors import EvalError, FieldSyntaxError, UnknownSymbol, VariableOutOfRange
-from semigeo.expr import (
-    FUNCTIONS,
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    Var,
-    _program,
-    eval_field_on,
-    format_field,
-    parse_field,
-    variables,
-)
+from semigeo.expr import FUNCTIONS, eval_field_on, format_field, parse_field, variables
 
 
 def ev(text, point=(0.0,), n=None):
@@ -195,7 +183,7 @@ class TestParseErrors:
                 return parse_below(frames - 1)
             return parse_field("(" * 150 + "x1" + ")" * 150, 1)
 
-        assert parse_below(300) == Var(1)
+        assert parse_below(300) == parse_field("x1", 1)
 
     def test_long_power_chain(self):
         # right-associative: 599 operators pending before the last operand
@@ -237,6 +225,38 @@ CORPUS = [
 ]
 
 
+def _kind(ins):
+    """What an instruction of a FieldExpr's code does."""
+    if ins[0] == "n":
+        return "num"
+    if ins[0] == "x":
+        return "var"
+    if len(ins) == 3:
+        return "operator"
+    return "neg" if ins[0] == "-" else "call"
+
+
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        ("x1+x1", "(x1)+(x1)", True),
+        ("2*x2 - sin(x1)^2", "(2.0 * x2) - ((sin((x1))) ^ 2)", True),
+        ("(x1+x2)-x1", "(x1+x2)-x2", False),
+        ("x1*x1", "x1*x2", False),
+        ("x1+x2", "x2+x1", False),
+    ],
+)
+def test_parses_are_equal_exactly_when_their_trees_are(a, b, equal):
+    first, second = parse_field(a, 2), parse_field(b, 2)
+    assert (first == second) is equal
+    assert (reference_parse_field(a, 2) == reference_parse_field(b, 2)) is equal
+    if equal:
+        assert hash(first) == hash(second)
+    elif len(first.code) == len(second.code):
+        # the same instruction kinds, reading other slots
+        assert list(map(_kind, first.code)) == list(map(_kind, second.code))
+
+
 class TestFormat:
     @pytest.mark.parametrize("text", CORPUS)
     def test_format_parse_roundtrip_is_identity(self, text):
@@ -255,8 +275,9 @@ class TestFormat:
         with pytest.raises(FieldSyntaxError, match="nested too deeply") as exc:
             parse_field("+".join(["x1"] * 3000), 1)
         assert exc.value.position == 2702
-        with pytest.raises(EvalError, match="^BinOp was not made by parse_field$"):
-            format_field(BinOp("+", Var(1), Num(1.0)))
+        for value, name in (("x1", "str"), (None, "NoneType")):
+            with pytest.raises(EvalError, match=f"^{name} was not made by parse_field$"):
+                format_field(value)
 
     def test_random_trees_roundtrip(self):
         rng = np.random.default_rng(2024)
@@ -277,11 +298,11 @@ class TestFormat:
         kinds = set()
         for _ in range(200):
             t = parse_field(text(0), 3)
-            kinds |= {type(node) for node in chain(_program(t)[0], (t,))}
+            kinds |= {_kind(ins) for ins in t.code}
             printed = format_field(t)
             assert parse_field(printed, 3) == t
             assert format_field(parse_field(printed, 3)) == printed
-        assert kinds == {Num, Var, Neg, Call, BinOp}
+        assert kinds == {"num", "var", "neg", "call", "operator"}
 
 
 class TestEval:
@@ -308,7 +329,7 @@ class TestEval:
             parse_field("+".join(["x1"] * 3000), 1)
         assert exc.value.position == 2702
         # only a parse makes a program: any other value is an EvalError
-        for value in (BinOp("+", Var(1), Num(1.0)), Var(1), "x1", None):
+        for value in ("x1", None):
             for call in (
                 lambda: eval_field_on(value, (1.0,)),
                 lambda: eval_field_on(value, (np.ones(3),)),
@@ -328,10 +349,13 @@ class TestEval:
             parse_field(text, 1)
         assert exc.value.position == len(text) == 4955
         ok = parse_field(f"({inner}) + {'-' * 99}({inner})", 1)
-        node = ok.right
-        for _ in range(99):
-            node = node.operand
-        assert node is ok.left  # one object
+        # the sum's 800 instructions appear once, then the minus signs and
+        # the root, which reads the sum's slot again
+        sum_code = parse_field(inner, 1).code
+        top = len(sum_code) - 1
+        assert len(sum_code) == 800 and ok.code[:800] == sum_code
+        minuses = (("-", top),) + tuple(("-", ~slot) for slot in range(800, 898))
+        assert ok.code[800:] == minuses + (("+", ~top, ~898),)
         assert float(eval_field_on(ok, (1.0,))) == 0.0
         assert variables(ok) == {1}
 
@@ -457,19 +481,18 @@ class TestAgainstReference:
         joined = " ".join(self.TEXTS)
         assert all(f"{name}(" in joined for name in FUNCTIONS)
         assert "^" in joined and "-(" in joined
-        nodes = [list(_walk(parse_field(text, 3))) for text in self.TEXTS]
-        # the parser interns repeated subtrees: one object per distinct one
-        distinct = sum(len({id(node) for node in walk}) for walk in nodes)
-        assert sum(map(len, nodes)) > 2 * distinct
+        nodes = sum(len(list(_walk(reference_parse_field(text, 3)))) for text in self.TEXTS)
+        # a parse keeps a repeated subtree once: one instruction per distinct one
+        distinct = sum(len(parse_field(text, 3).code) for text in self.TEXTS)
+        assert nodes > 2 * distinct
 
     @pytest.mark.parametrize("where", sorted(REFERENCE_COORDS))
     def test_same_bits_or_same_error(self, where):
         coords = REFERENCE_COORDS[where]
         kinds = set()
         for text in self.TEXTS:
-            expr = parse_field(text, 3)
-            expected = _outcome(reference, expr, coords)
-            assert _outcome(eval_field_on, expr, coords) == expected, text
+            expected = _outcome(reference, reference_parse_field(text, 3), coords)
+            assert _outcome(eval_field_on, parse_field(text, 3), coords) == expected, text
             kinds.add(expected[0] if expected[0] == "value" else expected[1])
         assert "value" in kinds and len(kinds) >= 4, kinds
 
@@ -515,25 +538,41 @@ def _structured(rng, pool, depth):
     return text
 
 
-def _parsed(parse, program, text, n):
-    """The error a parse raises, or the program of its tree: each node's
-    kind and value (leaves compare by value), and the reads."""
+def _reference_code(text, n):
+    """The program the replaced compiler makes of the replaced parser's
+    tree, in the form of ``FieldExpr.code``."""
+    tree = reference_parse_field(text, n)
+    nodes, reads = reference_program(tree)
+    read = iter(reads.tolist()).__next__
+    code = []
+    for node in chain(nodes, (tree,)):
+        kind = type(node)
+        if kind is Num:
+            code.append(("n", node.value))
+        elif kind is Var:
+            code.append(("x", node.index))
+        elif kind is Neg:
+            code.append(("-", read()))
+        elif kind is Call:
+            code.append((node.func, read()))
+        else:
+            code.append((node.op, read(), read()))
+    return tuple(code)
+
+
+def _parsed(code_of, text, n):
+    """("program", the code ``code_of`` makes of ``text``), or the error
+    it raises."""
     try:
-        tree = parse(text, n)
+        return "program", code_of(text, n)
     except FieldSyntaxError as err:
         return type(err).__name__, str(err), err.position
-    nodes, reads = program(tree)
-    labels = [
-        node if type(node) in (Num, Var) else (type(node), getattr(node, "op", getattr(node, "func", None)))
-        for node in chain(nodes, (tree,))
-    ]
-    return labels, reads.tolist()
 
 
 class TestAgainstReplacedParser:
     """The one-loop parser against the recursive-descent one it replaced:
-    the same error type, message and position, or the program it stored
-    is the one the replaced compiler makes of the replaced parser's tree."""
+    the same error type, message and position, or the code it makes is
+    the program the replaced compiler makes of the replaced parser's tree."""
 
     @pytest.mark.parametrize("draw", ["token-strings", "structured"])
     def test_same_error_or_same_program(self, draw):
@@ -544,9 +583,9 @@ class TestAgainstReplacedParser:
                 text, n = _token_string(rng), rng.randrange(1, 4)
             else:
                 text, n = _structured(rng, [], rng.randrange(1, 5)), 3
-            expected = _parsed(reference_parse_field, reference_program, text, n)
-            assert _parsed(parse_field, _program, text, n) == expected, (text, n)
-            key = "program" if isinstance(expected[0], list) else expected[1].split(" (at")[0]
+            expected = _parsed(_reference_code, text, n)
+            assert _parsed(lambda t, k: parse_field(t, k).code, text, n) == expected, (text, n)
+            key = "program" if expected[0] == "program" else expected[1].split(" (at")[0]
             outcomes[key] = outcomes.get(key, 0) + 1
         assert all("nested too deeply" not in key for key in outcomes)
         if draw == "token-strings":

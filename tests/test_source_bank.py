@@ -42,7 +42,7 @@ def assert_bits(got, want):
 # Why a batched plane could differ from a single plane: with numpy 2.4 on
 # x86-64, np.power with a *scalar* exponent of 2.0, 0.5 or -1.0 takes a
 # fast path whose bits differ from the array-exponent result in about
-# 5 % of elements (1,076 of 20,011 for 2.0).  The evaluator keeps Num
+# 5 % of elements (1,076 of 20,011 for 2.0).  The evaluator keeps literal
 # operands as Python floats and never broadcasts them to arrays, so the
 # batched and the per-plane evaluation run the same loops on every
 # element.  The sources below exercise those exponents.
@@ -85,7 +85,7 @@ class TestPlanesBitIdentity:
     @pytest.mark.parametrize("text", EXPRESSIONS)
     def test_expression_field(self, text):
         grid = bit_grid()
-        field = ExpressionField(parse_field(text, 3), 3)
+        field = ExpressionField(parse_field(text, 3))
         xs = planned_xs(grid)
         batched = field.on_planes(xs, grid)
         assert batched.shape == (len(xs), 20)
