@@ -16,8 +16,8 @@ same value.
 Shot geodesics check the same properties along curves off the lattice
 lines.  Every read along them is one point query for many points: the
 shots of a check march as one K-node ``rk4_march`` that reads the
-connection at all K positions per stage, and ``unit_speed_residual`` and
-``geodesic_residual`` read a whole curve at once.  Each keeps the bytes
+connection at all K positions per stage, and ``unit_speed_residual``
+reads the metric along a whole shot curve at once.  Each keeps the bytes
 of reading its points one at a time.
 """
 
@@ -26,39 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidSpec, LeftDomain, OutOfDomain
+from .errors import InvalidSpec, LeftDomain, OutOfDomain
 from .ode import StateRejected, rk4_march
 
 
 @dataclass
 class Curve:
-    """A sampled curve: parameter values, points, optional velocities."""
+    """A shot curve: parameter values s, points and velocities, one row per s."""
 
     s: np.ndarray
     points: np.ndarray
-    velocities: np.ndarray = None
-
-    def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=np.float64)
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.s.ndim != 1 or self.points.ndim != 2:
-            raise InvalidSpec("curve needs 1-d parameters and 2-d points")
-        if len(self.s) != len(self.points):
-            raise InvalidSpec("curve parameter and point counts differ")
-        if len(self.s) >= 2 and not np.all(np.diff(self.s) > 0):
-            raise InvalidSpec("curve parameters must increase strictly")
-        if self.velocities is not None:
-            self.velocities = np.asarray(self.velocities, dtype=np.float64)
-            if self.velocities.shape != self.points.shape:
-                raise InvalidSpec("curve velocity shape does not match points")
-
-    def uniform_step(self):
-        if len(self.s) < 2:
-            raise GridTooCoarse("curve has fewer than 2 samples")
-        step = float(self.s[1] - self.s[0])
-        if np.max(np.abs(np.diff(self.s) - step)) > 1e-9 * max(step, 1.0):
-            raise InvalidSpec("curve parameter steps are not uniform")
-        return step
+    velocities: np.ndarray
 
 
 def pre_semigeodesic_residual(conn):
@@ -175,47 +153,20 @@ def _shot_outcome(grid, states, stopped, step):
     return curve, err
 
 
-def geodesic_residual(conn, curve):
-    """Largest interior geodesic-equation residual along a sampled curve.
-
-    Velocities come from the curve when present, else from second-order
-    differences of the points; accelerations always use the 3-point
-    second difference, so only interior samples are scored.  The
-    connection is read at every interior sample with one query; a
-    sample whose residual is nan is skipped.
-    """
-    step = curve.uniform_step()
-    pts = curve.points
-    if len(pts) < 3:
-        raise GridTooCoarse("geodesic residual needs at least 3 samples")
-    if curve.velocities is not None:
-        vel = curve.velocities
-    else:
-        vel = np.gradient(pts, step, axis=0, edge_order=2)
-    acc = (pts[:-2] - 2.0 * pts[1:-1] + pts[2:]) / (step * step)
-    gam = conn.at(pts[1:-1].T)
-    v = vel[1:-1].T
-    res = acc.T + np.einsum("hijN,iN,jN->hN", gam, v, v)
-    return float(np.fmax.reduce(np.abs(res).max(axis=0), initial=0.0))
-
-
 def semigeodesic_check(metric):
     """(max |g_11 - e|, max |g_1j|) over the lattice, e the metric's own sign."""
     return metric.semigeodesic_residuals()
 
 
 def unit_speed_residual(metric, curve):
-    """Largest |v g(x) v - e| along a curve with velocities.
+    """Largest |v g(x) v - e| along a shot curve.
 
     For a semigeodesic metric, axial lattice lines make this vanish to
     interpolation accuracy: their speed is g_11 = e throughout.  The
     metric is read at every sample with one query; a sample whose
     residual is nan is skipped.
     """
-    if curve.velocities is None:
-        vel = np.gradient(curve.points, curve.uniform_step(), axis=0, edge_order=2)
-    else:
-        vel = curve.velocities
+    vel = curve.velocities
     # a contiguous (K, n, n) stack: v g v goes through the same BLAS
     # products as on one sample's own block
     g = np.ascontiguousarray(np.moveaxis(metric.at(curve.points.T), -1, 0))

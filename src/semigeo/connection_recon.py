@@ -44,7 +44,6 @@ from .curvature import ConnectionField
 from .errors import InvalidInit, InvalidSpec
 from .grid_field import Components, TensorTube, TubeGrid, build_grid, fd_transverse
 from .linalg import mirror_upper
-# ReconstructionReport stays importable from this module
 from .ode import STATUS_COMPLETE, ReconstructionReport, march_report, march_tube, tube_dense
 
 
@@ -52,9 +51,9 @@ class HypersurfaceConnectionData:
     """Connection components restricted to x1 = 0.
 
     ``components`` maps (h, i, j) with 1-based indices to an expression
-    string, the FieldExpr program ``parse_field`` makes of one, or an
-    ExpressionField, free of x1; any other value raises InvalidInit.  The
-    (i, j) pair is symmetric; giving both orderings raises InvalidInit.
+    string or the FieldExpr program ``parse_field`` makes of one, free
+    of x1; any other value raises InvalidInit.  The (i, j) pair is
+    symmetric; giving both orderings raises InvalidInit.
     Components (h, 1, 1) must be zero.  Missing components default to 0.
     Each stage evaluates only the components it reads.
     """
@@ -88,10 +87,9 @@ class ConnectionCurvatureSpec:
     A^h_i1 would be forced to zero by the antisymmetry of the curvature
     in its last index pair, so k = 1 entries are rejected rather than
     silently ignored.  The (i, k) pair is NOT symmetric.  Entries are
-    expression strings, the FieldExpr programs ``parse_field`` makes of
-    them, or ExpressionFields, on the tube; any other value raises
-    InvalidSpec.  Missing entries are zero.  Each stage evaluates only
-    the sources it reads.
+    expression strings or the FieldExpr programs ``parse_field`` makes
+    of them, on the tube; any other value raises InvalidSpec.  Missing
+    entries are zero.  Each stage evaluates only the sources it reads.
     """
 
     def __init__(self, n, entries=None):

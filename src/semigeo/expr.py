@@ -26,8 +26,8 @@ runs the program in one loop: each instruction applies its checked
 operation to its operands' values, and a value is dropped after its
 last read.  So every value has the bits, and every error the message,
 of evaluating the expression's tree node by node.  Only ``parse_field``
-makes a FieldExpr; evaluating, printing or listing the variables of
-any other value is an EvalError.
+makes a FieldExpr; evaluating or listing the variables of any other
+value is an EvalError.
 """
 
 import re
@@ -226,44 +226,6 @@ def _code(expr):
     if not isinstance(expr, FieldExpr):
         raise EvalError(f"{type(expr).__name__} was not made by parse_field")
     return expr.code
-
-
-# ------------------------------------------------------------------ printer
-
-# per operator, the least precedence (_BINDS; unary minus 3, atoms 5) its
-# left and its right operand print without parentheses
-_UNPARENTHESIZED = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (5, 3)}
-
-
-def format_field(expr):
-    """Render a parsed FieldExpr to text; parse(format_field(parse(s))) == parse(s).
-
-    Prints its code in one loop.
-    """
-    printed = []  # per slot: (text, precedence)
-
-    def operand(slot, least):
-        text, prec = printed[slot if slot >= 0 else ~slot]
-        return f"({text})" if prec < least else text
-
-    for ins in _code(expr):
-        kind = ins[0]
-        if kind == "n":
-            value = ins[1]
-            text = str(int(value)) if value == int(value) and abs(value) < 1e16 else repr(value)
-            printed.append((text, 5))
-        elif kind == "x":
-            printed.append((f"x{ins[1]}", 5))
-        elif len(ins) == 3:
-            left_least, right_least = _UNPARENTHESIZED[kind]
-            left, right = operand(ins[1], left_least), operand(ins[2], right_least)
-            text = f"{left}^{right}" if kind == "^" else f"{left} {kind} {right}"
-            printed.append((text, _BINDS[kind]))
-        elif kind == "-":
-            printed.append((f"-{operand(ins[1], 3)}", 3))
-        else:
-            printed.append((f"{kind}({operand(ins[1], 0)})", 5))
-    return printed[-1][0]
 
 
 # ---------------------------------------------------------------- evaluator

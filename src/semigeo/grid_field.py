@@ -20,7 +20,6 @@ march reads, the data on the hypersurface x1 = 0, and a field over the
 whole lattice.
 """
 
-import csv
 import functools
 import itertools
 import math
@@ -183,7 +182,7 @@ class TubeGrid:
 # Largest tensor tube, in bytes, a chart may ask for.  The (1,3) curvature,
 # n^4 slots of float64 over the lattice, is the largest block any mode
 # holds, so a chart whose n^4 x nodes x 8 bytes exceed this is rejected
-# before anything is allocated on it.
+# before anything is allocated on it, its axes included.
 LATTICE_BYTES = 16 * 2**30
 
 
@@ -193,40 +192,38 @@ def build_grid(spec):
     Raises InvalidSpec naming the axis and its sample count when an axis
     has more samples than numpy can index or than memory can hold, and
     naming the lattice when its n^4-slot tube exceeds LATTICE_BYTES.
+    Both counts are checked before any axis is built.
     """
     lo, hi = spec.x1_range
     eps = 1e-9
     kmin = np.ceil(lo / spec.h1 - eps)
     kmax = np.floor(hi / spec.h1 + eps)
-    x1 = _axis_nodes(
-        1,
-        kmax - kmin + 1,
-        lambda m: np.arange(int(kmin), int(kmin) + m, dtype=np.float64) * spec.h1,
-    )
-    axes = tuple(
-        _axis_nodes(axis, r, functools.partial(np.linspace, a, b))
-        for axis, ((a, b), r) in enumerate(
-            zip(spec.transverse_box, spec.transverse_res), start=2
-        )
-    )
-    grid = TubeGrid(spec, x1, axes)
-    need = spec.n**4 * math.prod(grid.shape) * 8
+    counts = (kmax - kmin + 1,) + spec.transverse_res
+    for axis, count in enumerate(counts, start=1):
+        if not count <= np.iinfo(np.intp).max:
+            raise _unbuildable(axis, count)
+    shape = tuple(map(int, counts))
+    # a float product: exact below 2**53 bytes, far above the limit, and
+    # inf rather than an OverflowError for a lattice no float can count
+    need = math.prod(shape, start=8.0 * spec.n**4)
     if need > LATTICE_BYTES:
         raise InvalidSpec(
-            f"the {' x '.join(map(str, grid.shape))} lattice needs {need / 2**30:.3g} GiB "
+            f"the {' x '.join(map(str, shape))} lattice needs {need / 2**30:.3g} GiB "
             f"for an n^4-slot tensor tube, above the {LATTICE_BYTES // 2**30} GiB limit"
         )
-    return grid
-
-
-def _axis_nodes(axis, count, make):
-    """``make(count)`` as the node array of ``axis``; InvalidSpec if it cannot be built."""
-    if count <= np.iinfo(np.intp).max:
+    makers = [lambda m: np.arange(int(kmin), int(kmin) + m, dtype=np.float64) * spec.h1]
+    makers += [functools.partial(np.linspace, a, b) for a, b in spec.transverse_box]
+    nodes = []
+    for axis, (make, count) in enumerate(zip(makers, shape), start=1):
         try:
-            return make(int(count))
+            nodes.append(make(count))
         except MemoryError:
-            pass
-    raise InvalidSpec(
+            raise _unbuildable(axis, count) from None
+    return TubeGrid(spec, nodes[0], tuple(nodes[1:]))
+
+
+def _unbuildable(axis, count):
+    return InvalidSpec(
         f"axis {axis} needs {float(count):.6g} samples; its lattice cannot be allocated"
     )
 
@@ -520,18 +517,16 @@ class ExpressionField:
 
 
 def as_field(value, n, what, hypersurface=False):
-    """Coerce an expression string, parsed FieldExpr or ExpressionField to a field.
+    """Coerce an expression string or a FieldExpr made by parse_field to a field.
 
     Strings are parsed over x1..xn.  Every accepted value becomes a new
     ExpressionField that names ``what`` in its evaluation errors.  Any
-    other value raises InvalidInit for hypersurface data and InvalidSpec
-    for a tube field, prefixed with ``what``.  Hypersurface data may not
-    use x1 (InvalidInit).
+    other value, an ExpressionField included, raises InvalidInit for
+    hypersurface data and InvalidSpec for a tube field, prefixed with
+    ``what``.  Hypersurface data may not use x1 (InvalidInit).
     """
     if isinstance(value, str):
         value = parse_field(value, n)
-    if isinstance(value, ExpressionField):
-        value = value.expr
     if not isinstance(value, FieldExpr):
         error = InvalidInit if hypersurface else InvalidSpec
         raise error(f"{what}: cannot interpret {type(value).__name__} as an expression")
@@ -775,29 +770,6 @@ def write_tensor_dump(path, grid, tubes):
             texts = list(map(repr, block[rows].T.ravel().tolist()))
             lines = list(map(operator.add, tails, pick(texts))) + whole
             fh.write(head + ("\r\n" + head).join(place(lines)) + "\r\n")
-
-
-def read_tensor_dump(path):
-    """Read a dump back: (coordinate axes, {tensor: {indices: ndarray}}).
-
-    Intended for round-trip verification of the dump format.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n = header.index("tensor")
-        rows = list(reader)
-    coords = [sorted({float(r[a]) for r in rows}) for a in range(n)]
-    axis_index = [{v: i for i, v in enumerate(c)} for c in coords]
-    shape = tuple(len(c) for c in coords)
-    tensors = {}
-    for r in rows:
-        node = tuple(axis_index[a][float(r[a])] for a in range(n))
-        idx = tuple(int(s) for s in r[n + 1].split(","))
-        store = tensors.setdefault(r[n], {}).setdefault(idx, np.zeros(shape))
-        store[node] = float(r[n + 2])
-    axes = [np.asarray(c) for c in coords]
-    return axes, tensors
 
 
 def write_curve_dump(path, curve):

@@ -40,15 +40,15 @@ class HypersurfaceMetricData:
     """Transverse metric block and its axial derivative on x1 = 0.
 
     ``g`` and ``g1`` map (i, j) with 2 <= i, j <= n to expression
-    strings, the FieldExpr programs ``parse_field`` makes of them, or
-    ExpressionFields, free of x1; any other value raises InvalidInit.  Each (i, j) fills both symmetric slots; giving
-    both orderings raises InvalidInit.  Missing components default to 0.
+    strings or the FieldExpr programs ``parse_field`` makes of them,
+    free of x1; any other value raises InvalidInit.  Each (i, j) fills
+    both symmetric slots; giving both orderings raises InvalidInit.
+    Missing components default to 0.
     """
 
     def __init__(self, n, g=None, g1=None):
         if n < 2:
             raise InvalidInit("dimension must be >= 2")
-        self.n = n
         self._g = Components("gtilde", n, g)
         self._g1 = Components("Gtilde", n, g1)
 
@@ -64,15 +64,14 @@ class MetricCurvatureSpec:
 
     Each (i, j) fills both symmetric slots (curvature symmetry forces
     it); giving both orderings raises InvalidInit.  Entries are
-    expression strings, the FieldExpr programs ``parse_field`` makes of
-    them, or ExpressionFields, on the tube; any other value raises
-    InvalidSpec.  Missing entries are 0.
+    expression strings or the FieldExpr programs ``parse_field`` makes
+    of them, on the tube; any other value raises InvalidSpec.  Missing
+    entries are 0.
     """
 
     def __init__(self, n, entries=None):
         if n < 2:
             raise InvalidSpec("dimension must be >= 2")
-        self.n = n
         self._fields = Components("a", n, entries)
 
     def planes(self, xs, grid):

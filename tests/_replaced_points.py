@@ -1,13 +1,15 @@
 """The one-point queries that batched point queries replaced, kept as references.
 
 ``interpolate`` once answered one point per call, and the geodesic
-shots, ``unit_speed_residual`` and ``geodesic_residual`` read the
-connection or the metric one point at a time.  These copies keep that
-arithmetic, so the tests can check that the batched code gives their
-bytes: ``reference_interpolate`` moves the grid axes in front of the
-tensor axes and takes one linear step per axis, ``reference_shoot`` is
-the one-node march of a single geodesic shot, and the two residuals
-loop over the samples of a curve.
+shots and ``unit_speed_residual`` read the connection or the metric one
+point at a time.  These copies keep that arithmetic, so the tests can
+check that the batched code gives their bytes: ``reference_interpolate``
+moves the grid axes in front of the tensor axes and takes one linear
+step per axis, ``reference_shoot`` is the one-node march of a single
+geodesic shot, and ``reference_unit_speed_residual`` loops over the
+samples of a curve.  ``reference_geodesic_residual``, the
+geodesic-equation residual along a shot curve, has no library
+counterpart: it is a test-only check of shot accuracy.
 """
 
 import math
@@ -104,12 +106,9 @@ def reference_shoot(conn, x0, v0, s_max, step, guards=None):
 
 
 def reference_geodesic_residual(conn, curve):
-    step = curve.uniform_step()
+    step = curve.s[1] - curve.s[0]
     pts = curve.points
-    if curve.velocities is not None:
-        vel = curve.velocities
-    else:
-        vel = np.gradient(pts, step, axis=0, edge_order=2)
+    vel = curve.velocities
     acc = (pts[:-2] - 2.0 * pts[1:-1] + pts[2:]) / (step * step)
     worst = 0.0
     for i in range(1, len(pts) - 1):
@@ -120,13 +119,9 @@ def reference_geodesic_residual(conn, curve):
 
 
 def reference_unit_speed_residual(metric, curve):
-    if curve.velocities is None:
-        vel = np.gradient(curve.points, curve.uniform_step(), axis=0, edge_order=2)
-    else:
-        vel = curve.velocities
     e = float(metric.e)
     worst = 0.0
-    for pt, v in zip(curve.points, vel):
+    for pt, v in zip(curve.points, curve.velocities):
         g = reference_at(metric, pt)
         worst = max(worst, abs(float(v @ g @ v) - e))
     return worst

@@ -2,7 +2,8 @@
 only ``ode`` names the source bank its marches read from, only
 ``grid_field`` names ``on_planes``, the one read of an input field,
 which only ``ExpressionField`` defines, every parameter a function
-takes is read, the config reader turns text into numbers only in
+takes is read, every definition is read by the package, the acceptance
+tests or the benchmark, every import is read, the config reader turns text into numbers only in
 ``_parse_int`` and ``_parse_float``, no function recurses, no code
 walks a parsed tree through its nodes' operands, and only ``expr``
 makes a FieldExpr or reads its code."""
@@ -111,6 +112,97 @@ def unread_parameters(path):
 def test_every_parameter_is_read(path):
     # a parameter no body reads is an option no caller can use
     assert list(unread_parameters(path)) == []
+
+
+SOURCES = [p for p in MODULES if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parent.parent
+# what a run, a report or the benchmark reads: the package's own modules,
+# the acceptance tests and the benchmark harness
+READERS = SOURCES + [ROOT / "tests" / "test_acceptance.py"] + sorted(ROOT.glob("perfbench/*.py"))
+
+
+def definitions(path):
+    """(line, name) of each module-level function and class, and each
+    public method, a module defines."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.lineno, item.name
+
+
+def loads(path):
+    """Every name a module's code reads, as a variable or as an attribute."""
+    for node in nodes(path):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def unreached(defining, reading):
+    """(module, line, name) for each definition in ``defining`` whose
+    name no module of ``reading`` loads; importing a name is not a read."""
+    read = {name for path in reading for name in loads(path)}
+    return [
+        (path.name, line, name)
+        for path in defining
+        for line, name in definitions(path)
+        if name not in read
+    ]
+
+
+def test_unreached_definitions_are_found(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text(
+        "def used():\n    return _helper()\n\n"
+        "def _helper():\n    return C().m()\n\n"
+        "def planted():\n    return 2\n\n"
+        "class C:\n    def m(self):\n        return self._hidden()\n"
+        "    def _hidden(self):\n        return 0\n"
+        "    def planted_method(self):\n        self.planted = 1\n"
+    )
+    user.write_text("from lib import planted, used\n\nused()\n")
+    assert unreached([lib], [lib, user]) == [
+        ("lib.py", 7, "planted"),
+        ("lib.py", 15, "planted_method"),
+    ]
+
+
+def test_every_public_definition_is_reached():
+    # a definition only other tests reach is surface no run, report or
+    # benchmark uses
+    assert unreached(SOURCES, READERS) == []
+
+
+def unread_imports(path):
+    """(line, name) for each name a module imports and never reads."""
+    tree = list(nodes(path))
+    read = {n.id for n in tree if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def test_unread_imports_are_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import csv\nimport os.path\nimport numpy as np\n"
+        "from .errors import GridTooCoarse, InvalidSpec\n\n"
+        "def f(x):\n    if os.path.exists(x):\n        raise InvalidSpec(np.pi)\n"
+    )
+    assert sorted(unread_imports(path)) == [(1, "csv"), (4, "GridTooCoarse")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    # __init__ imports to re-export; any other module imports to use
+    assert list(unread_imports(path)) == []
 
 
 def number_reads(path):

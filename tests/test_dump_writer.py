@@ -217,7 +217,7 @@ CURVES = {
 
 @pytest.mark.parametrize("s, points", CURVES.values(), ids=CURVES.keys())
 def test_curve_dump_matches_csv_writer(s, points, tmp_path):
-    curve = Curve(s=s, points=points)
+    curve = Curve(s=s, points=points, velocities=np.zeros_like(points))
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_curve_dump(got, curve)
     reference_curve_dump(want, curve)
