@@ -238,6 +238,20 @@ def test_parses_are_equal_exactly_when_their_trees_are(a, b, equal):
         assert list(map(_kind, first.code)) == list(map(_kind, second.code))
 
 
+class TestFormat:
+    def test_deep_tree_is_refused_at_parse(self):
+        # the text format holds at most MAX_DEPTH terms in one sum and
+        # MAX_DEPTH pending parentheses; one more is refused where it is read
+        assert ev("+".join(["x1"] * 900), (1.0,)) == 900.0
+        with pytest.raises(FieldSyntaxError, match="nested too deeply") as exc:
+            parse_field("+".join(["x1"] * 901), 1)
+        assert exc.value.position == 2702
+        assert ev("(" * 900 + "x1" + ")" * 900, (2.0,)) == 2.0
+        with pytest.raises(FieldSyntaxError, match="nested too deeply") as exc:
+            parse_field("(" * 901 + "x1" + ")" * 901, 1)
+        assert exc.value.position == 900
+
+
 class TestEval:
     def test_eval_field_on_broadcasts(self):
         expr = parse_field("x1 * x2", 2)

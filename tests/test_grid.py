@@ -386,6 +386,15 @@ class TestAsField:
         assert isinstance(f, ExpressionField)
         assert f.expr is expr and f.what == "a2"
 
+    @pytest.mark.parametrize("kind", ["parsed", "hypersurface"])
+    def test_field_objects_pass_through(self, kind):
+        # the expression object passes through, into a new field named ``what``
+        expr = parse_field("log(x2 - 2)", 2)
+        what = "gtilde(2, 2)" if kind == "hypersurface" else "a(2, 2)"
+        f = as_field(expr, 2, what, hypersurface=kind == "hypersurface")
+        assert isinstance(f, ExpressionField)
+        assert f.expr is expr and f.what == what
+
     @pytest.mark.parametrize(
         "value",
         [
