@@ -15,10 +15,10 @@ same value.
 
 Shot geodesics check the same properties along curves off the lattice
 lines.  Every read along them is one point query for many points: the
-shots of a check march as one K-node ``rk4_march`` that reads the
-connection at all K positions per stage, and ``unit_speed_residual``
-reads the metric along a whole shot curve at once.  Each keeps the bytes
-of reading its points one at a time.
+shots of a check march as one ``rk4_march`` of one-node groups that
+reads the connection at all live positions per stage, and
+``unit_speed_residual`` reads the metric along a whole shot curve at
+once.  Each keeps the bytes of reading its points one at a time.
 """
 
 import math
@@ -59,13 +59,13 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
     """Integrate the geodesic equation from (x0, v0) through the tube.
 
     ``x0`` and ``v0`` are one start, shaped (n,), or K starts, shaped
-    (n, K).  All shots are one K-node ``rk4_march`` of the first-order
-    system (x' = v, v' = -Gamma v v) for floor(s_max / step) steps, whose
-    right-hand side reads the connection at all K positions with one
-    query.  When a node stops (a stage leaves the tube or a guard trips),
-    the march is relaunched from the last accepted states without it;
-    the right-hand side does not read s and the nodes do not interact,
-    so every shot has the bits of marching it alone.
+    (n, K).  All shots are one ``rk4_march`` of the first-order system
+    (x' = v, v' = -Gamma v v) for floor(s_max / step) steps, each shot a
+    one-node group, whose right-hand side reads the connection at all
+    live positions with one query.  A shot that stops (a stage leaves
+    the tube or a guard trips) is dropped and the others march on; the
+    nodes do not interact, so every shot has the bits of marching it
+    alone.
 
     A shot whose geodesic escapes the tube stops with a LeftDomain that
     carries the partial curve as ``.curve``.  When an accepted step
@@ -94,7 +94,7 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
     if n_steps < 1:
         raise InvalidSpec("s_max admits no whole step")
 
-    def rhs(_s, state):
+    def rhs(_xs, state):
         pos, vel = state
         try:
             gam = conn.at(pos)
@@ -106,25 +106,9 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
         out[1] = -np.einsum("hijN,iN,jN->hN", gam, vel, vel)
         return out
 
-    # each node's trajectory pieces, and how its march ended
-    pieces = [[] for _ in range(state.shape[-1])]
-    stopped = [None] * len(pieces)
-    live = list(range(len(pieces)))
-    done = 0
-    skip = 0
-    while live:
-        march = rk4_march(rhs, done * step, step, n_steps - done, state, guards)
-        for col, node in enumerate(live):
-            pieces[node].append(march.states[skip:, ..., col])
-        if march.stopped is None:
-            break
-        col = march.stop_detail
-        stopped[live.pop(col)] = march.stopped
-        state = np.delete(march.states[-1], col, axis=-1)
-        done += march.steps_done
-        # a relaunch starts from states its nodes already hold
-        skip = 1
-    shots = [_shot_outcome(grid, np.concatenate(p), s, step) for p, s in zip(pieces, stopped)]
+    k = state.shape[-1]
+    marches = rk4_march(rhs, (step,) * k, (n_steps,) * k, state, guards)
+    shots = [_shot_outcome(grid, m.states[..., 0], m.stopped, step) for m in marches]
     if x0.ndim == 2:
         return shots
     curve, stop = shots[0]

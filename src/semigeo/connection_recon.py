@@ -21,16 +21,19 @@ Gamma^h_11 = 0 is held exactly (never integrated): the x1 lattice lines
 stay canonically parametrized geodesics.
 
 Both marches run from x1 = 0 toward each end of the tube with fixed-step
-RK4 over all transverse nodes in lockstep.  Stage 1 additionally records
-fourth-order-accurate values at the step midpoints and hands stage 2 one
-array, ``Stage1Solution.fine``, on the half-step x1 lattice of its
-reached grid.  Before its march, stage 2 pads that array with
+RK4 over all transverse nodes in lockstep, the two directions side by
+side as two node groups of one march.  Stage 1 additionally records
+fourth-order-accurate values at the step midpoints, with its h/2 steps
+as two more groups launched from the shared first stage, and hands
+stage 2 one array, ``Stage1Solution.fine``, on the half-step x1 lattice
+of its reached grid.  Before its march, stage 2 pads that array with
 Gamma^h_11 = 0, takes its transverse derivatives and forms the
-state-free product Gamma^1_i1 Gamma^h_1k once, so every RK4 stage reads
-Gamma^h_m1, d_k Gamma^h_i1 and that product at its exact x1 by index,
-without losing order.  Blow-up stops a direction and the reached extent
-is reported as delta_hat for that direction (the minimum over transverse
-nodes).  Each stage's ``ode.march_tube`` reads the sources A ahead of the
+state-free product Gamma^1_i1 Gamma^h_1k once, each folded so that
+entry j holds half steps +j and -j side by side on the node axis, so
+every RK4 stage of both directions reads Gamma^h_m1, d_k Gamma^h_i1 and
+that product at its exact x1 by one index, without losing order.
+Blow-up stops a direction and the reached extent is reported as
+delta_hat for that direction (the minimum over transverse nodes).  Each stage's ``ode.march_tube`` reads the sources A ahead of the
 march, in batched x1 chunks, from ``stage1_planes`` / ``stage2_planes``;
 stage 2 keys them by half step.
 """
@@ -149,12 +152,16 @@ def stage1_integrate(init, sources, spec, guards=None):
     init.validate(grid)
     state0 = init.stage1_state0(grid)
 
-    # Gamma^h_1m with Gamma^h_11 = 0, refilled from each stage state
-    p = np.zeros((grid.n, grid.n) + state0.shape[2:])
+    # Gamma^h_1m with Gamma^h_11 = 0 per node count, refilled from each
+    # stage state
+    pads = {}
 
-    def rhs(x, u, bank):
+    def rhs(xs, u, bank):
+        p = pads.get(u.shape[-1])
+        if p is None:
+            p = pads[u.shape[-1]] = np.zeros((grid.n, grid.n, u.shape[-1]))
         p[:, 1:] = u
-        return -np.einsum("qb...,aq...->ab...", u, p) + bank.plane(x)
+        return -np.einsum("qb...,aq...->ab...", u, p) + bank.planes_at(xs)
 
     plus, minus, rgrid, whole = march_tube(
         rhs, grid, state0, sources.stage1_planes, guards, record_half=True
@@ -195,26 +202,40 @@ def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross
         report = ReconstructionReport(STATUS_COMPLETE, 0.0, 0.0, float(np.max(np.abs(state0))))
         return TensorTube("gamma2", grid, tube_dense(state0[None], grid), (1, 2, 2)), report
     h1 = grid.spacing(1)
-    k0 = 2 * grid.zero_index
+    z = 2 * grid.zero_index
     fine = stage1.fine
-    # Gamma^h_m1 with Gamma^h_11 = 0, and d_k Gamma^h_i1, on every half step
-    p = np.concatenate([np.zeros_like(fine[:, :, :1]), fine], axis=2)
-    planes = fine.reshape(fine.shape[:3] + grid.transverse_shape)
+    nodes = fine.shape[-1]
+    # the directions that take steps; entry j of the folded arrays holds
+    # the half step of key +j, then that of key -j, side by side on the
+    # node axis (the shorter direction's side is zero past its end)
+    signs = [s for s, steps in ((1, len(fine) - 1 - z), (-1, z)) if steps]
+    # Gamma^h_m1 with Gamma^h_11 = 0 on every half step, folded
+    p = np.zeros((max(len(fine) - z, z + 1), n, n, len(signs) * nodes))
+    for d, s in enumerate(signs):
+        side = fine[z::s]
+        p[: len(side), :, 1:, d * nodes : (d + 1) * nodes] = side
+    u = p[:, :, 1:]
+    # d_k Gamma^h_i1 on the transverse lattice of each side
+    planes = u.reshape(u.shape[:3] + (len(signs),) + grid.transverse_shape)
     dk = np.stack([fd_transverse(planes, axis, grid) for axis in range(2, n + 1)], axis=3)
-    dk = dk.reshape(fine.shape[:3] + (n - 1, -1))
+    dk = dk.reshape(u.shape[:3] + (n - 1, -1))
     if not omit_quadratic_cross_term:
         # Gamma^m_i1 Gamma^h_mk with m = 1 is the only term free of the state
-        cross = np.einsum("zb...,zac...->zabc...", fine[:, 0], fine)
+        cross = np.einsum("zb...,zac...->zabc...", u[:, 0], u)
 
-    def rhs(x, w, bank):
-        key = _half_key(x, h1)
-        a2 = bank.plane(x, key)
-        i = key + k0
-        u = fine[i]
-        dw = -np.einsum("qbc...,aq...->abc...", w, p[i]) + dk[i] + a2
+    def rhs(xs, w, bank):
+        keys = [_half_key(x, h1) for x in xs]
+        a2 = bank.planes_at(xs, keys)
+        j = abs(keys[0])
+        # both directions, or the side a lone group's key is on
+        cols = slice(None)
+        if len(xs) < len(signs):
+            cols = slice(None, nodes) if keys[0] >= 0 else slice(nodes, None)
+        pj = p[j, ..., cols]
+        dw = -np.einsum("qbc...,aq...->abc...", w, pj) + dk[j, ..., cols] + a2
         if not omit_quadratic_cross_term:
-            dw = dw + cross[i]
-            dw = dw + np.einsum("qb...,aqc...->abc...", u[1:], w)
+            dw = dw + cross[j, ..., cols]
+            dw = dw + np.einsum("qb...,aqc...->abc...", pj[1:, 1:], w)
         return mirror_upper(dw, axis=1)
 
     # keyed by half step, each plane evaluated at the first x of its key

@@ -10,10 +10,13 @@ transverse block is marched in x1 with the coupled first-order system
 and the full metric is assembled with g_11 = e, g_1j = 0 held exactly.
 The system has no transverse coupling: every transverse node integrates
 independently, so runs at different transverse resolutions agree bitwise
-at shared nodes.  The sources a_ij do not depend on the march state, so
-``ode.march_tube`` evaluates ``MetricCurvatureSpec.planes`` ahead of the
-march in batched x1 chunks, and the right-hand side reads each plane
-only after its degeneracy check has passed.
+at shared nodes.  Both directions march side by side as two node groups
+of one march, and the right-hand side checks each node's determinant
+against that node's initial value in either group.  The sources a_ij
+do not depend on the march state, so ``ode.march_tube`` evaluates
+``MetricCurvatureSpec.planes`` ahead of the march in batched x1 chunks,
+and the right-hand side reads each group's plane only after its
+degeneracy check has passed.
 
 A direction stops, and its reached extent becomes delta_hat, when the
 transverse determinant at any node falls below ``degeneracy_tol`` times
@@ -135,17 +138,19 @@ def reconstruct_metric(init, sources, e, spec, guards=None, degeneracy_tol=None)
             f"initial transverse block is degenerate at flat node {node} "
             f"(det = {det0[node]:.3e})"
         )
-    sign0 = np.sign(det0)
-    floor = tol * np.abs(det0)
     state0 = np.stack([g0, G0])
+    # each node's determinant floor and sign, repeated for one or two node
+    # groups (a direction alone, or both side by side)
+    limits = {k: (np.tile(tol * np.abs(det0), k), np.tile(np.sign(det0), k)) for k in (1, 2)}
 
-    def rhs(x, state, bank):
+    def rhs(xs, state, bank):
         g, G = state[0], state[1]
         det = det_stack(g)
+        floor, sign0 = limits[len(xs)]
         bad = (np.abs(det) < floor) | (np.sign(det) * sign0 < 0)
         if np.any(bad):
             raise StateRejected("degenerate", int(np.argmax(bad)))
-        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * bank.plane(x)])
+        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * bank.planes_at(xs)])
 
     plus, minus, rgrid, whole = march_tube(rhs, grid, state0, sources.planes, guards)
     _relabel_collapse(plus, det0, tol)

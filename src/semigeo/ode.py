@@ -12,26 +12,29 @@ comes from guards instead of step adaptation:
   floor of 1) is treated as an unresolved pole and rejected.  The second
   condition keeps fast linear growth (constant slope) from triggering.
 
-The trailing axis of every state is its node axis.  Every lattice
-march in the package is one lockstep march: the state carries all
-transverse nodes on that axis, the right-hand side sees the whole node
-stack at each stage, and the guards reduce over the other (tensor) axes
-per node and trip on the first offending node.  The systems marched
-here have no transverse coupling, so the lockstep march is exactly a
-per-node march, stopped at the first step that any node rejects.  The
-geodesic shots of a chart check are one march too: the state is
-(position, velocity) with one node per shot, and when a node stops the
-shots relaunch the march from the last accepted states without it (the
-geodesic right-hand side does not read x, so nothing else changes).
+The trailing axis of every state is its node axis.  Every march in the
+package is one lockstep march: the state carries all its nodes on that
+axis, the right-hand side sees the whole node stack at each stage, and
+the guards reduce over the other (tensor) axes per node and trip on the
+first offending node.  The nodes are laid out in node groups of equal
+width, side by side, and each group has its own signed step and its own
+x: a tube march's two directions are its two groups (the transverse
+nodes stepping by +h1, then by -h1), and each geodesic shot of a chart
+check is a one-node group.  The systems marched here have no coupling
+between nodes, so the lockstep march is exactly a per-node march.  When
+a step of all groups stops, it is replayed one group at a time, so each
+group gets the stop reason and node of marching alone; a group that
+stops is dropped and the others march on.
 
 The right-hand side may also veto a stage by raising StateRejected, e.g.
 when a metric determinant crosses its degeneracy threshold; the marcher
-stops before completing that step.
+stops that group before completing that step.
 
 A march that records midpoints runs two RK4 steps from each (x, state),
 one of size h/2 and one of size h.  Their first stage is the same
-``rhs(x, state)``, so the march evaluates it once and hands it to both
-(``rk4_step``'s ``k1``): seven right-hand-side calls per step, not eight.
+``rhs(x, state)``, so the march evaluates it once and hands it to both,
+and the h/2 steps march as groups of their own beside the h steps: one
+``rk4_step`` and four right-hand-side calls per step of all groups.
 
 Both reconstructions march from x1 = 0 toward each end of the tube with
 ``march_tube``, relay the states as tensor tubes with ``tube_dense`` and
@@ -41,7 +44,8 @@ one ``SourceBank`` of each march, from the grid, midpoint recording and
 plane key it marches with.  The bank evaluates every source plane the
 march will read ahead of it, in batched x1 chunks at the exact x the
 right-hand side receives (``tube_xs``), and the right-hand side reads
-each plane with ``bank.plane(x)`` when it needs it.
+the planes of its groups' x with ``bank.planes_at(xs)`` when it needs
+them.
 """
 
 import bisect
@@ -138,26 +142,32 @@ def _stage_xs(x, h):
 
 
 def _step_starts(x0, h, n_steps):
-    """The x each of ``rk4_march``'s steps starts from, made as it is asked for."""
+    """The x each of a march's steps starts from, made as it is asked for."""
     return (x0 + i * h for i in range(n_steps))
 
 
-def rk4_step(rhs, x, h, state, guards, k1=None):
-    """One guarded RK4 step; returns (new_state or None, stop_reason, detail).
+def rk4_step(rhs, xs, hs, state, guards, k1=None):
+    """One guarded RK4 step of node groups; returns (new_state or None, stop_reason, detail).
 
-    The trailing axis of ``state`` is the node axis; ``detail`` is the
-    flat index of the first offending node.  The RHS is evaluated on
-    every stage state before that state is screened, so a semantic veto
-    from the RHS (StateRejected, e.g. a degenerate determinant) takes
-    precedence over the generic blow-up label for the same event.
-    Non-finite intermediates are tolerated and caught by the screens.
-    ``k1``, when given, is ``rhs(x, state)`` already evaluated.
+    The trailing axis of ``state`` holds len(xs) node groups of equal
+    width side by side; group g steps by hs[g] from xs[g], and the
+    right-hand side is called as ``rhs(stage_xs, stage_state)`` with one
+    x per group.  ``detail`` is the flat index of the first offending
+    node.  The RHS is evaluated on every stage state before that state
+    is screened, so a semantic veto from the RHS (StateRejected, e.g. a
+    degenerate determinant) takes precedence over the generic blow-up
+    label for the same event.  Non-finite intermediates are tolerated
+    and caught by the screens.  ``k1``, when given, is ``rhs(xs,
+    state)`` already evaluated.
     """
     thr = guards.blowup_threshold
-    _, x_mid, x_end = _stage_xs(x, h)
+    # one step for every node: the groups' steps, each repeated over its nodes
+    h = hs[0] if len(hs) == 1 else np.array(hs).repeat(state.shape[-1] // len(hs))
+    x_mid = tuple(x + 0.5 * hg for x, hg in zip(xs, hs))
+    x_end = tuple(x + hg for x, hg in zip(xs, hs))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if k1 is None:
-            k1 = rhs(x, state)
+            k1 = rhs(xs, state)
         s2 = state + (0.5 * h) * k1
         k2 = rhs(x_mid, s2)
         bad, node = _bad_nodes(s2, thr)
@@ -193,11 +203,113 @@ def rk4_step(rhs, x, h, state, guards, k1=None):
     return new, None, None
 
 
-def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False):
-    """March ``n_steps`` fixed steps of size h from (x0, state0).
+def _grouped_step(rhs, xs, hs, state, guards, record_half):
+    """Step i of every live group at once: (new, mid), or None if anything stops it.
 
-    The trailing axis of ``state0`` is the node axis (length 1 for a
-    single state, such as a lone geodesic shot).
+    With ``record_half`` the h/2 steps are groups of their own, side by
+    side in front of the h steps, all launched from the shared first
+    stage.
+    """
+    try:
+        if not record_half:
+            new, _, _ = rk4_step(rhs, xs, hs, state, guards)
+            return None if new is None else (new, None)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k1 = rhs(xs, state)
+        both, _, _ = rk4_step(
+            rhs,
+            xs + xs,
+            tuple(0.5 * h for h in hs) + hs,
+            np.concatenate([state, state], axis=-1),
+            guards,
+            np.concatenate([k1, k1], axis=-1),
+        )
+    except (StateRejected, SemigeoError):
+        return None
+    if both is None:
+        return None
+    width = state.shape[-1]
+    return both[..., width:], both[..., :width]
+
+
+def _replay(rhs, x, h, state, guards, record_half):
+    """One group's step alone, as a march of that group only takes it.
+
+    Returns (new, mid, stop reason, detail): the shared first stage, the
+    h/2 step when recording midpoints, then the h step.  A SemigeoError
+    from the right-hand side propagates.
+    """
+    mid = None
+    try:
+        k1 = None
+        if record_half:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                k1 = rhs((x,), state)
+            mid, stop, detail = rk4_step(rhs, (x,), (0.5 * h,), state, guards, k1)
+            if mid is None:
+                return None, None, stop, detail
+        new, stop, detail = rk4_step(rhs, (x,), (h,), state, guards, k1)
+    except StateRejected as err:
+        return None, None, err.reason, err.detail
+    return new, mid, stop, detail
+
+
+# A group's block of states starts with room for all its steps, or, if
+# that is more than BLOCK_ROWS rows and more than BLOCK_BYTES summed over
+# the groups, with the larger of the two: a march asked for far more
+# steps than it takes (a shot that leaves the tube at once) holds little,
+# and a tube march, whose steps are all taken unless it stops, fills its
+# blocks exactly.  A block that fills up doubles.
+BLOCK_ROWS = 2**12
+BLOCK_BYTES = 2**19
+
+
+class _Rows:
+    """One group's states (or midpoints), written row by row into one block."""
+
+    def __init__(self, shape, rows):
+        self._block = np.empty((max(rows, 1),) + shape)
+        self.count = 0
+
+    def add(self, row):
+        if self.count == len(self._block):
+            self._block = np.concatenate([self._block, np.empty_like(self._block)])
+        self._block[self.count] = row
+        self.count += 1
+
+    def last(self):
+        return self._block[self.count - 1]
+
+    def done(self):
+        """The rows written: the block itself when they fill it, else a copy."""
+        rows = self._block[: self.count]
+        return rows if self.count == len(self._block) else rows.copy()
+
+
+def _stacked(rows, live):
+    """The last states of the ``live`` groups, side by side."""
+    return np.concatenate([rows[g].last() for g in live], axis=-1) if live else None
+
+
+def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
+    """March node groups in lockstep from x = 0, each with its own step.
+
+    The trailing axis of ``state0`` holds len(hs) groups of equal width
+    side by side (a single state is one group of one node).  Group g
+    marches n_steps[g] steps of size hs[g]; its step i starts at
+    x = 0.0 + i * hs[g], and a group that stops or ends leaves the
+    others marching on with the same step index.  The right-hand side
+    is called as ``rhs(xs, state)`` with one x per group in ``state``.
+    Returns one MarchResult per group.
+
+    Each step of the live groups is one ``rk4_step``.  When it stops, or
+    its right-hand side raises, that step is replayed one group at a
+    time in group order (``_replay``), which gives each group the exact
+    stop reason and node of marching alone, and a group that stops is
+    dropped.  A SemigeoError from a group is held back while an earlier
+    group still marches, and raised once none does unless an earlier
+    group raises first: a march raises the error that marching its
+    groups one after another would raise.
 
     When ``record_half`` is set, each accepted step also launches one RK4
     step of size h/2 from the whole-step state to cache the midpoint
@@ -207,44 +319,69 @@ def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False):
     """
     guards = guards or GuardConfig()
     state = np.array(state0, dtype=np.float64)
-    states = [state]
-    halves = []
-    stopped = None
-    detail = None
-    done = 0
-    for x in _step_starts(x0, h, n_steps):
-        try:
-            k1 = None
+    width = state.shape[-1] // len(hs)
+    shape = state.shape[:-1] + (width,)
+    cap = max(BLOCK_ROWS, BLOCK_BYTES // state.nbytes)
+    rows = [_Rows(shape, min(n + 1, cap)) for n in n_steps]
+    mids = [_Rows(shape, min(n, cap)) if record_half else None for n in n_steps]
+    for g, group in enumerate(rows):
+        group.add(state[..., g * width : (g + 1) * width])
+    ends = [(None, None)] * len(hs)
+    held = None  # (group, SemigeoError) waiting for the earlier groups to end
+    live = list(range(len(hs)))
+    i = 0
+    # the live groups' steps, and the step index where the first of them ends
+    steps, end = (), 0
+    while True:
+        if i == end:
+            going = [g for g in live if i < n_steps[g]]
+            if going != live:
+                live = going
+                state = _stacked(rows, live)
+            if held is not None and not any(g < held[0] for g in live):
+                raise held[1]
+            if not live:
+                break
+            steps = tuple(hs[g] for g in live)
+            end = min(n_steps[g] for g in live)
+        # 0.0 + keeps the first x of a negative step +0.0
+        xs = tuple(0.0 + i * h for h in steps)
+        step = _grouped_step(rhs, xs, steps, state, guards, record_half)
+        i += 1
+        if step is not None:
+            new, mid = step
+            for j, g in enumerate(live):
+                rows[g].add(new[..., j * width : (j + 1) * width])
+                if record_half:
+                    mids[g].add(mid[..., j * width : (j + 1) * width])
+            state = np.ascontiguousarray(new)
+            continue
+        kept = []
+        for j, g in enumerate(live):
+            try:
+                new, mid, stop, detail = _replay(
+                    rhs, xs[j], hs[g], rows[g].last(), guards, record_half
+                )
+            except SemigeoError as err:
+                if not kept:
+                    raise
+                if held is None or g < held[0]:
+                    held = (g, err)
+                continue
+            if new is None:
+                ends[g] = (stop, detail)
+                continue
+            kept.append(g)
+            rows[g].add(new)
             if record_half:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    k1 = rhs(x, state)
-                mid, mid_stop, mid_detail = rk4_step(rhs, x, 0.5 * h, state, guards, k1)
-                if mid is None:
-                    stopped, detail = mid_stop or "blowup", mid_detail
-                    break
-            new, stopped, detail = rk4_step(rhs, x, h, state, guards, k1)
-        except StateRejected as stop:
-            stopped = stop.reason
-            detail = stop.detail
-            break
-        if new is None:
-            break
-        if record_half:
-            halves.append(mid)
-        states.append(new)
-        state = new
-        done += 1
-    if record_half:
-        half_states = np.array(halves) if halves else np.empty((0,) + state.shape)
-    else:
-        half_states = None
-    return MarchResult(
-        states=np.array(states),
-        half_states=half_states,
-        steps_done=done,
-        stopped=stopped,
-        stop_detail=detail,
-    )
+                mids[g].add(mid)
+        live = kept
+        state = _stacked(rows, live)
+        end = i
+    return [
+        MarchResult(r.done(), m.done() if record_half else None, r.count - 1, *end)
+        for r, m, end in zip(rows, mids, ends)
+    ]
 
 
 def _tube_marches(grid):
@@ -257,9 +394,12 @@ def _tube_marches(grid):
 def tube_xs(grid, record_half=False):
     """Every x ``march_tube`` on ``grid`` asks its right-hand side for.
 
-    In march order (plus, then minus), as if no step stops: the start,
-    middle and end x of each RK4 step, repeats included.  Built with the
-    march's own float arithmetic, so these are the exact x it will use.
+    The plus direction's, then the minus direction's, as if no step
+    stops: the start, middle and end x of each RK4 step, repeats
+    included.  The march asks for them with both directions in
+    lockstep, but this order sets the source bank's chunks.  Built with
+    the march's own float arithmetic, so these are the exact x it will
+    use.
     """
     xs = []
     for h, n_steps in _tube_marches(grid):
@@ -273,21 +413,37 @@ def tube_xs(grid, record_half=False):
 def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=None):
     """March ``state0`` from x1 = 0 to both ends of ``grid``, all nodes in lockstep.
 
-    The right-hand side is called as ``rhs(x, state, bank)``, where
+    The two directions are two node groups of one ``rk4_march``: the N
+    nodes of ``state0`` stepping by +h1, then the same nodes stepping
+    by -h1.  The right-hand side is called as ``rhs(xs, state, bank)``,
+    with one x per node group of ``state`` (see ``rk4_march``), where
     ``bank`` is the SourceBank of ``planes`` for this march, built with
-    the same ``record_half`` the march uses and the plane ``key``.
+    the same ``record_half`` the march uses and the plane ``key``.  A
+    one-node state marches its directions one after the other instead:
+    ``metric_recon._quadratic``'s three-operand einsum gives other bits
+    on two side-by-side nodes than on one.
     Returns (plus, minus, rgrid, whole): the two MarchResults, the grid
     restricted to the reached x1 samples, and the whole-step states
     stacked along ascending x1 (minus reversed, x1 = 0 once).
     """
     bank = SourceBank(planes, grid, record_half, key)
 
-    def bank_rhs(x, state):
-        return rhs(x, state, bank)
+    def bank_rhs(xs, state):
+        return rhs(xs, state, bank)
 
     (h_plus, steps_plus), (h_minus, steps_minus) = _tube_marches(grid)
-    plus = rk4_march(bank_rhs, 0.0, h_plus, steps_plus, state0, guards, record_half)
-    minus = rk4_march(bank_rhs, 0.0, h_minus, steps_minus, state0, guards, record_half)
+    if state0.shape[-1] > 1:
+        plus, minus = rk4_march(
+            bank_rhs,
+            (h_plus, h_minus),
+            (steps_plus, steps_minus),
+            np.concatenate([state0, state0], axis=-1),
+            guards,
+            record_half,
+        )
+    else:
+        (plus,) = rk4_march(bank_rhs, (h_plus,), (steps_plus,), state0, guards, record_half)
+        (minus,) = rk4_march(bank_rhs, (h_minus,), (steps_minus,), state0, guards, record_half)
     rgrid = grid.restrict_x1(steps_minus - minus.steps_done, steps_minus + plus.steps_done)
     whole = np.concatenate([minus.states[:0:-1], plus.states], axis=0)
     return plus, minus, rgrid, whole
@@ -360,6 +516,14 @@ class SourceBank:
             held = self._fill(i)
         chunk, lo = held
         return chunk[i - lo]
+
+    def planes_at(self, xs, keys=None):
+        """The planes of the x of each node group, side by side on the node axis.
+
+        ``keys``, when given, are ``key(x)`` of each x already computed.
+        """
+        planes = [self.plane(x, k) for x, k in zip(xs, keys or (None,) * len(xs))]
+        return planes[0] if len(planes) == 1 else np.concatenate(planes, axis=-1)
 
     def _miss(self, key, x):
         plane = self._missed.get(key)

@@ -19,7 +19,9 @@ import numpy as np
 from semigeo.chart_check import Curve
 from semigeo.errors import LeftDomain, OutOfDomain
 from semigeo.linalg import mirror_upper
-from semigeo.ode import StateRejected, rk4_march
+from semigeo.ode import StateRejected
+
+from _replaced_march import rk4_march
 
 
 def reference_in_range(coords, x):

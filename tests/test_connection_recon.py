@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import _oracles as orc
+from _replaced_march import march_tube
 from semigeo.connection_recon import (
     ConnectionCurvatureSpec,
     HypersurfaceConnectionData,
@@ -15,7 +16,7 @@ from semigeo.connection_recon import (
 from semigeo.errors import InvalidInit, InvalidSpec
 from semigeo.grid_field import ChartSpec, TensorTube, build_grid, fd_transverse
 from semigeo.linalg import mirror_upper
-from semigeo.ode import GuardConfig, march_report, march_tube, tube_dense
+from semigeo.ode import GuardConfig, march_report, tube_dense
 
 
 def sphere_inputs():
@@ -166,10 +167,11 @@ class TestStages:
 def reference_stages(init, sources, spec, guards2):
     """Both stages as they were before their products were hoisted.
 
-    Stage 1 pads its state with Gamma^h_11 = 0 by a concatenate in every
-    rhs call; stage 2, marched with ``guards2``, evaluates its state-free
-    cross term there too.  Returns (stage-1 fine array, gamma2 dense
-    array, stage-2 report).
+    Each march runs one direction after the other
+    (``_replaced_march.march_tube``).  Stage 1 pads its state with
+    Gamma^h_11 = 0 by a concatenate in every rhs call; stage 2, marched
+    with ``guards2``, evaluates its state-free cross term there too.
+    Returns (stage-1 fine array, gamma2 dense array, stage-2 report).
     """
     grid = build_grid(spec)
 

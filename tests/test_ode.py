@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+import _replaced_march as replaced
+from semigeo import ode
+from semigeo.cli import main
 from semigeo.errors import EvalError
-from semigeo.grid_field import ChartSpec, build_grid
+from semigeo.grid_field import ChartSpec, TubeGrid, build_grid
+from semigeo.linalg import det_stack, inv_sym, mirror_upper
+from semigeo.metric_recon import _quadratic
 from semigeo.ode import (
     GuardConfig,
     StateRejected,
@@ -12,8 +17,19 @@ from semigeo.ode import (
 )
 
 
+def march(rhs, h, n_steps, state0, **options):
+    """A one-group march from x = 0, calling ``rhs(x, state)`` on each node group."""
+
+    def grouped(xs, state):
+        parts = np.split(state, len(xs), axis=-1)
+        return np.concatenate([rhs(x, part) for x, part in zip(xs, parts)], axis=-1)
+
+    (res,) = rk4_march(grouped, (h,), (n_steps,), state0, **options)
+    return res
+
+
 def march_exp(h, n_steps):
-    return rk4_march(lambda x, s: s, 0.0, h, n_steps, np.array([1.0]))
+    return march(lambda x, s: s, h, n_steps, np.array([1.0]))
 
 
 class TestAccuracy:
@@ -28,7 +44,7 @@ class TestAccuracy:
 
     def test_exact_on_quartic_rhs(self):
         # x-only rhs integrates the quartic exactly up to roundoff
-        res = rk4_march(lambda x, s: np.array([4.0 * x**3]), 0.0, 0.125, 8, np.array([0.0]))
+        res = march(lambda x, s: np.array([4.0 * x**3]), 0.125, 8, np.array([0.0]))
         assert res.states[-1, 0] == pytest.approx(1.0, abs=1e-14)
         assert res.stopped is None
         assert res.steps_done == 8
@@ -47,9 +63,8 @@ class TestAccuracy:
     def test_half_states_are_fourth_order(self, lam):
         errs = []
         for n in (10, 20):
-            res = rk4_march(
+            res = march(
                 lambda x, s: lam * s,
-                0.0,
                 1.0 / n,
                 n,
                 np.ones(lam.size),
@@ -64,14 +79,14 @@ class TestAccuracy:
         assert march_exp(0.1, 5).half_states is None
 
     def test_negative_step_marches_left(self):
-        res = rk4_march(lambda x, s: s, 0.0, -0.1, 10, np.array([1.0]))
+        res = march(lambda x, s: s, -0.1, 10, np.array([1.0]))
         assert res.states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 class TestGuards:
     def test_threshold_stop(self):
         guards = GuardConfig(blowup_threshold=100.0)
-        res = rk4_march(lambda x, s: s, 0.0, 0.5, 100, np.array([1.0]), guards=guards)
+        res = march(lambda x, s: s, 0.5, 100, np.array([1.0]), guards=guards)
         assert res.stopped == "blowup"
         # a single state is a one-node march, so the offending node is 0
         assert res.stop_detail == 0
@@ -83,14 +98,14 @@ class TestGuards:
         # u' = u^2 blows up at x = 1; the growth guard must stop the march
         # while the state is still modest, long before the huge threshold
         guards = GuardConfig(blowup_threshold=1e300)
-        res = rk4_march(lambda x, s: s**2, 0.0, 0.05, 100, np.array([1.0]), guards=guards)
+        res = march(lambda x, s: s**2, 0.05, 100, np.array([1.0]), guards=guards)
         assert res.stopped == "blowup"
         assert np.max(np.abs(res.states)) < 1e4
         assert res.steps_done * 0.05 <= 1.1
 
     def test_fast_linear_growth_not_a_pole(self):
         # huge constant slope trips the growth test but not the slope ratio
-        res = rk4_march(lambda x, s: np.array([1000.0]), 0.0, 1.0, 10, np.array([0.0]))
+        res = march(lambda x, s: np.array([1000.0]), 1.0, 10, np.array([0.0]))
         assert res.stopped is None
         assert res.steps_done == 10
         assert res.states[-1, 0] == pytest.approx(10000.0)
@@ -99,7 +114,7 @@ class TestGuards:
         def rhs(x, s):
             return np.where(x > 0.3, np.inf, 1.0) * np.ones_like(s)
 
-        res = rk4_march(rhs, 0.0, 0.2, 5, np.array([0.0]))
+        res = march(rhs, 0.2, 5, np.array([0.0]))
         assert res.stopped == "blowup"
         assert np.all(np.isfinite(res.states))
 
@@ -109,7 +124,7 @@ class TestGuards:
                 raise StateRejected("degenerate", 7)
             return s
 
-        res = rk4_march(rhs, 0.0, 0.5, 20, np.array([1.0]))
+        res = march(rhs, 0.5, 20, np.array([1.0]))
         assert res.stopped == "degenerate"
         assert res.stop_detail == 7
         assert np.max(res.states) <= 5.0
@@ -122,20 +137,20 @@ class TestGuards:
             return s
 
         guards = GuardConfig(blowup_threshold=5.0)
-        res = rk4_march(rhs, 0.0, 1.0, 10, np.array([4.0]), guards=guards)
+        res = march(rhs, 1.0, 10, np.array([4.0]), guards=guards)
         assert res.stopped == "custom"
 
     def test_single_step_reports_stage_blowup(self):
         guards = GuardConfig(blowup_threshold=10.0)
         new, reason, detail = rk4_step(
-            lambda x, s: np.array([100.0]), 0.0, 1.0, np.array([0.0]), guards
+            lambda xs, s: np.array([100.0]), (0.0,), (1.0,), np.array([0.0]), guards
         )
         assert new is None
         assert reason == "blowup"
 
     def test_single_step_success_returns_state(self):
         new, reason, detail = rk4_step(
-            lambda x, s: s, 0.0, 0.1, np.array([1.0]), GuardConfig()
+            lambda xs, s: s, (0.0,), (0.1,), np.array([1.0]), GuardConfig()
         )
         assert reason is None and detail is None
         assert new[0] == pytest.approx(np.exp(0.1), abs=1e-7)
@@ -146,7 +161,7 @@ class TestNodeAxis:
         # node 3 has the fastest pole; detail is its flat index
         u0 = np.full(8, 0.1)
         u0[3] = 0.9
-        res = rk4_march(lambda x, s: s**2, 0.0, 0.05, 400, u0)
+        res = march(lambda x, s: s**2, 0.05, 400, u0)
         assert res.stopped == "blowup"
         assert res.stop_detail == 3
         assert res.states.shape == (res.steps_done + 1, 8)
@@ -159,7 +174,7 @@ class TestNodeAxis:
             return out
 
         u0 = np.array([500.0, 0.9])
-        res = rk4_march(rhs, 0.0, 0.05, 400, u0)
+        res = march(rhs, 0.05, 400, u0)
         assert res.stopped == "blowup"
         assert res.stop_detail == 1
 
@@ -168,7 +183,7 @@ class TestNodeAxis:
         # off-diagonal slot of node 5, and the detail names that node
         u0 = np.full((2, 2, 7), 0.1)
         u0[0, 1, 5] = 0.9
-        res = rk4_march(lambda x, s: s**2, 0.0, 0.05, 400, u0)
+        res = march(lambda x, s: s**2, 0.05, 400, u0)
         assert res.stopped == "blowup"
         assert res.stop_detail == 5
         assert res.states.shape == (res.steps_done + 1, 2, 2, 7)
@@ -185,7 +200,7 @@ class TestNodeAxis:
                 raise StateRejected("degenerate", int(np.argmax(over)))
             return grow * s
 
-        res = rk4_march(rhs, 0.0, 0.5, 50, np.ones(9))
+        res = march(rhs, 0.5, 50, np.ones(9))
         assert res.stopped == "degenerate"
         assert res.stop_detail == 7
         assert res.states.shape == (res.steps_done + 1, 9)
@@ -209,7 +224,9 @@ def test_screen_reports_first_bad_node(entries, node):
     state = np.full((2, 8), 0.5)
     for k, v in entries.items():
         state[1, k] = v
-    new, reason, detail = rk4_step(lambda x, s: np.zeros_like(s), 0.0, 0.1, state, GuardConfig())
+    new, reason, detail = rk4_step(
+        lambda xs, s: np.zeros_like(s), (0.0,), (0.1,), state, GuardConfig()
+    )
     if node is None:
         assert reason is None and np.array_equal(new, state)
     else:
@@ -231,10 +248,10 @@ def reference_record_half_march(rhs, x0, h, n_steps, state0):
     for i in range(n_steps):
         x = x0 + i * h
         try:
-            mid, stopped, detail = rk4_step(rhs, x, 0.5 * h, state, guards)
+            mid, stopped, detail = replaced.rk4_step(rhs, x, 0.5 * h, state, guards)
             if mid is None:
                 return np.array(states), np.array(halves), stopped or "blowup", detail
-            new, stopped, detail = rk4_step(rhs, x, h, state, guards)
+            new, stopped, detail = replaced.rk4_step(rhs, x, h, state, guards)
         except StateRejected as stop:
             return np.array(states), np.array(halves), stop.reason, stop.detail
         if new is None:
@@ -267,7 +284,7 @@ SHARED_K1 = {
 @pytest.mark.parametrize("rhs, h, n_steps, stopped, done", SHARED_K1.values(), ids=SHARED_K1.keys())
 def test_record_half_shares_k1_bit_for_bit(rhs, h, n_steps, stopped, done):
     state0 = np.linspace(0.2, 0.9, 10).reshape(2, 5)
-    got = rk4_march(rhs, 0.0, h, n_steps, state0, record_half=True)
+    got = march(rhs, h, n_steps, state0, record_half=True)
     states, halves, want_stop, want_detail = reference_record_half_march(
         rhs, 0.0, h, n_steps, state0
     )
@@ -298,10 +315,10 @@ def test_march_tube_veto_outranks_a_failing_source():
             raise EvalError("source undefined")
         return tube_planes(xs, grid)
 
-    def rhs(x, state, bank):
-        if abs(x) > 0.04:
+    def rhs(xs, state, bank):
+        if any(abs(x) > 0.04 for x in xs):
             raise StateRejected("degenerate", 2)
-        return bank.plane(x)
+        return bank.planes_at(xs)
 
     plus, minus, rgrid, _ = march_tube(rhs, TUBE, np.zeros((1, 3)), planes)
     assert plus.stopped == minus.stopped == "degenerate"
@@ -328,15 +345,26 @@ MARCHES = {
 
 
 @pytest.mark.parametrize("record_half, key, planes", MARCHES.values(), ids=MARCHES.keys())
-def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes):
+def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypatch):
     read = []
+    groups = []
     banks = set()
+    steps = []
+    step = ode.rk4_step
 
-    def rhs(x, state, bank):
+    def counted(*args, **kwargs):
+        steps.append(args[2])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "rk4_step", counted)
+
+    def rhs(xs, state, bank):
         banks.add(bank)
-        plane = bank.plane(x)
-        read.append((x, plane))
-        return plane
+        groups.append(len(xs))
+        got = bank.planes_at(xs)
+        assert state.shape == got.shape == (1, 3 * len(xs))
+        read.extend(zip(xs, np.split(got, len(xs), axis=-1)))
+        return got
 
     plus, minus, _, whole = march_tube(
         rhs, TUBE, np.zeros((1, 3)), planes, record_half=record_half, key=key
@@ -347,6 +375,294 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes):
     # one bank serves both directions, and it planned every x asked
     (bank,) = banks
     assert bank.misses == 0
+    # one rk4_step and four rhs calls per step of the 20-step plus side;
+    # the minus side's 10 steps ride along with its first 10
+    h = TUBE.spacing(1)
+    if record_half:
+        assert steps == [(0.5 * h, -0.5 * h, h, -h)] * 10 + [(0.5 * h, h)] * 10
+        assert groups == [2, 4, 4, 4] * 10 + [1, 2, 2, 2] * 10
+    else:
+        assert steps == [(h, -h)] * 10 + [(h,)] * 10
+        assert groups == [2, 2, 2, 2] * 10 + [1, 1, 1, 1] * 10
     assert len(read) == (7 if record_half else 4) * (TUBE.shape[0] - 1)
     for x, plane in read:
         assert np.array_equal(plane, planes(np.array([x]), TUBE)[0])
+
+
+# ---------------------------------- grouped march against the sequential one
+#
+# ``_replaced_march.march_tube`` marches plus to its end and then minus,
+# one x per right-hand-side call.  The grouped march must give every
+# direction the bytes, the stop reason and the stop node of that march,
+# for the right-hand sides of stage 1 (recording midpoints), stage 2
+# (keyed by half step) and the metric, whatever the node count.  Each
+# rhs below is one body run on a single group (the sequential march) or
+# on groups side by side (the grouped one), and can be told to stop.
+
+H = 0.01
+
+
+def node_tube(n, N, lo, hi):
+    """A tube with N transverse nodes, axis 2 holding them all."""
+    chart = ChartSpec(n=n, x1_range=(lo, hi), h1=H, transverse_res=3)
+    axes = (np.linspace(0.0, 1.0, N),) + (np.array([0.5]),) * (n - 2)
+    return TubeGrid(chart, build_grid(chart).x1_samples, axes)
+
+
+def quarter(i, h):
+    """The x of the middle stages of step i's h/2 step, as the march makes it."""
+    return (0.0 + i * h) + 0.5 * (0.5 * h)
+
+
+class Stops:
+    """Stops planted in a right-hand side, each by x and node.
+
+    ``blowup``: (x, node) - past x the node's slope jumps to 1e9, so the
+    next stage state blows up there.  ``reject``: (x, node) - below x
+    the rhs raises StateRejected naming that node's flat index.  A node
+    of -1 is the last of its group.
+    ``veto``: x - at exactly this x the rhs raises StateRejected.
+    ``error``: (x above, x below) - an EvalError past either.
+    """
+
+    def __init__(self, blowup=None, reject=None, veto=None, error=(None, None)):
+        self.blowup, self.reject, self.veto, self.error = blowup, reject, veto, error
+
+    def check(self, xs, width):
+        above, below = self.error
+        for j, x in enumerate(xs):
+            if above is not None and x > above:
+                raise EvalError(f"plus source undefined at x1 = {x!r}")
+            if below is not None and x < below:
+                raise EvalError(f"minus source undefined at x1 = {x!r}")
+            if self.reject is not None and x < self.reject[0]:
+                raise StateRejected("degenerate", j * width + self.reject[1] % width)
+            if x == self.veto:
+                raise StateRejected("vetoed", j * width)
+
+    def kick(self, xs, out):
+        if self.blowup is not None:
+            x_b, node = self.blowup
+            width = out.shape[-1] // len(xs)
+            for j, x in enumerate(xs):
+                if x > x_b:
+                    out[..., j * width + node % width] += 1e9
+        return out
+
+
+def system(name, n, N, rng):
+    """(body, state0, planes, record_half, key) of one system on N nodes.
+
+    ``body(xs, state, planes)`` is the system's rhs on len(xs) groups of
+    N nodes, ``planes`` their sources side by side.
+    """
+    k = n - 1
+    node_values = rng.uniform(-1.0, 1.0, (k, k, N))
+
+    def planes(xs, grid):
+        shape = {"stage1": (n, k), "stage2": (n, k, k), "metric": (k, k)}[name]
+        base = np.resize(node_values, shape + (N,))
+        if name == "metric":
+            base = base + np.swapaxes(base, 0, 1)
+        return 0.3 * np.cos(3.0 * xs)[(slice(None),) + (None,) * len(shape) + (None,)] * base
+
+    if name == "stage1":
+
+        def body(xs, u, planes):
+            p = np.zeros((n, n, u.shape[-1]))
+            p[:, 1:] = u
+            return -np.einsum("qb...,aq...->ab...", u, p) + planes
+
+        return body, rng.uniform(-0.5, 0.5, (n, k, N)), planes, True, None
+    if name == "stage2":
+        # per half-step key, the stage-1 values stage 2 reads
+        const = {}
+
+        def at(key):
+            if key not in const:
+                r = np.random.default_rng(abs(key) * 2 + (key < 0))
+                u = r.uniform(-0.5, 0.5, (n, k, N))
+                const[key] = (
+                    np.concatenate([np.zeros((n, 1, N)), u], axis=1),
+                    r.uniform(-0.5, 0.5, (n, k, k, N)),
+                    np.einsum("b...,ac...->abc...", u[0], u),
+                    u,
+                )
+            return const[key]
+
+        def body(xs, w, planes):
+            per_group = zip(*(at(half_key(x)) for x in xs))
+            p, dk, cross, u = (np.concatenate(c, axis=-1) for c in per_group)
+            dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk + planes
+            dw = dw + cross
+            dw = dw + np.einsum("qb...,aqc...->abc...", u[1:], w)
+            return mirror_upper(dw, axis=1)
+
+        w0 = mirror_upper(rng.uniform(-0.5, 0.5, (n, k, k, N)), axis=1)
+        return body, w0, planes, False, half_key
+    a = rng.uniform(-0.3, 0.3, (k, k, N))
+    g0 = np.eye(k)[..., None] + 0.5 * (a + np.swapaxes(a, 0, 1))
+    G0 = mirror_upper(rng.uniform(-0.5, 0.5, (k, k, N)))
+    det0 = det_stack(g0)
+
+    def body(xs, state, planes):
+        g, G = state[0], state[1]
+        det = det_stack(g)
+        floor = np.tile(1e-10 * np.abs(det0), len(xs))
+        bad = (np.abs(det) < floor) | (np.sign(det) * np.tile(np.sign(det0), len(xs)) < 0)
+        if np.any(bad):
+            raise StateRejected("degenerate", int(np.argmax(bad)))
+        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * planes])
+
+    return body, np.stack([g0, G0]), planes, False, None
+
+
+def both_marches(name, n, N, lo, hi, stops, seed):
+    """(grouped, sequential) march_tube outcomes, each (plus, minus, rgrid, whole) or an error."""
+    grid = node_tube(n, N, lo, hi)
+    body, state0, planes, record_half, key = system(name, n, N, np.random.default_rng(seed))
+
+    def grouped(xs, state, bank):
+        stops.check(xs, N)
+        return stops.kick(xs, body(xs, state, bank.planes_at(xs)))
+
+    def sequential(x, state, bank):
+        stops.check((x,), N)
+        return stops.kick((x,), body((x,), state, bank.plane(x)))
+
+    outcomes = []
+    for march, rhs in ((march_tube, grouped), (replaced.march_tube, sequential)):
+        try:
+            outcomes.append(march(rhs, grid, state0, planes, None, record_half, key))
+        except EvalError as err:
+            outcomes.append(err)
+    return outcomes
+
+
+def assert_same(got, want):
+    *marches, rgrid, whole = got
+    *ref, ref_grid, ref_whole = want
+    for march, expected in zip(marches, ref):
+        assert (march.stopped, march.stop_detail, march.steps_done) == (
+            expected.stopped,
+            expected.stop_detail,
+            expected.steps_done,
+        )
+        assert march.states.shape == expected.states.shape
+        assert march.states.tobytes() == expected.states.tobytes()
+        if expected.half_states is None:
+            assert march.half_states is None
+        else:
+            assert march.half_states.shape == expected.half_states.shape
+            assert march.half_states.tobytes() == expected.half_states.tobytes()
+    assert np.array_equal(rgrid.x1_samples, ref_grid.x1_samples)
+    assert whole.tobytes() == ref_whole.tobytes()
+
+
+SYSTEMS = ("stage1", "stage2", "metric")
+
+# (x1 range, Stops) per case; steps are 0.01, and every stop lands on a
+# chosen step and node (node -1 is the last)
+CASES = {
+    "complete": ((-0.05, 0.05), Stops()),
+    "blowup-plus": ((-0.05, 0.05), Stops(blowup=(0.023, -1))),
+    "reject-minus": ((-0.05, 0.05), Stops(reject=(-0.033, 0))),
+    "both-same-step": ((-0.05, 0.05), Stops(blowup=(0.023, 0), reject=(-0.023, -1))),
+    "both-different-steps": ((-0.05, 0.05), Stops(blowup=(0.013, -1), reject=(-0.033, 0))),
+    "asymmetric": ((-0.02, 0.06), Stops()),
+    "asymmetric-stopped": ((-0.06, 0.02), Stops(blowup=(0.003, 0))),
+    "no-minus-steps": ((0.0, 0.05), Stops(blowup=(0.033, -1))),
+}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("lohi, stops", CASES.values(), ids=CASES.keys())
+def test_grouped_march_matches_the_sequential_one(name, lohi, stops):
+    rng = np.random.default_rng([SYSTEMS.index(name), list(CASES.values()).index((lohi, stops))])
+    for n in (2, 3, 4):
+        for N in range(1, 26):
+            got, want = both_marches(name, n, N, *lohi, stops, int(rng.integers(2**31)))
+            assert_same(got, want)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_planted_stops_land_where_chosen(name):
+    # the cases above stop where they say, so they test the stops
+    _, want = both_marches(name, 3, 5, -0.05, 0.05, CASES["both-different-steps"][1], 7)
+    plus, minus = want[:2]
+    assert (plus.stopped, plus.stop_detail, plus.steps_done) == ("blowup", 4, 1)
+    assert (minus.stopped, minus.stop_detail, minus.steps_done) == ("degenerate", 0, 3)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 25])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_half_step_only_rejection_matches(n, N):
+    # the x of the h/2 step's middle stages is asked by no h step, so
+    # only the half step of step 2 on the minus side is vetoed
+    stops = Stops(veto=quarter(2, -node_tube(n, N, -0.05, 0.05).spacing(1)))
+    got, want = both_marches("stage1", n, N, -0.05, 0.05, stops, n * 100 + N)
+    assert_same(got, want)
+    plus, minus = want[:2]
+    assert plus.stopped is None
+    assert (minus.stopped, minus.stop_detail, minus.steps_done) == ("vetoed", 0, 2)
+
+
+def test_one_node_tube_keeps_its_bits_unfused(monkeypatch):
+    # _quadratic's three-operand einsum gives other bits for one node
+    # than for two side by side, so a one-node tube is not fused
+    rng = np.random.default_rng(1)
+    changed = 0
+    for _ in range(20):
+        a, b = rng.uniform(-1.0, 1.0, (2, 2, 2, 1))
+        g = np.eye(2)[..., None] + 0.3 * (a + np.swapaxes(a, 0, 1))
+        G = b + np.swapaxes(b, 0, 1)
+        alone = _quadratic(inv_sym(g), G)
+        fused = _quadratic(inv_sym(np.concatenate([g, g], -1)), np.concatenate([G, G], -1))
+        changed += alone.tobytes() != fused[..., :1].tobytes()
+    assert changed > 0
+    calls = []
+    march = ode.rk4_march
+
+    def recorded(rhs, hs, *args, **kwargs):
+        calls.append(hs)
+        return march(rhs, hs, *args, **kwargs)
+
+    monkeypatch.setattr(ode, "rk4_march", recorded)
+    got, want = both_marches("metric", 2, 1, -0.05, 0.05, Stops(), 3)
+    assert_same(got, want)
+    h = node_tube(2, 1, -0.05, 0.05).spacing(1)
+    assert calls == [(h,), (-h,)]
+
+
+# ---------------------------------------------------- errors between directions
+
+ERRORS = {
+    # (error stops, blow-up stop, whose message)
+    "plus-wins-over-an-earlier-minus": ((0.033, -0.013), None, "plus"),
+    "minus-only": ((None, -0.023), None, "minus"),
+    "plus-blows-up-then-minus-raises": ((None, -0.033), (0.013, 0), "minus"),
+}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("error, blowup, winner", ERRORS.values(), ids=ERRORS.keys())
+def test_error_order_between_directions(name, error, blowup, winner):
+    got, want = both_marches(name, 2, 4, -0.05, 0.05, Stops(blowup=blowup, error=error), 11)
+    assert isinstance(got, EvalError) and isinstance(want, EvalError)
+    assert str(got) == str(want)
+    assert str(got).startswith(winner)
+
+
+def test_minus_error_after_a_plus_blowup_exits_two(tmp_path, capsys):
+    # plus blows up at x1 = pi/2; the minus source is undefined below
+    # x1 = -0.5, which the minus march reaches first, step for step
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[chart]\nn = 2\nx1_min = -1.0\nx1_max = 2.0\nh1 = 0.01\n"
+        "transverse_res = 3\ntransverse_box = 0.0, 1.0\n"
+        '[fields]\nA.2.1.2 = "-1"\nA.1.1.2 = "0*sqrt(x1 + 0.5)"\n'
+    )
+    code = main(["reconstruct-connection", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: A(1, 1, 2) at x1 = -0.5000000000000004: sqrt of a negative value" in err
