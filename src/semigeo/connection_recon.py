@@ -29,9 +29,11 @@ stage 2 one array, ``Stage1Solution.fine``, on the half-step x1 lattice
 of its reached grid.  Before its march, stage 2 pads that array with
 Gamma^h_11 = 0, takes its transverse derivatives and forms the
 state-free product Gamma^1_i1 Gamma^h_1k once, each folded so that
-entry j holds half steps +j and -j side by side on the node axis, so
-every RK4 stage of both directions reads Gamma^h_m1, d_k Gamma^h_i1 and
-that product at its exact x1 by one index, without losing order.
+entry j holds half steps +j and -j side by side on the node axis (past
+the shorter direction's end, the longer one's half steps are kept
+alone), so every RK4 stage of both directions reads Gamma^h_m1,
+d_k Gamma^h_i1 and that product at its exact x1 by one index, without
+losing order.
 Blow-up stops a direction and the reached extent is reported as
 delta_hat for that direction (the minimum over transverse nodes).  Each stage's ``ode.march_tube`` reads the sources A ahead of the
 march, in batched x1 chunks, from ``stage1_planes`` / ``stage2_planes``;
@@ -175,6 +177,29 @@ def stage1_integrate(init, sources, spec, guards=None):
 # ----------------------------------------------------------------- stage 2
 
 
+def _stage2_terms(sides, grid, cross_term):
+    """Stage 2's state-free terms on the half steps of ``sides``, side by side.
+
+    Each side holds Gamma^h_1k (k >= 2) on the same number of half steps,
+    shaped (J, n, n-1, N).  Returns Gamma^h_m1 with Gamma^h_11 = 0,
+    d_k Gamma^h_i1 and, with ``cross_term``, Gamma^1_i1 Gamma^h_1k (else
+    None), each with the sides' nodes side by side on its node axis.
+    """
+    n = grid.n
+    nodes = sides[0].shape[-1]
+    p = np.zeros((len(sides[0]), n, n, len(sides) * nodes))
+    for d, side in enumerate(sides):
+        p[:, :, 1:, d * nodes : (d + 1) * nodes] = side
+    u = p[:, :, 1:]
+    # d_k Gamma^h_i1 on the transverse lattice of each side
+    planes = u.reshape(u.shape[:3] + (len(sides),) + grid.transverse_shape)
+    dk = np.stack([fd_transverse(planes, axis, grid) for axis in range(2, n + 1)], axis=3)
+    dk = dk.reshape(u.shape[:3] + (n - 1, -1))
+    # Gamma^m_i1 Gamma^h_mk with m = 1 is the only term free of the state
+    cross = np.einsum("zb...,zac...->zabc...", u[:, 0], u) if cross_term else None
+    return p, dk, cross
+
+
 def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross_term=False):
     """March the transverse components Gamma^h_ik (i, k >= 2).
 
@@ -194,7 +219,6 @@ def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross
             "stage1_integrate (midpoint values missing)"
         )
     grid = stage1.grid
-    n = grid.n
     state0 = init.stage2_state0(grid)
     if grid.shape[0] == 1:
         # stage 1 stopped within its first step both ways: stage 2 holds the
@@ -205,32 +229,29 @@ def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross
     z = 2 * grid.zero_index
     fine = stage1.fine
     nodes = fine.shape[-1]
-    # the directions that take steps; entry j of the folded arrays holds
-    # the half step of key +j, then that of key -j, side by side on the
-    # node axis (the shorter direction's side is zero past its end)
-    signs = [s for s, steps in ((1, len(fine) - 1 - z), (-1, z)) if steps]
-    # Gamma^h_m1 with Gamma^h_11 = 0 on every half step, folded
-    p = np.zeros((max(len(fine) - z, z + 1), n, n, len(signs) * nodes))
-    for d, s in enumerate(signs):
-        side = fine[z::s]
-        p[: len(side), :, 1:, d * nodes : (d + 1) * nodes] = side
-    u = p[:, :, 1:]
-    # d_k Gamma^h_i1 on the transverse lattice of each side
-    planes = u.reshape(u.shape[:3] + (len(signs),) + grid.transverse_shape)
-    dk = np.stack([fd_transverse(planes, axis, grid) for axis in range(2, n + 1)], axis=3)
-    dk = dk.reshape(u.shape[:3] + (n - 1, -1))
-    if not omit_quadratic_cross_term:
-        # Gamma^m_i1 Gamma^h_mk with m = 1 is the only term free of the state
-        cross = np.einsum("zb...,zac...->zabc...", u[:, 0], u)
+    # each direction that takes steps, as its half steps j = 0, 1, ...
+    sides = [side for side in (fine[z:], fine[z::-1]) if len(side) > 1]
+    # the first terms hold half steps +j and -j side by side on the node
+    # axis while both directions have them, the second the longer
+    # direction's half steps past the shorter one's end, alone
+    both = min(len(side) for side in sides)
+    longer = max(sides, key=len)
+    terms = [_stage2_terms([side[:both] for side in sides], grid, not omit_quadratic_cross_term)]
+    if len(longer) > both:
+        terms.append(_stage2_terms([longer[both:]], grid, not omit_quadratic_cross_term))
 
     def rhs(xs, w, bank):
         keys = [_half_key(x, h1) for x in xs]
         a2 = bank.planes_at(xs, keys)
         j = abs(keys[0])
-        # both directions, or the side a lone group's key is on
+        # both directions, the side a lone group's key is on, or the tail
         cols = slice(None)
-        if len(xs) < len(signs):
-            cols = slice(None, nodes) if keys[0] >= 0 else slice(nodes, None)
+        if j >= both:
+            (p, dk, cross), j = terms[1], j - both
+        else:
+            p, dk, cross = terms[0]
+            if len(xs) < len(sides):
+                cols = slice(None, nodes) if keys[0] >= 0 else slice(nodes, None)
         pj = p[j, ..., cols]
         dw = -np.einsum("qbc...,aq...->abc...", w, pj) + dk[j, ..., cols] + a2
         if not omit_quadratic_cross_term:

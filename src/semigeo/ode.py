@@ -141,9 +141,12 @@ def _stage_xs(x, h):
     return x, x + 0.5 * h, x + h
 
 
-def _step_starts(x0, h, n_steps):
-    """The x each of a march's steps starts from, made as it is asked for."""
-    return (x0 + i * h for i in range(n_steps))
+def _step_x(i, h):
+    """The x step i of a march of step h from x = 0 starts from.
+
+    0.0 + keeps the first x of a negative step +0.0.
+    """
+    return 0.0 + i * h
 
 
 def rk4_step(rhs, xs, hs, state, guards, k1=None):
@@ -163,8 +166,10 @@ def rk4_step(rhs, xs, hs, state, guards, k1=None):
     thr = guards.blowup_threshold
     # one step for every node: the groups' steps, each repeated over its nodes
     h = hs[0] if len(hs) == 1 else np.array(hs).repeat(state.shape[-1] // len(hs))
-    x_mid = tuple(x + 0.5 * hg for x, hg in zip(xs, hs))
-    x_end = tuple(x + hg for x, hg in zip(xs, hs))
+    # per-step x and steps are lists, never tuple() of a generator: CPython
+    # builds that tuple outside its free list and puts it there once freed,
+    # so each step would leave one more spare tuple (up to 2,000 per size)
+    _, x_mid, x_end = zip(*[_stage_xs(x, hg) for x, hg in zip(xs, hs)])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if k1 is None:
             k1 = rhs(xs, state)
@@ -219,7 +224,7 @@ def _grouped_step(rhs, xs, hs, state, guards, record_half):
         both, _, _ = rk4_step(
             rhs,
             xs + xs,
-            tuple(0.5 * h for h in hs) + hs,
+            [0.5 * h for h in hs] + hs,
             np.concatenate([state, state], axis=-1),
             guards,
             np.concatenate([k1, k1], axis=-1),
@@ -254,21 +259,22 @@ def _replay(rhs, x, h, state, guards, record_half):
     return new, mid, stop, detail
 
 
-# A group's block of states starts with room for all its steps, or, if
-# that is more than BLOCK_ROWS rows and more than BLOCK_BYTES summed over
-# the groups, with the larger of the two: a march asked for far more
-# steps than it takes (a shot that leaves the tube at once) holds little,
-# and a tube march, whose steps are all taken unless it stops, fills its
-# blocks exactly.  A block that fills up doubles.
+# A group's states (or midpoints) are written row by row into one block
+# with room for all its steps, but at most BLOCK_ROWS to start with, and a
+# block that fills up doubles.  A tube march of up to BLOCK_ROWS steps,
+# which takes them all unless it stops, fills its block exactly, and a
+# shot asked for far more steps than it takes (one that leaves the tube
+# at once) holds little.  Lists of one array per group and step, the
+# other way to gather them, hold an array object per row, and a tube's
+# directions hold theirs all at once.
 BLOCK_ROWS = 2**12
-BLOCK_BYTES = 2**19
 
 
 class _Rows:
     """One group's states (or midpoints), written row by row into one block."""
 
     def __init__(self, shape, rows):
-        self._block = np.empty((max(rows, 1),) + shape)
+        self._block = np.empty((max(1, min(rows, BLOCK_ROWS)),) + shape)
         self.count = 0
 
     def add(self, row):
@@ -297,7 +303,7 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
     The trailing axis of ``state0`` holds len(hs) groups of equal width
     side by side (a single state is one group of one node).  Group g
     marches n_steps[g] steps of size hs[g]; its step i starts at
-    x = 0.0 + i * hs[g], and a group that stops or ends leaves the
+    ``_step_x(i, hs[g])``, and a group that stops or ends leaves the
     others marching on with the same step index.  The right-hand side
     is called as ``rhs(xs, state)`` with one x per group in ``state``.
     Returns one MarchResult per group.
@@ -321,9 +327,8 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
     state = np.array(state0, dtype=np.float64)
     width = state.shape[-1] // len(hs)
     shape = state.shape[:-1] + (width,)
-    cap = max(BLOCK_ROWS, BLOCK_BYTES // state.nbytes)
-    rows = [_Rows(shape, min(n + 1, cap)) for n in n_steps]
-    mids = [_Rows(shape, min(n, cap)) if record_half else None for n in n_steps]
+    rows = [_Rows(shape, n + 1) for n in n_steps]
+    mids = [_Rows(shape, n) if record_half else None for n in n_steps]
     for g, group in enumerate(rows):
         group.add(state[..., g * width : (g + 1) * width])
     ends = [(None, None)] * len(hs)
@@ -342,10 +347,9 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
                 raise held[1]
             if not live:
                 break
-            steps = tuple(hs[g] for g in live)
+            steps = [hs[g] for g in live]
             end = min(n_steps[g] for g in live)
-        # 0.0 + keeps the first x of a negative step +0.0
-        xs = tuple(0.0 + i * h for h in steps)
+        xs = [_step_x(i, h) for h in steps]
         step = _grouped_step(rhs, xs, steps, state, guards, record_half)
         i += 1
         if step is not None:
@@ -363,10 +367,11 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
                     rhs, xs[j], hs[g], rows[g].last(), guards, record_half
                 )
             except SemigeoError as err:
-                if not kept:
-                    raise
                 if held is None or g < held[0]:
                     held = (g, err)
+                # no earlier group marches on to raise first
+                if not kept:
+                    raise held[1]
                 continue
             if new is None:
                 ends[g] = (stop, detail)
@@ -403,7 +408,8 @@ def tube_xs(grid, record_half=False):
     """
     xs = []
     for h, n_steps in _tube_marches(grid):
-        for x in _step_starts(0.0, h, n_steps):
+        for i in range(n_steps):
+            x = _step_x(i, h)
             if record_half:
                 xs.extend(_stage_xs(x, 0.5 * h))
             xs.extend(_stage_xs(x, h))

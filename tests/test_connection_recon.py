@@ -213,8 +213,13 @@ def reference_stages(init, sources, spec, guards2):
 
 
 # stage 2 grows from 0.305 at x1 = 0 to 0.355 at x1 = 0.5, so a 0.33
-# threshold stops its plus march part way
-@pytest.mark.parametrize("guards2", [None, GuardConfig(blowup_threshold=0.33)], ids=["complete", "stopped"])
+# threshold stops its plus march at x1 = 0.3, as the minus march ends at
+# -0.3, and a 0.345 threshold at x1 = 0.42, where plus marches alone
+@pytest.mark.parametrize(
+    "guards2",
+    [None, GuardConfig(blowup_threshold=0.33), GuardConfig(blowup_threshold=0.345)],
+    ids=["complete", "stopped", "stopped-alone"],
+)
 def test_hoisted_stage_products_keep_the_bits(guards2):
     init_c, src_c, _, _ = orc.connection_scenario(3, 3, scale=0.2)
     init = HypersurfaceConnectionData(3, init_c)

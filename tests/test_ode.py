@@ -353,7 +353,7 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypa
     step = ode.rk4_step
 
     def counted(*args, **kwargs):
-        steps.append(args[2])
+        steps.append(tuple(args[2]))
         return step(*args, **kwargs)
 
     monkeypatch.setattr(ode, "rk4_step", counted)
@@ -651,6 +651,37 @@ def test_error_order_between_directions(name, error, blowup, winner):
     assert isinstance(got, EvalError) and isinstance(want, EvalError)
     assert str(got) == str(want)
     assert str(got).startswith(winner)
+
+
+def test_error_order_among_three_groups():
+    # group 1 raises at step 1 while group 0 marches on, so its error is
+    # held; at step 3 group 0 blows up and group 2 raises.  Marched one
+    # after another, group 1's error comes first.
+    def rhs(x, state):
+        label = state[1, 0]  # each group's label, never changed
+        out = np.zeros_like(state)
+        if label == 1.0 and x > 0.012:
+            raise EvalError(f"group 1 undefined at x = {x!r}")
+        if label == 2.0 and x > 0.032:
+            raise EvalError(f"group 2 undefined at x = {x!r}")
+        if label == 0.0 and x > 0.032:
+            out[0] = 1e9
+        return out
+
+    def grouped(xs, state):
+        parts = np.split(state, len(xs), axis=-1)
+        return np.concatenate([rhs(x, part) for x, part in zip(xs, parts)], axis=-1)
+
+    state0 = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+    with pytest.raises(EvalError) as got:
+        rk4_march(grouped, (0.01,) * 3, (10,) * 3, state0)
+    with pytest.raises(EvalError) as want:
+        for g in range(3):
+            march = replaced.rk4_march(rhs, 0.0, 0.01, 10, state0[:, g : g + 1])
+            if g == 0:
+                assert (march.stopped, march.steps_done) == ("blowup", 3)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("group 1")
 
 
 def test_minus_error_after_a_plus_blowup_exits_two(tmp_path, capsys):
