@@ -26,16 +26,14 @@ side as two node groups of one march.  Stage 1 additionally records
 fourth-order-accurate values at the step midpoints, with its h/2 steps
 as two more groups launched from the shared first stage, and hands
 stage 2 one array, ``Stage1Solution.fine``, on the half-step x1 lattice
-of its reached grid.  Before its march, stage 2 pads that array with
-Gamma^h_11 = 0, takes its transverse derivatives and forms the
-state-free product Gamma^1_i1 Gamma^h_1k once, each folded so that
-entry j holds half steps +j and -j side by side on the node axis (past
-the shorter direction's end, the longer one's half steps are kept
-alone), so every RK4 stage of both directions reads Gamma^h_m1,
-d_k Gamma^h_i1 and that product at its exact x1 by one index, without
-losing order.
+of its reached grid.  Before its march, stage 2 builds its state-free
+terms once, each an array in ``fine``'s own order: Gamma^h_m1 with
+Gamma^h_11 = 0, d_k Gamma^h_i1 and the product Gamma^1_i1 Gamma^h_1k.
+Each right-hand-side call reads the entry of each group's x1 by one
+index and lays the groups side by side on the node axis.
 Blow-up stops a direction and the reached extent is reported as
-delta_hat for that direction (the minimum over transverse nodes).  Each stage's ``ode.march_tube`` reads the sources A ahead of the
+delta_hat for that direction (the minimum over transverse nodes).
+Each stage's ``ode.march_tube`` reads the sources A ahead of the
 march, in batched x1 chunks, from ``stage1_planes`` / ``stage2_planes``;
 stage 2 keys them by half step.
 """
@@ -49,7 +47,14 @@ from .curvature import ConnectionField
 from .errors import InvalidInit, InvalidSpec
 from .grid_field import Components, TensorTube, TubeGrid, build_grid, fd_transverse
 from .linalg import mirror_upper
-from .ode import STATUS_COMPLETE, ReconstructionReport, march_report, march_tube, tube_dense
+from .ode import (
+    STATUS_COMPLETE,
+    ReconstructionReport,
+    march_report,
+    march_tube,
+    side_by_side,
+    tube_dense,
+)
 
 
 class HypersurfaceConnectionData:
@@ -177,29 +182,6 @@ def stage1_integrate(init, sources, spec, guards=None):
 # ----------------------------------------------------------------- stage 2
 
 
-def _stage2_terms(sides, grid, cross_term):
-    """Stage 2's state-free terms on the half steps of ``sides``, side by side.
-
-    Each side holds Gamma^h_1k (k >= 2) on the same number of half steps,
-    shaped (J, n, n-1, N).  Returns Gamma^h_m1 with Gamma^h_11 = 0,
-    d_k Gamma^h_i1 and, with ``cross_term``, Gamma^1_i1 Gamma^h_1k (else
-    None), each with the sides' nodes side by side on its node axis.
-    """
-    n = grid.n
-    nodes = sides[0].shape[-1]
-    p = np.zeros((len(sides[0]), n, n, len(sides) * nodes))
-    for d, side in enumerate(sides):
-        p[:, :, 1:, d * nodes : (d + 1) * nodes] = side
-    u = p[:, :, 1:]
-    # d_k Gamma^h_i1 on the transverse lattice of each side
-    planes = u.reshape(u.shape[:3] + (len(sides),) + grid.transverse_shape)
-    dk = np.stack([fd_transverse(planes, axis, grid) for axis in range(2, n + 1)], axis=3)
-    dk = dk.reshape(u.shape[:3] + (n - 1, -1))
-    # Gamma^m_i1 Gamma^h_mk with m = 1 is the only term free of the state
-    cross = np.einsum("zb...,zac...->zabc...", u[:, 0], u) if cross_term else None
-    return p, dk, cross
-
-
 def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross_term=False):
     """March the transverse components Gamma^h_ik (i, k >= 2).
 
@@ -227,36 +209,29 @@ def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross
         return TensorTube("gamma2", grid, tube_dense(state0[None], grid), (1, 2, 2)), report
     h1 = grid.spacing(1)
     z = 2 * grid.zero_index
+    n = grid.n
     fine = stage1.fine
-    nodes = fine.shape[-1]
-    # each direction that takes steps, as its half steps j = 0, 1, ...
-    sides = [side for side in (fine[z:], fine[z::-1]) if len(side) > 1]
-    # the first terms hold half steps +j and -j side by side on the node
-    # axis while both directions have them, the second the longer
-    # direction's half steps past the shorter one's end, alone
-    both = min(len(side) for side in sides)
-    longer = max(sides, key=len)
-    terms = [_stage2_terms([side[:both] for side in sides], grid, not omit_quadratic_cross_term)]
-    if len(longer) > both:
-        terms.append(_stage2_terms([longer[both:]], grid, not omit_quadratic_cross_term))
+    cross_term = not omit_quadratic_cross_term
+    # the state-free terms at every half step, in fine's order (x1 = k * h1/2
+    # is entry z + k): Gamma^h_m1 with Gamma^h_11 = 0, d_k Gamma^h_i1 and
+    # Gamma^m_i1 Gamma^h_mk with m = 1, the only term free of the state
+    p = np.zeros((len(fine), n, n, fine.shape[-1]))
+    p[:, :, 1:] = fine
+    dk = np.empty(fine.shape[:3] + (n - 1, fine.shape[-1]))
+    planes = fine.reshape(fine.shape[:3] + grid.transverse_shape)
+    for axis in range(2, n + 1):
+        dk[:, :, :, axis - 2] = fd_transverse(planes, axis, grid).reshape(fine.shape)
+    cross = np.einsum("zb...,zac...->zabc...", fine[:, 0], fine) if cross_term else None
 
     def rhs(xs, w, bank):
         keys = [_half_key(x, h1) for x in xs]
         a2 = bank.planes_at(xs, keys)
-        j = abs(keys[0])
-        # both directions, the side a lone group's key is on, or the tail
-        cols = slice(None)
-        if j >= both:
-            (p, dk, cross), j = terms[1], j - both
-        else:
-            p, dk, cross = terms[0]
-            if len(xs) < len(sides):
-                cols = slice(None, nodes) if keys[0] >= 0 else slice(nodes, None)
-        pj = p[j, ..., cols]
-        dw = -np.einsum("qbc...,aq...->abc...", w, pj) + dk[j, ..., cols] + a2
-        if not omit_quadratic_cross_term:
-            dw = dw + cross[j, ..., cols]
-            dw = dw + np.einsum("qb...,aqc...->abc...", pj[1:, 1:], w)
+        at = [z + key for key in keys]
+        pk = side_by_side([p[i] for i in at])
+        dw = -np.einsum("qbc...,aq...->abc...", w, pk) + side_by_side([dk[i] for i in at]) + a2
+        if cross_term:
+            dw = dw + side_by_side([cross[i] for i in at])
+            dw = dw + np.einsum("qb...,aqc...->abc...", pk[1:, 1:], w)
         return mirror_upper(dw, axis=1)
 
     # keyed by half step, each plane evaluated at the first x of its key

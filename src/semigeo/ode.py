@@ -478,9 +478,10 @@ class SourceBank:
     the half holding the requested key is evaluated, halving again only
     while the half fails; the other half stays a pending chunk.  So a
     key the march never reaches cannot raise, a failing key raises when
-    the march asks for it, alone, and its error names its x.  An x
-    outside the plan is evaluated alone, memoised and counted in
-    ``misses``: correct, only slower.
+    the march asks for it, alone, and its error names its x.  The march
+    asks only for planned x (``tube_xs`` plans with the march's own
+    ``_step_x`` and ``_stage_xs``), so an x outside the plan raises
+    KeyError.
     """
 
     def __init__(self, planes, grid, record_half=False, key=None):
@@ -504,8 +505,6 @@ class SourceBank:
         # per key index, (evaluated chunk, its first index) once evaluated:
         # one tuple per chunk, shared by its keys
         self._held = [None] * len(first)
-        self._missed = {}
-        self.misses = 0
 
     def plane(self, x, key=None):
         """The source plane the right-hand side reads at x.
@@ -514,9 +513,7 @@ class SourceBank:
         """
         if key is None:
             key = self._key(x)
-        i = self._index.get(key)
-        if i is None:
-            return self._miss(key, x)
+        i = self._index[key]
         held = self._held[i]
         if held is None:
             held = self._fill(i)
@@ -528,15 +525,7 @@ class SourceBank:
 
         ``keys``, when given, are ``key(x)`` of each x already computed.
         """
-        planes = [self.plane(x, k) for x, k in zip(xs, keys or (None,) * len(xs))]
-        return planes[0] if len(planes) == 1 else np.concatenate(planes, axis=-1)
-
-    def _miss(self, key, x):
-        plane = self._missed.get(key)
-        if plane is None:
-            self.misses += 1
-            plane = self._missed[key] = self._planes(np.array([x]), self._grid)[0]
-        return plane
+        return side_by_side([self.plane(x, k) for x, k in zip(xs, keys or (None,) * len(xs))])
 
     def _fill(self, i):
         c = bisect.bisect_right(self._starts, i)
@@ -555,6 +544,11 @@ class SourceBank:
                 held = (planes, lo)
                 self._held[lo:hi] = [held] * (hi - lo)
                 return held
+
+
+def side_by_side(arrays):
+    """The node groups ``arrays`` laid side by side on the node axis; one is returned as is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
 
 
 def tube_dense(whole, grid):

@@ -214,11 +214,18 @@ def reference_stages(init, sources, spec, guards2):
 
 # stage 2 grows from 0.305 at x1 = 0 to 0.355 at x1 = 0.5, so a 0.33
 # threshold stops its plus march at x1 = 0.3, as the minus march ends at
-# -0.3, and a 0.345 threshold at x1 = 0.42, where plus marches alone
+# -0.3, and a 0.345 threshold at x1 = 0.42, where plus marches alone; it
+# stays under 0.305 on the minus side, so a 0.315 threshold stops plus at
+# x1 = 0.14 and minus marches its last 8 steps alone, to -0.3
 @pytest.mark.parametrize(
     "guards2",
-    [None, GuardConfig(blowup_threshold=0.33), GuardConfig(blowup_threshold=0.345)],
-    ids=["complete", "stopped", "stopped-alone"],
+    [
+        None,
+        GuardConfig(blowup_threshold=0.33),
+        GuardConfig(blowup_threshold=0.345),
+        GuardConfig(blowup_threshold=0.315),
+    ],
+    ids=["complete", "stopped", "stopped-alone", "minus-alone"],
 )
 def test_hoisted_stage_products_keep_the_bits(guards2):
     init_c, src_c, _, _ = orc.connection_scenario(3, 3, scale=0.2)

@@ -3,7 +3,8 @@ only ``ode`` names the source bank its marches read from, only
 ``grid_field`` names ``on_planes``, the one read of an input field,
 which only ``ExpressionField`` defines, every parameter a function
 takes is read, every definition is read by the package, the acceptance
-tests or the benchmark, every import is read, the config reader turns text into numbers only in
+tests or the benchmark, every import is read, no line is longer than
+99 characters, the config reader turns text into numbers only in
 ``_parse_int`` and ``_parse_float``, no function recurses, no code
 walks a parsed tree through its nodes' operands, and only ``expr``
 makes a FieldExpr or reads its code."""
@@ -203,6 +204,19 @@ def test_unread_imports_are_found(tmp_path):
 def test_every_import_is_read(path):
     # __init__ imports to re-export; any other module imports to use
     assert list(unread_imports(path)) == []
+
+
+MAX_LINE = 99
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lines_fit_the_width(path):
+    long = [
+        (number, len(line))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if len(line) > MAX_LINE
+    ]
+    assert long == [], f"{path.name}: (line, length) over {MAX_LINE} characters"
 
 
 def number_reads(path):

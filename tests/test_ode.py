@@ -372,9 +372,8 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypa
     assert plus.stopped is None and minus.stopped is None
     assert whole.shape == (TUBE.shape[0], 1, 3)
     assert (plus.half_states is not None) == record_half
-    # one bank serves both directions, and it planned every x asked
+    # one bank serves both directions; an x it did not plan would raise
     (bank,) = banks
-    assert bank.misses == 0
     # one rk4_step and four rhs calls per step of the 20-step plus side;
     # the minus side's 10 steps ride along with its first 10
     h = TUBE.spacing(1)
