@@ -94,7 +94,7 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
     if n_steps < 1:
         raise InvalidSpec("s_max admits no whole step")
 
-    def rhs(_xs, state):
+    def rhs(_xs, state, _inputs):
         pos, vel = state
         try:
             gam = conn.at(pos)

@@ -246,6 +246,8 @@ def _run_reconstruction(cfg, out, mode, reconstruct, oracle, dump_name):
         raise GridTooCoarse(f"{mode}: the x1 axis is too short for the curvature oracle")
     if tube is not None:
         write_tensor_dump(out / "curvature_oracle.csv", field.grid, [tube])
+    # the coarse rerun reads neither the fine field nor its oracle
+    del field, tube
     coarse_residual, outcome = _coarse_rerun(cfg, reconstruct, oracle, sources, residual)
     lines.append(("coarse_rerun", outcome))
     estimate, gate = roundtrip_gate(residual, coarse_residual, cfg.tolerances.roundtrip_tol)

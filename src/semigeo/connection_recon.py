@@ -26,16 +26,18 @@ side as two node groups of one march.  Stage 1 additionally records
 fourth-order-accurate values at the step midpoints, with its h/2 steps
 as two more groups launched from the shared first stage, and hands
 stage 2 one array, ``Stage1Solution.fine``, on the half-step x1 lattice
-of its reached grid.  Before its march, stage 2 builds its state-free
-terms once, each an array in ``fine``'s own order: Gamma^h_m1 with
-Gamma^h_11 = 0, d_k Gamma^h_i1 and the product Gamma^1_i1 Gamma^h_1k.
-Each right-hand-side call reads the entry of each group's x1 by one
-index and lays the groups side by side on the node axis.
+of its reached grid.  Each stage's ``ode.march_tube`` reads the inputs
+of its right-hand side other than the state ahead of the march, in
+batched x1 chunks, and hands every call the planes of its x as views of
+its step's row.  Stage 1's are the sources A from ``stage1_planes``.
+Stage 2 keys its planes by half step (``_half_keys``, which names any
+x1 off that lattice), and builds them from ``stage2_planes`` and
+``fine`` one chunk at a time: A^h_ik, d_k Gamma^h_i1, Gamma^h_m1 with
+Gamma^h_11 = 0 and the product Gamma^1_i1 Gamma^h_1k, the part of the
+cross term free of the state.  So its right-hand side reads four views,
+with no key, lookup or concatenation.
 Blow-up stops a direction and the reached extent is reported as
 delta_hat for that direction (the minimum over transverse nodes).
-Each stage's ``ode.march_tube`` reads the sources A ahead of the
-march, in batched x1 chunks, from ``stage1_planes`` / ``stage2_planes``;
-stage 2 keys them by half step.
 """
 
 import dataclasses
@@ -52,7 +54,6 @@ from .ode import (
     ReconstructionReport,
     march_report,
     march_tube,
-    side_by_side,
     tube_dense,
 )
 
@@ -138,11 +139,17 @@ class Stage1Solution:
     fine: np.ndarray
 
 
-def _half_key(x, h1):
-    key = int(round(x / (0.5 * h1)))
-    if abs(x - key * 0.5 * h1) > 1e-9 * max(1.0, abs(x)):
+def _half_keys(xs, h1):
+    """The half step k of each x1 = k * h1/2 of the array ``xs``, as floats.
+
+    InvalidSpec names the first x1 that is not on that lattice.
+    """
+    keys = np.rint(xs / (0.5 * h1))
+    off = np.abs(xs - keys * 0.5 * h1) > 1e-9 * np.maximum(1.0, np.abs(xs))
+    if np.any(off):
+        x = float(xs[np.argmax(off)])
         raise InvalidSpec(f"x1 = {x} is not on the half-step lattice of h1 = {h1}")
-    return key
+    return keys
 
 
 # ----------------------------------------------------------------- stage 1
@@ -163,16 +170,18 @@ def stage1_integrate(init, sources, spec, guards=None):
     # stage state
     pads = {}
 
-    def rhs(xs, u, bank):
+    def rhs(_xs, u, inputs):
+        (a1,) = inputs
         p = pads.get(u.shape[-1])
         if p is None:
             p = pads[u.shape[-1]] = np.zeros((grid.n, grid.n, u.shape[-1]))
         p[:, 1:] = u
-        return -np.einsum("qb...,aq...->ab...", u, p) + bank.planes_at(xs)
+        return -np.einsum("qb...,aq...->ab...", u, p) + a1
 
-    plus, minus, rgrid, whole = march_tube(
-        rhs, grid, state0, sources.stage1_planes, guards, record_half=True
-    )
+    def planes(xs, grid):
+        return (sources.stage1_planes(xs, grid),)
+
+    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, planes, guards, record_half=True)
     fine = np.empty((2 * len(whole) - 1,) + whole.shape[1:])
     fine[0::2] = whole
     fine[1::2] = np.concatenate([minus.half_states[::-1], plus.half_states])
@@ -212,31 +221,37 @@ def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross
     n = grid.n
     fine = stage1.fine
     cross_term = not omit_quadratic_cross_term
-    # the state-free terms at every half step, in fine's order (x1 = k * h1/2
-    # is entry z + k): Gamma^h_m1 with Gamma^h_11 = 0, d_k Gamma^h_i1 and
-    # Gamma^m_i1 Gamma^h_mk with m = 1, the only term free of the state
-    p = np.zeros((len(fine), n, n, fine.shape[-1]))
-    p[:, :, 1:] = fine
-    dk = np.empty(fine.shape[:3] + (n - 1, fine.shape[-1]))
-    planes = fine.reshape(fine.shape[:3] + grid.transverse_shape)
-    for axis in range(2, n + 1):
-        dk[:, :, :, axis - 2] = fd_transverse(planes, axis, grid).reshape(fine.shape)
-    cross = np.einsum("zb...,zac...->zabc...", fine[:, 0], fine) if cross_term else None
 
-    def rhs(xs, w, bank):
-        keys = [_half_key(x, h1) for x in xs]
-        a2 = bank.planes_at(xs, keys)
-        at = [z + key for key in keys]
-        pk = side_by_side([p[i] for i in at])
-        dw = -np.einsum("qbc...,aq...->abc...", w, pk) + side_by_side([dk[i] for i in at]) + a2
+    def planes(xs, grid):
+        """A^h_ik and the state-free terms at the half steps of ``xs``.
+
+        The terms are d_k Gamma^h_i1, Gamma^h_m1 with Gamma^h_11 = 0 and,
+        with the cross term, Gamma^m_i1 Gamma^h_mk with m = 1, the only
+        part of it free of the state.
+        """
+        p = np.zeros((len(xs), n, n, fine.shape[-1]))
+        p[:, :, 1:] = fine[(z + _half_keys(xs, h1)).astype(np.intp)]
+        u = p[:, :, 1:]
+        dk = np.empty((len(xs), n, n - 1, n - 1, fine.shape[-1]))
+        lattice = u.reshape(u.shape[:3] + grid.transverse_shape)
+        for axis in range(2, n + 1):
+            dk[:, :, :, axis - 2] = fd_transverse(lattice, axis, grid).reshape(u.shape)
+        terms = (sources.stage2_planes(xs, grid), dk, p)
         if cross_term:
-            dw = dw + side_by_side([cross[i] for i in at])
-            dw = dw + np.einsum("qb...,aqc...->abc...", pk[1:, 1:], w)
+            terms += (np.einsum("zb...,zac...->zabc...", u[:, 0], u),)
+        return terms
+
+    def rhs(_xs, w, inputs):
+        a2, dk, p, *cross = inputs
+        dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk + a2
+        if cross:
+            dw = dw + cross[0]
+            dw = dw + np.einsum("qb...,aqc...->abc...", p[1:, 1:], w)
         return mirror_upper(dw, axis=1)
 
     # keyed by half step, each plane evaluated at the first x of its key
     plus, minus, rgrid, whole = march_tube(
-        rhs, grid, state0, sources.stage2_planes, guards, key=lambda x: _half_key(x, h1)
+        rhs, grid, state0, planes, guards, key=lambda xs: _half_keys(xs, h1)
     )
     gamma2 = TensorTube("gamma2", rgrid, tube_dense(whole, rgrid), (1, 2, 2))
     return gamma2, march_report(grid, rgrid, plus, minus, whole)

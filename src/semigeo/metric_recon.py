@@ -143,16 +143,20 @@ def reconstruct_metric(init, sources, e, spec, guards=None, degeneracy_tol=None)
     # groups (a direction alone, or both side by side)
     limits = {k: (np.tile(tol * np.abs(det0), k), np.tile(np.sign(det0), k)) for k in (1, 2)}
 
-    def rhs(xs, state, bank):
+    def rhs(xs, state, inputs):
         g, G = state[0], state[1]
         det = det_stack(g)
         floor, sign0 = limits[len(xs)]
         bad = (np.abs(det) < floor) | (np.sign(det) * sign0 < 0)
         if np.any(bad):
             raise StateRejected("degenerate", int(np.argmax(bad)))
-        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * bank.planes_at(xs)])
+        (a,) = inputs
+        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * a])
 
-    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, sources.planes, guards)
+    def planes(xs, grid):
+        return (sources.planes(xs, grid),)
+
+    plus, minus, rgrid, whole = march_tube(rhs, grid, state0, planes, guards)
     _relabel_collapse(plus, det0, tol)
     _relabel_collapse(minus, det0, tol)
     # the report's |whole|-sized temporary is made and freed before the

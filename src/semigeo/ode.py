@@ -38,17 +38,16 @@ and the h/2 steps march as groups of their own beside the h steps: one
 
 Both reconstructions march from x1 = 0 toward each end of the tube with
 ``march_tube``, relay the states as tensor tubes with ``tube_dense`` and
-summarize the two directions with ``march_report``.  Their prescribed
-sources do not depend on the march state, so ``march_tube`` builds the
-one ``SourceBank`` of each march, from the grid, midpoint recording and
-plane key it marches with.  The bank evaluates every source plane the
-march will read ahead of it, in batched x1 chunks at the exact x the
-right-hand side receives (``tube_xs``), and the right-hand side reads
-the planes of its groups' x with ``bank.planes_at(xs)`` when it needs
-them.
+summarize the two directions with ``march_report``.  The inputs of
+their right-hand sides other than the state are known functions of x1,
+so ``march_tube`` builds each march's ``SourceBank``, which evaluates
+them ahead of the march and lays them out by step.  Every march calls
+``rhs(xs, state, inputs)``, ``inputs`` being the parts of the planes of
+its x (none for a geodesic shot).
 """
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -141,6 +140,10 @@ def _stage_xs(x, h):
     return x, x + 0.5 * h, x + h
 
 
+# the stage inputs of a march without any: every call is handed no parts
+_NO_INPUTS = ((), (), ())
+
+
 def _step_x(i, h):
     """The x step i of a march of step h from x = 0 starts from.
 
@@ -149,19 +152,21 @@ def _step_x(i, h):
     return 0.0 + i * h
 
 
-def rk4_step(rhs, xs, hs, state, guards, k1=None):
+def rk4_step(rhs, xs, hs, state, guards, k1=None, inputs=_NO_INPUTS):
     """One guarded RK4 step of node groups; returns (new_state or None, stop_reason, detail).
 
     The trailing axis of ``state`` holds len(xs) node groups of equal
     width side by side; group g steps by hs[g] from xs[g], and the
-    right-hand side is called as ``rhs(stage_xs, stage_state)`` with one
-    x per group.  ``detail`` is the flat index of the first offending
-    node.  The RHS is evaluated on every stage state before that state
-    is screened, so a semantic veto from the RHS (StateRejected, e.g. a
-    degenerate determinant) takes precedence over the generic blow-up
-    label for the same event.  Non-finite intermediates are tolerated
-    and caught by the screens.  ``k1``, when given, is ``rhs(xs,
-    state)`` already evaluated.
+    right-hand side is called as ``rhs(stage_xs, stage_state,
+    stage_inputs)`` with one x per group.  ``inputs`` are the stage
+    inputs of the k1 call, of the k2 and k3 calls (they share their x)
+    and of the k4 call.  ``detail`` is the flat index of the first
+    offending node.  The RHS is evaluated on every stage state before
+    that state is screened, so a semantic veto from the RHS
+    (StateRejected, e.g. a degenerate determinant) takes precedence over
+    the generic blow-up label for the same event.  Non-finite
+    intermediates are tolerated and caught by the screens.  ``k1``, when
+    given, is ``rhs(xs, state, inputs[0])`` already evaluated.
     """
     thr = guards.blowup_threshold
     # one step for every node: the groups' steps, each repeated over its nodes
@@ -172,19 +177,19 @@ def rk4_step(rhs, xs, hs, state, guards, k1=None):
     _, x_mid, x_end = zip(*[_stage_xs(x, hg) for x, hg in zip(xs, hs)])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if k1 is None:
-            k1 = rhs(xs, state)
+            k1 = rhs(xs, state, inputs[0])
         s2 = state + (0.5 * h) * k1
-        k2 = rhs(x_mid, s2)
+        k2 = rhs(x_mid, s2, inputs[1])
         bad, node = _bad_nodes(s2, thr)
         if bad:
             return None, "blowup", node
         s3 = state + (0.5 * h) * k2
-        k3 = rhs(x_mid, s3)
+        k3 = rhs(x_mid, s3, inputs[1])
         bad, node = _bad_nodes(s3, thr)
         if bad:
             return None, "blowup", node
         s4 = state + h * k3
-        k4 = rhs(x_end, s4)
+        k4 = rhs(x_end, s4, inputs[2])
         bad, node = _bad_nodes(s4, thr)
         if bad:
             return None, "blowup", node
@@ -208,19 +213,19 @@ def rk4_step(rhs, xs, hs, state, guards, k1=None):
     return new, None, None
 
 
-def _grouped_step(rhs, xs, hs, state, guards, record_half):
+def _grouped_step(rhs, xs, hs, state, guards, record_half, inputs):
     """Step i of every live group at once: (new, mid), or None if anything stops it.
 
-    With ``record_half`` the h/2 steps are groups of their own, side by
-    side in front of the h steps, all launched from the shared first
-    stage.
+    ``inputs`` are the stage inputs of its k1, k2/k3 and k4 calls.  With
+    ``record_half`` the h/2 steps are groups of their own, side by side
+    in front of the h steps, all launched from the shared first stage.
     """
     try:
         if not record_half:
-            new, _, _ = rk4_step(rhs, xs, hs, state, guards)
+            new, _, _ = rk4_step(rhs, xs, hs, state, guards, inputs=inputs)
             return None if new is None else (new, None)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            k1 = rhs(xs, state)
+            k1 = rhs(xs, state, inputs[0])
         both, _, _ = rk4_step(
             rhs,
             xs + xs,
@@ -228,6 +233,7 @@ def _grouped_step(rhs, xs, hs, state, guards, record_half):
             np.concatenate([state, state], axis=-1),
             guards,
             np.concatenate([k1, k1], axis=-1),
+            inputs,
         )
     except (StateRejected, SemigeoError):
         return None
@@ -237,23 +243,24 @@ def _grouped_step(rhs, xs, hs, state, guards, record_half):
     return both[..., width:], both[..., :width]
 
 
-def _replay(rhs, x, h, state, guards, record_half):
+def _replay(rhs, x, h, state, guards, half, whole):
     """One group's step alone, as a march of that group only takes it.
 
     Returns (new, mid, stop reason, detail): the shared first stage, the
-    h/2 step when recording midpoints, then the h step.  A SemigeoError
-    from the right-hand side propagates.
+    h/2 step when recording midpoints (``half`` is not None), then the h
+    step.  ``half`` and ``whole`` are the stage inputs of each step's
+    calls.  A SemigeoError from the right-hand side propagates.
     """
     mid = None
     try:
         k1 = None
-        if record_half:
+        if half is not None:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                k1 = rhs((x,), state)
-            mid, stop, detail = rk4_step(rhs, (x,), (0.5 * h,), state, guards, k1)
+                k1 = rhs((x,), state, half[0])
+            mid, stop, detail = rk4_step(rhs, (x,), (0.5 * h,), state, guards, k1, half)
             if mid is None:
                 return None, None, stop, detail
-        new, stop, detail = rk4_step(rhs, (x,), (h,), state, guards, k1)
+        new, stop, detail = rk4_step(rhs, (x,), (h,), state, guards, k1, whole)
     except StateRejected as err:
         return None, None, err.reason, err.detail
     return new, mid, stop, detail
@@ -297,7 +304,46 @@ def _stacked(rows, live):
     return np.concatenate([rows[g].last() for g in live], axis=-1) if live else None
 
 
-def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
+def _calls(groups, live, record_half):
+    """The row columns the k1, k2/k3 and k4 calls of one step read.
+
+    A row holds the step's stage x one after another (start, middle of
+    the h/2 step with ``record_half``, middle, end), each with one column
+    per group planned to march the step, ``groups`` of them.  ``live``
+    are the positions of the groups that take it; with all of them live
+    each call reads one column range.
+    """
+    mid = [groups + j for j in live]
+    end = [2 * groups + j for j in live]
+    if record_half:
+        return list(live), mid + end, end + [3 * groups + j for j in live]
+    return list(live), mid, end
+
+
+def _replay_calls(groups, j, record_half):
+    """The row columns of group position j's replay: (h/2 step's or None, h step's)."""
+    k1, k23, k4 = _calls(groups, [j], record_half)
+    if not record_half:
+        return None, (k1, k23, k4)
+    return (k1, k23[:1], k4[:1]), (k1, k23[1:], k4[1:])
+
+
+class _Unread:
+    """Stage inputs that failed to evaluate: reading their parts raises the error.
+
+    A right-hand side that vetoes its stage state before it reads its
+    inputs so stops the march, as it did when each call evaluated its
+    own inputs on reading them.
+    """
+
+    def __init__(self, error):
+        self.error = error
+
+    def __iter__(self):
+        raise self.error
+
+
+def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=None):
     """March node groups in lockstep from x = 0, each with its own step.
 
     The trailing axis of ``state0`` holds len(hs) groups of equal width
@@ -305,17 +351,24 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
     marches n_steps[g] steps of size hs[g]; its step i starts at
     ``_step_x(i, hs[g])``, and a group that stops or ends leaves the
     others marching on with the same step index.  The right-hand side
-    is called as ``rhs(xs, state)`` with one x per group in ``state``.
+    is called as ``rhs(xs, state, stage_inputs)`` with one x per group
+    in ``state``.  ``inputs(i, calls)``, from ``SourceBank.march``,
+    gives the stage inputs of step i's k1, k2/k3 and k4 calls: the
+    parts of the planes of their x, the columns ``calls`` of the step's
+    row side by side.  Without ``inputs`` every call is handed no parts.
     Returns one MarchResult per group.
 
-    Each step of the live groups is one ``rk4_step``.  When it stops, or
-    its right-hand side raises, that step is replayed one group at a
-    time in group order (``_replay``), which gives each group the exact
-    stop reason and node of marching alone, and a group that stops is
-    dropped.  A SemigeoError from a group is held back while an earlier
-    group still marches, and raised once none does unless an earlier
-    group raises first: a march raises the error that marching its
-    groups one after another would raise.
+    Each step of the live groups is one ``rk4_step``.  When every group
+    planned to march the step is live, each call is handed a view of
+    one column range of the step's row; otherwise its columns are
+    gathered from the row.  When a step stops, or its right-hand side
+    raises, it is replayed one group at a time in group order
+    (``_replay``), which gives each group the exact stop reason and node
+    of marching alone, and a group that stops is dropped.  A
+    SemigeoError from a group is held back while an earlier group still
+    marches, and raised once none does unless an earlier group raises
+    first: a march raises the error that marching its groups one after
+    another would raise.
 
     When ``record_half`` is set, each accepted step also launches one RK4
     step of size h/2 from the whole-step state to cache the midpoint
@@ -335,8 +388,10 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
     held = None  # (group, SemigeoError) waiting for the earlier groups to end
     live = list(range(len(hs)))
     i = 0
-    # the live groups' steps, and the step index where the first of them ends
-    steps, end = (), 0
+    # the live groups' steps; the next step index where a group's steps
+    # end; the groups planned to march this step, whose x its row holds;
+    # and the row columns of the live groups' calls, None when all are live
+    steps, end, planned, calls = (), 0, [], None
     while True:
         if i == end:
             going = [g for g in live if i < n_steps[g]]
@@ -348,11 +403,16 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
             if not live:
                 break
             steps = [hs[g] for g in live]
-            end = min(n_steps[g] for g in live)
+            planned = [g for g in range(len(hs)) if i < n_steps[g]]
+            calls = None
+            if live != planned:
+                calls = _calls(len(planned), [planned.index(g) for g in live], record_half)
+            end = min(n for n in n_steps if n > i)
         xs = [_step_x(i, h) for h in steps]
-        step = _grouped_step(rhs, xs, steps, state, guards, record_half)
-        i += 1
+        reads = _NO_INPUTS if inputs is None else inputs(i, calls)
+        step = _grouped_step(rhs, xs, steps, state, guards, record_half, reads)
         if step is not None:
+            i += 1
             new, mid = step
             for j, g in enumerate(live):
                 rows[g].add(new[..., j * width : (j + 1) * width])
@@ -362,9 +422,14 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
             continue
         kept = []
         for j, g in enumerate(live):
+            if inputs is None:
+                half, whole = (_NO_INPUTS if record_half else None), _NO_INPUTS
+            else:
+                half, whole = _replay_calls(len(planned), planned.index(g), record_half)
+                half, whole = half and inputs(i, half), inputs(i, whole)
             try:
                 new, mid, stop, detail = _replay(
-                    rhs, xs[j], hs[g], rows[g].last(), guards, record_half
+                    rhs, xs[j], hs[g], rows[g].last(), guards, half, whole
                 )
             except SemigeoError as err:
                 if held is None or g < held[0]:
@@ -380,6 +445,7 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False):
             rows[g].add(new)
             if record_half:
                 mids[g].add(mid)
+        i += 1
         live = kept
         state = _stacked(rows, live)
         end = i
@@ -396,24 +462,18 @@ def _tube_marches(grid):
     return (h1, len(grid.x1_samples) - 1 - k0), (-h1, k0)
 
 
-def tube_xs(grid, record_half=False):
-    """Every x ``march_tube`` on ``grid`` asks its right-hand side for.
+def _march_xs(h, n_steps, record_half):
+    """The distinct stage x of each step of a march of step h from x = 0.
 
-    The plus direction's, then the minus direction's, as if no step
-    stops: the start, middle and end x of each RK4 step, repeats
-    included.  The march asks for them with both directions in
-    lockstep, but this order sets the source bank's chunks.  Built with
-    the march's own float arithmetic, so these are the exact x it will
-    use.
+    Shaped (n_steps, 4) with ``record_half``, else (n_steps, 3): per
+    step its start, the middle of its h/2 step (with ``record_half``),
+    its middle and its end, the order the march first asks for them in.
+    Built with the march's own float arithmetic (``_step_x`` and
+    ``_stage_xs``), so these are the exact x it uses.
     """
-    xs = []
-    for h, n_steps in _tube_marches(grid):
-        for i in range(n_steps):
-            x = _step_x(i, h)
-            if record_half:
-                xs.extend(_stage_xs(x, 0.5 * h))
-            xs.extend(_stage_xs(x, h))
-    return xs
+    x = 0.0 + np.arange(n_steps, dtype=np.float64) * h
+    quarter = [x + 0.5 * (0.5 * h)] if record_half else []
+    return np.stack([x] + quarter + [x + 0.5 * h, x + h], axis=1)
 
 
 def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=None):
@@ -421,35 +481,38 @@ def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=No
 
     The two directions are two node groups of one ``rk4_march``: the N
     nodes of ``state0`` stepping by +h1, then the same nodes stepping
-    by -h1.  The right-hand side is called as ``rhs(xs, state, bank)``,
-    with one x per node group of ``state`` (see ``rk4_march``), where
-    ``bank`` is the SourceBank of ``planes`` for this march, built with
-    the same ``record_half`` the march uses and the plane ``key``.  A
-    one-node state marches its directions one after the other instead:
-    ``metric_recon._quadratic``'s three-operand einsum gives other bits
-    on two side-by-side nodes than on one.
+    by -h1.  The right-hand side is called as ``rhs(xs, state,
+    stage_inputs)``, with one x per node group of ``state`` (see
+    ``rk4_march``), where ``stage_inputs`` are the planes of ``planes``
+    at those x side by side, read from this march's SourceBank, built
+    with the same ``record_half`` the march uses and the plane ``key``.
+    A one-node state marches its directions one after the other
+    instead: ``metric_recon._quadratic``'s three-operand einsum gives
+    other bits on two side-by-side nodes than on one.
     Returns (plus, minus, rgrid, whole): the two MarchResults, the grid
     restricted to the reached x1 samples, and the whole-step states
     stacked along ascending x1 (minus reversed, x1 = 0 once).
     """
-    bank = SourceBank(planes, grid, record_half, key)
-
-    def bank_rhs(xs, state):
-        return rhs(xs, state, bank)
-
     (h_plus, steps_plus), (h_minus, steps_minus) = _tube_marches(grid)
-    if state0.shape[-1] > 1:
+    lockstep = state0.shape[-1] > 1
+    bank = SourceBank(planes, grid, record_half, key, lockstep)
+    if lockstep:
         plus, minus = rk4_march(
-            bank_rhs,
+            rhs,
             (h_plus, h_minus),
             (steps_plus, steps_minus),
             np.concatenate([state0, state0], axis=-1),
             guards,
             record_half,
+            bank.march(0),
         )
     else:
-        (plus,) = rk4_march(bank_rhs, (h_plus,), (steps_plus,), state0, guards, record_half)
-        (minus,) = rk4_march(bank_rhs, (h_minus,), (steps_minus,), state0, guards, record_half)
+        (plus,) = rk4_march(
+            rhs, (h_plus,), (steps_plus,), state0, guards, record_half, bank.march(0)
+        )
+        (minus,) = rk4_march(
+            rhs, (h_minus,), (steps_minus,), state0, guards, record_half, bank.march(1)
+        )
     rgrid = grid.restrict_x1(steps_minus - minus.steps_done, steps_minus + plus.steps_done)
     whole = np.concatenate([minus.states[:0:-1], plus.states], axis=0)
     return plus, minus, rgrid, whole
@@ -461,94 +524,206 @@ def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=No
 # plane of 3 to a few thousand nodes, leaves no per-call cost to speak of.
 CHUNK_POINTS = 2**15
 
+# Most bytes one block of step rows holds, unless one row takes more.  A
+# block is all the row layout adds to the chunks, while on a few nodes
+# one block still serves tens to hundreds of steps.
+ROW_BYTES = 2**16
+
 
 class SourceBank:
-    """The source planes one ``march_tube`` run reads, evaluated ahead of it.
+    """The state-free inputs one ``march_tube`` run reads, laid out by step.
 
-    ``planes(xs, grid)`` returns the sources at each x1 of the array
-    ``xs`` over the flattened transverse lattice, stacked on a leading
-    axis.  The bank plans the x the march will ask for (``tube_xs``)
-    and splits them, in march order, into chunks of at most
-    CHUNK_POINTS points.  The first request for a planned x evaluates
-    its whole chunk in one ``planes`` call.  ``key(x)`` (default x
-    itself) names the plane an x reads; a key's plane is evaluated at
-    the first x of that key in march order.
+    ``planes(xs, grid)`` returns the inputs at each x1 of the array
+    ``xs`` over the flattened transverse lattice as a tuple of parts,
+    each (len(xs), *slots, N).  ``key(xs)`` (default the x themselves)
+    names the planes each x reads.  The distinct keys of every stage x
+    of every step (``_march_xs``), plus direction first, are split into
+    chunks of at most CHUNK_POINTS points, each key evaluated at its
+    first x.
 
-    A chunk whose evaluation raises SemigeoError is split in halves and
-    the half holding the requested key is evaluated, halving again only
-    while the half fails; the other half stays a pending chunk.  So a
-    key the march never reaches cannot raise, a failing key raises when
-    the march asks for it, alone, and its error names its x.  The march
-    asks only for planned x (``tube_xs`` plans with the march's own
-    ``_step_x`` and ``_stage_xs``), so an x outside the plan raises
-    KeyError.
+    ``march(m)`` serves march m (the one march of both directions with
+    ``lockstep``, else the plus, then the minus march): its step i reads
+    one row, laid out by ``_calls``.  When the march reaches a step, the
+    row's keys not evaluated yet are, in column order, each evaluating
+    its whole chunk in one ``planes`` call.  A chunk that raises
+    SemigeoError is split in halves and the half holding the key is
+    evaluated, halving again only while it fails; the other half stays
+    pending.  A key that fails alone is kept with its error, which the
+    call reading it raises when it reads its parts (``_Unread``).  So a
+    key the march never reaches cannot raise, and the error names the x
+    that failed.  Rows are gathered from the chunks into one block of at
+    most ROW_BYTES at a time.  Every chunk is kept until the march ends:
+    freeing megabyte chunks mid-march raises glibc's dynamic mmap
+    threshold, which raised a wide march's peak RSS by about 1 MB.
     """
 
-    def __init__(self, planes, grid, record_half=False, key=None):
+    def __init__(self, planes, grid, record_half=False, key=None, lockstep=True):
         self._planes = planes
         self._grid = grid
-        self._key = key or (lambda x: x)
-        # per key, its index; per index, the first x of its key, where
-        # its plane is evaluated
-        self._index = {}
-        first = []
-        for x in tube_xs(grid, record_half):
-            k = self._key(x)
-            if k not in self._index:
-                self._index[k] = len(first)
-                first.append(x)
-        self._xs = np.array(first, dtype=np.float64)
-        per = max(1, CHUNK_POINTS // math.prod(grid.transverse_shape))
+        self._width = math.prod(grid.transverse_shape)
+        marches = _tube_marches(grid)
+        xs = [_march_xs(h, n, record_half) for h, n in marches]
+        keys = [x if key is None else key(x.ravel()).reshape(x.shape) for x in xs]
+        # Along a direction the stage x move on by h/4 or more, except from
+        # a step's end to the next step's start, which may read one key;
+        # the directions share only their first start, x1 = 0.  So every
+        # other stage x is the first of a new key, the keys being the x or
+        # the half steps of a march without midpoints, and no key needs
+        # looking up.
+        new = [np.ones(x.shape, dtype=bool) for x in xs]
+        for fresh, k in zip(new, keys):
+            fresh[1:, 0] = k[1:, 0] != k[:-1, -1]
+        shared = min(marches[0][1], marches[1][1]) > 0 and keys[1][0, 0] == keys[0][0, 0]
+        if shared:
+            new[1][0, 0] = False
+        # per key, in march order, its first x, where its planes are evaluated
+        self._xs = np.concatenate([x[fresh] for x, fresh in zip(xs, new)])
+        # per direction, the index of each stage x's key.  Counted in Python:
+        # a run uses numpy's integer kernels nowhere else, and the first
+        # call of one maps 64-128 KB more of numpy into the process
+        fresh = np.concatenate(new, axis=None).tolist()
+        index = np.array(list(itertools.accumulate(fresh, initial=-1))[1:])
+        index = [ix.reshape(x.shape) for ix, x in zip(np.split(index, [xs[0].size]), xs)]
+        if shared:
+            index[1][0, 0] = 0
+        # phase by phase, (first row, each row's key per column, the column
+        # range of each call); a phase ends where a group's steps do
+        self._phases = []
+        self._first = []
+        row = 0
+        for directions in ((0, 1),) if lockstep else ((0,), (1,)):
+            self._first.append(row)
+            a = 0
+            for b in sorted({marches[d][1] for d in directions}):
+                if b > a:
+                    groups = [d for d in directions if marches[d][1] >= b]
+                    rows = np.stack([index[d][a:b] for d in groups], axis=2).reshape(b - a, -1)
+                    calls = _calls(len(groups), range(len(groups)), record_half)
+                    self._phases.append((row, rows, [(c[0], c[-1] + 1) for c in calls]))
+                    row += b - a
+                    a = b
+        self._phase_rows = [phase[0] for phase in self._phases]
+        per = max(1, CHUNK_POINTS // self._width)
         # where each chunk begins in _xs, ascending; a chunk ends where
         # the next begins
-        self._starts = list(range(0, len(first), per))
-        # per key index, (evaluated chunk, its first index) once evaluated:
-        # one tuple per chunk, shared by its keys
-        self._held = [None] * len(first)
+        self._starts = list(range(0, len(self._xs), per))
+        self._done = np.zeros(len(self._xs), dtype=bool)
+        # per evaluated key, the first key of its chunk (a float, compared
+        # with numpy's float kernels for the same reason) and its place there
+        self._chunk = np.empty(len(self._xs))
+        self._place = np.empty(len(self._xs), dtype=np.intp)
+        # per key that failed alone, its error
+        self._failed = {}
+        # the evaluated chunks: (first key, parts)
+        self._held = []
+        # (first row, end row, parts, each call's column range of them)
+        self._block = None
 
-    def plane(self, x, key=None):
-        """The source plane the right-hand side reads at x.
+    def march(self, m):
+        """The stage inputs of march m's steps, as ``rk4_march`` reads them."""
+        first = self._first[m]
+        return lambda i, calls: self.step(first + i, calls)
 
-        ``key``, when given, is ``key(x)`` already computed.
+    def step(self, r, calls=None):
+        """The stage inputs of row r's k1, k2/k3 and k4 calls.
+
+        ``calls`` are the row columns each call reads; None reads every
+        planned group's, a view of the row each.  Other columns are
+        gathered.  A call that reads a key whose evaluation failed is
+        handed ``_Unread`` of its error.
         """
-        if key is None:
-            key = self._key(x)
-        i = self._index[key]
-        held = self._held[i]
-        if held is None:
-            held = self._fill(i)
-        chunk, lo = held
-        return chunk[i - lo]
+        block = self._block
+        if block is None or not block[0] <= r < block[1]:
+            block = self._build(r)
+        if block is None:
+            r0, keys, ranges = self._phase(r)
+            calls = calls or [range(a, b) for a, b in ranges]
+            return [self._read(keys[r - r0, cols]) for cols in calls]
+        j = r - block[0]
+        if calls is None:
+            k1, k23, k4 = block[3]
+            return [v[j] for v in k1], [v[j] for v in k23], [v[j] for v in k4]
+        return [[_columns(part[j], cols, self._width) for part in block[2]] for cols in calls]
 
-    def planes_at(self, xs, keys=None):
-        """The planes of the x of each node group, side by side on the node axis.
+    def _phase(self, r):
+        """(first row, keys of its rows, call column ranges) of row r's phase."""
+        return self._phases[bisect.bisect_right(self._phase_rows, r) - 1]
 
-        ``keys``, when given, are ``key(x)`` of each x already computed.
+    def _read(self, keys):
+        """The planes of ``keys`` side by side, or ``_Unread`` of the first that failed."""
+        failed = [k for k in keys if k in self._failed]
+        if failed:
+            return _Unread(self._failed[failed[0]])
+        return [part[0] for part in self._gather(keys[None])]
+
+    def _build(self, r):
+        """The block of evaluated rows from r, or None if a key of row r fails.
+
+        Row r's keys are evaluated first, in column order; a key that
+        fails is kept with its error, for the call that reads it to raise.
         """
-        return side_by_side([self.plane(x, k) for x, k in zip(xs, keys or (None,) * len(xs))])
+        self._block = None
+        r0, keys, ranges = self._phase(r)
+        row = keys[r - r0]
+        for k in row.tolist():
+            if not self._done[k] and k not in self._failed:
+                try:
+                    self._fill(k)
+                except SemigeoError as err:
+                    self._failed[k] = err
+        if not self._done[row].all():
+            return None
+        cap = max(1, ROW_BYTES // (len(row) * sum(p[0].nbytes for p in self._held[-1][1])))
+        ready = self._done[keys[r - r0 : r - r0 + cap]].all(axis=1)
+        end = r + (len(ready) if ready.all() else int(np.argmin(ready)))
+        parts = self._gather(keys[r - r0 : end - r0])
+        w = self._width
+        calls = [[part[..., a * w : b * w] for part in parts] for a, b in ranges]
+        self._block = (r, end, parts, calls)
+        return self._block
 
-    def _fill(self, i):
-        c = bisect.bisect_right(self._starts, i)
+    def _gather(self, keys):
+        """The parts of the keys ``keys`` (steps, columns): each (steps, *slots, columns * N)."""
+        chunks = self._chunk[keys]
+        out = None
+        for lo, parts in self._held:
+            at, col = np.nonzero(chunks == lo)
+            if len(at):
+                if out is None:
+                    rows, cols = keys.shape
+                    out = [np.empty((rows,) + p.shape[1:-1] + (cols, self._width)) for p in parts]
+                place = self._place[keys[at, col]]
+                for o, p in zip(out, parts):
+                    o[at, ..., col, :] = p[place]
+        return [o.reshape(o.shape[:-2] + (-1,)) for o in out]
+
+    def _fill(self, k):
+        """Evaluate the chunk of key k, or the half of it that holds k."""
+        c = bisect.bisect_right(self._starts, k)
         lo = self._starts[c - 1]
         hi = self._starts[c] if c < len(self._starts) else len(self._xs)
         while True:
             try:
-                planes = self._planes(self._xs[lo:hi], self._grid)
+                parts = self._planes(self._xs[lo:hi], self._grid)
             except SemigeoError:
                 if hi - lo == 1:
                     raise
                 mid = (lo + hi) // 2
                 bisect.insort(self._starts, mid)
-                lo, hi = (lo, mid) if i < mid else (mid, hi)
+                lo, hi = (lo, mid) if k < mid else (mid, hi)
             else:
-                held = (planes, lo)
-                self._held[lo:hi] = [held] * (hi - lo)
-                return held
+                self._held.append((lo, parts))
+                self._done[lo:hi] = True
+                self._chunk[lo:hi] = lo
+                self._place[lo:hi] = np.arange(hi - lo)
+                return
 
 
-def side_by_side(arrays):
-    """The node groups ``arrays`` laid side by side on the node axis; one is returned as is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
+def _columns(row, cols, width):
+    """The columns ``cols`` (ascending) of a row side by side: a view when they are one range."""
+    if cols[-1] - cols[0] == len(cols) - 1:
+        return row[..., cols[0] * width : (cols[-1] + 1) * width]
+    return np.concatenate([row[..., c * width : (c + 1) * width] for c in cols], axis=-1)
 
 
 def tube_dense(whole, grid):

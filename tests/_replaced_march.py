@@ -7,12 +7,15 @@ step from each state, both sharing the first stage.  A geodesic shot
 was a one-node march of its own.  Those implementations are copied
 here, with the right-hand-side contract they had (``rhs(x, state)``,
 one x per call), so the tests can check that the grouped march gives
-their bytes, their stops and their errors.
+their bytes, their stops and their errors.  Their sources come from
+``PlaneBank``, which evaluates each key's planes alone, at the first x
+of its key in the order ``tube_xs`` walks every x of the march.
 """
 
 import numpy as np
 
-from semigeo.ode import GuardConfig, MarchResult, SourceBank, StateRejected
+from semigeo.errors import SemigeoError
+from semigeo.ode import GuardConfig, MarchResult, StateRejected
 
 
 def _per_node_max(values):
@@ -108,21 +111,81 @@ def rk4_march(rhs, x0, h, n_steps, state0, guards=None, record_half=False):
     return MarchResult(np.array(states), half_states, done, stopped, detail)
 
 
+def _tube_marches(grid):
+    h1 = grid.spacing(1)
+    k0 = grid.zero_index
+    return (h1, len(grid.x1_samples) - 1 - k0), (-h1, k0)
+
+
+def tube_xs(grid, record_half=False):
+    """Every x the sequential ``march_tube`` on ``grid`` asks for, if no step stops.
+
+    The plus direction's, then the minus direction's: the start, middle
+    and end x of each RK4 step (of the h/2 step, then of the h step, with
+    ``record_half``), repeats included, with the march's own float
+    arithmetic.
+    """
+    xs = []
+    for h, n_steps in _tube_marches(grid):
+        for i in range(n_steps):
+            x = 0.0 + i * h
+            if record_half:
+                xs.extend((x, x + 0.5 * (0.5 * h), x + 0.5 * h))
+            xs.extend((x, x + 0.5 * h, x + h))
+    return xs
+
+
+class PlaneBank:
+    """Each key's planes, evaluated at the first x of its key.
+
+    ``planes(xs, grid)`` returns a tuple of parts, each shaped (len(xs),
+    *slots, N); ``key(x)`` (default x itself) names the planes x reads.
+    ``plane(x)`` returns the list of x's parts.  The first call evaluates
+    every key at once; when that fails, each key is evaluated alone as it
+    is asked for, so a failing key raises only then.  An x the march does
+    not plan raises KeyError.
+    """
+
+    def __init__(self, planes, grid, record_half=False, key=None):
+        self._planes = planes
+        self._grid = grid
+        self._key = key or (lambda x: x)
+        self.first = {}
+        for x in tube_xs(grid, record_half):
+            self.first.setdefault(self._key(x), x)
+        self._held = None
+
+    def plane(self, x):
+        key = self._key(x)
+        if self._held is None:
+            self._held = {}
+            try:
+                parts = self._planes(np.array(list(self.first.values())), self._grid)
+            except SemigeoError:
+                pass
+            else:
+                for j, k in enumerate(self.first):
+                    self._held[k] = [part[j] for part in parts]
+        if key not in self._held:
+            parts = self._planes(np.array([self.first[key]]), self._grid)
+            self._held[key] = [part[0] for part in parts]
+        return self._held[key]
+
+
 def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=None):
     """The plus march to its end, then the minus march; ``rhs(x, state, bank)``.
 
-    Returns (plus, minus, rgrid, whole) as ``ode.march_tube`` does.
+    ``bank`` is the march's PlaneBank.  Returns (plus, minus, rgrid,
+    whole) as ``ode.march_tube`` does.
     """
-    bank = SourceBank(planes, grid, record_half, key)
+    bank = PlaneBank(planes, grid, record_half, key)
 
     def bank_rhs(x, state):
         return rhs(x, state, bank)
 
-    h1 = grid.spacing(1)
-    k0 = grid.zero_index
-    steps_plus, steps_minus = len(grid.x1_samples) - 1 - k0, k0
-    plus = rk4_march(bank_rhs, 0.0, h1, steps_plus, state0, guards, record_half)
-    minus = rk4_march(bank_rhs, 0.0, -h1, steps_minus, state0, guards, record_half)
+    (h_plus, steps_plus), (h_minus, steps_minus) = _tube_marches(grid)
+    plus = rk4_march(bank_rhs, 0.0, h_plus, steps_plus, state0, guards, record_half)
+    minus = rk4_march(bank_rhs, 0.0, h_minus, steps_minus, state0, guards, record_half)
     rgrid = grid.restrict_x1(steps_minus - minus.steps_done, steps_minus + plus.steps_done)
     whole = np.concatenate([minus.states[:0:-1], plus.states], axis=0)
     return plus, minus, rgrid, whole

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -733,6 +734,49 @@ class TestCoarseRerun:
         assert code in (0, 4)
         assert len(charts) == 1
         assert charts[0].h1 == load_config(tmp_path / "run.cfg").chart.h1
+
+    @pytest.mark.parametrize(
+        "mode, reconstruct, residual",
+        [
+            ("roundtrip-metric", "_reconstruct_metric", "metric_roundtrip_residual"),
+            (
+                "roundtrip-connection",
+                "_reconstruct_connection",
+                "connection_roundtrip_residual",
+            ),
+        ],
+        ids=["metric", "connection"],
+    )
+    def test_fine_field_and_oracle_are_freed_first(
+        self, tmp_path, monkeypatch, mode, reconstruct, residual
+    ):
+        # the coarse rerun reads only the sources, so the fine field and
+        # its curvature oracle are gone when it reconstructs
+        real_reconstruct = getattr(cli, reconstruct)
+        real_residual = getattr(cli, residual)
+        fine = []
+        alive = []
+
+        def reconstructed(cfg, chart):
+            if chart is not cfg.chart:
+                alive.append([ref() is not None for ref in fine])
+            got = real_reconstruct(cfg, chart)
+            if chart is cfg.chart:
+                fine.append(weakref.ref(got[0]))
+            return got
+
+        def oracle(field, *args):
+            got = real_residual(field, *args)
+            if len(fine) == 1:
+                fine.append(weakref.ref(got[1]))
+            return got
+
+        monkeypatch.setattr(cli, reconstruct, reconstructed)
+        monkeypatch.setattr(cli, residual, oracle)
+        text = SPHERE_ROUNDTRIP if mode == "roundtrip-metric" else CONNECTION_ROUNDTRIP
+        code, out = run_cli(tmp_path, text.replace("h1 = 0.001", "h1 = 0.01"), mode)
+        assert read_report(out / "report.txt")["coarse_rerun"] == "done"
+        assert alive == [[False, False]]
 
     def test_error(self, tmp_path, monkeypatch):
         # no configuration is known that fails on the coarse chart alone,

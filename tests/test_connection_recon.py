@@ -8,7 +8,7 @@ from semigeo.connection_recon import (
     HypersurfaceConnectionData,
     ReconstructionReport,
     Stage1Solution,
-    _half_key,
+    _half_keys,
     reconstruct_connection,
     stage1_integrate,
     stage2_integrate,
@@ -177,10 +177,14 @@ def reference_stages(init, sources, spec, guards2):
 
     def rhs1(x, u, bank):
         p = np.concatenate([np.zeros_like(u[:, :1]), u], axis=1)
-        return -np.einsum("qb...,aq...->ab...", u, p) + bank.plane(x)
+        (a1,) = bank.plane(x)
+        return -np.einsum("qb...,aq...->ab...", u, p) + a1
+
+    def planes1(xs, grid):
+        return (sources.stage1_planes(xs, grid),)
 
     plus, minus, grid, whole = march_tube(
-        rhs1, grid, init.stage1_state0(grid), sources.stage1_planes, record_half=True
+        rhs1, grid, init.stage1_state0(grid), planes1, record_half=True
     )
     fine = np.empty((2 * len(whole) - 1,) + whole.shape[1:])
     fine[0::2] = whole
@@ -192,9 +196,12 @@ def reference_stages(init, sources, spec, guards2):
     dk = np.stack([fd_transverse(planes, axis, grid) for axis in range(2, n + 1)], axis=3)
     dk = dk.reshape(fine.shape[:3] + (n - 1, -1))
 
+    def half_key(x):
+        return int(_half_keys(np.array([x]), h1)[0])
+
     def rhs2(x, w, bank):
-        a2 = bank.plane(x)
-        i = _half_key(x, h1) + k0
+        (a2,) = bank.plane(x)
+        i = half_key(x) + k0
         u = fine[i]
         dw = -np.einsum("qbc...,aq...->abc...", w, p[i]) + dk[i] + a2
         dw = dw + np.einsum("b...,ac...->abc...", u[0], u)
@@ -205,9 +212,9 @@ def reference_stages(init, sources, spec, guards2):
         rhs2,
         grid,
         init.stage2_state0(grid),
-        sources.stage2_planes,
+        lambda xs, grid: (sources.stage2_planes(xs, grid),),
         guards2,
-        key=lambda x: _half_key(x, h1),
+        key=half_key,
     )
     return fine, tube_dense(whole, rgrid), march_report(grid, rgrid, plus, minus, whole)
 
@@ -243,6 +250,13 @@ def test_hoisted_stage_products_keep_the_bits(guards2):
     assert report.complete == (guards2 is None)
     # the cross term is not negligible here
     assert np.max(np.abs(fine[:, 0])) > 0.01
+
+
+def test_half_keys_name_an_x_off_the_half_step_lattice():
+    assert _half_keys(np.array([-0.05, 0.0, 0.15, 0.2]), 0.1).tolist() == [-1, 0, 3, 4]
+    with pytest.raises(InvalidSpec) as err:
+        _half_keys(np.array([0.05, 0.125, 0.1, 0.13]), 0.1)
+    assert str(err.value) == "x1 = 0.125 is not on the half-step lattice of h1 = 0.1"
 
 
 class TestStops:

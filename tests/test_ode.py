@@ -15,12 +15,14 @@ from semigeo.ode import (
     rk4_march,
     rk4_step,
 )
+from test_source_bank import banks  # noqa: F401 (a fixture the grouped march reads)
 
 
 def march(rhs, h, n_steps, state0, **options):
     """A one-group march from x = 0, calling ``rhs(x, state)`` on each node group."""
 
-    def grouped(xs, state):
+    def grouped(xs, state, inputs):
+        assert inputs == ()  # a march without a bank hands no inputs
         parts = np.split(state, len(xs), axis=-1)
         return np.concatenate([rhs(x, part) for x, part in zip(xs, parts)], axis=-1)
 
@@ -143,14 +145,14 @@ class TestGuards:
     def test_single_step_reports_stage_blowup(self):
         guards = GuardConfig(blowup_threshold=10.0)
         new, reason, detail = rk4_step(
-            lambda xs, s: np.array([100.0]), (0.0,), (1.0,), np.array([0.0]), guards
+            lambda xs, s, _: np.array([100.0]), (0.0,), (1.0,), np.array([0.0]), guards
         )
         assert new is None
         assert reason == "blowup"
 
     def test_single_step_success_returns_state(self):
         new, reason, detail = rk4_step(
-            lambda xs, s: s, (0.0,), (0.1,), np.array([1.0]), GuardConfig()
+            lambda xs, s, _: s, (0.0,), (0.1,), np.array([1.0]), GuardConfig()
         )
         assert reason is None and detail is None
         assert new[0] == pytest.approx(np.exp(0.1), abs=1e-7)
@@ -225,7 +227,7 @@ def test_screen_reports_first_bad_node(entries, node):
     for k, v in entries.items():
         state[1, k] = v
     new, reason, detail = rk4_step(
-        lambda xs, s: np.zeros_like(s), (0.0,), (0.1,), state, GuardConfig()
+        lambda xs, s, _: np.zeros_like(s), (0.0,), (0.1,), state, GuardConfig()
     )
     if node is None:
         assert reason is None and np.array_equal(new, state)
@@ -303,8 +305,8 @@ TUBE = build_grid(ChartSpec(n=2, x1_range=(-0.1, 0.2), h1=0.01, transverse_res=3
 
 
 def tube_planes(xs, grid):
-    """Sources varying with x1 and node, shaped (len(xs), 1, N)."""
-    return np.cos(xs)[:, None, None] + grid.transverse_mesh()[0][None, None, :]
+    """Sources varying with x1 and node: one part shaped (len(xs), 1, N)."""
+    return (np.cos(xs)[:, None, None] + grid.transverse_mesh()[0][None, None, :],)
 
 
 def test_march_tube_veto_outranks_a_failing_source():
@@ -315,10 +317,11 @@ def test_march_tube_veto_outranks_a_failing_source():
             raise EvalError("source undefined")
         return tube_planes(xs, grid)
 
-    def rhs(xs, state, bank):
+    def rhs(xs, state, inputs):
         if any(abs(x) > 0.04 for x in xs):
             raise StateRejected("degenerate", 2)
-        return bank.planes_at(xs)
+        (a,) = inputs
+        return a
 
     plus, minus, rgrid, _ = march_tube(rhs, TUBE, np.zeros((1, 3)), planes)
     assert plus.stopped == minus.stopped == "degenerate"
@@ -331,16 +334,20 @@ def half_key(x):
     return int(round(x / 0.005))
 
 
+def half_keys(xs):
+    """``half_key`` of each x of an array, as the source bank keys them."""
+    return np.rint(xs / 0.005)
+
+
 def keyed_planes(xs, grid):
     """Sources that depend on x1 only through ``half_key``."""
-    keys = np.array([half_key(x) for x in xs], dtype=np.float64)
-    return tube_planes(0.005 * keys, grid)
+    return tube_planes(0.005 * half_keys(xs), grid)
 
 
 MARCHES = {
     "plain": (False, None, tube_planes),
     "record-half": (True, None, tube_planes),
-    "keyed": (False, half_key, keyed_planes),
+    "keyed": (False, half_keys, keyed_planes),
 }
 
 
@@ -348,7 +355,6 @@ MARCHES = {
 def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypatch):
     read = []
     groups = []
-    banks = set()
     steps = []
     step = ode.rk4_step
 
@@ -358,10 +364,9 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypa
 
     monkeypatch.setattr(ode, "rk4_step", counted)
 
-    def rhs(xs, state, bank):
-        banks.add(bank)
+    def rhs(xs, state, inputs):
         groups.append(len(xs))
-        got = bank.planes_at(xs)
+        (got,) = inputs
         assert state.shape == got.shape == (1, 3 * len(xs))
         read.extend(zip(xs, np.split(got, len(xs), axis=-1)))
         return got
@@ -372,8 +377,6 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypa
     assert plus.stopped is None and minus.stopped is None
     assert whole.shape == (TUBE.shape[0], 1, 3)
     assert (plus.half_states is not None) == record_half
-    # one bank serves both directions; an x it did not plan would raise
-    (bank,) = banks
     # one rk4_step and four rhs calls per step of the 20-step plus side;
     # the minus side's 10 steps ride along with its first 10
     h = TUBE.spacing(1)
@@ -385,7 +388,7 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypa
         assert groups == [2, 2, 2, 2] * 10 + [1, 1, 1, 1] * 10
     assert len(read) == (7 if record_half else 4) * (TUBE.shape[0] - 1)
     for x, plane in read:
-        assert np.array_equal(plane, planes(np.array([x]), TUBE)[0])
+        assert np.array_equal(plane, planes(np.array([x]), TUBE)[0][0])
 
 
 # ---------------------------------- grouped march against the sequential one
@@ -411,6 +414,10 @@ def node_tube(n, N, lo, hi):
 def quarter(i, h):
     """The x of the middle stages of step i's h/2 step, as the march makes it."""
     return (0.0 + i * h) + 0.5 * (0.5 * h)
+
+
+# the step of every node_tube on [-0.05, 0.05]
+H_TUBE = node_tube(2, 1, -0.05, 0.05).spacing(1)
 
 
 class Stops:
@@ -450,29 +457,34 @@ class Stops:
 
 
 def system(name, n, N, rng):
-    """(body, state0, planes, record_half, key) of one system on N nodes.
+    """(body, state0, planes, record_half, keyed) of one system on N nodes.
 
-    ``body(xs, state, planes)`` is the system's rhs on len(xs) groups of
-    N nodes, ``planes`` their sources side by side.
+    ``body(xs, state, inputs)`` is the system's rhs on len(xs) groups of
+    N nodes, ``inputs`` the parts of their planes side by side.  A keyed
+    system reads its planes by ``half_key``.
     """
     k = n - 1
     node_values = rng.uniform(-1.0, 1.0, (k, k, N))
 
-    def planes(xs, grid):
+    def sources(xs):
         shape = {"stage1": (n, k), "stage2": (n, k, k), "metric": (k, k)}[name]
         base = np.resize(node_values, shape + (N,))
         if name == "metric":
             base = base + np.swapaxes(base, 0, 1)
         return 0.3 * np.cos(3.0 * xs)[(slice(None),) + (None,) * len(shape) + (None,)] * base
 
+    def planes(xs, grid):
+        return (sources(xs),)
+
     if name == "stage1":
 
-        def body(xs, u, planes):
+        def body(xs, u, inputs):
+            (a,) = inputs
             p = np.zeros((n, n, u.shape[-1]))
             p[:, 1:] = u
-            return -np.einsum("qb...,aq...->ab...", u, p) + planes
+            return -np.einsum("qb...,aq...->ab...", u, p) + a
 
-        return body, rng.uniform(-0.5, 0.5, (n, k, N)), planes, True, None
+        return body, rng.uniform(-0.5, 0.5, (n, k, N)), planes, True, False
     if name == "stage2":
         # per half-step key, the stage-1 values stage 2 reads
         const = {}
@@ -489,48 +501,55 @@ def system(name, n, N, rng):
                 )
             return const[key]
 
-        def body(xs, w, planes):
-            per_group = zip(*(at(half_key(x)) for x in xs))
-            p, dk, cross, u = (np.concatenate(c, axis=-1) for c in per_group)
-            dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk + planes
+        def stage2_planes(xs, grid):
+            per_key = zip(*(at(half_key(x)) for x in xs))
+            return (sources(xs),) + tuple(np.stack(c) for c in per_key)
+
+        def body(xs, w, inputs):
+            a2, p, dk, cross, u = inputs
+            dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk + a2
             dw = dw + cross
             dw = dw + np.einsum("qb...,aqc...->abc...", u[1:], w)
             return mirror_upper(dw, axis=1)
 
         w0 = mirror_upper(rng.uniform(-0.5, 0.5, (n, k, k, N)), axis=1)
-        return body, w0, planes, False, half_key
+        return body, w0, stage2_planes, False, True
     a = rng.uniform(-0.3, 0.3, (k, k, N))
     g0 = np.eye(k)[..., None] + 0.5 * (a + np.swapaxes(a, 0, 1))
     G0 = mirror_upper(rng.uniform(-0.5, 0.5, (k, k, N)))
     det0 = det_stack(g0)
 
-    def body(xs, state, planes):
+    def body(xs, state, inputs):
         g, G = state[0], state[1]
         det = det_stack(g)
         floor = np.tile(1e-10 * np.abs(det0), len(xs))
         bad = (np.abs(det) < floor) | (np.sign(det) * np.tile(np.sign(det0), len(xs)) < 0)
         if np.any(bad):
             raise StateRejected("degenerate", int(np.argmax(bad)))
-        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * planes])
+        (a,) = inputs
+        return np.stack([G, _quadratic(inv_sym(g, det), G) + 2.0 * a])
 
-    return body, np.stack([g0, G0]), planes, False, None
+    return body, np.stack([g0, G0]), planes, False, False
 
 
 def both_marches(name, n, N, lo, hi, stops, seed):
     """(grouped, sequential) march_tube outcomes, each (plus, minus, rgrid, whole) or an error."""
     grid = node_tube(n, N, lo, hi)
-    body, state0, planes, record_half, key = system(name, n, N, np.random.default_rng(seed))
+    body, state0, planes, record_half, keyed = system(name, n, N, np.random.default_rng(seed))
 
-    def grouped(xs, state, bank):
+    def grouped(xs, state, inputs):
         stops.check(xs, N)
-        return stops.kick(xs, body(xs, state, bank.planes_at(xs)))
+        return stops.kick(xs, body(xs, state, inputs))
 
     def sequential(x, state, bank):
         stops.check((x,), N)
         return stops.kick((x,), body((x,), state, bank.plane(x)))
 
     outcomes = []
-    for march, rhs in ((march_tube, grouped), (replaced.march_tube, sequential)):
+    for march, rhs, key in (
+        (march_tube, grouped, half_keys if keyed else None),
+        (replaced.march_tube, sequential, half_key if keyed else None),
+    ):
         try:
             outcomes.append(march(rhs, grid, state0, planes, None, record_half, key))
         except EvalError as err:
@@ -571,17 +590,26 @@ CASES = {
     "asymmetric": ((-0.02, 0.06), Stops()),
     "asymmetric-stopped": ((-0.06, 0.02), Stops(blowup=(0.003, 0))),
     "no-minus-steps": ((0.0, 0.05), Stops(blowup=(0.033, -1))),
+    "no-minus-steps-complete": ((0.0, 0.05), Stops()),
+    # only stage 1 asks for this x, the middle of step 2's h/2 step on
+    # the minus side, so only its h/2 step there is vetoed
+    "half-step-rejected": ((-0.05, 0.05), Stops(veto=quarter(2, -H_TUBE))),
 }
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("lohi, stops", CASES.values(), ids=CASES.keys())
-def test_grouped_march_matches_the_sequential_one(name, lohi, stops):
+def test_grouped_march_matches_the_sequential_one(name, lohi, stops, banks):
     rng = np.random.default_rng([SYSTEMS.index(name), list(CASES.values()).index((lohi, stops))])
     for n in (2, 3, 4):
         for N in range(1, 26):
             got, want = both_marches(name, n, N, *lohi, stops, int(rng.integers(2**31)))
             assert_same(got, want)
+            # a march that nothing stops reads every step as views of its row;
+            # a stop's replays and the groups left after it gather
+            bank = banks[-1]
+            assert bank.views > 0
+            assert (bank.gathers > 0) == any(march.stopped for march in got[:2])
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -667,7 +695,7 @@ def test_error_order_among_three_groups():
             out[0] = 1e9
         return out
 
-    def grouped(xs, state):
+    def grouped(xs, state, _inputs):
         parts = np.split(state, len(xs), axis=-1)
         return np.concatenate([rhs(x, part) for x, part in zip(xs, parts)], axis=-1)
 

@@ -2,10 +2,12 @@
 
 The prescribed sources of a march do not depend on its state, so
 ``ode.SourceBank`` evaluates every plane a march will read ahead of it,
-in batched x1 chunks.  These tests pin that a batched plane equals the
-per-plane value bit for bit, that the planned keys are exactly the x
-the march asks for, that evaluating ahead never turns a numerical stop
-into an input error, and how many evaluator calls a run makes.
+in batched x1 chunks, and lays them out by step.  These tests pin that
+a batched plane equals the per-plane value bit for bit, that the
+planned keys are exactly the x the march asks for, that a march that
+nothing stops reads every step as views of its row, that evaluating
+ahead never turns a numerical stop into an input error, how much the
+bank holds, and how many evaluator calls a run makes.
 """
 
 import math
@@ -15,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import _replaced_march
 import _replaced_reads as replaced
 import semigeo.connection_recon as connection_recon
 import semigeo.grid_field as grid_field
@@ -29,7 +32,9 @@ from semigeo.errors import EvalError
 from semigeo.expr import parse_field
 from semigeo.grid_field import ChartSpec, ExpressionField, build_grid
 from semigeo.metric_recon import HypersurfaceMetricData, MetricCurvatureSpec, reconstruct_metric
-from semigeo.ode import CHUNK_POINTS, SourceBank, tube_xs
+from semigeo.ode import CHUNK_POINTS, SourceBank
+
+tube_xs = _replaced_march.tube_xs
 
 
 def assert_bits(got, want):
@@ -133,14 +138,15 @@ class TestPlanesBitIdentity:
 # --------------------------------------------------------------- bank rules
 
 
-def counting_planes(calls, fail_above=None):
-    """planes(xs, grid) = x1 on every node; records each call's xs."""
+def counting_planes(calls, fail_above=None, slots=()):
+    """planes(xs, grid) = x1 on every node and slot; records each call's xs."""
 
     def planes(xs, grid):
         calls.append(list(xs))
         if fail_above is not None and np.any(xs > fail_above):
             raise EvalError(f"at x1 = {float(xs[xs > fail_above][0])!r}")
-        return np.repeat(xs[:, None], math.prod(grid.transverse_shape), axis=1)
+        shape = (len(xs),) + slots + (math.prod(grid.transverse_shape),)
+        return (np.broadcast_to(xs.reshape((-1,) + (1,) * (len(shape) - 1)), shape).copy(),)
 
     return planes
 
@@ -149,66 +155,113 @@ def line_grid(lo=-1.0, hi=1.0, h1=0.01, res=3):
     return build_grid(ChartSpec(n=2, x1_range=(lo, hi), h1=h1, transverse_res=res))
 
 
+def rows_of(grid):
+    """Rows of a bank of ``grid`` with ``lockstep=False``: plus steps, then minus steps."""
+    return sum(n for _, n in ode._tube_marches(grid))
+
+
+def step_values(bank, r):
+    """The x1 each call of row r reads, per call (planes of ``counting_planes``)."""
+    return [float(call[0][0]) for call in bank.step(r)]
+
+
 class TestBankRules:
     def test_chunks_in_march_order_under_the_cap(self):
+        # rows read in order, one direction after the other, evaluate the
+        # chunks in march order
         grid = line_grid(h1=1e-4, res=9)
         calls = []
-        bank = SourceBank(counting_planes(calls), grid)
-        for x in tube_xs(grid):
-            assert bank.plane(x)[0] == x
-        keys = list(dict.fromkeys(tube_xs(grid)))
+        bank = SourceBank(counting_planes(calls), grid, lockstep=False)
+        plan = tube_xs(grid)
+        for r in range(rows_of(grid)):
+            assert step_values(bank, r) == plan[3 * r : 3 * r + 3]
+        keys = list(dict.fromkeys(plan))
         per = CHUNK_POINTS // 9
         assert [x for chunk in calls for x in chunk] == keys
         assert [len(chunk) for chunk in calls[:-1]] == [per] * (len(calls) - 1)
         assert len(calls) == math.ceil(len(keys) / per) > 1
 
+    # (record_half, keyed by half step) of stage 1, stage 2 and the metric
+    @pytest.mark.parametrize("record_half, keyed", [(True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 2.0), (-0.5, 1.5), (-2.0, 0.0)])
+    def test_plan_keeps_the_first_x_per_key(self, lo, hi, record_half, keyed):
+        # the bank places each key by its step and stage; the per-x walk
+        # it replaced keyed every x of the march in a dict
+        grid = line_grid(lo, hi, h1=5e-4)
+        half = 0.5 * grid.spacing(1)
+        first = {}
+        for x in tube_xs(grid, record_half):
+            first.setdefault(round(x / half) if keyed else x, x)
+        key = (lambda xs: np.rint(xs / half)) if keyed else None
+        bank = SourceBank(lambda xs, grid: (xs[:, None],), grid, record_half, key)
+        assert bank._xs.tolist() == list(first.values())
+
     def test_miss_is_evaluated_alone_and_memoised(self):
-        # the march asks only for planned x, so an unplanned one is a bug:
+        # the march reads only planned rows, so an unplanned one is a bug:
         # it raises, and nothing is evaluated
         grid = line_grid()
         calls = []
         bank = SourceBank(counting_planes(calls), grid)
-        with pytest.raises(KeyError):
-            bank.plane(0.123)
+        with pytest.raises(IndexError):
+            bank.step(rows_of(grid))
         assert calls == []
 
     def test_failed_chunk_is_split_in_halves(self):
         grid = line_grid()
-        keys = list(dict.fromkeys(tube_xs(grid)))
+        plan = tube_xs(grid)
+        keys = list(dict.fromkeys(plan))
         bad = next(x for x in keys if x > 0.5)
         calls = []
-        bank = SourceBank(counting_planes(calls, fail_above=0.5), grid)
-        assert bank.plane(0.0)[0] == 0.0
+        bank = SourceBank(counting_planes(calls, fail_above=0.5), grid, lockstep=False)
+        assert step_values(bank, 0)[0] == 0.0
         assert calls[0] == keys and len(calls[1]) == len(keys) // 2
-        # every key the march reaches before the failing one, plus side
-        # and minus side, from a handful of calls; the one-key fallback
-        # made one call per key
+        rows = range(rows_of(grid))
+        failing = next(r for r in rows if bad in plan[3 * r : 3 * r + 3])
+        reached = [r for r in rows if max(plan[3 * r : 3 * r + 3]) <= 0.5]
+        for r in reached[: reached.index(failing - 1) + 1]:
+            assert step_values(bank, r) == plan[3 * r : 3 * r + 3]
+        # the row of the failing key evaluates it alone; the call that
+        # reads it is handed the error, which reading its planes raises,
+        # and the row read again does not evaluate it again
+        before = len(calls)
+        call = plan[3 * failing : 3 * failing + 3].index(bad)
+        for _ in range(2):
+            got = bank.step(failing)
+            read = [float(got[c][0][0]) for c in range(call)]
+            assert read == plan[3 * failing : 3 * failing + call]
+            with pytest.raises(EvalError, match=re.escape(f"at x1 = {bad!r}")):
+                (planes,) = got[call]
+        assert calls[-1] == [bad] and calls.count([bad]) == 1
+        split = calls[before:]
+        # then every row of the minus side: with the plus side's rows, every
+        # key below the failing one, from a handful of calls; the one-key
+        # fallback made one call per key
+        for r in reached[reached.index(failing - 1) + 1 :]:
+            assert step_values(bank, r) == plan[3 * r : 3 * r + 3]
         below = [x for x in keys if x <= 0.5]
-        for x in below:
-            assert bank.plane(x)[0] == x
-        assert len(calls) <= 2 * math.ceil(math.log2(len(keys))) < len(below) // 10
-        assert all(len(chunk) > 1 for chunk in calls)
+        served = [chunk for chunk in calls if chunk not in split]
+        assert len(served) <= 2 * math.ceil(math.log2(len(keys))) < len(below) // 10
+        assert all(len(chunk) > 1 for chunk in served)
         evaluated = [x for chunk in calls for x in chunk if x <= 0.5]
         assert sorted(set(evaluated)) == sorted(below)
-        # the failing key raises when it is asked for, evaluated alone
-        with pytest.raises(EvalError, match=re.escape(f"at x1 = {bad!r}")):
-            bank.plane(bad)
-        assert calls[-1] == [bad]
 
     def test_split_keeps_the_other_half_pending(self):
         grid = line_grid(h1=1e-4, res=9)
-        keys = list(dict.fromkeys(tube_xs(grid)))
+        plan = tube_xs(grid)
+        keys = list(dict.fromkeys(plan))
         per = CHUNK_POINTS // 9
         calls = []
-        bank = SourceBank(counting_planes(calls, fail_above=0.9), grid)
-        reached = [x for x in keys if x <= 0.9]
-        for x in reached:
-            assert bank.plane(x)[0] == x
+        bank = SourceBank(counting_planes(calls, fail_above=0.9), grid, lockstep=False)
+        reached = [r for r in range(rows_of(grid)) if max(plan[3 * r : 3 * r + 3]) <= 0.9]
+        for r in reached:
+            assert step_values(bank, r) == plan[3 * r : 3 * r + 3]
         # a call fails iff it holds a key above 0.9; the successful ones
-        # evaluate every reached key exactly once, so a half split off is
-        # kept until asked for, not evaluated again
+        # evaluate every key of the rows read exactly once, so a half
+        # split off is kept until asked for, not evaluated again
         served = [x for chunk in calls if max(chunk) <= 0.9 for x in chunk]
-        assert sorted(served) == sorted(reached)
+        read = {x for r in reached for x in plan[3 * r : 3 * r + 3]}
+        assert len(served) == len(set(served)) and read <= set(served)
+        assert max(served) <= 0.9 and len(set(served) - read) < per
         # each chunk once, plus at most two calls per halving in each of
         # the chunks that hold a failing key (thousands with one-key
         # fallback)
@@ -220,29 +273,28 @@ class TestBankRules:
         grid = line_grid(lo=0.0, h1=5e-4)
         calls = []
         key = lambda x: round(x / 2.5e-4)
-        bank = SourceBank(counting_planes(calls), grid, key=key)
+        bank = SourceBank(counting_planes(calls), grid, key=lambda xs: np.rint(xs / 2.5e-4))
         first = {}
-        later = next(x for x in tube_xs(grid) if first.setdefault(key(x), x) != x)
-        assert bank.plane(later)[0] == first[key(later)] != later
-        # a key the caller already computed reads the same plane
-        got = bank.plane(later, key(later))
-        assert np.shares_memory(got, bank.plane(later))
-        assert_bits(got, bank.plane(later))
+        plan = tube_xs(grid)
+        later = next(i for i, x in enumerate(plan) if first.setdefault(key(x), x) != x)
+        # a step's start reads the plane of the previous step's end
+        assert later % 3 == 0
+        assert step_values(bank, later // 3)[0] == first[key(plan[later])] != plan[later]
         assert len(calls) == 1
 
     def test_reads_hold_no_object_per_key(self):
-        # 40,001 keys in four chunks; the bank keeps each evaluated chunk
-        # once, not one plane view per key (about 145 B each)
+        # 40,001 keys in four chunks; reading every row keeps no object
+        # per key or row, and a chunk no later row reads is dropped
         grid = line_grid(h1=1e-4)
         keys = list(dict.fromkeys(tube_xs(grid)))
         assert len(keys) == 40001
-        planes = lambda xs, grid: np.repeat(xs[:, None], 3, axis=1)
+        planes = lambda xs, grid: (np.repeat(xs[:, None], 3, axis=1),)
         tracemalloc.start()
         try:
             bank = SourceBank(planes, grid)
             before = tracemalloc.get_traced_memory()[0]
-            for x in keys:
-                bank.plane(x)
+            for r in range(max(n for _, n in ode._tube_marches(grid))):
+                bank.step(r)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -250,19 +302,46 @@ class TestBankRules:
         assert held - plane_data <= 16 * len(keys)
 
     def test_plan_holds_one_x_per_key(self):
-        # the plan is a key -> index dict and one float64 array of first
-        # x: about 101 B per key here; a list and a dict of keys beside
-        # the index took about 133 B
+        # the plan is one float64 array of first x and per row the index of
+        # each column's key: about 30 B per key here; the float-keyed index
+        # it replaced took about 101 B, and a list and a dict of keys
+        # beside that index about 133 B
         grid = line_grid(h1=1e-4)
-        planes = lambda xs, grid: np.repeat(xs[:, None], 3, axis=1)
+        planes = lambda xs, grid: (np.repeat(xs[:, None], 3, axis=1),)
         tracemalloc.start()
         try:
             bank = SourceBank(planes, grid)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(bank._held) == 40001
+        assert len(bank._xs) == 40001
         assert held <= 115 * 40001
+
+    @pytest.mark.parametrize("lo", [0.0, -1.0], ids=["one-sided", "two-sided"])
+    def test_rows_add_at_most_one_block(self, lo):
+        # a march over six chunks per direction: after each step the bank
+        # holds the chunks evaluated so far and one block of rows, of at
+        # most ROW_BYTES; the rows are not kept beside the chunks
+        grid = line_grid(lo=lo, h1=1e-4, res=9)
+        evaluated = []
+
+        def planes(xs, grid):
+            evaluated.append(len(xs) * 4 * 9 * 8)
+            return (np.broadcast_to(xs[:, None, None], (len(xs), 4, 9)).copy(),)
+
+        tracemalloc.start()
+        try:
+            bank = SourceBank(planes, grid)
+            before = tracemalloc.get_traced_memory()[0]
+            most = 0
+            for r in range(max(n for _, n in ode._tube_marches(grid))):
+                bank.step(r)
+                held = tracemalloc.get_traced_memory()[0] - before
+                most = max(most, held - sum(evaluated))
+        finally:
+            tracemalloc.stop()
+        assert len(evaluated) >= (6 if lo == 0.0 else 11)
+        assert ode.ROW_BYTES // 2 < most <= ode.ROW_BYTES + 4096
 
 
 # ----------------------------------------------------------- exact keys
@@ -270,24 +349,32 @@ class TestBankRules:
 
 @pytest.fixture
 def banks(monkeypatch):
-    """Every SourceBank the reconstructions make, recording the x asked."""
+    """Every SourceBank the reconstructions make, counting how they are read.
+
+    ``views`` counts the steps read as views of their row, ``gathers``
+    the steps whose calls gather their columns; ``evaluated`` lists every
+    x the bank evaluates at.
+    """
     made = []
 
     class RecordingBank(SourceBank):
-        def __init__(self, planes, grid, record_half=False, key=None):
+        def __init__(self, planes, grid, record_half=False, key=None, lockstep=True):
             self.evaluated = []
 
             def recorded(xs, grid):
                 self.evaluated.extend(xs)
                 return planes(xs, grid)
 
-            super().__init__(recorded, grid, record_half, key)
-            self.asked = []
+            super().__init__(recorded, grid, record_half, key, lockstep)
+            self.views = self.gathers = 0
             made.append(self)
 
-        def plane(self, x, key=None):
-            self.asked.append(x)
-            return super().plane(x, key)
+        def step(self, r, calls=None):
+            if calls is None:
+                self.views += 1
+            else:
+                self.gathers += 1
+            return super().step(r, calls)
 
     monkeypatch.setattr(ode, "SourceBank", RecordingBank)
     return made
@@ -296,9 +383,12 @@ def banks(monkeypatch):
 # The march step is grid.spacing(1).  On the two-sided chart it is
 # 0.0004999999999999449 and x_i + h == x_{i+1} at every step; on the
 # one-sided chart it is 0.0005 and they differ in 1,018 of 4,000 steps.
+# On the asymmetric one the plus direction marches 3,000 steps, the
+# last 2,000 of them alone.
 CHARTS = {
     "two-sided": ChartSpec(n=2, x1_range=(-1.0, 1.0), h1=5e-4, transverse_res=3),
     "one-sided": ChartSpec(n=2, x1_range=(0.0, 2.0), h1=5e-4, transverse_res=3),
+    "asymmetric": ChartSpec(n=2, x1_range=(-0.5, 1.5), h1=5e-4, transverse_res=3),
 }
 
 
@@ -306,6 +396,11 @@ def band_connection(chart):
     init = HypersurfaceConnectionData(2)
     sources = ConnectionCurvatureSpec(2, {(2, 1, 2): "-0.25", (1, 2, 2): "cos(x1)^2"})
     return reconstruct_connection(init, sources, chart)
+
+
+def lockstep_steps(chart):
+    """Steps of the lockstep march on ``chart``: its longer direction's."""
+    return max(n for _, n in ode._tube_marches(build_grid(chart)))
 
 
 @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
@@ -316,14 +411,15 @@ class TestExactKeys:
         _, report = reconstruct_metric(init, sources, 1, chart)
         assert report.complete
         (bank,) = banks
-        assert len(bank.asked) == 4 * 4000
+        # every step's calls read views of its row, none gathers
+        assert (bank.views, bank.gathers) == (lockstep_steps(chart), 0)
 
     def test_connection_stages_have_no_misses(self, banks, chart):
         _, report = band_connection(chart)
         assert report.complete
-        stage1, stage2 = banks
-        assert len(stage1.asked) == 7 * 4000  # record_half: two RK4 steps sharing k1
-        assert len(stage2.asked) == 4 * 4000
+        for bank in banks:  # stage 1 (recording midpoints), then stage 2
+            assert (bank.views, bank.gathers) == (lockstep_steps(chart), 0)
+        assert len(banks) == 2
 
 
 def test_stage2_keeps_first_x_per_half_key(banks):
@@ -333,8 +429,8 @@ def test_stage2_keeps_first_x_per_half_key(banks):
     h1 = chart.h1
     first = {}
     seen = {}
-    for x in stage2.asked:
-        key = connection_recon._half_key(x, h1)
+    for x in tube_xs(build_grid(chart)):
+        key = int(connection_recon._half_keys(np.array([x]), h1)[0])
         first.setdefault(key, x)
         seen.setdefault(key, set()).add(x)
     assert sorted(stage2.evaluated) == sorted(first.values())
