@@ -44,15 +44,13 @@ from .errors import (
     VariableOutOfRange,
 )
 from .expr import eval_field_on, parse_field
+from .fd import fd_partial, fd_second, fd_transverse
 from .grid_field import (
     ChartSpec,
     ExpressionField,
     TensorTube,
     TubeGrid,
     build_grid,
-    fd_partial,
-    fd_second,
-    fd_transverse,
     interpolate,
     write_curve_dump,
     write_tensor_dump,

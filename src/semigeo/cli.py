@@ -242,12 +242,15 @@ def _run_reconstruction(cfg, out, mode, reconstruct, oracle, dump_name):
     if oracle is None:
         return code, lines
     residual, tube = oracle[0](field, sources)
+    # the oracle dump reads only the fine grid, and the coarse rerun neither
+    # the fine field nor its oracle
+    grid = field.grid
+    del field
     if residual is None and code == 0:
         raise GridTooCoarse(f"{mode}: the x1 axis is too short for the curvature oracle")
     if tube is not None:
-        write_tensor_dump(out / "curvature_oracle.csv", field.grid, [tube])
-    # the coarse rerun reads neither the fine field nor its oracle
-    del field, tube
+        write_tensor_dump(out / "curvature_oracle.csv", grid, [tube])
+    del tube
     coarse_residual, outcome = _coarse_rerun(cfg, reconstruct, oracle, sources, residual)
     lines.append(("coarse_rerun", outcome))
     estimate, gate = roundtrip_gate(residual, coarse_residual, cfg.tolerances.roundtrip_tol)

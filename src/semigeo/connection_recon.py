@@ -47,7 +47,8 @@ import numpy as np
 
 from .curvature import ConnectionField
 from .errors import InvalidInit, InvalidSpec
-from .grid_field import Components, TensorTube, TubeGrid, build_grid, fd_transverse
+from .fd import fd_transverse
+from .grid_field import Components, TensorTube, TubeGrid, build_grid
 from .linalg import mirror_upper
 from .ode import (
     STATUS_COMPLETE,

@@ -21,7 +21,8 @@ curvature block has the closed form above.
 import numpy as np
 
 from .errors import DegenerateMetric, NotSemigeodesic
-from .grid_field import Components, TensorTube, fd_partial, fd_second
+from .fd import fd_partial, fd_second
+from .grid_field import Components, TensorTube
 from .linalg import det_stack, inv_sym, mirror_upper
 
 DEGENERACY_TOL = 1e-10

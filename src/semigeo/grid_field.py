@@ -1,12 +1,10 @@
-"""Tube grids, dense tensor tubes, fields, finite differences, dumps.
+"""Tube grids, dense tensor tubes, fields, interpolation, dumps.
 
 The computational domain is a tube: an x1 interval containing 0 (the
 hypersurface S sits at x1 = 0) times a closed box in the transverse
-coordinates x2..xn.  All lattices are uniform per axis.  Finite
-differences are second order everywhere: central stencils in the
-interior, 3-point one-sided stencils at boundary nodes (so the x1
-derivative at the lower end of a one-sided tube is the right
-derivative).
+coordinates x2..xn.  All lattices are uniform per axis; ``fd`` holds
+their finite differences, and ``dump_text`` turns a dump's values into
+text.
 
 Every tensor on the tube (metric, connection, curvature and their
 parts) is a TensorTube: one dense array with the tensor slots leading
@@ -28,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dump_text import classify, csv_field, row_texts, take
 from .errors import EvalError, GridTooCoarse, InvalidInit, InvalidSpec, OutOfDomain
 from .expr import FieldExpr, eval_field_on, parse_field, variables
 
@@ -226,94 +225,6 @@ def _unbuildable(axis, count):
     return InvalidSpec(
         f"axis {axis} needs {float(count):.6g} samples; its lattice cannot be allocated"
     )
-
-
-# --------------------------------------------------------- finite differences
-
-
-def _fd1(values, axis0, h):
-    # difference-form stencils: constants differentiate to exactly zero;
-    # the interior is formed in the output, with no full-size temporary
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[axis0] < 3:
-        raise GridTooCoarse("first derivative needs at least 3 nodes along the axis")
-    v = np.moveaxis(values, axis0, 0)
-    out = np.empty_like(v)
-    inner = out[1:-1]
-    np.subtract(v[2:], v[:-2], out=inner)
-    np.divide(inner, 2.0 * h, out=inner)
-    out[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / (2.0 * h)
-    out[-1] = (4.0 * (v[-1] - v[-2]) - (v[-1] - v[-3])) / (2.0 * h)
-    return np.moveaxis(out, 0, axis0)
-
-
-def _fd2(values, axis0, h):
-    values = np.asarray(values, dtype=np.float64)
-    m = values.shape[axis0]
-    if m < 4:
-        raise GridTooCoarse("second derivative needs at least 4 nodes along the axis")
-    v = np.moveaxis(values, axis0, 0)
-    out = np.empty_like(v)
-    inner = out[1:-1]
-    np.subtract(v[:-2], v[1:-1], out=inner)
-    np.add(inner, v[2:] - v[1:-1], out=inner)
-    np.divide(inner, h * h, out=inner)
-    out[0] = (2.0 * (v[0] - v[1]) - 3.0 * (v[1] - v[2]) + (v[2] - v[3])) / (h * h)
-    out[-1] = (2.0 * (v[-1] - v[-2]) - 3.0 * (v[-2] - v[-3]) + (v[-3] - v[-4])) / (h * h)
-    return np.moveaxis(out, 0, axis0)
-
-
-def _grid_axis0(values, axis, grid):
-    """Array axis for coordinate ``axis`` when grid axes trail tensor axes."""
-    values = np.asarray(values, dtype=np.float64)
-    if not 1 <= axis <= grid.n:
-        raise InvalidSpec(f"axis must be in 1..{grid.n}, got {axis}")
-    if values.shape[-grid.n :] != grid.shape:
-        raise InvalidSpec(
-            f"trailing shape {values.shape[-grid.n:]} does not match grid {grid.shape}"
-        )
-    return values, values.ndim - grid.n + (axis - 1)
-
-
-def fd_partial(values, axis, grid):
-    """Second-order partial derivative along ``axis`` (1-based) on the grid.
-
-    ``values`` may carry leading tensor axes; the trailing axes must match
-    the grid.  Central differences at interior nodes, 3-point one-sided at
-    the two boundary nodes; at the lower x1 end this is the right
-    derivative.
-    """
-    values, axis0 = _grid_axis0(values, axis, grid)
-    return _fd1(values, axis0, grid.spacing(axis))
-
-
-def fd_second(values, axis, grid):
-    """Second-order second derivative along ``axis`` (dedicated stencils).
-
-    Interior: (f[i-1] - 2 f[i] + f[i+1]) / h^2.  Boundaries use the
-    4-point one-sided stencil, also second order.
-    """
-    values, axis0 = _grid_axis0(values, axis, grid)
-    return _fd2(values, axis0, grid.spacing(axis))
-
-
-def fd_transverse(values, axis, grid):
-    """Transverse partial derivative on a single axial plane.
-
-    ``values`` has leading tensor axes and trailing transverse axes (no
-    x1 axis); ``axis`` is the coordinate index, 2..n.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if not 2 <= axis <= grid.n:
-        raise InvalidSpec(f"transverse axis must be in 2..{grid.n}, got {axis}")
-    tshape = grid.transverse_shape
-    if values.shape[-len(tshape) :] != tshape:
-        raise InvalidSpec(
-            f"trailing shape {values.shape[-len(tshape):]} does not match "
-            f"transverse lattice {tshape}"
-        )
-    axis0 = values.ndim - len(tshape) + (axis - 2)
-    return _fd1(values, axis0, grid.spacing(axis))
 
 
 # --------------------------------------------------------------- interpolate
@@ -654,54 +565,6 @@ class Components:
 # -------------------------------------------------------------------- dumps
 
 
-# Special characters of the csv module's default dialect: a field holding
-# one is quoted, with inner quotes doubled (csv.QUOTE_MINIMAL).
-_CSV_SPECIAL = frozenset(',"\r\n')
-
-
-def _csv_field(text):
-    """``text`` as one delimited field, quoted as ``csv.writer`` quotes it."""
-    if _CSV_SPECIAL.isdisjoint(text):
-        return text
-    return '"' + text.replace('"', '""') + '"'
-
-
-def _take(indices):
-    """``seq -> tuple(seq[i] for i in indices)``, one C-level call for two or more."""
-    if len(indices) < 2:
-        return lambda seq: tuple(seq[i] for i in indices)
-    return operator.itemgetter(*indices)
-
-
-def _classify(components):
-    """Sort node arrays of float64 into constant, repeated and distinct.
-
-    Returns ``(kinds, rows)``.  ``kinds[c]`` is the ``repr`` text of
-    component c's value when every node holds the same bits; otherwise it
-    is a position d in ``rows``, the list of components that first hold
-    each distinct set of bits, and c's bits equal those of ``rows[d]``
-    at every node.  Bits are compared as int64, so -0.0 is not 0.0 and
-    NaNs of different payloads differ; memoryview comparisons allocate
-    nothing.
-    """
-    kinds, rows, bits_of = [], [], []
-    candidates = {}  # (first, last) bits -> positions in rows
-    for c, values in enumerate(components):
-        bits = memoryview(values.view(np.int64).reshape(-1))
-        if bits[1:] == bits[:-1]:
-            kinds.append(repr(float(values.flat[0])))
-            continue
-        same = candidates.setdefault((bits[0], bits[-1]), [])
-        d = next((d for d in same if bits_of[d] == bits), None)
-        if d is None:
-            d = len(rows)
-            rows.append(c)
-            bits_of.append(bits)
-            same.append(d)
-        kinds.append(d)
-    return kinds, rows
-
-
 def write_tensor_dump(path, grid, tubes):
     """Delimited text dump: header, one row per (node, component).
 
@@ -714,25 +577,26 @@ def write_tensor_dump(path, grid, tubes):
     last grid axis at a time: a whole x1 plane or tube at once is no
     faster and holds far more strings.
 
-    Each distinct component is turned to text once.  Before the first
-    row, every (tube, index) component is classified by the bits of its
-    values over the whole tube, so -0.0 and 0.0, or two NaN payloads,
-    never match:
+    Before the first row, every (tube, index) component is classified by
+    the bits of its values over the whole tube, so -0.0 and 0.0, or two
+    NaN payloads, never match:
 
     - constant (every node holds the same bits, e.g. g_11 = e or
       g_1j = 0): its lines are built once, value included, and every
       row reuses them;
     - equal to an earlier component at every node (the mirrored slots
       of a symmetric tensor): its lines reuse that component's strings;
-    - distinct: its values are turned to ``repr`` strings once per node.
+    - distinct: its values are turned to text by ``dump_text.row_texts``,
+      once per distinct bit pattern of a block of whole x1 planes when a
+      component repeats bits within its first x1 plane, else once per
+      node.
 
-    A row gathers the distinct components with one index and places its
-    lines with two ``itemgetter`` calls, so the number of Python-level
-    calls per row does not grow with the number of components.  On the
-    33x33x101 ``wide-dump`` benchmark op, 7 of the metric's 9 components
-    are constant and one mirrors another, so ``repr`` runs 109,989 times
-    instead of 989,901 and ``metric.csv`` takes 0.20-0.26 s instead of
-    0.43-0.56 s (five runs each, one CPU of a 2-vCPU box).
+    A row places its lines with two ``itemgetter`` calls, so the number
+    of Python-level calls per row does not grow with the number of
+    components.  On the 33x33x101 ``wide-dump`` benchmark op, 7 of the
+    metric's 9 components are constant and one mirrors another, and the
+    source ``-(1 + c*x2*x3)*cos(x1)^2`` is symmetric in x2 and x3, so
+    ``repr`` runs 35,583 times (352 per plane) instead of 989,901.
     """
     tubes = list(tubes)
     n = grid.n
@@ -741,11 +605,11 @@ def write_tensor_dump(path, grid, tubes):
         (tube, pos) for tube in tubes for pos in np.ndindex(tube.dense.shape[: len(tube.first)])
     ]
     infixes = [
-        f",{_csv_field(tube.name)},"
-        f"{_csv_field(','.join(str(p + f) for p, f in zip(pos, tube.first)))},"
+        f",{csv_field(tube.name)},"
+        f"{csv_field(','.join(str(p + f) for p, f in zip(pos, tube.first)))},"
         for tube, pos in components
     ]
-    kinds, rows = _classify([tube.dense[pos] for tube, pos in components])
+    kinds, rows = classify([tube.dense[pos] for tube, pos in components])
     # The lines of a row after its leading coordinates, as (node, component)
     # pairs.  A varying line is its tail plus the text of its distinct
     # component at that node; a fixed line is built whole here.  ``place``
@@ -754,21 +618,20 @@ def write_tensor_dump(path, grid, tubes):
     varying = [(j, c) for j in range(m) for c, kind in enumerate(kinds) if isinstance(kind, int)]
     fixed = [(j, c) for j in range(m) for c, kind in enumerate(kinds) if isinstance(kind, str)]
     tails = [last[j] + infixes[c] for j, c in varying]
-    pick = _take([j * len(rows) + kinds[c] for j, c in varying])
+    pick = take([j * len(rows) + kinds[c] for j, c in varying])
     whole = [last[j] + infixes[c] + kinds[c] for j, c in fixed]
     order = varying + fixed
-    place = _take(sorted(range(len(order)), key=order.__getitem__))
+    place = take(sorted(range(len(order)), key=order.__getitem__))
+    del varying, fixed, order  # not held while the rows are written
     with open(path, "w", newline="") as fh:
         header = [f"x{k}" for k in range(1, n + 1)] + ["tensor", "indices", "value"]
         fh.write(",".join(header) + "\r\n")
         if not kinds:  # no components: the header alone
             return
-        for lead in np.ndindex(grid.shape[:-1]):
+        texts = row_texts([components[c] for c in rows]) if rows else itertools.repeat(())
+        for lead, row in zip(np.ndindex(grid.shape[:-1]), texts):
             head = "".join(axis[i] + "," for axis, i in zip(coords, lead))
-            row = (..., *lead, slice(None))
-            block = np.concatenate([t.dense[row].reshape(-1, m) for t in tubes])
-            texts = list(map(repr, block[rows].T.ravel().tolist()))
-            lines = list(map(operator.add, tails, pick(texts))) + whole
+            lines = list(map(operator.add, tails, pick(row))) + whole
             fh.write(head + ("\r\n" + head).join(place(lines)) + "\r\n")
 
 

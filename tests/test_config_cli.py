@@ -778,6 +778,42 @@ class TestCoarseRerun:
         assert read_report(out / "report.txt")["coarse_rerun"] == "done"
         assert alive == [[False, False]]
 
+    @pytest.mark.parametrize(
+        "mode, reconstruct",
+        [
+            ("roundtrip-metric", "_reconstruct_metric"),
+            ("roundtrip-connection", "_reconstruct_connection"),
+        ],
+        ids=["metric", "connection"],
+    )
+    def test_fine_field_is_freed_before_the_oracle_dump(
+        self, tmp_path, monkeypatch, mode, reconstruct
+    ):
+        # the oracle dump reads only the grid, so the fine field is gone
+        # while the oracle is written
+        real_reconstruct = getattr(cli, reconstruct)
+        real_dump = cli.write_tensor_dump
+        fine = []
+        alive = {}
+
+        def reconstructed(cfg, chart):
+            got = real_reconstruct(cfg, chart)
+            if chart is cfg.chart:
+                fine.append(weakref.ref(got[0]))
+            return got
+
+        def dump(path, grid, tubes):
+            alive[path.name] = fine[0]() is not None
+            real_dump(path, grid, tubes)
+
+        monkeypatch.setattr(cli, reconstruct, reconstructed)
+        monkeypatch.setattr(cli, "write_tensor_dump", dump)
+        text = SPHERE_ROUNDTRIP if mode == "roundtrip-metric" else CONNECTION_ROUNDTRIP
+        code, out = run_cli(tmp_path, text.replace("h1 = 0.001", "h1 = 0.01"), mode)
+        assert (out / "curvature_oracle.csv").exists()
+        assert alive.pop("curvature_oracle.csv") is False
+        assert list(alive.values()) == [True]
+
     def test_error(self, tmp_path, monkeypatch):
         # no configuration is known that fails on the coarse chart alone,
         # so the coarse reconstruction is made to raise

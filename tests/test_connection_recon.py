@@ -14,7 +14,8 @@ from semigeo.connection_recon import (
     stage2_integrate,
 )
 from semigeo.errors import InvalidInit, InvalidSpec
-from semigeo.grid_field import ChartSpec, TensorTube, build_grid, fd_transverse
+from semigeo.fd import fd_transverse
+from semigeo.grid_field import ChartSpec, TensorTube, build_grid
 from semigeo.linalg import mirror_upper
 from semigeo.ode import GuardConfig, march_report, tube_dense
 

@@ -17,11 +17,11 @@ from semigeo.curvature import (
     lower_and_check_identity,
 )
 from semigeo.errors import DegenerateMetric, InvalidSpec, NotSemigeodesic
+from semigeo.fd import fd_partial
 from semigeo.grid_field import (
     ChartSpec,
     TensorTube,
     build_grid,
-    fd_partial,
     interpolate,
     write_tensor_dump,
 )

@@ -3,9 +3,13 @@
 ``write_tensor_dump`` and ``write_curve_dump`` format rows of numbers
 with ``repr`` and write them without the csv module.  The reference
 writers below are the csv.writer implementations they replaced; every
-case must give the same bytes.  Memory guards pin that the tensor
-writer streams one row of the last grid axis at a time, and a counting
-``repr`` pins that it formats each distinct component once per node.
+case must give the same bytes, among them values that repeat within an
+x1 plane (across the transverse nodes, symmetric in x2 and x3, signed
+zeros and NaN payloads) and planes or rows larger than the writer's
+block.  Memory guards pin that the tensor writer streams a bounded block
+of rows at a time, and a counting ``repr`` pins that it formats each
+distinct bit pattern of a block once where a component repeats bits
+within its first x1 plane, and each value once where none does.
 """
 
 import builtins
@@ -16,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semigeo import grid_field
+from semigeo import dump_text, grid_field
 from semigeo.chart_check import Curve
 from semigeo.grid_field import (
     ChartSpec,
@@ -168,6 +172,52 @@ def case_nan_payloads():
     return g, [TensorTube("p", g, dense)]
 
 
+def case_transverse_constant():
+    g = grid_of(3, (3, 4))
+    along_x1 = values((2, 2, g.shape[0], 1, 1), 21)
+    return g, [TensorTube("t", g, np.broadcast_to(along_x1, (2, 2) + g.shape).copy())]
+
+
+def case_symmetric_plane():
+    g = grid_of(3, 4)
+    return g, [TensorTube("s", g, mirror_upper(values((2,) + g.shape, 22), axis=2))]
+
+
+def case_signed_zeros_and_nans_repeated():
+    g = grid_of(3, (3, 4))
+    dense = np.zeros((2,) + g.shape)
+    dense[0, ..., 1::2] = -0.0
+    dense[1, ..., 0::2], dense[1, ..., 1::2] = NAN_A, NAN_B
+    return g, [TensorTube("z", g, dense)]
+
+
+def case_plane_over_the_block():
+    g = grid_of(3, 20)
+    assert 3 * 20 * 20 > dump_text.BLOCK_VALUES
+    return g, [TensorTube("s", g, mirror_upper(values((3,) + g.shape, 23), axis=2))]
+
+
+def case_row_over_the_block():
+    g = grid_of(2, 601)
+    assert 2 * 601 > dump_text.BLOCK_VALUES
+    pairs = values((2, g.shape[0], 301), 24).repeat(2, axis=-1)[..., :601]
+    return g, [TensorTube("r", g, pairs)]
+
+
+def case_repeats_after_the_first_plane():
+    g = grid_of(3, (3, 4))
+    dense = values((2,) + g.shape, 25)
+    dense[:, 1:, :, 1:] = dense[:, 1:, :, :1]
+    return g, [TensorTube("a", g, dense)]
+
+
+def case_repeats_in_the_first_plane_only():
+    g = grid_of(3, (3, 4))
+    dense = values((2,) + g.shape, 26)
+    dense[:, 0] = dense[:, 0, :1, :1]
+    return g, [TensorTube("b", g, dense)]
+
+
 CASES = {
     "n2": case_n2,
     "n3": case_n3,
@@ -182,6 +232,13 @@ CASES = {
     "mirrored": case_mirrored,
     "shared-component": case_shared_component,
     "nan-payloads": case_nan_payloads,
+    "transverse-constant": case_transverse_constant,
+    "symmetric-plane": case_symmetric_plane,
+    "signed-zeros-and-nans-repeated": case_signed_zeros_and_nans_repeated,
+    "plane-over-the-block": case_plane_over_the_block,
+    "row-over-the-block": case_row_over_the_block,
+    "repeats-after-the-first-plane": case_repeats_after_the_first_plane,
+    "repeats-in-the-first-plane-only": case_repeats_in_the_first_plane_only,
 }
 
 
@@ -260,16 +317,58 @@ def test_varying_symmetric_dump_streams_one_row_at_a_time(tmp_path):
     assert peak < 0.5 * 2**20
 
 
+def test_repeating_symmetric_dump_streams_one_plane_at_a_time(tmp_path):
+    """The same bound where values repeat within each x1 plane.
+
+    As in the wide-dump benchmark op, one component varies, symmetric in
+    x2 and x3, so each plane's 1,089 values are turned to text through one
+    dict of its 561 bit patterns; the others are constant.
+    """
+
+    def dense(shape):
+        out = np.full((3, 3) + shape, 0.1 + 0.2)
+        out[1, 1] = mirror_upper(values(shape, 27), axis=1)
+        return out
+
+    peak = wide_dump_peak(tmp_path / "wide.csv", dense)
+    assert peak < 0.5 * 2**20
+
+
+def formatted(monkeypatch, tmp_path, grid, tubes):
+    """The values ``repr`` is called on while ``tubes`` are dumped; the dump
+    must match the reference writer's."""
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return builtins.repr(value)
+
+    for module in (grid_field, dump_text):
+        monkeypatch.setattr(module, "repr", counting_repr, raising=False)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_tensor_dump(got, grid, tubes)
+    monkeypatch.undo()
+    reference_tensor_dump(want, grid, tubes)
+    assert got.read_bytes() == want.read_bytes()
+    return calls
+
+
 def test_each_distinct_component_is_formatted_once(monkeypatch, tmp_path):
-    """``repr`` runs once per node for each distinct component, once per
-    constant component and once per coordinate; nothing else is formatted.
+    """``repr`` runs once per distinct bit pattern of the distinct
+    components in a block of x1 planes, once per constant component and
+    once per coordinate; nothing else is formatted.
 
     Of the 9 + 1 components below, 3 are constant, the mirrored slots and
     the second tube's one copy earlier components, and 4 are distinct:
     slots (2,2) and (3,3) differ only in one NaN payload, and slot (1,3)
-    is 0.0 but for one -0.0 node.
+    is 0.0 but for one -0.0 node.  Slot (1,3) repeats 0.0 in its first x1
+    plane, so bit patterns are shared, and the 4 x 48 values of the 4x3x4
+    lattice are one block.  Slot (2,2) holds 48 bit patterns, the 8
+    SPECIAL values among them; slot (3,3) adds NAN_B; slot (2,3) adds its
+    40 values past SPECIAL; slot (1,3) adds 0.0.
     """
     grid = grid_of(3, (3, 4))
+    assert 4 * math.prod(grid.shape) <= dump_text.BLOCK_VALUES
     dense = np.zeros((3, 3) + grid.shape)
     dense[0, 0] = 1.0
     dense[0, 1] = -0.0
@@ -279,15 +378,15 @@ def test_each_distinct_component_is_formatted_once(monkeypatch, tmp_path):
     dense[1, 1, 1, 2, 3], dense[2, 2, 1, 2, 3] = NAN_A, NAN_B
     dense[0, 2, 2, 1, 0] = -0.0
     tubes = [TensorTube("g", grid, mirror_upper(dense)), TensorTube("h", grid, dense[1, 2][None])]
-    calls = []
+    calls = formatted(monkeypatch, tmp_path, grid, tubes)
+    assert len(calls) == (48 + 1 + 40 + 1) + sum(grid.shape) + 3
 
-    def counting_repr(value):
-        calls.append(value)
-        return builtins.repr(value)
 
-    monkeypatch.setattr(grid_field, "repr", counting_repr, raising=False)
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_tensor_dump(got, grid, tubes)
-    assert len(calls) == 4 * math.prod(grid.shape) + sum(grid.shape) + 3
-    reference_tensor_dump(want, grid, tubes)
-    assert got.read_bytes() == want.read_bytes()
+def test_values_that_never_repeat_are_each_formatted_once(monkeypatch, tmp_path):
+    """With no bit pattern repeated within a component's first x1 plane,
+    ``repr`` runs once per node for each distinct component, as many
+    times as there are values, although the components share SPECIAL."""
+    grid = grid_of(3, (3, 4))
+    tubes = [TensorTube("v", grid, np.stack([values(grid.shape, 28), values(grid.shape, 29)]))]
+    calls = formatted(monkeypatch, tmp_path, grid, tubes)
+    assert len(calls) == 2 * math.prod(grid.shape) + sum(grid.shape)

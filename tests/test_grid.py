@@ -13,15 +13,13 @@ from semigeo.errors import (
     InvalidSpec,
     OutOfDomain,
 )
+from semigeo.fd import fd_partial, fd_second, fd_transverse
 from semigeo.grid_field import (
     ChartSpec,
     ExpressionField,
     TensorTube,
     as_field,
     build_grid,
-    fd_partial,
-    fd_second,
-    fd_transverse,
     interpolate,
     write_curve_dump,
     write_tensor_dump,
