@@ -44,7 +44,7 @@ from .errors import (
     VariableOutOfRange,
 )
 from .expr import eval_field_on, parse_field
-from .fd import fd_partial, fd_second, fd_transverse
+from .fd import fd_partial, fd_second, fd_transverse, fd_x1
 from .grid_field import (
     ChartSpec,
     ExpressionField,
@@ -105,6 +105,7 @@ __all__ = [
     "fd_partial",
     "fd_second",
     "fd_transverse",
+    "fd_x1",
     "geodesic_shoot",
     "interpolate",
     "lemma1_check",

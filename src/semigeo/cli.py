@@ -60,6 +60,7 @@ from .curvature import (
     curvature04_semigeo,
     curvature13,
     lower_and_check_identity,
+    x1_blocks,
 )
 from .errors import ConfigError, GridTooCoarse, SemigeoError
 from .grid_field import build_grid, write_curve_dump, write_tensor_dump
@@ -126,6 +127,22 @@ METRIC_ORACLE_SAMPLES = 4
 CONNECTION_ORACLE_SAMPLES = 3
 
 
+def _residual(recovered, sources, grid):
+    """Largest |recovered - sources| over ``grid``, NaN when any difference is.
+
+    ``recovered`` holds the sources' slots, then ``grid.shape``.  The
+    sources are read, and the difference taken, one ``x1_blocks`` block
+    at a time.
+    """
+    lead = (slice(None),) * (recovered.ndim - grid.n)
+    worst = []
+    for lo, hi in x1_blocks(grid):
+        target = np.moveaxis(sources.planes(grid.x1_samples[lo:hi], grid), 0, -2)
+        diff = recovered[lead + (slice(lo, hi),)].reshape(target.shape) - target
+        worst.append(np.max(np.abs(diff, out=diff)))
+    return float(np.max(worst))
+
+
 def metric_roundtrip_residual(metric, sources, degeneracy_tol):
     """Forward-oracle discrepancy of a reconstructed metric, or None.
 
@@ -138,8 +155,7 @@ def metric_roundtrip_residual(metric, sources, degeneracy_tol):
     if grid.shape[0] < METRIC_ORACLE_SAMPLES:
         return None, None
     axial = curvature04_semigeo(metric, degeneracy_tol=degeneracy_tol)
-    worst = float(np.max(np.abs(axial.dense[0, :, :, 0] - sources.dense_on(grid))))
-    return worst, axial
+    return _residual(axial.dense[0, :, :, 0], sources, grid), axial
 
 
 def connection_roundtrip_residual(conn, sources):
@@ -148,10 +164,7 @@ def connection_roundtrip_residual(conn, sources):
     if grid.shape[0] < CONNECTION_ORACLE_SAMPLES:
         return None, None
     r13 = curvature13(conn)
-    target = sources.dense_on(grid)
-    recovered = r13.dense[:, :, 0, 1:]
-    worst = float(np.max(np.abs(recovered - target)))
-    return worst, r13
+    return _residual(r13.dense[:, :, 0, 1:], sources, grid), r13
 
 
 def roundtrip_gate(residual, coarse_residual, roundtrip_tol):

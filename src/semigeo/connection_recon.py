@@ -101,7 +101,9 @@ class ConnectionCurvatureSpec:
     silently ignored.  The (i, k) pair is NOT symmetric.  Entries are
     expression strings or the FieldExpr programs ``parse_field`` makes
     of them, on the tube; any other value raises InvalidSpec.  Missing
-    entries are zero.  Each stage evaluates only the sources it reads.
+    entries are zero.  Each stage evaluates only the sources it reads;
+    a round trip's residual reads them all, one block of x1 planes at a
+    time.
     """
 
     def __init__(self, n, entries=None):
@@ -118,9 +120,9 @@ class ConnectionCurvatureSpec:
         """A^h_ik (i, k >= 2) at each x1 of ``xs``, shaped (len(xs), n, n-1, n-1, N)."""
         return self._fields.planes(xs, grid, (1, 2, 2))
 
-    def dense_on(self, grid):
-        """All prescribed values over a grid, shaped (n, n, n-1, *grid.shape)."""
-        return self._fields.on_grid(grid)
+    def planes(self, xs, grid):
+        """A^h_ik at each x1 of ``xs``, shaped (len(xs), n, n, n-1, N)."""
+        return self._fields.planes(xs, grid)
 
 
 # --------------------------------------------------------------- stage plumbing

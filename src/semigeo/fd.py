@@ -5,7 +5,9 @@ Central stencils in the interior, 3-point (first derivative) or 4-point
 derivative at the lower end of a one-sided tube is the right
 derivative.  Values carry their tensor axes first and the grid axes
 last, as a ``TensorTube``'s dense array does (``fd_transverse`` reads
-one x1 plane, so its values end in the transverse axes).
+one x1 plane, so its values end in the transverse axes).  ``fd_x1``
+gives the x1 derivatives of a block of x1 planes alone, with the bits
+of the whole-lattice ones.
 """
 
 import numpy as np
@@ -57,6 +59,24 @@ def _grid_axis0(values, axis, grid):
     return values, values.ndim - grid.n + (axis - 1)
 
 
+def _along(stencil, values, axis, grid, lo=0, hi=None):
+    """``stencil`` along ``axis`` at its nodes lo..hi-1, by default all of them.
+
+    Reads the nodes lo-1..hi, widened to at least four, and steps by
+    the whole grid's spacing: each node is differenced from the same
+    neighbours, with the same arithmetic, as on the whole axis, so it
+    gets the same bits.
+    """
+    values, axis0 = _grid_axis0(values, axis, grid)
+    m = values.shape[axis0]
+    hi = m if hi is None else hi
+    a = max(0, min(lo - 1, m - 4))
+    b = min(m, max(hi + 1, a + 4))
+    lead = (slice(None),) * axis0
+    out = stencil(values[lead + (slice(a, b),)], axis0, grid.spacing(axis))
+    return out[lead + (slice(lo - a, hi - a),)]
+
+
 def fd_partial(values, axis, grid):
     """Second-order partial derivative along ``axis`` (1-based) on the grid.
 
@@ -65,8 +85,7 @@ def fd_partial(values, axis, grid):
     the two boundary nodes; at the lower x1 end this is the right
     derivative.
     """
-    values, axis0 = _grid_axis0(values, axis, grid)
-    return _fd1(values, axis0, grid.spacing(axis))
+    return _along(_fd1, values, axis, grid)
 
 
 def fd_second(values, axis, grid):
@@ -75,8 +94,20 @@ def fd_second(values, axis, grid):
     Interior: (f[i-1] - 2 f[i] + f[i+1]) / h^2.  Boundaries use the
     4-point one-sided stencil, also second order.
     """
-    values, axis0 = _grid_axis0(values, axis, grid)
-    return _fd2(values, axis0, grid.spacing(axis))
+    return _along(_fd2, values, axis, grid)
+
+
+def fd_x1(derivative, values, grid, lo, hi):
+    """``derivative`` (``fd_partial`` or ``fd_second``) along x1 at the x1
+    planes lo..hi-1 alone, shaped like ``values`` with hi - lo x1 planes.
+
+    ``values`` covers the whole grid, but only the planes lo-1..hi (at
+    least four) are read, and each plane gets the bits the whole-lattice
+    derivative gives it: ``derivative(values, 1, grid)`` is the block
+    0..len(grid.x1_samples) of this.
+    """
+    stencil = _fd2 if derivative is fd_second else _fd1
+    return _along(stencil, values, 1, grid, lo, hi)
 
 
 def fd_transverse(values, axis, grid):

@@ -81,10 +81,6 @@ class MetricCurvatureSpec:
         """a_ij at each x1 of ``xs``, shaped (len(xs), n-1, n-1, N)."""
         return self._fields.planes(xs, grid)
 
-    def dense_on(self, grid):
-        """All prescribed values over a grid, shaped (n-1, n-1, *grid.shape)."""
-        return self._fields.on_grid(grid)
-
 
 def _quadratic(ginv, G):
     """1/2 g^{rs} G_ir G_js, mirrored from i <= j so it is exactly symmetric."""
@@ -159,8 +155,6 @@ def reconstruct_metric(init, sources, e, spec, guards=None, degeneracy_tol=None)
     plus, minus, rgrid, whole = march_tube(rhs, grid, state0, planes, guards)
     _relabel_collapse(plus, det0, tol)
     _relabel_collapse(minus, det0, tol)
-    # the report's |whole|-sized temporary is made and freed before the
-    # metric's arrays exist, so it does not add to the peak memory
     report = march_report(grid, rgrid, plus, minus, whole)
     metric = MetricField.semigeodesic(rgrid, tube_dense(whole[:, 0], rgrid), e=e)
     return metric, report

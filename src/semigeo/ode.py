@@ -491,7 +491,10 @@ def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=No
     other bits on two side-by-side nodes than on one.
     Returns (plus, minus, rgrid, whole): the two MarchResults, the grid
     restricted to the reached x1 samples, and the whole-step states
-    stacked along ascending x1 (minus reversed, x1 = 0 once).
+    stacked along ascending x1 (minus reversed, x1 = 0 once).  Each
+    MarchResult's ``states`` are a view of ``whole``, so the march's
+    trajectory is held once; the bank is dropped before ``whole`` is
+    made.
     """
     (h_plus, steps_plus), (h_minus, steps_minus) = _tube_marches(grid)
     lockstep = state0.shape[-1] > 1
@@ -513,8 +516,11 @@ def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=No
         (minus,) = rk4_march(
             rhs, (h_minus,), (steps_minus,), state0, guards, record_half, bank.march(1)
         )
-    rgrid = grid.restrict_x1(steps_minus - minus.steps_done, steps_minus + plus.steps_done)
+    del bank
+    k = minus.steps_done
+    rgrid = grid.restrict_x1(steps_minus - k, steps_minus + plus.steps_done)
     whole = np.concatenate([minus.states[:0:-1], plus.states], axis=0)
+    plus.states, minus.states = whole[k:], whole[k::-1]
     return plus, minus, rgrid, whole
 
 
@@ -552,9 +558,10 @@ class SourceBank:
     call reading it raises when it reads its parts (``_Unread``).  So a
     key the march never reaches cannot raise, and the error names the x
     that failed.  Rows are gathered from the chunks into one block of at
-    most ROW_BYTES at a time.  Every chunk is kept until the march ends:
-    freeing megabyte chunks mid-march raises glibc's dynamic mmap
-    threshold, which raised a wide march's peak RSS by about 1 MB.
+    most ROW_BYTES at a time.  Every chunk is kept until the march ends,
+    and ``march_tube`` drops the bank then, before it stacks the
+    trajectory: freeing megabyte chunks mid-march raises glibc's dynamic
+    mmap threshold, which raised a wide march's peak RSS by about 1 MB.
     """
 
     def __init__(self, planes, grid, record_half=False, key=None, lockstep=True):
@@ -748,7 +755,12 @@ def march_report(grid, rgrid, plus, minus, whole):
 
     The status is the first stop (plus, then minus) or Complete; each
     stopped direction adds a ``stop_plus``/``stop_minus`` diagnostic.
+    ``max_component`` is the largest |entry| of ``whole``, NaN when one
+    is, taken over blocks of whole x1 rows of at most CHUNK_POINTS
+    entries, so no |whole|-sized temporary joins ``whole``.
     """
+    per = max(1, CHUNK_POINTS // whole[0].size)
+    largest = [np.max(np.abs(whole[r : r + per])) for r in range(0, len(whole), per)]
     status = STATUS_COMPLETE
     diagnostics = {}
     for direction, march in (("plus", plus), ("minus", minus)):
@@ -760,6 +772,6 @@ def march_report(grid, rgrid, plus, minus, whole):
         status=status,
         delta_hat_plus=float(rgrid.x1_samples[-1]),
         delta_hat_minus=float(rgrid.x1_samples[0]),
-        max_component=float(np.max(np.abs(whole))),
+        max_component=float(np.max(largest)),
         diagnostics=diagnostics,
     )

@@ -13,7 +13,7 @@ from semigeo.errors import (
     InvalidSpec,
     OutOfDomain,
 )
-from semigeo.fd import fd_partial, fd_second, fd_transverse
+from semigeo.fd import fd_partial, fd_second, fd_transverse, fd_x1
 from semigeo.grid_field import (
     ChartSpec,
     ExpressionField,
@@ -217,6 +217,21 @@ class TestFiniteDifferences:
         x2 = g.transverse_axes[0]
         d = fd_transverse(np.sin(x2), 2, g)
         assert np.max(np.abs(d - np.cos(x2))) < (1.0 / 8) ** 2 / 3 * 1.01
+
+    @pytest.mark.parametrize("derivative", [fd_partial, fd_second])
+    def test_x1_blocks_keep_the_whole_axis_bits(self, derivative):
+        g = grid2(x1_range=(-0.3, 0.4), h1=0.1, res=5)
+        planes = len(g.x1_samples)
+        # the spacing of a sub-grid's own samples differs in its last bit
+        assert any(g.restrict_x1(lo, lo + 3).spacing(1) != g.spacing(1) for lo in range(5))
+        values = np.random.default_rng(3).normal(size=(2,) + g.shape)
+        values[0, 2] = -0.0
+        whole = derivative(values, 1, g)
+        for lo in range(planes):
+            for hi in range(lo + 1, planes + 1):
+                got = fd_x1(derivative, values, g, lo, hi)
+                assert got.shape == (2, hi - lo, 5)
+                assert got.tobytes() == whole[:, lo:hi].tobytes()
 
     def test_axis_bounds_checked(self):
         g = grid2()

@@ -391,6 +391,56 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypa
         assert np.array_equal(plane, planes(np.array([x]), TUBE)[0][0])
 
 
+@pytest.mark.parametrize("lohi", [(-0.1, 0.2), (0.0, 0.2), (-0.2, 0.0)])
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_march_tube_holds_its_trajectory_once(lohi, nodes):
+    # each direction's states are a view of whole, so the march's rows
+    # die once whole is made; the directions meet at x1 = 0
+    grid = build_grid(ChartSpec(n=2, x1_range=lohi, h1=0.01, transverse_res=3))
+    state0 = np.arange(1.0, 3.0 * nodes + 1.0).reshape((3, nodes))
+
+    def planes(xs, grid):
+        return (np.cos(xs)[:, None, None] + np.zeros((1, 3, nodes)),)
+
+    def rhs(xs, state, inputs):
+        (a,) = inputs
+        return a - 0.5 * state
+
+    plus, minus, _, whole = march_tube(rhs, grid, state0, planes)
+    k = minus.steps_done
+    assert len(whole) == k + plus.steps_done + 1 == grid.shape[0]
+    for march in (plus, minus):
+        assert np.shares_memory(march.states, whole)
+        assert march.states.shape == (march.steps_done + 1, 3, nodes)
+        assert np.array_equal(march.states[0], state0)
+    assert np.array_equal(plus.states, whole[k:])
+    assert np.array_equal(minus.states, whole[: k + 1][::-1])
+
+
+# a trajectory of 100 rows of 1,000 entries: march_report reads it in
+# blocks of CHUNK_POINTS // 1000 = 32 rows, so rows 96-99 are a block
+REPORTED = {
+    "random": ((), "uniform"),
+    "zeros-and-a-late-negative-zero": (((97, -0.0),), "zeros"),
+    "a-late-nan": (((97, np.nan),), "uniform"),
+    "a-late-inf": (((98, np.inf),), "uniform"),
+    "an-inf-then-a-late-nan": (((3, -np.inf), (99, np.nan)), "uniform"),
+    "a-nan-then-a-late-inf": (((40, np.nan), (96, np.inf)), "zeros"),
+}
+
+
+@pytest.mark.parametrize("planted, base", REPORTED.values(), ids=REPORTED.keys())
+def test_march_report_max_component_reads_every_block(planted, base):
+    rng = np.random.default_rng(4)
+    whole = rng.uniform(-1.0, 1.0, (100, 2, 500)) if base == "uniform" else np.zeros((100, 2, 500))
+    for row, value in planted:
+        whole[row, 1, 7] = value
+    assert ode.CHUNK_POINTS // whole[0].size < 96
+    march = ode.MarchResult(whole, None, 99, None, None)
+    report = ode.march_report(TUBE, TUBE, march, march, whole)
+    assert repr(report.max_component) == repr(float(np.max(np.abs(whole))))
+
+
 # ---------------------------------- grouped march against the sequential one
 #
 # ``_replaced_march.march_tube`` marches plus to its end and then minus,

@@ -28,6 +28,7 @@ from semigeo.connection_recon import (
     HypersurfaceConnectionData,
     reconstruct_connection,
 )
+from semigeo.curvature import ORACLE_POINTS
 from semigeo.errors import EvalError
 from semigeo.expr import parse_field
 from semigeo.grid_field import ChartSpec, ExpressionField, build_grid
@@ -507,7 +508,9 @@ def test_band_round_trip_evaluates_each_chunk_once(tmp_path, monkeypatch):
 
     Evaluating one plane per RK4 key made 25,000-odd calls here.  The
     bound is (given components read) x (chunks) per march, fine and
-    coarse, plus one whole-grid call per component for each residual.
+    coarse, plus one call per component and x1 block of each residual:
+    the fine lattice's 4001 x 5 points are two blocks, the coarse one's
+    2001 x 3 one.
     """
     calls = count_eval_calls(monkeypatch)
     text = (
@@ -522,8 +525,9 @@ def test_band_round_trip_evaluates_each_chunk_once(tmp_path, monkeypatch):
         return math.ceil((2.0 / h1) * per_step / (CHUNK_POINTS // nodes))
 
     bound = 0
-    for h1, res in ((5e-4, 5), (1e-3, 3)):  # fine run, Richardson coarse rerun
+    for h1, res, blocks in ((5e-4, 5, 2), (1e-3, 3, 1)):  # fine run, Richardson coarse rerun
+        assert blocks == math.ceil((2.0 / h1 + 1) / (ORACLE_POINTS // res))
         stage1 = 1 * chunks(h1, res, 6)  # A.2.1.2, at most 6 x per step
         stage2 = 1 * chunks(h1, res, 3)  # A.1.2.2, at most 3 x per step
-        bound += stage1 + stage2 + 2  # + dense_on of both components
+        bound += stage1 + stage2 + 2 * blocks  # + the residual's reads of both components
     assert 0 < len(calls) <= bound
