@@ -6,8 +6,9 @@ Modes: forward, reconstruct-metric, reconstruct-connection,
 roundtrip-metric, roundtrip-connection, check-chart.  ``--threads N`` is
 accepted and ignored: every march is one lockstep pass over all nodes.
 
-Exit codes: 0 success; 2 bad configuration or invalid input data
-(found mid-run, it still leaves a report with ``status: InvalidInput``);
+Exit codes: 0 success; 2 bad configuration, invalid input data or a
+lattice too large for the memory the process may take (found mid-run,
+it still leaves a report with ``status: InvalidInput``);
 3 numerical stop (blow-up or degeneracy; partial dumps are still
 written; ``forward`` exits 3 with ``status: StoppedBlowup`` when a tensor
 it dumps overflowed to inf or nan); 4 round-trip residual above its
@@ -356,15 +357,17 @@ def run(cfg, mode, out):
 
     Writes the mode's dumps plus report.txt into ``out``.  Numerical
     stops still produce dumps covering the reached x1 range.  Invalid
-    input found mid-run (a SemigeoError) still writes a report with
-    ``status: InvalidInput``, the message and exit code 2, then re-raises.
+    input found mid-run (a SemigeoError), or a lattice the process
+    cannot hold (a MemoryError), still writes a report with ``status:
+    InvalidInput``, the message and exit code 2, then re-raises.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         code, lines = _run_mode(cfg, mode, out)
-    except SemigeoError as err:
-        _write_report(out, [("mode", mode), ("status", "InvalidInput"), ("error", str(err))], 2)
+    except (SemigeoError, MemoryError) as err:
+        error = ("error", _message(err))
+        _write_report(out, [("mode", mode), ("status", "InvalidInput"), error], 2)
         raise
     _write_report(out, lines, code)
     return code
@@ -392,8 +395,18 @@ def _run_mode(cfg, mode, out):
     return _run_check_chart(cfg, build_grid(cfg.chart), out)
 
 
+def _message(err):
+    """One line naming what went wrong; a bare MemoryError carries no text."""
+    return str(err) or "out of memory"
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # numpy advises huge pages on every array of 4 MB or more, so the
+    # pages of a partly written one (the metric's zero slots, a stopped
+    # march's rows) become resident 2 MB at a time; the run's arrays
+    # take small pages, and the caller's advice is restored after it
+    hugepages = np._core.multiarray._set_madvise_hugepage(False)
     try:
         cfg = load_config(args.config)
         mode = validate_for_mode(cfg, args.mode)
@@ -403,9 +416,11 @@ def main(argv=None):
         for name in defaulted_components(cfg, mode):
             print(f"note: {name} not set, defaulting to 0", file=sys.stderr)
         return run(cfg, mode, out)
-    except (OSError, SemigeoError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, SemigeoError, MemoryError) as err:
+        print(f"error: {_message(err)}", file=sys.stderr)
         return 2
+    finally:
+        np._core.multiarray._set_madvise_hugepage(hugepages)
 
 
 if __name__ == "__main__":

@@ -266,22 +266,27 @@ def _replay(rhs, x, h, state, guards, half, whole):
     return new, mid, stop, detail
 
 
-# A group's states (or midpoints) are written row by row into one block
-# with room for all its steps, but at most BLOCK_ROWS to start with, and a
-# block that fills up doubles.  A tube march of up to BLOCK_ROWS steps,
-# which takes them all unless it stops, fills its block exactly, and a
-# shot asked for far more steps than it takes (one that leaves the tube
-# at once) holds little.  Lists of one array per group and step, the
-# other way to gather them, hold an array object per row, and a tube's
-# directions hold theirs all at once.
+# A shot's states (or a group's midpoints) are written row by row into one
+# block with room for all its steps, but at most BLOCK_ROWS to start
+# with, and a block that fills up doubles.  A shot asked for far more
+# steps than it takes (one that leaves the tube at once) so holds little.
+# A tube march's states need no block: its step counts are exact, and
+# they go straight into the trajectory ``march_tube`` returns.  Lists of
+# one array per group and step, the other way to gather them, hold an
+# array object per row.
 BLOCK_ROWS = 2**12
 
 
 class _Rows:
-    """One group's states (or midpoints), written row by row into one block."""
+    """One group's states (or midpoints), written row by row.
 
-    def __init__(self, shape, rows):
-        self._block = np.empty((max(1, min(rows, BLOCK_ROWS)),) + shape)
+    They go into ``out`` when given, an array of room for every row, and
+    else into a block of their own.
+    """
+
+    def __init__(self, shape, rows, out=None):
+        self._own = out is None
+        self._block = np.empty((max(1, min(rows, BLOCK_ROWS)),) + shape) if self._own else out
         self.count = 0
 
     def add(self, row):
@@ -294,9 +299,9 @@ class _Rows:
         return self._block[self.count - 1]
 
     def done(self):
-        """The rows written: the block itself when they fill it, else a copy."""
+        """The rows written: a view, or a copy of part of a block of their own."""
         rows = self._block[: self.count]
-        return rows if self.count == len(self._block) else rows.copy()
+        return rows.copy() if self._own and self.count < len(self._block) else rows
 
 
 def _stacked(rows, live):
@@ -343,7 +348,7 @@ class _Unread:
         raise self.error
 
 
-def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=None):
+def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=None, out=None):
     """March node groups in lockstep from x = 0, each with its own step.
 
     The trailing axis of ``state0`` holds len(hs) groups of equal width
@@ -352,11 +357,14 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
     ``_step_x(i, hs[g])``, and a group that stops or ends leaves the
     others marching on with the same step index.  The right-hand side
     is called as ``rhs(xs, state, stage_inputs)`` with one x per group
-    in ``state``.  ``inputs(i, calls)``, from ``SourceBank.march``,
+    in ``state``.  ``inputs(i, calls)``, a ``SourceBank``'s ``step``,
     gives the stage inputs of step i's k1, k2/k3 and k4 calls: the
     parts of the planes of their x, the columns ``calls`` of the step's
     row side by side.  Without ``inputs`` every call is handed no parts.
-    Returns one MarchResult per group.
+    ``out``, when given, holds per group an array of n_steps[g] + 1
+    rows that its states are written into, row 0 the initial state.
+    Returns one MarchResult per group; with ``out`` each one's
+    ``states`` is the view of its array that the march reached.
 
     Each step of the live groups is one ``rk4_step``.  When every group
     planned to march the step is live, each call is handed a view of
@@ -380,7 +388,7 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
     state = np.array(state0, dtype=np.float64)
     width = state.shape[-1] // len(hs)
     shape = state.shape[:-1] + (width,)
-    rows = [_Rows(shape, n + 1) for n in n_steps]
+    rows = [_Rows(shape, n + 1, o) for n, o in zip(n_steps, out or [None] * len(hs))]
     mids = [_Rows(shape, n) if record_half else None for n in n_steps]
     for g, group in enumerate(rows):
         group.add(state[..., g * width : (g + 1) * width])
@@ -486,42 +494,30 @@ def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=No
     ``rk4_march``), where ``stage_inputs`` are the planes of ``planes``
     at those x side by side, read from this march's SourceBank, built
     with the same ``record_half`` the march uses and the plane ``key``.
-    A one-node state marches its directions one after the other
-    instead: ``metric_recon._quadratic``'s three-operand einsum gives
-    other bits on two side-by-side nodes than on one.
     Returns (plus, minus, rgrid, whole): the two MarchResults, the grid
     restricted to the reached x1 samples, and the whole-step states
-    stacked along ascending x1 (minus reversed, x1 = 0 once).  Each
-    MarchResult's ``states`` are a view of ``whole``, so the march's
-    trajectory is held once; the bank is dropped before ``whole`` is
-    made.
+    along ascending x1.  One array with a row per x1 sample of ``grid``
+    is allocated before the march, which writes the plus states into
+    its rows from x1 = 0 up and the minus states into its rows from
+    x1 = 0 down; ``whole`` is its reached rows, and each MarchResult's
+    ``states`` a view of them, so the trajectory is held once and never
+    copied.  The bank is dropped once the march returns.
     """
     (h_plus, steps_plus), (h_minus, steps_minus) = _tube_marches(grid)
-    lockstep = state0.shape[-1] > 1
-    bank = SourceBank(planes, grid, record_half, key, lockstep)
-    if lockstep:
-        plus, minus = rk4_march(
-            rhs,
-            (h_plus, h_minus),
-            (steps_plus, steps_minus),
-            np.concatenate([state0, state0], axis=-1),
-            guards,
-            record_half,
-            bank.march(0),
-        )
-    else:
-        (plus,) = rk4_march(
-            rhs, (h_plus,), (steps_plus,), state0, guards, record_half, bank.march(0)
-        )
-        (minus,) = rk4_march(
-            rhs, (h_minus,), (steps_minus,), state0, guards, record_half, bank.march(1)
-        )
-    del bank
-    k = minus.steps_done
-    rgrid = grid.restrict_x1(steps_minus - k, steps_minus + plus.steps_done)
-    whole = np.concatenate([minus.states[:0:-1], plus.states], axis=0)
-    plus.states, minus.states = whole[k:], whole[k::-1]
-    return plus, minus, rgrid, whole
+    track = np.empty((len(grid.x1_samples),) + state0.shape)
+    plus, minus = rk4_march(
+        rhs,
+        (h_plus, h_minus),
+        (steps_plus, steps_minus),
+        np.concatenate([state0, state0], axis=-1),
+        guards,
+        record_half,
+        SourceBank(planes, grid, record_half, key).step,
+        (track[steps_minus:], track[steps_minus::-1]),
+    )
+    lo = steps_minus - minus.steps_done
+    rgrid = grid.restrict_x1(lo, steps_minus + plus.steps_done)
+    return plus, minus, rgrid, track[lo : lo + len(rgrid.x1_samples)]
 
 
 # Most points (x1 keys times transverse nodes) one batched source
@@ -547,9 +543,8 @@ class SourceBank:
     chunks of at most CHUNK_POINTS points, each key evaluated at its
     first x.
 
-    ``march(m)`` serves march m (the one march of both directions with
-    ``lockstep``, else the plus, then the minus march): its step i reads
-    one row, laid out by ``_calls``.  When the march reaches a step, the
+    ``step`` serves the one march of both directions: its step i reads
+    row i, laid out by ``_calls``.  When the march reaches a step, the
     row's keys not evaluated yet are, in column order, each evaluating
     its whole chunk in one ``planes`` call.  A chunk that raises
     SemigeoError is split in halves and the half holding the key is
@@ -559,12 +554,12 @@ class SourceBank:
     key the march never reaches cannot raise, and the error names the x
     that failed.  Rows are gathered from the chunks into one block of at
     most ROW_BYTES at a time.  Every chunk is kept until the march ends,
-    and ``march_tube`` drops the bank then, before it stacks the
-    trajectory: freeing megabyte chunks mid-march raises glibc's dynamic
-    mmap threshold, which raised a wide march's peak RSS by about 1 MB.
+    and the bank dies then: freeing megabyte chunks mid-march raises
+    glibc's dynamic mmap threshold, which raised a wide march's peak RSS
+    by about 1 MB.
     """
 
-    def __init__(self, planes, grid, record_half=False, key=None, lockstep=True):
+    def __init__(self, planes, grid, record_half=False, key=None):
         self._planes = planes
         self._grid = grid
         self._width = math.prod(grid.transverse_shape)
@@ -596,19 +591,14 @@ class SourceBank:
         # phase by phase, (first row, each row's key per column, the column
         # range of each call); a phase ends where a group's steps do
         self._phases = []
-        self._first = []
-        row = 0
-        for directions in ((0, 1),) if lockstep else ((0,), (1,)):
-            self._first.append(row)
-            a = 0
-            for b in sorted({marches[d][1] for d in directions}):
-                if b > a:
-                    groups = [d for d in directions if marches[d][1] >= b]
-                    rows = np.stack([index[d][a:b] for d in groups], axis=2).reshape(b - a, -1)
-                    calls = _calls(len(groups), range(len(groups)), record_half)
-                    self._phases.append((row, rows, [(c[0], c[-1] + 1) for c in calls]))
-                    row += b - a
-                    a = b
+        a = 0
+        for b in sorted({n for _, n in marches}):
+            if b > a:
+                groups = [d for d in (0, 1) if marches[d][1] >= b]
+                rows = np.stack([index[d][a:b] for d in groups], axis=2).reshape(b - a, -1)
+                calls = _calls(len(groups), range(len(groups)), record_half)
+                self._phases.append((a, rows, [(c[0], c[-1] + 1) for c in calls]))
+                a = b
         self._phase_rows = [phase[0] for phase in self._phases]
         per = max(1, CHUNK_POINTS // self._width)
         # where each chunk begins in _xs, ascending; a chunk ends where
@@ -625,11 +615,6 @@ class SourceBank:
         self._held = []
         # (first row, end row, parts, each call's column range of them)
         self._block = None
-
-    def march(self, m):
-        """The stage inputs of march m's steps, as ``rk4_march`` reads them."""
-        first = self._first[m]
-        return lambda i, calls: self.step(first + i, calls)
 
     def step(self, r, calls=None):
         """The stage inputs of row r's k1, k2/k3 and k4 calls.

@@ -2,8 +2,13 @@
 
 import csv
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1219,10 +1224,98 @@ class TestExitTwo:
             "exit_code": "2",
         }
 
+    def test_running_out_of_memory_exits_two(self, tmp_path):
+        # an identity metric on a 101 x 101 x 1001 lattice: its n^4 tube
+        # (6.6 GB) is inside the budget, but the child may map only 512 MB,
+        # so the first lattice-sized array (701 MiB) cannot be allocated
+        text = (
+            "[chart]\nn = 3\nx1_min = 0\nx1_max = 1\nh1 = 0.001\ntransverse_res = 101\n"
+            '[fields]\ng.1.1 = "1"\ng.2.2 = "1"\ng.3.3 = "1"\n'
+        )
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        limit = 512 * 2**20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        argv = [sys.executable, "-m", "semigeo", "forward", "--config", str(cfg), "--out", str(out)]
+        child = subprocess.run(
+            argv, preexec_fn=cap, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == 2, child.stderr
+        last = child.stderr.splitlines()[-1]
+        assert last.startswith("error: Unable to allocate") and "Traceback" not in child.stderr
+        assert read_report(out / "report.txt") == {
+            "mode": "forward",
+            "status": "InvalidInput",
+            "error": last.removeprefix("error: "),
+            "exit_code": "2",
+        }
+
+    def test_bare_memory_error_exits_two_with_a_message(self, tmp_path, capsys, monkeypatch):
+        # Python's own MemoryError carries no text
+        def exhausted(*_args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_run_mode", exhausted)
+        code, out = run_cli(tmp_path, FLAT_FORWARD, "forward")
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert read_report(out / "report.txt")["error"] == "out of memory"
+
     def test_unknown_cli_mode_rejected_by_parser(self, tmp_path):
         cfg = write_cfg(tmp_path, FLAT_FORWARD)
         with pytest.raises(SystemExit):
             main(["sideways", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+def hugepage_advice(enabled=None):
+    """numpy's huge-page advice for new arrays; set to ``enabled`` when given."""
+    if enabled is None:
+        return np._core.multiarray._get_madvise_hugepage()
+    return np._core.multiarray._set_madvise_hugepage(enabled)
+
+
+class TestHugePageAdvice:
+    @pytest.mark.parametrize("before", [True, False])
+    @pytest.mark.parametrize("text", [FLAT_FORWARD, "[chart]\n"], ids=["run", "config-error"])
+    def test_main_runs_without_it_and_restores_it(self, tmp_path, monkeypatch, before, text):
+        seen = []
+        run = cli.run
+
+        def recorded(*args):
+            seen.append(hugepage_advice())
+            return run(*args)
+
+        monkeypatch.setattr(cli, "run", recorded)
+        cfg = write_cfg(tmp_path, text)
+        previous = hugepage_advice(before)
+        try:
+            code = main(["forward", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            after = hugepage_advice()
+        finally:
+            hugepage_advice(previous)
+        assert (code, seen) == ((0, [False]) if text == FLAT_FORWARD else (2, []))
+        assert after == before
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_import_leaves_it_alone(self, before):
+        # a fresh interpreter: this one imported semigeo long ago
+        script = (
+            "import numpy as np\n"
+            f"np._core.multiarray._set_madvise_hugepage({before})\n"
+            "import semigeo, semigeo.cli\n"
+            "print(np._core.multiarray._get_madvise_hugepage())\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        child = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.stdout == f"{before}\n", child.stderr
 
 
 class TestDeterminismAndPlumbing:

@@ -391,30 +391,76 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypa
         assert np.array_equal(plane, planes(np.array([x]), TUBE)[0][0])
 
 
-@pytest.mark.parametrize("lohi", [(-0.1, 0.2), (0.0, 0.2), (-0.2, 0.0)])
-@pytest.mark.parametrize("nodes", [1, 3])
-def test_march_tube_holds_its_trajectory_once(lohi, nodes):
-    # each direction's states are a view of whole, so the march's rows
-    # die once whole is made; the directions meet at x1 = 0
-    grid = build_grid(ChartSpec(n=2, x1_range=lohi, h1=0.01, transverse_res=3))
+def trajectory_march(lohi, nodes, monkeypatch, stop=None):
+    """(grid, plus, minus, whole, shapes) of a march_tube on ``nodes`` nodes per plane.
+
+    ``shapes`` are the shapes of every np.concatenate result made while
+    it marches.  The right-hand side vetoes every x beyond ``stop``
+    (above it when positive, below it when negative).
+    """
+    grid = build_grid(ChartSpec(n=2, x1_range=lohi, h1=0.01, transverse_res=nodes))
     state0 = np.arange(1.0, 3.0 * nodes + 1.0).reshape((3, nodes))
+    shapes = []
+    concatenate = np.concatenate
+
+    def counted(arrays, *args, **kwargs):
+        joined = concatenate(arrays, *args, **kwargs)
+        shapes.append(joined.shape)
+        return joined
 
     def planes(xs, grid):
         return (np.cos(xs)[:, None, None] + np.zeros((1, 3, nodes)),)
 
     def rhs(xs, state, inputs):
+        if stop is not None and any(x * np.sign(stop) > abs(stop) for x in xs):
+            raise StateRejected("degenerate", 1)
         (a,) = inputs
         return a - 0.5 * state
 
+    monkeypatch.setattr(np, "concatenate", counted)
     plus, minus, _, whole = march_tube(rhs, grid, state0, planes)
+    monkeypatch.undo()
+    return grid, plus, minus, whole, shapes
+
+
+def assert_one_buffer(grid, plus, minus, whole, shapes):
+    # one array with a row per x1 sample of the grid holds the march's
+    # rows; nothing joins rows of it, so no result has its row shape
+    buffer = whole.base
+    assert buffer.shape == (grid.shape[0],) + whole.shape[1:]
+    assert plus.states.base is buffer and minus.states.base is buffer
+    assert not [shape for shape in shapes if shape[1:] == whole.shape[1:]]
     k = minus.steps_done
-    assert len(whole) == k + plus.steps_done + 1 == grid.shape[0]
-    for march in (plus, minus):
-        assert np.shares_memory(march.states, whole)
-        assert march.states.shape == (march.steps_done + 1, 3, nodes)
-        assert np.array_equal(march.states[0], state0)
+    assert len(whole) == k + plus.steps_done + 1
     assert np.array_equal(plus.states, whole[k:])
     assert np.array_equal(minus.states, whole[: k + 1][::-1])
+
+
+@pytest.mark.parametrize("lohi", [(-0.1, 0.2), (0.0, 0.2), (-0.2, 0.0)])
+@pytest.mark.parametrize("nodes", [3, 5])
+def test_march_tube_holds_its_trajectory_once(lohi, nodes, monkeypatch):
+    # the march writes each direction's states straight into whole, the
+    # minus ones reversed; the directions meet at x1 = 0
+    grid, plus, minus, whole, shapes = trajectory_march(lohi, nodes, monkeypatch)
+    assert len(whole) == grid.shape[0]
+    assert_one_buffer(grid, plus, minus, whole, shapes)
+    for march in (plus, minus):
+        assert march.states.shape == (march.steps_done + 1, 3, nodes)
+        assert np.array_equal(march.states[0], np.arange(1.0, 3.0 * nodes + 1.0).reshape(3, nodes))
+
+
+@pytest.mark.parametrize("stop, done", [(0.052, (5, 10)), (-0.032, (20, 3))], ids=["plus", "minus"])
+def test_stopped_march_tube_holds_its_reached_rows_once(stop, done, monkeypatch):
+    # whole is the reached rows of the one array; the rows past a stop
+    # stay unwritten, and neither direction's states are copied
+    grid, plus, minus, whole, shapes = trajectory_march((-0.1, 0.2), 3, monkeypatch, stop)
+    assert (plus.steps_done, minus.steps_done) == done
+    assert [m.stopped for m in (plus, minus)].count("degenerate") == 1
+    assert_one_buffer(grid, plus, minus, whole, shapes)
+    # the reached rows are the ones the unstopped march makes
+    _, _, _, full, _ = trajectory_march((-0.1, 0.2), 3, monkeypatch)
+    lo = 10 - done[1]
+    assert whole.tobytes() == full[lo : lo + len(whole)].tobytes()
 
 
 # a trajectory of 100 rows of 1,000 entries: march_report reads it in
@@ -682,33 +728,6 @@ def test_half_step_only_rejection_matches(n, N):
     plus, minus = want[:2]
     assert plus.stopped is None
     assert (minus.stopped, minus.stop_detail, minus.steps_done) == ("vetoed", 0, 2)
-
-
-def test_one_node_tube_keeps_its_bits_unfused(monkeypatch):
-    # _quadratic's three-operand einsum gives other bits for one node
-    # than for two side by side, so a one-node tube is not fused
-    rng = np.random.default_rng(1)
-    changed = 0
-    for _ in range(20):
-        a, b = rng.uniform(-1.0, 1.0, (2, 2, 2, 1))
-        g = np.eye(2)[..., None] + 0.3 * (a + np.swapaxes(a, 0, 1))
-        G = b + np.swapaxes(b, 0, 1)
-        alone = _quadratic(inv_sym(g), G)
-        fused = _quadratic(inv_sym(np.concatenate([g, g], -1)), np.concatenate([G, G], -1))
-        changed += alone.tobytes() != fused[..., :1].tobytes()
-    assert changed > 0
-    calls = []
-    march = ode.rk4_march
-
-    def recorded(rhs, hs, *args, **kwargs):
-        calls.append(hs)
-        return march(rhs, hs, *args, **kwargs)
-
-    monkeypatch.setattr(ode, "rk4_march", recorded)
-    got, want = both_marches("metric", 2, 1, -0.05, 0.05, Stops(), 3)
-    assert_same(got, want)
-    h = node_tube(2, 1, -0.05, 0.05).spacing(1)
-    assert calls == [(h,), (-h,)]
 
 
 # ---------------------------------------------------- errors between directions

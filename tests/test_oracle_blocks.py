@@ -238,9 +238,10 @@ def test_the_wide_march_holds_its_trajectory_about_twice():
     assert report.complete
     # the whole-step states, (x1, g or G, 2, 2, node)
     whole = metric.grid.shape[0] * 2 * 2 * 2 * math.prod(metric.grid.transverse_shape) * 8
-    # 2.28 wholes, reached inside the march (its source bank beside its
-    # rows), where whole beside the rows is 2.0; 3.17 while the bank lived
-    # on beside whole and the report took |whole|
+    # 2.27 wholes, reached inside the march (its source bank beside the
+    # trajectory it writes its rows into); 2.28 while the rows were
+    # copied into whole after the march, 3.17 while the bank lived on
+    # beside whole and the report took |whole|
     assert peak < 2.4 * whole
 
 

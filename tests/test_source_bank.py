@@ -157,30 +157,51 @@ def line_grid(lo=-1.0, hi=1.0, h1=0.01, res=3):
 
 
 def rows_of(grid):
-    """Rows of a bank of ``grid`` with ``lockstep=False``: plus steps, then minus steps."""
-    return sum(n for _, n in ode._tube_marches(grid))
+    """Rows of a bank of ``grid``: one per step of its longer direction."""
+    return max(n for _, n in ode._tube_marches(grid))
+
+
+def lockstep_rows(grid):
+    """The x of each row's columns, as a bank of ``grid`` lays them out.
+
+    Per step the starts, then the middles, then the ends of the
+    directions marching it, plus before minus, with the march's own
+    float arithmetic.
+    """
+    marches = ode._tube_marches(grid)
+    rows = []
+    for i in range(rows_of(grid)):
+        stages = [(0.0 + i * h, 0.0 + i * h + 0.5 * h, 0.0 + i * h + h) for h, n in marches if i < n]
+        rows.append([x for stage in zip(*stages) for x in stage])
+    return rows
 
 
 def step_values(bank, r):
-    """The x1 each call of row r reads, per call (planes of ``counting_planes``)."""
-    return [float(call[0][0]) for call in bank.step(r)]
+    """The x1 of each column row r's calls read, in order (planes of ``counting_planes``)."""
+    return [float(x) for call in bank.step(r) for x in call[0][:: bank._width]]
 
 
 class TestBankRules:
     def test_chunks_in_march_order_under_the_cap(self):
-        # rows read in order, one direction after the other, evaluate the
-        # chunks in march order
+        # rows read in order evaluate each chunk once, when a row's
+        # columns first read one of its keys; the keys are in march
+        # order, the plus direction's first
         grid = line_grid(h1=1e-4, res=9)
         calls = []
-        bank = SourceBank(counting_planes(calls), grid, lockstep=False)
-        plan = tube_xs(grid)
-        for r in range(rows_of(grid)):
-            assert step_values(bank, r) == plan[3 * r : 3 * r + 3]
-        keys = list(dict.fromkeys(plan))
+        bank = SourceBank(counting_planes(calls), grid)
+        keys = list(dict.fromkeys(tube_xs(grid)))
         per = CHUNK_POINTS // 9
-        assert [x for chunk in calls for x in chunk] == keys
-        assert [len(chunk) for chunk in calls[:-1]] == [per] * (len(calls) - 1)
-        assert len(calls) == math.ceil(len(keys) / per) > 1
+        chunk_of = {x: i // per for i, x in enumerate(keys)}
+        reached = []
+        for r, row in enumerate(lockstep_rows(grid)):
+            assert step_values(bank, r) == row
+            for x in row:
+                if chunk_of[x] not in reached:
+                    reached.append(chunk_of[x])
+        chunks = [keys[a : a + per] for a in range(0, len(keys), per)]
+        assert calls == [chunks[c] for c in reached]
+        assert sorted(reached) == list(range(len(chunks)))
+        assert len(chunks) == math.ceil(len(keys) / per) > 1
 
     # (record_half, keyed by half step) of stage 1, stage 2 and the metric
     @pytest.mark.parametrize("record_half, keyed", [(True, False), (False, True), (False, False)])
@@ -208,59 +229,60 @@ class TestBankRules:
         assert calls == []
 
     def test_failed_chunk_is_split_in_halves(self):
-        grid = line_grid()
-        plan = tube_xs(grid)
-        keys = list(dict.fromkeys(plan))
+        # the minus direction ends before the plus one reaches the failing
+        # key, as a march that raises there reads it
+        grid = line_grid(lo=-0.5)
+        rows = lockstep_rows(grid)
+        keys = list(dict.fromkeys(tube_xs(grid)))
         bad = next(x for x in keys if x > 0.5)
         calls = []
-        bank = SourceBank(counting_planes(calls, fail_above=0.5), grid, lockstep=False)
+        bank = SourceBank(counting_planes(calls, fail_above=0.5), grid)
         assert step_values(bank, 0)[0] == 0.0
         assert calls[0] == keys and len(calls[1]) == len(keys) // 2
-        rows = range(rows_of(grid))
-        failing = next(r for r in rows if bad in plan[3 * r : 3 * r + 3])
-        reached = [r for r in rows if max(plan[3 * r : 3 * r + 3]) <= 0.5]
-        for r in reached[: reached.index(failing - 1) + 1]:
-            assert step_values(bank, r) == plan[3 * r : 3 * r + 3]
+        failing = next(r for r, row in enumerate(rows) if bad in row)
+        for r in range(failing):
+            assert step_values(bank, r) == rows[r]
         # the row of the failing key evaluates it alone; the call that
         # reads it is handed the error, which reading its planes raises,
         # and the row read again does not evaluate it again
         before = len(calls)
-        call = plan[3 * failing : 3 * failing + 3].index(bad)
+        call = rows[failing].index(bad) // 2
         for _ in range(2):
             got = bank.step(failing)
-            read = [float(got[c][0][0]) for c in range(call)]
-            assert read == plan[3 * failing : 3 * failing + call]
+            read = [float(x) for c in range(call) for x in got[c][0][:: bank._width]]
+            assert read == rows[failing][: 2 * call]
             with pytest.raises(EvalError, match=re.escape(f"at x1 = {bad!r}")):
                 (planes,) = got[call]
         assert calls[-1] == [bad] and calls.count([bad]) == 1
+        # the rows before it read every key below the failing one, from a
+        # handful of calls: the one chunk, then at most two per halving of
+        # it; the one-key fallback made one call per key
         split = calls[before:]
-        # then every row of the minus side: with the plus side's rows, every
-        # key below the failing one, from a handful of calls; the one-key
-        # fallback made one call per key
-        for r in reached[reached.index(failing - 1) + 1 :]:
-            assert step_values(bank, r) == plan[3 * r : 3 * r + 3]
         below = [x for x in keys if x <= 0.5]
         served = [chunk for chunk in calls if chunk not in split]
-        assert len(served) <= 2 * math.ceil(math.log2(len(keys))) < len(below) // 10
+        assert len(served) <= 1 + 2 * math.ceil(math.log2(len(keys))) < len(below) // 10
         assert all(len(chunk) > 1 for chunk in served)
         evaluated = [x for chunk in calls for x in chunk if x <= 0.5]
         assert sorted(set(evaluated)) == sorted(below)
 
     def test_split_keeps_the_other_half_pending(self):
-        grid = line_grid(h1=1e-4, res=9)
-        plan = tube_xs(grid)
-        keys = list(dict.fromkeys(plan))
+        # the minus direction ends before the plus one passes 0.9
+        grid = line_grid(lo=-0.5, h1=1e-4, res=9)
+        rows = lockstep_rows(grid)
+        keys = list(dict.fromkeys(tube_xs(grid)))
         per = CHUNK_POINTS // 9
         calls = []
-        bank = SourceBank(counting_planes(calls, fail_above=0.9), grid, lockstep=False)
-        reached = [r for r in range(rows_of(grid)) if max(plan[3 * r : 3 * r + 3]) <= 0.9]
-        for r in reached:
-            assert step_values(bank, r) == plan[3 * r : 3 * r + 3]
+        bank = SourceBank(counting_planes(calls, fail_above=0.9), grid)
+        reached = [row for row in rows if max(row) <= 0.9]
+        assert len(reached[-1]) == 3
+        read = set()
+        for r, row in enumerate(reached):
+            assert step_values(bank, r) == row
+            read.update(row)
         # a call fails iff it holds a key above 0.9; the successful ones
         # evaluate every key of the rows read exactly once, so a half
         # split off is kept until asked for, not evaluated again
         served = [x for chunk in calls if max(chunk) <= 0.9 for x in chunk]
-        read = {x for r in reached for x in plan[3 * r : 3 * r + 3]}
         assert len(served) == len(set(served)) and read <= set(served)
         assert max(served) <= 0.9 and len(set(served) - read) < per
         # each chunk once, plus at most two calls per halving in each of
@@ -359,14 +381,14 @@ def banks(monkeypatch):
     made = []
 
     class RecordingBank(SourceBank):
-        def __init__(self, planes, grid, record_half=False, key=None, lockstep=True):
+        def __init__(self, planes, grid, record_half=False, key=None):
             self.evaluated = []
 
             def recorded(xs, grid):
                 self.evaluated.extend(xs)
                 return planes(xs, grid)
 
-            super().__init__(recorded, grid, record_half, key, lockstep)
+            super().__init__(recorded, grid, record_half, key)
             self.views = self.gathers = 0
             made.append(self)
 
