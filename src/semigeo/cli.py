@@ -35,7 +35,6 @@ independent residual that the gate flags as exit 4.  The report line
 """
 
 import argparse
-import ctypes
 import dataclasses
 import sys
 from pathlib import Path
@@ -401,34 +400,8 @@ def _message(err):
     return str(err) or "out of memory"
 
 
-# glibc's mallopt parameter for the size from which a block gets a
-# mapping of its own, and the value glibc starts a process with
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD = 128 * 1024
-
-
-def _fix_mmap_threshold():
-    """Hold glibc's mmap threshold at its starting value for the rest of the process.
-
-    glibc raises the threshold to the size of each mapped block freed,
-    so whether a later block lands on the heap, and how much freed heap
-    stays resident, follows the order of earlier allocations: a tube
-    march that allocated its trajectory before the march instead of
-    after it left a connection round trip's heap 0.4 MB larger.  A
-    fixed threshold maps every block of 128 KiB or more and returns it
-    when freed.  glibc has no way back to the moving threshold; other C
-    libraries are left as they are.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _fix_mmap_threshold()
     # numpy advises huge pages on every array of 4 MB or more, so the
     # pages of a partly written one (the metric's zero slots, a stopped
     # march's rows) become resident 2 MB at a time; the run's arrays

@@ -270,11 +270,15 @@ def _replay(rhs, x, h, state, guards, half, whole):
 # block with room for all its steps, but at most BLOCK_ROWS to start
 # with, and a block that fills up doubles.  A shot asked for far more
 # steps than it takes (one that leaves the tube at once) so holds little.
-# A tube march's states need no block: its step counts are exact, and
-# they go straight into the trajectory ``march_tube`` returns.  Lists of
-# one array per group and step, the other way to gather them, hold an
-# array object per row.
+# A tube march's step counts are exact: a trajectory of at least
+# TRACK_BYTES is written straight into the array ``march_tube`` returns,
+# and a smaller one into blocks stacked after the march.  Written
+# straight, the small trajectories of the connection round trips saved
+# at most 0.3 MB but raised their peak RSS by 0.1-0.4 MB through glibc's
+# heap layout.  Lists of one array per group and step, the other way to
+# gather them, hold an array object per row.
 BLOCK_ROWS = 2**12
+TRACK_BYTES = 2**19
 
 
 class _Rows:
@@ -496,15 +500,18 @@ def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=No
     with the same ``record_half`` the march uses and the plane ``key``.
     Returns (plus, minus, rgrid, whole): the two MarchResults, the grid
     restricted to the reached x1 samples, and the whole-step states
-    along ascending x1.  One array with a row per x1 sample of ``grid``
-    is allocated before the march, which writes the plus states into
-    its rows from x1 = 0 up and the minus states into its rows from
-    x1 = 0 down; ``whole`` is its reached rows, and each MarchResult's
-    ``states`` a view of them, so the trajectory is held once and never
-    copied.  The bank is dropped once the march returns.
+    along ascending x1 (minus reversed, x1 = 0 once).  Each
+    MarchResult's ``states`` are a view of ``whole``, so the trajectory
+    is held once.  A trajectory of at least TRACK_BYTES gets one array
+    with a row per x1 sample of ``grid`` before the march, which writes
+    the plus states into its rows from x1 = 0 up and the minus states
+    into its rows from x1 = 0 down; ``whole`` is its reached rows, never
+    copied.  A smaller one is stacked from the march's blocks.  The bank
+    is dropped once the march returns.
     """
     (h_plus, steps_plus), (h_minus, steps_minus) = _tube_marches(grid)
-    track = np.empty((len(grid.x1_samples),) + state0.shape)
+    shape = (len(grid.x1_samples),) + state0.shape
+    track = np.empty(shape) if 8 * math.prod(shape) >= TRACK_BYTES else None
     plus, minus = rk4_march(
         rhs,
         (h_plus, h_minus),
@@ -513,11 +520,16 @@ def march_tube(rhs, grid, state0, planes, guards=None, record_half=False, key=No
         guards,
         record_half,
         SourceBank(planes, grid, record_half, key).step,
-        (track[steps_minus:], track[steps_minus::-1]),
+        None if track is None else (track[steps_minus:], track[steps_minus::-1]),
     )
-    lo = steps_minus - minus.steps_done
-    rgrid = grid.restrict_x1(lo, steps_minus + plus.steps_done)
-    return plus, minus, rgrid, track[lo : lo + len(rgrid.x1_samples)]
+    k = minus.steps_done
+    rgrid = grid.restrict_x1(steps_minus - k, steps_minus + plus.steps_done)
+    if track is None:
+        whole = np.concatenate([minus.states[:0:-1], plus.states])
+    else:
+        whole = track[steps_minus - k : steps_minus - k + len(rgrid.x1_samples)]
+    plus.states, minus.states = whole[k:], whole[k::-1]
+    return plus, minus, rgrid, whole
 
 
 # Most points (x1 keys times transverse nodes) one batched source

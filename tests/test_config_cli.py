@@ -1,7 +1,6 @@
 """Configuration parsing and the command-line front door."""
 
 import csv
-import ctypes
 import math
 import os
 import re
@@ -1317,52 +1316,6 @@ class TestHugePageAdvice:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
         )
         assert child.stdout == f"{before}\n", child.stderr
-
-
-MAPPED_BLOCKS = """\
-import ctypes, sys
-import numpy as np
-from semigeo.cli import main
-
-class Info(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd",
-        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-libc = ctypes.CDLL(None)
-libc.mallinfo2.restype = Info
-if sys.argv[1:]:
-    assert main(sys.argv[1:]) == 0
-np.ones(2**18)  # a 2 MiB block, mapped and freed
-before = libc.mallinfo2().hblks
-block = np.ones(2**15)  # 256 KiB
-print(libc.mallinfo2().hblks - before)
-"""
-
-
-class TestMmapThreshold:
-    @pytest.mark.skipif(
-        not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="needs glibc's mallinfo2"
-    )
-    def test_main_holds_it_at_glibcs_starting_value(self, tmp_path):
-        # glibc raises its threshold to a freed 2 MiB block's size, and
-        # then puts a 256 KiB block on the heap; after main it maps it
-        cfg = write_cfg(tmp_path, FLAT_FORWARD)
-        run = ["forward", "--config", str(cfg), "--out", str(tmp_path / "o")]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-        mapped = []
-        for argv in ([], run):
-            child = subprocess.run(
-                [sys.executable, "-c", MAPPED_BLOCKS, *argv],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
-            assert child.returncode == 0, child.stderr
-            mapped.append(child.stdout)
-        assert mapped == ["0\n", "1\n"]
 
 
 class TestDeterminismAndPlumbing:

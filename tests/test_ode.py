@@ -391,12 +391,14 @@ def test_march_tube_reads_each_plane_at_its_x(record_half, key, planes, monkeypa
         assert np.array_equal(plane, planes(np.array([x]), TUBE)[0][0])
 
 
-def trajectory_march(lohi, nodes, monkeypatch, stop=None):
+def trajectory_march(lohi, nodes, monkeypatch, stop=None, track_bytes=0):
     """(grid, plus, minus, whole, shapes) of a march_tube on ``nodes`` nodes per plane.
 
-    ``shapes`` are the shapes of every np.concatenate result made while
-    it marches.  The right-hand side vetoes every x beyond ``stop``
-    (above it when positive, below it when negative).
+    ``ode.TRACK_BYTES`` is ``track_bytes`` meanwhile, so by default the
+    march writes its states straight into ``whole``.  ``shapes`` are the
+    shapes of every np.concatenate result made while it marches.  The
+    right-hand side vetoes every x beyond ``stop`` (above it when
+    positive, below it when negative).
     """
     grid = build_grid(ChartSpec(n=2, x1_range=lohi, h1=0.01, transverse_res=nodes))
     state0 = np.arange(1.0, 3.0 * nodes + 1.0).reshape((3, nodes))
@@ -417,10 +419,18 @@ def trajectory_march(lohi, nodes, monkeypatch, stop=None):
         (a,) = inputs
         return a - 0.5 * state
 
+    monkeypatch.setattr(ode, "TRACK_BYTES", track_bytes)
     monkeypatch.setattr(np, "concatenate", counted)
     plus, minus, _, whole = march_tube(rhs, grid, state0, planes)
     monkeypatch.undo()
     return grid, plus, minus, whole, shapes
+
+
+def assert_views_of_whole(plus, minus, whole):
+    k = minus.steps_done
+    assert len(whole) == k + plus.steps_done + 1
+    assert np.array_equal(plus.states, whole[k:])
+    assert np.array_equal(minus.states, whole[: k + 1][::-1])
 
 
 def assert_one_buffer(grid, plus, minus, whole, shapes):
@@ -430,10 +440,7 @@ def assert_one_buffer(grid, plus, minus, whole, shapes):
     assert buffer.shape == (grid.shape[0],) + whole.shape[1:]
     assert plus.states.base is buffer and minus.states.base is buffer
     assert not [shape for shape in shapes if shape[1:] == whole.shape[1:]]
-    k = minus.steps_done
-    assert len(whole) == k + plus.steps_done + 1
-    assert np.array_equal(plus.states, whole[k:])
-    assert np.array_equal(minus.states, whole[: k + 1][::-1])
+    assert_views_of_whole(plus, minus, whole)
 
 
 @pytest.mark.parametrize("lohi", [(-0.1, 0.2), (0.0, 0.2), (-0.2, 0.0)])
@@ -461,6 +468,26 @@ def test_stopped_march_tube_holds_its_reached_rows_once(stop, done, monkeypatch)
     _, _, _, full, _ = trajectory_march((-0.1, 0.2), 3, monkeypatch)
     lo = 10 - done[1]
     assert whole.tobytes() == full[lo : lo + len(whole)].tobytes()
+
+
+@pytest.mark.parametrize(
+    "lohi, stop", [((-0.1, 0.2), None), ((0.0, 0.2), None), ((-0.1, 0.2), 0.052), ((-0.1, 0.2), -0.032)]
+)
+def test_small_trajectory_is_stacked_after_the_march(lohi, stop, monkeypatch):
+    # under TRACK_BYTES the rows go into the march's own blocks and are
+    # stacked into whole once; the states are views of it, and its bytes
+    # are the ones written straight
+    size = len(build_grid(ChartSpec(n=2, x1_range=lohi, h1=0.01, transverse_res=3)).x1_samples)
+    stacked = trajectory_march(lohi, 3, monkeypatch, stop, track_bytes=size * 9 * 8 + 1)
+    _, plus, minus, whole, shapes = stacked
+    assert whole.base is None and plus.states.base is whole and minus.states.base is whole
+    assert [shape for shape in shapes if shape[1:] == whole.shape[1:]] == [whole.shape]
+    assert_views_of_whole(plus, minus, whole)
+    straight = trajectory_march(lohi, 3, monkeypatch, stop, track_bytes=size * 9 * 8)
+    assert straight[3].base is not None
+    assert whole.tobytes() == straight[3].tobytes()
+    for got, want in zip(stacked[1:3], straight[1:3]):
+        assert (got.steps_done, got.stopped) == (want.steps_done, want.stopped)
 
 
 # a trajectory of 100 rows of 1,000 entries: march_report reads it in
