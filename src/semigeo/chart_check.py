@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .errors import InvalidSpec, LeftDomain, OutOfDomain
 from .ode import StateRejected, rk4_march
@@ -103,7 +104,7 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
             raise StateRejected("left", left) from None
         out = np.empty_like(state)
         out[0] = vel
-        out[1] = -np.einsum("hijN,iN,jN->hN", gam, vel, vel)
+        out[1] = -c_einsum("hijN,iN,jN->hN", gam, vel, vel)
         return out
 
     k = state.shape[-1]

@@ -335,7 +335,9 @@ def _run_check_chart(cfg, grid, out):
         if s_max >= step:
             mesh = grid.transverse_mesh()
             count = len(mesh[0])
-            picks = np.unique(np.round(np.linspace(0, count - 1, 5)).astype(int))
+            # five evenly spaced picks, rounded half to even, as sorted distinct
+            # ints: np.unique would import numpy.ma mid-run
+            picks = sorted({round(k * (count - 1) / 4) for k in range(5)})
             # one shot per pick, all marched at once: from x1 = 0 along the x1 axis
             x0 = np.array([np.zeros(len(picks))] + [m[picks] for m in mesh])
             v0 = np.zeros_like(x0)

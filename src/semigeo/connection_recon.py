@@ -44,6 +44,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .curvature import ConnectionField
 from .errors import InvalidInit, InvalidSpec
@@ -179,7 +180,7 @@ def stage1_integrate(init, sources, spec, guards=None):
         if p is None:
             p = pads[u.shape[-1]] = np.zeros((grid.n, grid.n, u.shape[-1]))
         p[:, 1:] = u
-        return -np.einsum("qb...,aq...->ab...", u, p) + a1
+        return -c_einsum("qb...,aq...->ab...", u, p) + a1
 
     def planes(xs, grid):
         return (sources.stage1_planes(xs, grid),)
@@ -246,10 +247,10 @@ def stage2_integrate(stage1, init, sources, *, guards=None, omit_quadratic_cross
 
     def rhs(_xs, w, inputs):
         a2, dk, p, *cross = inputs
-        dw = -np.einsum("qbc...,aq...->abc...", w, p) + dk + a2
+        dw = -c_einsum("qbc...,aq...->abc...", w, p) + dk + a2
         if cross:
             dw = dw + cross[0]
-            dw = dw + np.einsum("qb...,aqc...->abc...", p[1:, 1:], w)
+            dw = dw + c_einsum("qb...,aqc...->abc...", p[1:, 1:], w)
         return mirror_upper(dw, axis=1)
 
     # keyed by half step, each plane evaluated at the first x of its key

@@ -294,7 +294,7 @@ def interpolate(values, grid, point):
     edges, cells, first, starts, widths, strides, take_second = grid._table
     cell = np.empty(x.shape, dtype=np.intp)
     for k in range(n):
-        cell[k] = np.searchsorted(edges[k], x[k], side="right")
+        cell[k] = edges[k].searchsorted(x[k], side="right")
     cell -= 1
     outside = cell.view(np.uintp) >= cells
     if outside.any():

@@ -31,6 +31,7 @@ recovers.
 """
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .curvature import DEGENERACY_TOL, MetricField
 from .errors import InvalidInit, InvalidSpec
@@ -84,7 +85,7 @@ class MetricCurvatureSpec:
 
 def _quadratic(ginv, G):
     """1/2 g^{rs} G_ir G_js, mirrored from i <= j so it is exactly symmetric."""
-    return mirror_upper(0.5 * np.einsum("rs...,ir...,js...->ij...", ginv, G, G))
+    return mirror_upper(0.5 * c_einsum("rs...,ir...,js...->ij...", ginv, G, G))
 
 
 def _relabel_collapse(march, det0, tol):

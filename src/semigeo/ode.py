@@ -125,8 +125,9 @@ def _per_node_max(values):
 
 
 def _bad_nodes(state, threshold):
-    # one reduction screens the common case; NaN fails it, like any bad node
-    if abs(state).max() <= threshold:
+    # one reduction screens the common case; NaN fails it, like any bad node.
+    # The ufunc's own reduce is ndarray.max without its Python wrapper
+    if np.maximum.reduce(abs(state), None) <= threshold:
         return False, None
     bad = ~np.isfinite(state) | (np.abs(state) > threshold)
     per_node = bad.reshape((-1, bad.shape[-1])).any(axis=0)
@@ -135,24 +136,17 @@ def _bad_nodes(state, threshold):
     return True, int(np.argmax(per_node))
 
 
-def _stage_xs(x, h):
-    """The x of the RK4 stages of a step of size h from x: start, middle, end."""
-    return x, x + 0.5 * h, x + h
-
-
 # the stage inputs of a march without any: every call is handed no parts
 _NO_INPUTS = ((), (), ())
 
 
-def _step_x(i, h):
-    """The x step i of a march of step h from x = 0 starts from.
-
-    0.0 + keeps the first x of a negative step +0.0.
-    """
-    return 0.0 + i * h
+def _node_steps(hs, nodes):
+    """Each of ``nodes`` nodes' step h, h/2 and h/6: its group's, repeated over the group."""
+    h = np.array(hs).repeat(nodes // len(hs))
+    return h, 0.5 * h, h / 6.0
 
 
-def rk4_step(rhs, xs, hs, state, guards, k1=None, inputs=_NO_INPUTS):
+def rk4_step(rhs, xs, hs, state, guards, k1=None, inputs=_NO_INPUTS, steps=None):
     """One guarded RK4 step of node groups; returns (new_state or None, stop_reason, detail).
 
     The trailing axis of ``state`` holds len(xs) node groups of equal
@@ -165,25 +159,25 @@ def rk4_step(rhs, xs, hs, state, guards, k1=None, inputs=_NO_INPUTS):
     that state is screened, so a semantic veto from the RHS
     (StateRejected, e.g. a degenerate determinant) takes precedence over
     the generic blow-up label for the same event.  Non-finite
-    intermediates are tolerated and caught by the screens.  ``k1``, when
-    given, is ``rhs(xs, state, inputs[0])`` already evaluated.
+    intermediates are tolerated and caught by the screens.  ``k1`` and
+    ``steps``, when given, are ``rhs(xs, state, inputs[0])`` and
+    ``_node_steps(hs, nodes)`` already evaluated.
     """
     thr = guards.blowup_threshold
-    # one step for every node: the groups' steps, each repeated over its nodes
-    h = hs[0] if len(hs) == 1 else np.array(hs).repeat(state.shape[-1] // len(hs))
-    # per-step x and steps are lists, never tuple() of a generator: CPython
-    # builds that tuple outside its free list and puts it there once freed,
-    # so each step would leave one more spare tuple (up to 2,000 per size)
-    _, x_mid, x_end = zip(*[_stage_xs(x, hg) for x, hg in zip(xs, hs)])
+    h, half, sixth = steps or _node_steps(hs, state.shape[-1])
+    # lists, not tuple() of a generator, which CPython builds outside its
+    # free list and frees into it: a spare tuple per step (up to 2,000)
+    x_mid = [x + 0.5 * hg for x, hg in zip(xs, hs)]
+    x_end = [x + hg for x, hg in zip(xs, hs)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if k1 is None:
             k1 = rhs(xs, state, inputs[0])
-        s2 = state + (0.5 * h) * k1
+        s2 = state + half * k1
         k2 = rhs(x_mid, s2, inputs[1])
         bad, node = _bad_nodes(s2, thr)
         if bad:
             return None, "blowup", node
-        s3 = state + (0.5 * h) * k2
+        s3 = state + half * k2
         k3 = rhs(x_mid, s3, inputs[1])
         bad, node = _bad_nodes(s3, thr)
         if bad:
@@ -193,14 +187,14 @@ def rk4_step(rhs, xs, hs, state, guards, k1=None, inputs=_NO_INPUTS):
         bad, node = _bad_nodes(s4, thr)
         if bad:
             return None, "blowup", node
-        new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        new = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         bad, node = _bad_nodes(new, thr)
         if bad:
             return None, "blowup", node
         # a node can only have grown past limit * (1 + max|state|) >= limit
         # if the whole state changed by more than limit somewhere
         change = new - state
-        if abs(change).max() <= guards.step_growth_limit:
+        if np.maximum.reduce(abs(change), None) <= guards.step_growth_limit:
             return new, None, None
         growth = _per_node_max(change) > guards.step_growth_limit * (
             1.0 + _per_node_max(state)
@@ -213,27 +207,29 @@ def rk4_step(rhs, xs, hs, state, guards, k1=None, inputs=_NO_INPUTS):
     return new, None, None
 
 
-def _grouped_step(rhs, xs, hs, state, guards, record_half, inputs):
+def _grouped_step(rhs, xs, hs, state, guards, record_half, inputs, steps):
     """Step i of every live group at once: (new, mid), or None if anything stops it.
 
-    ``inputs`` are the stage inputs of its k1, k2/k3 and k4 calls.  With
-    ``record_half`` the h/2 steps are groups of their own, side by side
+    ``inputs`` are the stage inputs of its k1, k2/k3 and k4 calls, and
+    ``hs`` and ``steps`` the ``rk4_step``'s.  With ``record_half`` the
+    h/2 steps are groups of their own, first in ``hs`` and side by side
     in front of the h steps, all launched from the shared first stage.
     """
     try:
         if not record_half:
-            new, _, _ = rk4_step(rhs, xs, hs, state, guards, inputs=inputs)
+            new, _, _ = rk4_step(rhs, xs, hs, state, guards, None, inputs, steps)
             return None if new is None else (new, None)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             k1 = rhs(xs, state, inputs[0])
         both, _, _ = rk4_step(
             rhs,
             xs + xs,
-            [0.5 * h for h in hs] + hs,
+            hs,
             np.concatenate([state, state], axis=-1),
             guards,
             np.concatenate([k1, k1], axis=-1),
             inputs,
+            steps,
         )
     except (StateRejected, SemigeoError):
         return None
@@ -357,22 +353,24 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
 
     The trailing axis of ``state0`` holds len(hs) groups of equal width
     side by side (a single state is one group of one node).  Group g
-    marches n_steps[g] steps of size hs[g]; its step i starts at
-    ``_step_x(i, hs[g])``, and a group that stops or ends leaves the
-    others marching on with the same step index.  The right-hand side
-    is called as ``rhs(xs, state, stage_inputs)`` with one x per group
-    in ``state``.  ``inputs(i, calls)``, a ``SourceBank``'s ``step``,
-    gives the stage inputs of step i's k1, k2/k3 and k4 calls: the
-    parts of the planes of their x, the columns ``calls`` of the step's
-    row side by side.  Without ``inputs`` every call is handed no parts.
-    ``out``, when given, holds per group an array of n_steps[g] + 1
-    rows that its states are written into, row 0 the initial state.
-    Returns one MarchResult per group; with ``out`` each one's
-    ``states`` is the view of its array that the march reached.
+    marches n_steps[g] steps of size hs[g]; its step i starts at x =
+    0.0 + i * hs[g] (0.0 + keeps a negative step's first x +0.0), and a
+    group that stops or ends leaves the others marching on with the
+    same step index.  The right-hand side is called as ``rhs(xs, state,
+    stage_inputs)`` with one x per group in ``state``.  ``inputs(i,
+    calls)``, a ``SourceBank``'s ``step``, gives the stage inputs of
+    step i's k1, k2/k3 and k4 calls: the parts of the planes of their
+    x, the columns ``calls`` of the step's row side by side.  Without
+    ``inputs`` every call is handed no parts.  ``out``, when given,
+    holds per group an array of n_steps[g] + 1 rows that its states are
+    written into, row 0 the initial state.  Returns one MarchResult per
+    group; with ``out`` each one's ``states`` is the view of its array
+    that the march reached.
 
-    Each step of the live groups is one ``rk4_step``.  When every group
-    planned to march the step is live, each call is handed a view of
-    one column range of the step's row; otherwise its columns are
+    Each step of the live groups is one ``rk4_step``, handed their
+    ``_node_steps`` built where the live groups change.  When every
+    group planned to march the step is live, each call is handed a view
+    of one column range of the step's row; otherwise its columns are
     gathered from the row.  When a step stops, or its right-hand side
     raises, it is replayed one group at a time in group order
     (``_replay``), which gives each group the exact stop reason and node
@@ -400,10 +398,10 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
     held = None  # (group, SemigeoError) waiting for the earlier groups to end
     live = list(range(len(hs)))
     i = 0
-    # the live groups' steps; the next step index where a group's steps
-    # end; the groups planned to march this step, whose x its row holds;
-    # and the row columns of the live groups' calls, None when all are live
-    steps, end, planned, calls = (), 0, [], None
+    # the live groups' steps, and rk4_step's hs and steps; the next step
+    # index where a group's steps end; the groups planned to march this
+    # step (its row holds their x); live calls' row columns, None if all live
+    steps, step_hs, node_steps, end, planned, calls = (), [], None, 0, [], None
     while True:
         if i == end:
             going = [g for g in live if i < n_steps[g]]
@@ -415,14 +413,16 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
             if not live:
                 break
             steps = [hs[g] for g in live]
+            step_hs = [0.5 * h for h in steps] + steps if record_half else steps
+            node_steps = _node_steps(step_hs, len(step_hs) * width)
             planned = [g for g in range(len(hs)) if i < n_steps[g]]
             calls = None
             if live != planned:
                 calls = _calls(len(planned), [planned.index(g) for g in live], record_half)
             end = min(n for n in n_steps if n > i)
-        xs = [_step_x(i, h) for h in steps]
+        xs = [0.0 + i * h for h in steps]
         reads = _NO_INPUTS if inputs is None else inputs(i, calls)
-        step = _grouped_step(rhs, xs, steps, state, guards, record_half, reads)
+        step = _grouped_step(rhs, xs, step_hs, state, guards, record_half, reads, node_steps)
         if step is not None:
             i += 1
             new, mid = step
@@ -480,8 +480,8 @@ def _march_xs(h, n_steps, record_half):
     Shaped (n_steps, 4) with ``record_half``, else (n_steps, 3): per
     step its start, the middle of its h/2 step (with ``record_half``),
     its middle and its end, the order the march first asks for them in.
-    Built with the march's own float arithmetic (``_step_x`` and
-    ``_stage_xs``), so these are the exact x it uses.
+    Built with the float arithmetic of ``rk4_march`` and ``rk4_step``
+    (0.0 + i * h, x + 0.5 * h and x + h), so these are the exact x they use.
     """
     x = 0.0 + np.arange(n_steps, dtype=np.float64) * h
     quarter = [x + 0.5 * (0.5 * h)] if record_half else []

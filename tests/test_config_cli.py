@@ -1318,6 +1318,37 @@ class TestHugePageAdvice:
         assert child.stdout == f"{before}\n", child.stderr
 
 
+def test_no_mode_imports_numpy_ma(tmp_path):
+    # numpy.ma costs a run 13.5 ms and about 1 MB to import (np.unique's first
+    # call imports it); a fresh interpreter runs every mode, as the CLI does
+    texts = {
+        "forward": FLAT_FORWARD,
+        "reconstruct-metric": SPHERE_ROUNDTRIP,
+        "roundtrip-metric": SPHERE_ROUNDTRIP,
+        "reconstruct-connection": CONNECTION_ROUNDTRIP,
+        "roundtrip-connection": CONNECTION_ROUNDTRIP,
+        "check-chart": TestCheckChart.SPHERE_CHECK,
+    }
+    assert set(texts) == set(MODES)
+    runs = []
+    for mode, text in texts.items():
+        text = re.sub(r"\[run\]\nmode = .*\n", "", text).replace("h1 = 0.001", "h1 = 0.01")
+        cfg = write_cfg(tmp_path, text, f"{mode}.cfg")
+        runs.append([mode, "--config", str(cfg), "--out", str(tmp_path / mode)])
+    script = (
+        "import sys\n"
+        "from semigeo.cli import main\n"
+        f"print([main(argv) for argv in {runs!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.stdout.splitlines() == [str([0] * len(runs)), "[]"], child.stderr
+
+
 class TestDeterminismAndPlumbing:
     def test_byte_identical_reruns_and_threads(self, tmp_path):
         cfg = write_cfg(tmp_path, SPHERE_ROUNDTRIP)
