@@ -309,28 +309,13 @@ def _stacked(rows, live):
     return np.concatenate([rows[g].last() for g in live], axis=-1) if live else None
 
 
-def _calls(groups, live, record_half):
-    """The row columns the k1, k2/k3 and k4 calls of one step read.
-
-    A row holds the step's stage x one after another (start, middle of
-    the h/2 step with ``record_half``, middle, end), each with one column
-    per group planned to march the step, ``groups`` of them.  ``live``
-    are the positions of the groups that take it; with all of them live
-    each call reads one column range.
-    """
-    mid = [groups + j for j in live]
-    end = [2 * groups + j for j in live]
-    if record_half:
-        return list(live), mid + end, end + [3 * groups + j for j in live]
-    return list(live), mid, end
-
-
-def _replay_calls(groups, j, record_half):
-    """The row columns of group position j's replay: (h/2 step's or None, h step's)."""
-    k1, k23, k4 = _calls(groups, [j], record_half)
-    if not record_half:
-        return None, (k1, k23, k4)
-    return (k1, k23[:1], k4[:1]), (k1, k23[1:], k4[1:])
+# The column ranges of a one-group row that a replay's h/2 and h steps
+# read, without and with ``record_half`` (its row then holds the middle
+# of the h/2 step between the start and the middle)
+_REPLAY_CALLS = {
+    False: (None, ((0, 1), (1, 2), (2, 3))),
+    True: (((0, 1), (1, 2), (2, 3)), ((0, 1), (2, 3), (3, 4))),
+}
 
 
 class _Unread:
@@ -358,22 +343,23 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
     group that stops or ends leaves the others marching on with the
     same step index.  The right-hand side is called as ``rhs(xs, state,
     stage_inputs)`` with one x per group in ``state``.  ``inputs(i,
-    calls)``, a ``SourceBank``'s ``step``, gives the stage inputs of
-    step i's k1, k2/k3 and k4 calls: the parts of the planes of their
-    x, the columns ``calls`` of the step's row side by side.  Without
-    ``inputs`` every call is handed no parts.  ``out``, when given,
+    live, calls=None)``, a ``SourceBank``'s ``step``, gives the stage
+    inputs of step i's k1, k2/k3 and k4 calls of the groups ``live``
+    (ascending): the parts of the planes of their x side by side, read
+    from a row that holds the groups' stage x one stage after another,
+    the column ranges ``calls`` of it when given.  Without ``inputs``
+    every call is handed no parts.  ``out``, when given,
     holds per group an array of n_steps[g] + 1 rows that its states are
     written into, row 0 the initial state.  Returns one MarchResult per
     group; with ``out`` each one's ``states`` is the view of its array
     that the march reached.
 
     Each step of the live groups is one ``rk4_step``, handed their
-    ``_node_steps`` built where the live groups change.  When every
-    group planned to march the step is live, each call is handed a view
-    of one column range of the step's row; otherwise its columns are
-    gathered from the row.  When a step stops, or its right-hand side
-    raises, it is replayed one group at a time in group order
-    (``_replay``), which gives each group the exact stop reason and node
+    ``_node_steps`` built where the live groups change, and the stage
+    inputs of the live groups.  When a step stops, or its right-hand
+    side raises, it is replayed one group at a time in group order
+    (``_replay``), reading the columns ``_REPLAY_CALLS`` of the group's
+    own row, which gives each group the exact stop reason and node
     of marching alone, and a group that stops is dropped.  A
     SemigeoError from a group is held back while an earlier group still
     marches, and raised once none does unless an earlier group raises
@@ -387,6 +373,7 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
     evaluated once and handed to each as its first stage.
     """
     guards = guards or GuardConfig()
+    inputs = inputs or (lambda *_: _NO_INPUTS)
     state = np.array(state0, dtype=np.float64)
     width = state.shape[-1] // len(hs)
     shape = state.shape[:-1] + (width,)
@@ -399,9 +386,8 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
     live = list(range(len(hs)))
     i = 0
     # the live groups' steps, and rk4_step's hs and steps; the next step
-    # index where a group's steps end; the groups planned to march this
-    # step (its row holds their x); live calls' row columns, None if all live
-    steps, step_hs, node_steps, end, planned, calls = (), [], None, 0, [], None
+    # index where a group's steps end
+    steps, step_hs, node_steps, end = (), [], None, 0
     while True:
         if i == end:
             going = [g for g in live if i < n_steps[g]]
@@ -415,13 +401,9 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
             steps = [hs[g] for g in live]
             step_hs = [0.5 * h for h in steps] + steps if record_half else steps
             node_steps = _node_steps(step_hs, len(step_hs) * width)
-            planned = [g for g in range(len(hs)) if i < n_steps[g]]
-            calls = None
-            if live != planned:
-                calls = _calls(len(planned), [planned.index(g) for g in live], record_half)
             end = min(n for n in n_steps if n > i)
         xs = [0.0 + i * h for h in steps]
-        reads = _NO_INPUTS if inputs is None else inputs(i, calls)
+        reads = inputs(i, live)
         step = _grouped_step(rhs, xs, step_hs, state, guards, record_half, reads, node_steps)
         if step is not None:
             i += 1
@@ -434,11 +416,8 @@ def rk4_march(rhs, hs, n_steps, state0, guards=None, record_half=False, inputs=N
             continue
         kept = []
         for j, g in enumerate(live):
-            if inputs is None:
-                half, whole = (_NO_INPUTS if record_half else None), _NO_INPUTS
-            else:
-                half, whole = _replay_calls(len(planned), planned.index(g), record_half)
-                half, whole = half and inputs(i, half), inputs(i, whole)
+            half, whole = _REPLAY_CALLS[record_half]
+            half, whole = half and inputs(i, [g], half), inputs(i, [g], whole)
             try:
                 new, mid, stop, detail = _replay(
                     rhs, xs[j], hs[g], rows[g].last(), guards, half, whole
@@ -555,20 +534,26 @@ class SourceBank:
     chunks of at most CHUNK_POINTS points, each key evaluated at its
     first x.
 
-    ``step`` serves the one march of both directions: its step i reads
-    row i, laid out by ``_calls``.  When the march reaches a step, the
-    row's keys not evaluated yet are, in column order, each evaluating
+    ``step`` serves the one march of both directions.  Its step i of
+    the live directions reads row i of one padded key table of shape
+    (steps, stages, directions) sliced to them, a view: the stage keys
+    one stage after another, the directions side by side, so each
+    lockstep call reads one column range of the row, also after one
+    direction stops or ends.  When the march reaches a step, the row's
+    keys not evaluated yet are, in column order, each evaluating
     its whole chunk in one ``planes`` call.  A chunk that raises
     SemigeoError is split in halves and the half holding the key is
     evaluated, halving again only while it fails; the other half stays
     pending.  A key that fails alone is kept with its error, which the
     call reading it raises when it reads its parts (``_Unread``).  So a
     key the march never reaches cannot raise, and the error names the x
-    that failed.  Rows are gathered from the chunks into one block of at
-    most ROW_BYTES at a time.  Every chunk is kept until the march ends,
-    and the bank dies then: freeing megabyte chunks mid-march raises
-    glibc's dynamic mmap threshold, which raised a wide march's peak RSS
-    by about 1 MB.
+    that failed; a stopped direction's later keys are evaluated only in
+    chunks that hold keys the march reads.  Rows of the live directions
+    are gathered from the chunks into one block of at most ROW_BYTES at
+    a time, built again where the live directions change.  Every chunk
+    is kept until the march ends, and the bank dies then: freeing
+    megabyte chunks mid-march raises glibc's dynamic mmap threshold,
+    which raised a wide march's peak RSS by about 1 MB.
     """
 
     def __init__(self, planes, grid, record_half=False, key=None):
@@ -592,31 +577,24 @@ class SourceBank:
             new[1][0, 0] = False
         # per key, in march order, its first x, where its planes are evaluated
         self._xs = np.concatenate([x[fresh] for x, fresh in zip(xs, new)])
-        # per direction, the index of each stage x's key.  Counted in Python:
+        # the index of each stage x's key, in march order.  Counted in Python:
         # a run uses numpy's integer kernels nowhere else, and the first
         # call of one maps 64-128 KB more of numpy into the process
         fresh = np.concatenate(new, axis=None).tolist()
         index = np.array(list(itertools.accumulate(fresh, initial=-1))[1:])
-        index = [ix.reshape(x.shape) for ix, x in zip(np.split(index, [xs[0].size]), xs)]
+        # laid out per step, stage and direction; a direction's steps past
+        # its last hold len(_xs), a key never evaluated, so no block of
+        # rows reaches past them
+        self._keys = np.full((max(n for _, n in marches), xs[0].shape[1], 2), len(self._xs))
+        for d, ix in enumerate(np.split(index, [xs[0].size])):
+            self._keys[: len(xs[d]), :, d] = ix.reshape(xs[d].shape)
         if shared:
-            index[1][0, 0] = 0
-        # phase by phase, (first row, each row's key per column, the column
-        # range of each call); a phase ends where a group's steps do
-        self._phases = []
-        a = 0
-        for b in sorted({n for _, n in marches}):
-            if b > a:
-                groups = [d for d in (0, 1) if marches[d][1] >= b]
-                rows = np.stack([index[d][a:b] for d in groups], axis=2).reshape(b - a, -1)
-                calls = _calls(len(groups), range(len(groups)), record_half)
-                self._phases.append((a, rows, [(c[0], c[-1] + 1) for c in calls]))
-                a = b
-        self._phase_rows = [phase[0] for phase in self._phases]
+            self._keys[0, 0, 1] = 0
         per = max(1, CHUNK_POINTS // self._width)
         # where each chunk begins in _xs, ascending; a chunk ends where
         # the next begins
         self._starts = list(range(0, len(self._xs), per))
-        self._done = np.zeros(len(self._xs), dtype=bool)
+        self._done = np.zeros(len(self._xs) + 1, dtype=bool)
         # per evaluated key, the first key of its chunk (a float, compared
         # with numpy's float kernels for the same reason) and its place there
         self._chunk = np.empty(len(self._xs))
@@ -625,33 +603,36 @@ class SourceBank:
         self._failed = {}
         # the evaluated chunks: (first key, parts)
         self._held = []
-        # (first row, end row, parts, each call's column range of them)
+        # (first row, end row, directions, parts, each call's columns of them)
         self._block = None
 
-    def step(self, r, calls=None):
-        """The stage inputs of row r's k1, k2/k3 and k4 calls.
+    def step(self, r, live, calls=None):
+        """The stage inputs of row r's k1, k2/k3 and k4 calls of the directions ``live``.
 
-        ``calls`` are the row columns each call reads; None reads every
-        planned group's, a view of the row each.  Other columns are
-        gathered.  A call that reads a key whose evaluation failed is
-        handed ``_Unread`` of its error.
+        ``live`` are the directions that march step r, ascending (of
+        two directions, always one range of them).  ``calls`` are the
+        column range (a, b) of the row each call reads, a replay's; None
+        reads the lockstep march's.  Each call is handed a view of the
+        row; if a key of the row failed to evaluate, its parts gathered,
+        or ``_Unread`` of the error of the first failed key it reads.
         """
         block = self._block
-        if block is None or not block[0] <= r < block[1]:
-            block = self._build(r)
+        if block is None or not block[0] <= r < block[1] or block[2] != live:
+            block = self._build(r, live)
         if block is None:
-            r0, keys, ranges = self._phase(r)
-            calls = calls or [range(a, b) for a, b in ranges]
-            return [self._read(keys[r - r0, cols]) for cols in calls]
+            row = self._keys[r, :, live[0] : live[-1] + 1].ravel()
+            return [self._read(row[a:b]) for a, b in calls or self._lockstep(live)]
         j = r - block[0]
         if calls is None:
-            k1, k23, k4 = block[3]
+            k1, k23, k4 = block[4]
             return [v[j] for v in k1], [v[j] for v in k23], [v[j] for v in k4]
-        return [[_columns(part[j], cols, self._width) for part in block[2]] for cols in calls]
+        w = self._width
+        return [[part[j, ..., a * w : b * w] for part in block[3]] for a, b in calls]
 
-    def _phase(self, r):
-        """(first row, keys of its rows, call column ranges) of row r's phase."""
-        return self._phases[bisect.bisect_right(self._phase_rows, r) - 1]
+    def _lockstep(self, live):
+        """The column ranges of the lockstep k1, k2/k3 and k4 calls of a row of ``live``."""
+        g, stages = len(live), self._keys.shape[1]
+        return (0, g), (g, (stages - 1) * g), (2 * g, stages * g)
 
     def _read(self, keys):
         """The planes of ``keys`` side by side, or ``_Unread`` of the first that failed."""
@@ -660,15 +641,15 @@ class SourceBank:
             return _Unread(self._failed[failed[0]])
         return [part[0] for part in self._gather(keys[None])]
 
-    def _build(self, r):
-        """The block of evaluated rows from r, or None if a key of row r fails.
+    def _build(self, r, live):
+        """The block of evaluated rows of ``live`` from r, or None if a key of row r fails.
 
         Row r's keys are evaluated first, in column order; a key that
         fails is kept with its error, for the call that reads it to raise.
         """
         self._block = None
-        r0, keys, ranges = self._phase(r)
-        row = keys[r - r0]
+        keys = self._keys[:, :, live[0] : live[-1] + 1]
+        row = keys[r].ravel()
         for k in row.tolist():
             if not self._done[k] and k not in self._failed:
                 try:
@@ -678,12 +659,12 @@ class SourceBank:
         if not self._done[row].all():
             return None
         cap = max(1, ROW_BYTES // (len(row) * sum(p[0].nbytes for p in self._held[-1][1])))
-        ready = self._done[keys[r - r0 : r - r0 + cap]].all(axis=1)
+        ready = self._done[keys[r : r + cap]].all(axis=(1, 2))
         end = r + (len(ready) if ready.all() else int(np.argmin(ready)))
-        parts = self._gather(keys[r - r0 : end - r0])
+        parts = self._gather(keys[r:end].reshape(end - r, -1))
         w = self._width
-        calls = [[part[..., a * w : b * w] for part in parts] for a, b in ranges]
-        self._block = (r, end, parts, calls)
+        calls = [[part[..., a * w : b * w] for part in parts] for a, b in self._lockstep(live)]
+        self._block = (r, end, live, parts, calls)
         return self._block
 
     def _gather(self, keys):
@@ -721,13 +702,6 @@ class SourceBank:
                 self._chunk[lo:hi] = lo
                 self._place[lo:hi] = np.arange(hi - lo)
                 return
-
-
-def _columns(row, cols, width):
-    """The columns ``cols`` (ascending) of a row side by side: a view when they are one range."""
-    if cols[-1] - cols[0] == len(cols) - 1:
-        return row[..., cols[0] * width : (cols[-1] + 1) * width]
-    return np.concatenate([row[..., c * width : (c + 1) * width] for c in cols], axis=-1)
 
 
 def tube_dense(whole, grid):

@@ -728,11 +728,11 @@ def test_grouped_march_matches_the_sequential_one(name, lohi, stops, banks):
         for N in range(1, 26):
             got, want = both_marches(name, n, N, *lohi, stops, int(rng.integers(2**31)))
             assert_same(got, want)
-            # a march that nothing stops reads every step as views of its row;
-            # a stop's replays and the groups left after it gather
+            # every lockstep step reads views of its row, also after a
+            # direction stops; only a stop's replays give column ranges
             bank = banks[-1]
-            assert bank.views > 0
-            assert (bank.gathers > 0) == any(march.stopped for march in got[:2])
+            assert bank.views == bank.steps > 0
+            assert (bank.replays > 0) == any(march.stopped for march in got[:2])
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

@@ -4,10 +4,11 @@ The prescribed sources of a march do not depend on its state, so
 ``ode.SourceBank`` evaluates every plane a march will read ahead of it,
 in batched x1 chunks, and lays them out by step.  These tests pin that
 a batched plane equals the per-plane value bit for bit, that the
-planned keys are exactly the x the march asks for, that a march that
-nothing stops reads every step as views of its row, that evaluating
-ahead never turns a numerical stop into an input error, how much the
-bank holds, and how many evaluator calls a run makes.
+planned keys are exactly the x the march asks for, that a march reads
+every lockstep step as views of its row, that evaluating ahead never
+turns a numerical stop into an input error nor evaluates a stopped
+direction's later chunks, how much the bank holds, and how many
+evaluator calls a run makes.
 """
 
 import math
@@ -176,9 +177,15 @@ def lockstep_rows(grid):
     return rows
 
 
+def live_at(grid, r):
+    """The directions of a bank of ``grid`` that march step r: those with more steps."""
+    return [d for d, (_, n) in enumerate(ode._tube_marches(grid)) if r < n]
+
+
 def step_values(bank, r):
     """The x1 of each column row r's calls read, in order (planes of ``counting_planes``)."""
-    return [float(x) for call in bank.step(r) for x in call[0][:: bank._width]]
+    calls = bank.step(r, live_at(bank._grid, r))
+    return [float(x) for call in calls for x in call[0][:: bank._width]]
 
 
 class TestBankRules:
@@ -225,7 +232,7 @@ class TestBankRules:
         calls = []
         bank = SourceBank(counting_planes(calls), grid)
         with pytest.raises(IndexError):
-            bank.step(rows_of(grid))
+            bank.step(rows_of(grid), [0, 1])
         assert calls == []
 
     def test_failed_chunk_is_split_in_halves(self):
@@ -248,7 +255,7 @@ class TestBankRules:
         before = len(calls)
         call = rows[failing].index(bad) // 2
         for _ in range(2):
-            got = bank.step(failing)
+            got = bank.step(failing, live_at(grid, failing))
             read = [float(x) for c in range(call) for x in got[c][0][:: bank._width]]
             assert read == rows[failing][: 2 * call]
             with pytest.raises(EvalError, match=re.escape(f"at x1 = {bad!r}")):
@@ -317,7 +324,7 @@ class TestBankRules:
             bank = SourceBank(planes, grid)
             before = tracemalloc.get_traced_memory()[0]
             for r in range(max(n for _, n in ode._tube_marches(grid))):
-                bank.step(r)
+                bank.step(r, live_at(grid, r))
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -340,11 +347,15 @@ class TestBankRules:
         assert len(bank._xs) == 40001
         assert held <= 115 * 40001
 
-    @pytest.mark.parametrize("lo", [0.0, -1.0], ids=["one-sided", "two-sided"])
+    @pytest.mark.parametrize(
+        "lo", [0.0, -1.0, -0.5], ids=["one-sided", "two-sided", "asymmetric"]
+    )
     def test_rows_add_at_most_one_block(self, lo):
-        # a march over six chunks per direction: after each step the bank
-        # holds the chunks evaluated so far and one block of rows, of at
-        # most ROW_BYTES; the rows are not kept beside the chunks
+        # a march over six chunks per direction (about three on the minus
+        # side of the asymmetric one, whose plus direction marches on alone):
+        # after each step the bank holds the chunks evaluated so far and
+        # one block of rows, of at most ROW_BYTES; the rows are not kept
+        # beside the chunks
         grid = line_grid(lo=lo, h1=1e-4, res=9)
         evaluated = []
 
@@ -352,18 +363,21 @@ class TestBankRules:
             evaluated.append(len(xs) * 4 * 9 * 8)
             return (np.broadcast_to(xs[:, None, None], (len(xs), 4, 9)).copy(),)
 
+        # the directions of each step, listed before tracing, as the march
+        # holds its own
+        lives = [live_at(grid, r) for r in range(rows_of(grid))]
         tracemalloc.start()
         try:
             bank = SourceBank(planes, grid)
             before = tracemalloc.get_traced_memory()[0]
             most = 0
-            for r in range(max(n for _, n in ode._tube_marches(grid))):
-                bank.step(r)
+            for r, live in enumerate(lives):
+                bank.step(r, live)
                 held = tracemalloc.get_traced_memory()[0] - before
                 most = max(most, held - sum(evaluated))
         finally:
             tracemalloc.stop()
-        assert len(evaluated) >= (6 if lo == 0.0 else 11)
+        assert len(evaluated) >= {0.0: 6, -1.0: 11, -0.5: 9}[lo]
         assert ode.ROW_BYTES // 2 < most <= ode.ROW_BYTES + 4096
 
 
@@ -374,30 +388,35 @@ class TestBankRules:
 def banks(monkeypatch):
     """Every SourceBank the reconstructions make, counting how they are read.
 
-    ``views`` counts the steps read as views of their row, ``gathers``
-    the steps whose calls gather their columns; ``evaluated`` lists every
-    x the bank evaluates at.
+    ``steps`` counts the lockstep reads (no column ranges given),
+    ``views`` those of them whose every part is a view of the bank's
+    block, and ``replays`` the reads given column ranges; ``chunks``
+    lists the x of every evaluation, ``evaluated`` every x evaluated at.
     """
     made = []
 
     class RecordingBank(SourceBank):
         def __init__(self, planes, grid, record_half=False, key=None):
+            self.chunks = []
             self.evaluated = []
 
             def recorded(xs, grid):
+                self.chunks.append(xs.tolist())
                 self.evaluated.extend(xs)
                 return planes(xs, grid)
 
             super().__init__(recorded, grid, record_half, key)
-            self.views = self.gathers = 0
+            self.steps = self.views = self.replays = 0
             made.append(self)
 
-        def step(self, r, calls=None):
+        def step(self, r, live, calls=None):
+            got = super().step(r, live, calls)
             if calls is None:
-                self.views += 1
+                self.steps += 1
+                self.views += all(not part.flags.owndata for call in got for part in call)
             else:
-                self.gathers += 1
-            return super().step(r, calls)
+                self.replays += 1
+            return got
 
     monkeypatch.setattr(ode, "SourceBank", RecordingBank)
     return made
@@ -434,14 +453,14 @@ class TestExactKeys:
         _, report = reconstruct_metric(init, sources, 1, chart)
         assert report.complete
         (bank,) = banks
-        # every step's calls read views of its row, none gathers
-        assert (bank.views, bank.gathers) == (lockstep_steps(chart), 0)
+        # every step's calls read views of its row, and none is replayed
+        assert (bank.steps, bank.views, bank.replays) == (lockstep_steps(chart),) * 2 + (0,)
 
     def test_connection_stages_have_no_misses(self, banks, chart):
         _, report = band_connection(chart)
         assert report.complete
         for bank in banks:  # stage 1 (recording midpoints), then stage 2
-            assert (bank.views, bank.gathers) == (lockstep_steps(chart), 0)
+            assert (bank.steps, bank.views, bank.replays) == (lockstep_steps(chart),) * 2 + (0,)
         assert len(banks) == 2
 
 
@@ -459,6 +478,24 @@ def test_stage2_keeps_first_x_per_half_key(banks):
     assert sorted(stage2.evaluated) == sorted(first.values())
     # step i's x + h and step i+1's x share a key but not always a value
     assert sum(len(xs) > 1 for xs in seen.values()) == 1018
+
+
+def test_a_stopped_direction_evaluates_no_later_chunk(banks, monkeypatch):
+    # stage 1 blows up at x1 = 1.144 on the plus side and at -2.641 on
+    # the minus side.  The rows after the plus stop hold minus keys only,
+    # so no chunk of plus keys past it is evaluated; a chunk that holds a
+    # key the march read may hold later ones.  Rows that kept the stopped
+    # direction's columns evaluated 80 chunks of 16,000 keys here.
+    monkeypatch.setattr(ode, "CHUNK_POINTS", 600)
+    chart = ChartSpec(n=2, x1_range=(-3.0, 3.0), h1=1e-3, transverse_res=3)
+    sources = ConnectionCurvatureSpec(2, {(2, 1, 2): "-(1 + x1)^2"})
+    _, report = reconstruct_connection(HypersurfaceConnectionData(2), sources, chart)
+    assert report.delta_hat_plus == pytest.approx(1.144)
+    assert report.delta_hat_minus == pytest.approx(-2.641)
+    stage1 = banks[0]
+    # the stopped step ends one step past the reached x1
+    assert [c for c in stage1.chunks if min(c) > report.delta_hat_plus + chart.h1] == []
+    assert (len(stage1.chunks), len(stage1.evaluated)) == (58, 11600)
 
 
 # ------------------------------------------------------ look-ahead safety
