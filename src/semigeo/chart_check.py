@@ -57,35 +57,34 @@ def lemma1_check(conn):
 
 
 def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
-    """Integrate the geodesic equation from (x0, v0) through the tube.
+    """Integrate the geodesic equation from K starts (x0, v0) through the tube.
 
-    ``x0`` and ``v0`` are one start, shaped (n,), or K starts, shaped
-    (n, K).  All shots are one ``rk4_march`` of the first-order system
-    (x' = v, v' = -Gamma v v) for floor(s_max / step) steps, each shot a
-    one-node group, whose right-hand side reads the connection at all
-    live positions with one query.  A shot that stops (a stage leaves
-    the tube or a guard trips) is dropped and the others march on; the
-    nodes do not interact, so every shot has the bits of marching it
-    alone.
+    ``x0`` and ``v0`` are shaped (n, K).  All shots are one
+    ``rk4_march`` of the first-order system (x' = v, v' = -Gamma v v)
+    for floor(s_max / step) steps, each shot a one-node group, whose
+    right-hand side reads the connection at all live positions with one
+    query.  A shot that stops (a stage leaves the tube or a guard trips)
+    is dropped and the others march on; the nodes do not interact, so
+    every shot has the bits of marching it alone.
 
-    A shot whose geodesic escapes the tube stops with a LeftDomain that
-    carries the partial curve as ``.curve``.  When an accepted step
-    lands outside the tube, that position is ``exit_point`` and is not
-    part of the curve; when a step is stopped before completing,
-    ``exit_point`` is the last position on the curve.  One start
-    returns its Curve (points and velocities) or raises that LeftDomain;
-    K starts return a list of K (Curve, LeftDomain or None) pairs.
+    Returns K (Curve, LeftDomain or None) pairs: each shot's curve
+    (points and velocities) and, for a shot that stopped early, the
+    LeftDomain saying why.  When an accepted step lands outside the
+    tube, that position is ``exit_point`` and is not part of the curve;
+    when a step is stopped before completing, ``exit_point`` is the last
+    position on the curve.  A start outside the tube raises
+    OutOfDomain.
     """
     grid = conn.grid
     n = grid.n
     x0 = np.asarray(x0, dtype=np.float64)
     v0 = np.asarray(v0, dtype=np.float64)
-    if x0.shape[:1] != (n,) or x0.ndim > 2 or v0.shape != x0.shape:
+    if x0.ndim != 2 or x0.shape[0] != n or v0.shape != x0.shape:
         raise InvalidSpec(f"start point and velocity must have {n} components")
-    state = np.stack([x0, v0]).reshape(2, n, -1)
-    for start in state[0].T:
-        if not grid.contains(start):
-            raise OutOfDomain(f"geodesic start {tuple(start)} is outside the tube")
+    inside = grid.contains(x0)
+    if not inside.all():
+        start = x0[:, inside.argmin()].tolist()
+        raise OutOfDomain(f"geodesic start {tuple(start)} is outside the tube")
     if not step > 0:
         raise InvalidSpec(f"step must be positive, got {step}")
     steps = float(s_max) / float(step) + 1e-9
@@ -100,28 +99,21 @@ def geodesic_shoot(conn, x0, v0, s_max, step, guards=None):
         try:
             gam = conn.at(pos)
         except OutOfDomain:
-            left = next(k for k, p in enumerate(pos.T) if not grid.contains(p))
-            raise StateRejected("left", left) from None
+            raise StateRejected("left", int(grid.contains(pos).argmin())) from None
         out = np.empty_like(state)
         out[0] = vel
         out[1] = -c_einsum("hijN,iN,jN->hN", gam, vel, vel)
         return out
 
-    k = state.shape[-1]
-    marches = rk4_march(rhs, (step,) * k, (n_steps,) * k, state, guards)
-    shots = [_shot_outcome(grid, m.states[..., 0], m.stopped, step) for m in marches]
-    if x0.ndim == 2:
-        return shots
-    curve, stop = shots[0]
-    if stop is not None:
-        raise stop
-    return curve
+    k = x0.shape[1]
+    marches = rk4_march(rhs, (step,) * k, (n_steps,) * k, np.stack([x0, v0]), guards)
+    return [_shot_outcome(grid, m.states[..., 0], m.stopped, step) for m in marches]
 
 
 def _shot_outcome(grid, states, stopped, step):
     """(Curve, LeftDomain or None) of one shot's accepted states (steps, 2, n)."""
     done = len(states) - 1
-    if not grid.contains(states[-1, 0]):
+    if not grid.contains(states[-1:, 0].T)[0]:
         done -= 1
         message = f"geodesic left the tube at s = {done * step + step}"
     elif stopped == "left":
@@ -131,11 +123,7 @@ def _shot_outcome(grid, states, stopped, step):
     else:
         message = None
     curve = Curve(np.arange(done + 1) * step, states[: done + 1, 0], states[: done + 1, 1])
-    if message is None:
-        return curve, None
-    err = LeftDomain(message, exit_point=states[-1, 0])
-    err.curve = curve
-    return curve, err
+    return curve, None if message is None else LeftDomain(message, exit_point=states[-1, 0])
 
 
 def semigeodesic_check(metric):

@@ -66,8 +66,8 @@ class MetricField(TensorTube):
         dense[1:, 1:] = transverse_dense
         return cls(grid, dense, e=e)
 
-    def at(self, point):
-        return mirror_upper(super().at(point))
+    def at(self, points):
+        return mirror_upper(super().at(points))
 
     def det_nodes(self):
         flat = self.dense.reshape((self.n, self.n, -1))
@@ -101,8 +101,8 @@ class ConnectionField(TensorTube):
         """Build from {(h, i, j): expression/field}, either (i, j) order, missing -> 0."""
         return cls(grid, Components("gamma", grid.n, components).on_grid(grid))
 
-    def at(self, point):
-        return mirror_upper(super().at(point), 1)
+    def at(self, points):
+        return mirror_upper(super().at(points), 1)
 
 
 class CurvatureTube(TensorTube):

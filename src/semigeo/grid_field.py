@@ -162,16 +162,10 @@ class TubeGrid:
     def _table(self):
         return _axis_table(self)
 
-    def contains(self, point):
-        """Whether ``point``, shaped (n,), lies in a cell ``interpolate`` reads."""
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.n,):
-            return False
-        edges, cells = self._table[:2]
-        return all(
-            0 <= np.searchsorted(e, x, side="right") - 1 < c
-            for e, x, c in zip(edges, point, cells[:, 0])
-        )
+    def contains(self, points):
+        """One bool per point of ``points``, shaped (n, K) (an (n,) point is
+        K = 1): whether it lies in a cell ``interpolate`` reads (``_locate``)."""
+        return ~_locate(self, np.asarray(points, dtype=np.float64).reshape(self.n, -1))[1].any(0)
 
     def restrict_x1(self, i_lo, i_hi):
         """Sub-grid keeping x1 sample indices i_lo..i_hi inclusive."""
@@ -231,12 +225,12 @@ def _unbuildable(axis, count):
 
 
 def _axis_table(grid):
-    """The arrays ``interpolate`` locates points with, kept as ``grid._table``.
+    """The arrays ``interpolate`` reads points with, kept as ``grid._table``.
 
     Per axis: ``edges``, whose right-sided search count less one is the
     cell of a point and is out of 0..cells-1 exactly when the point is
     outside the axis padded by 1e-12 of its scale (the one definition of
-    inside the tube, which ``TubeGrid.contains`` reads too); the cell's
+    inside the tube, applied by ``_locate``); the cell's
     start and width in one concatenation over all axes, at ``first`` +
     cell; the axis's flat stride in ``grid.shape``.  An axis of one node
     has one cell of infinite width, so its fraction is always 0.  Last,
@@ -266,14 +260,23 @@ def _axis_table(grid):
     )
 
 
-def interpolate(values, grid, point):
-    """Multilinear interpolation of node values at points of the tube.
+def _locate(grid, x):
+    """(cell, outside) of points ``x``, shaped (n, K): each point's cell
+    on each axis, and whether that cell is out of the axis's range."""
+    edges, cells = grid._table[:2]
+    cell = np.empty(x.shape, dtype=np.intp)
+    for k in range(grid.n):
+        cell[k] = edges[k].searchsorted(x[k], side="right")
+    cell -= 1
+    return cell, cell.view(np.uintp) >= cells
+
+
+def interpolate(values, grid, points):
+    """Multilinear interpolation of node values at K points of the tube.
 
     ``values`` may carry leading tensor axes before ``grid.shape``.
-    ``point`` is one point, shaped (n,), or K points, shaped (n, K).
-    One point gives a float for a scalar field, else a new array of the
-    tensor shape; K points give a new array of the tensor shape plus a
-    trailing axis of length K.
+    ``points`` is shaped (n, K).  The result is a new array of the
+    tensor shape plus a trailing axis of length K.
 
     Each point makes its own choice per axis: at a fraction of 0 or 1 it
     takes that node, else it blends the cell's two nodes, and the axes
@@ -282,27 +285,22 @@ def interpolate(values, grid, point):
     weight of 0 (which would turn -0.0 into 0.0 and inf into nan).
     Exact at nodes; within a cell each entry is a convex combination of
     its 2^n corner values, so it never leaves their range.  Raises
-    OutOfDomain outside the tube, naming the first coordinate out of
-    range of the first point outside.
+    OutOfDomain for points of any other shape, and outside the tube,
+    naming the first coordinate out of range of the first point outside.
     """
     values = np.asarray(values, dtype=np.float64)
-    point = np.asarray(point, dtype=np.float64)
+    x = np.asarray(points, dtype=np.float64)
     n = grid.n
-    if point.ndim not in (1, 2) or point.shape[0] != n:
+    if x.ndim != 2 or x.shape[0] != n:
         raise OutOfDomain(f"point must have {n} coordinates")
-    x = point.reshape(n, -1)
-    edges, cells, first, starts, widths, strides, take_second = grid._table
-    cell = np.empty(x.shape, dtype=np.intp)
-    for k in range(n):
-        cell[k] = edges[k].searchsorted(x[k], side="right")
-    cell -= 1
-    outside = cell.view(np.uintp) >= cells
+    cell, outside = _locate(grid, x)
     if outside.any():
         # the first axis outside of the first point outside
         k = int(outside.any(axis=0).argmax())
         axis = int(outside[:, k].argmax())
         coords = grid.coord_lists()[axis]
         raise OutOfDomain(f"coordinate {x[axis, k].item()} outside [{coords[0]}, {coords[-1]}]")
+    first, starts, widths, strides, take_second = grid._table[2:]
     index = cell + first
     # outside [0, 1] only in the 1e-12 pad, where the end node is taken
     t = (x - starts[index]) / widths[index]
@@ -324,9 +322,7 @@ def interpolate(values, grid, point):
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n):
             out = np.where(blend[k], out[0] * (1.0 - w[k]) + out[1] * w[k], out[0])
-    if point.ndim == 2:
-        return out.T.reshape(lead + (x.shape[1],))
-    return out[0].reshape(lead) if lead else float(out[0, 0])
+    return out.T.reshape(lead + (x.shape[1],))
 
 
 # -------------------------------------------------------------- tensor tubes
@@ -381,10 +377,10 @@ class TensorTube:
             raise InvalidSpec(f"{self.name}: index {idx} out of range")
         return self.dense[pos]
 
-    def at(self, point):
-        """Every component at one point, shaped (n,), or at K points,
-        shaped (n, K) with K trailing in the result (``interpolate``)."""
-        return interpolate(self.dense, self.grid, point)
+    def at(self, points):
+        """Every component at K points, shaped (n, K), with K trailing in
+        the result (``interpolate``)."""
+        return interpolate(self.dense, self.grid, points)
 
     def max_abs(self):
         return float(np.max(np.abs(self.dense), initial=0.0))

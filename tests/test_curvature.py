@@ -335,8 +335,7 @@ class TestStructure:
     def test_metric_tube_and_at(self, sphere):
         assert isinstance(sphere, TensorTube) and sphere.name == "g"
         assert np.array_equal(sphere.component(1, 1), sphere.dense[0, 0])
-        point = (0.25, 0.5)
-        m = sphere.at(point)
+        m = sphere.at([[0.25], [0.5]])[..., 0]
         assert m.shape == (2, 2)
         assert m[0, 0] == pytest.approx(1.0)
         assert m[1, 1] == pytest.approx(np.cos(0.25) ** 2, abs=1e-4)
@@ -344,7 +343,7 @@ class TestStructure:
 
     def test_connection_at_symmetric(self, sphere):
         conn, _ = christoffel_from_metric(sphere)
-        vals = conn.at((0.3, 0.5))
+        vals = conn.at([[0.3], [0.5]])[..., 0]
         assert vals.shape == (2, 2, 2)
         assert vals[1, 0, 1] == vals[1, 1, 0]
         assert vals[1, 0, 1] == pytest.approx(-np.tan(0.3), abs=1e-3)
@@ -376,11 +375,11 @@ class TestStructure:
         if cls is not CurvatureTube:
             dense = mirror_upper(dense, rank - 2)
         tube = cls(grid, dense)
-        for p in self.probe_points(grid, rng):
-            block = tube.at(p)
-            assert block.shape == (n,) * rank
-            for pos in np.ndindex(block.shape):
-                assert block[pos] == interpolate(dense[pos], grid, p)
+        points = np.array(self.probe_points(grid, rng)).T
+        block = tube.at(points)
+        assert block.shape == (n,) * rank + points.shape[1:]
+        for pos in np.ndindex((n,) * rank):
+            assert block[pos].tobytes() == interpolate(dense[pos], grid, points).tobytes()
 
     @pytest.mark.parametrize("cls, axis", [(MetricField, 0), (ConnectionField, 1)])
     def test_at_reads_the_upper_half_of_a_nonsymmetric_dense(self, cls, axis):
@@ -389,12 +388,12 @@ class TestStructure:
         dense = rng.normal(size=(3,) * (axis + 2) + grid.shape)
         before = dense.copy()
         tube = cls(grid, dense)
-        for p in self.probe_points(grid, rng):
-            block = tube.at(p)
-            for pos in np.ndindex(block.shape):
-                i, j = pos[axis], pos[axis + 1]
-                upper = pos[:axis] + (min(i, j), max(i, j))
-                assert block[pos] == interpolate(dense[upper], grid, p)
+        points = np.array(self.probe_points(grid, rng)).T
+        block = tube.at(points)
+        for pos in np.ndindex(block.shape[:-1]):
+            i, j = pos[axis], pos[axis + 1]
+            upper = pos[:axis] + (min(i, j), max(i, j))
+            assert block[pos].tobytes() == interpolate(dense[upper], grid, points).tobytes()
         assert np.array_equal(dense, before)
 
     def test_dense_shape_validation(self):

@@ -92,11 +92,8 @@ class TestBuildGrid:
 
     def test_contains(self):
         g = grid2()
-        assert g.contains((0.5, 0.5))
-        assert g.contains((1.0, 1.0))
-        assert not g.contains((1.1, 0.5))
-        assert not g.contains((0.5, -0.2))
-        assert not g.contains((0.5,))
+        points = np.array([(0.5, 0.5), (1.0, 1.0), (1.1, 0.5), (0.5, -0.2)]).T
+        assert g.contains(points).tolist() == [True, True, False, False]
         # each axis is padded by 1e-12 of its scale, and contains agrees
         # with interpolate there, past it, at nan and inf, and on an axis
         # of one node
@@ -114,15 +111,16 @@ class TestBuildGrid:
                     np.inf,
                     -np.inf,
                 ]
-                for x, expected in [(x, True) for x in inside] + [(x, False) for x in outside]:
-                    point = [0.0, 1.0]  # inside both grids
-                    point[axis] = x
-                    assert g.contains(point) is expected, (g.shape, axis, x)
-                    if expected:
-                        interpolate(values, g, point)
+                points = np.array([[0.0], [1.0]]).repeat(len(inside + outside), axis=1)
+                points[axis] = inside + outside  # the other axis inside both grids
+                expected = [True] * len(inside) + [False] * len(outside)
+                assert g.contains(points).tolist() == expected, (g.shape, axis)
+                for point, inner in zip(points.T, expected):
+                    if inner:
+                        interpolate(values, g, point[:, None])
                     else:
                         with pytest.raises(OutOfDomain):
-                            interpolate(values, g, point)
+                            interpolate(values, g, point[:, None])
 
     def test_restrict_keeps_transverse(self):
         g = grid2()
@@ -254,30 +252,28 @@ class TestInterpolate:
     def test_exact_at_nodes(self):
         g = grid2(h1=0.25, res=5)
         vals = np.arange(25.0).reshape(g.shape)
-        for i, x1 in enumerate(g.x1_samples):
-            for j, x2 in enumerate(g.transverse_axes[0]):
-                assert interpolate(vals, g, (x1, x2)) == vals[i, j]
+        nodes = np.array(list(itertools.product(g.x1_samples, g.transverse_axes[0]))).T
+        assert interpolate(vals, g, nodes).tobytes() == vals.tobytes()
 
     def test_linear_reproduction(self):
         g = grid2(h1=0.25, res=5)
         x1 = g.x1_samples[:, None] * np.ones(5)
         x2 = np.ones((5, 1)) * g.transverse_axes[0]
         vals = 2.0 * x1 + 3.0 * x2 - 1.0
-        assert interpolate(vals, g, (0.1, 0.37)) == pytest.approx(2 * 0.1 + 3 * 0.37 - 1, abs=1e-14)
+        got = interpolate(vals, g, [[0.1], [0.37]])
+        assert got == pytest.approx([2 * 0.1 + 3 * 0.37 - 1], abs=1e-14)
 
     def test_stays_inside_corner_range(self):
         rng = np.random.default_rng(5)
         g = grid2(h1=0.25, res=5)
         vals = rng.normal(size=g.shape)
-        for _ in range(50):
-            p = (rng.uniform(0, 1), rng.uniform(0, 1))
-            v = interpolate(vals, g, p)
-            assert vals.min() - 1e-12 <= v <= vals.max() + 1e-12
+        v = interpolate(vals, g, rng.uniform(0, 1, size=(2, 50)))
+        assert np.all((vals.min() - 1e-12 <= v) & (v <= vals.max() + 1e-12))
 
     def test_outside_hull_raises(self):
         g = grid2()
-        with pytest.raises(OutOfDomain):
-            interpolate(np.zeros(g.shape), g, (1.5, 0.5))
+        with pytest.raises(OutOfDomain, match=r"coordinate 1\.5 outside"):
+            interpolate(np.zeros(g.shape), g, [[0.5, 1.5], [0.5, 0.5]])
 
     @staticmethod
     def probe_points(g, rng):
@@ -302,20 +298,16 @@ class TestInterpolate:
         g = grid2(h1=0.25, res=4) if n == 2 else grid3(res=4)
         shape = tuple(n if f else 1 for f in full)
         tube = TensorTube("T", g, rng.normal(size=shape + g.shape))
-        for p in self.probe_points(g, rng):
-            block = tube.at(p)
-            assert block.shape == shape
-            for pos in np.ndindex(shape):
-                assert block[pos] == interpolate(tube.dense[pos], g, p)
-
-    def test_scalar_field_gives_a_float(self):
-        g = grid2()
-        assert type(interpolate(np.ones(g.shape), g, (0.3, 0.6))) is float
+        points = np.array(self.probe_points(g, rng)).T
+        block = tube.at(points)
+        assert block.shape == shape + points.shape[1:]
+        for pos in np.ndindex(shape):
+            assert block[pos].tobytes() == interpolate(tube.dense[pos], g, points).tobytes()
 
     def test_block_at_a_node_is_a_copy(self):
         g = grid2()
         dense = np.zeros((2,) + g.shape)
-        block = TensorTube("T", g, dense).at((0.25, 0.5))
+        block = TensorTube("T", g, dense).at([[0.25], [0.5]])
         block[:] = 1.0
         assert not dense.any()
 
@@ -323,7 +315,7 @@ class TestInterpolate:
     def test_tube_at_outside_raises(self, point):
         g = grid2()
         with pytest.raises(OutOfDomain):
-            TensorTube("T", g, np.zeros((2, 2) + g.shape)).at(point)
+            TensorTube("T", g, np.zeros((2, 2) + g.shape)).at(np.reshape(point, (-1, 1)))
 
 
 def grid3(res=3):

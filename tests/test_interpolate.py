@@ -1,13 +1,14 @@
 """``interpolate`` against the one-point interpolation it replaces, bit for bit.
 
-``interpolate`` answers K points at once: it locates each axis with one
-search over the grid's cached cell edges, gathers the 2^n corners of
-every point with one flat index and reduces them axis by axis, each
-point taking a node wherever its fraction is 0 or 1.  The reference,
-``_replaced_points.reference_interpolate``, answers one point: the grid
-axes moved in front of the tensor axes, then one linear step per axis.
-Both must give the same bytes at every point of the tube, one point or
-many, and the same OutOfDomain message outside it.
+``interpolate`` answers K points at once, shaped (n, K): it locates
+each axis with one search over the grid's cached cell edges, gathers
+the 2^n corners of every point with one flat index and reduces them
+axis by axis, each point taking a node wherever its fraction is 0 or 1.
+The reference, ``_replaced_points.reference_interpolate``, answers one
+point: the grid axes moved in front of the tensor axes, then one linear
+step per axis.  Both must give the same bytes at every point of the
+tube, in a batch of one point or of many, and the same OutOfDomain
+message outside it.
 """
 
 import numpy as np
@@ -85,8 +86,10 @@ SLOTS = {"scalar": (), "vector": (3,), "tensor": (2, 2, 2)}
 
 
 def same(got, want):
-    assert type(got) is type(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    """A batch of one point's result against the reference's, bytes and shape."""
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape + (1,)
+    assert got.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------------- tests
@@ -100,7 +103,7 @@ def test_interpolate_matches_moveaxis_reference(n, slots):
     # inf - inf and 0 * inf are nan in both, with the same warning
     with np.errstate(invalid="ignore"):
         for point in inside_points(grid, seed=10 + n):
-            same(interpolate(values, grid, point), reference_interpolate(values, grid, point))
+            same(interpolate(values, grid, point[:, None]), reference_interpolate(values, grid, point))
 
 
 @pytest.mark.parametrize("slots", SLOTS.values(), ids=SLOTS.keys())
@@ -108,11 +111,13 @@ def test_interpolate_matches_moveaxis_reference(n, slots):
 def test_interpolate_raises_the_reference_message_outside(n, slots):
     grid = grid_of(n)
     values = block(grid, slots, seed=n)
-    for point in outside_points(grid) + [np.zeros(n + 1), np.zeros((1, n))]:
+    cases = [(p, p[:, None]) for p in outside_points(grid)]
+    cases += [(np.zeros(n + 1), np.zeros((n + 1, 1))), (np.zeros((1, n)), np.zeros((1, n)))]
+    for point, batch in cases:
         with pytest.raises(OutOfDomain) as want:
             reference_interpolate(values, grid, point)
         with pytest.raises(OutOfDomain) as got:
-            interpolate(values, grid, point)
+            interpolate(values, grid, batch)
         assert str(got.value) == str(want.value)
 
 
@@ -130,9 +135,9 @@ def test_the_points_reach_every_case():
 def test_tensor_result_is_a_new_array():
     grid = grid_of(2)
     values = block(grid, (2,), seed=1)
-    node = [grid.axis_coords(1)[2], grid.axis_coords(2)[1]]
+    node = [[grid.axis_coords(1)[2]], [grid.axis_coords(2)[1]]]
     got = interpolate(values, grid, node)
-    got[0] = 7.0
+    got[0, 0] = 7.0
     assert values[0, 2, 1] != 7.0
 
 
@@ -162,8 +167,12 @@ def test_one_point_and_no_points_as_batches(n):
     point = inside_points(grid, seed=n)[0]
     one = interpolate(values, grid, point[:, None])
     assert one.shape == (2, 3, 1)
-    assert one[..., 0].tobytes() == interpolate(values, grid, point).tobytes()
+    with np.errstate(invalid="ignore"):
+        assert one[..., 0].tobytes() == reference_interpolate(values, grid, point).tobytes()
     assert interpolate(values, grid, np.empty((n, 0))).shape == (2, 3, 0)
+    # a point is a batch of one: shaped (n,), it is no batch
+    with pytest.raises(OutOfDomain, match=f"point must have {n} coordinates"):
+        interpolate(values, grid, point)
 
 
 @pytest.mark.parametrize("slots", SLOTS.values(), ids=SLOTS.keys())
@@ -204,4 +213,4 @@ def test_an_axis_of_one_node_takes_its_node():
         for k, point in enumerate(points):
             assert got[:, k].tobytes() == reference_interpolate(values, grid, point).tobytes()
     with pytest.raises(OutOfDomain, match=r"coordinate 0\.01 outside \[0\.0, 0\.0\]"):
-        interpolate(values[:, k0 : k0 + 1], plane, points[0] + [0.01, 0.0, 0.0])
+        interpolate(values[:, k0 : k0 + 1], plane, (points[0] + [0.01, 0.0, 0.0])[:, None])

@@ -5,7 +5,7 @@ Each config runs in-process through ``cli.main`` like the fuzz corpus
 artifacts recorded in ``named_digests.json``.  Together they cover every
 mode, evaluation errors met mid-march, an error in a subexpression two
 components share, a field too deep to load, numerical stops, a shot
-that leaves the tube and a missed gate.
+that leaves the tube or is stopped by a guard, and a missed gate.
 """
 
 import pytest
@@ -96,6 +96,46 @@ NAMED = {
         + _fields('g.1.1 = "1 + x2^2 + 3*x2*x1"', 'g.2.2 = "1 + x1^2"'),
         0,
     ),
+    # det g falls under degeneracy_tol = 0.5 of its start near x1 = 0.29:
+    # the right-hand side vetoes that stage (StateRejected), which
+    # "stop-degenerate" never reaches
+    "stop-degenerate-veto": (
+        "reconstruct-metric",
+        _chart(2, 0.0, 1.0, 0.01, 5)
+        + "[tolerances]\ndegeneracy_tol = 0.5\n"
+        + SPHERE.replace('"0"', '"-2"').replace('"-cos(x1)^2"', '"0"'),
+        3,
+    ),
+    # stage 1 blows up within its first step, in both directions
+    "stop-stage1-first-step": (
+        "reconstruct-connection",
+        _chart(2, -0.5, 0.5, 0.01, 5, e=None) + _fields('A.2.1.2 = "-1e6"'),
+        3,
+    ),
+    # plus stops at 1.14 and minus at -2.64: a stop's replay keeps the
+    # other direction, which marches on alone while recording midpoints
+    "stop-directions-apart": (
+        "reconstruct-connection",
+        _chart(2, -3.0, 3.0, 0.01, 3, e=None) + _fields('A.2.1.2 = "-(1 + x1)^2"'),
+        3,
+    ),
+    # the source is undefined below x1 = -0.5: the minus direction's replay
+    # meets the evaluation error, which is held while plus marches on
+    "undefined-minus-side": (
+        "reconstruct-connection",
+        _chart(2, -1.0, 1.0, 0.01, 3, e=None)
+        + _fields('A.2.1.2 = "-1"', 'A.1.1.2 = "0*sqrt(x1 + 0.5)"'),
+        2,
+    ),
+    # the x1 lines are geodesics, and x1 = s passes blowup_threshold = 2:
+    # every shot's state is rejected at s = 2
+    "shot-guard-stop": (
+        "check-chart",
+        _chart(2, 0.0, 3.0, 0.01, 9) + "[tolerances]\nblowup_threshold = 2\n" + CHECK.replace(
+            '"cos(x1)^2"', '"1 + x1^2"'
+        ),
+        0,
+    ),
     # -cos(x1)^2 is four nodes high and each "+ 0" adds one: 901 is past
     # expr.MAX_DEPTH, refused while the config loads, before any output
     "deep-sum": ("reconstruct-metric", _metric_source("-cos(x1)^2" + " + 0" * 897), 2),
@@ -116,6 +156,8 @@ def test_named_config(tmp_path, recorded, name):
     assert code == expected, stderr
     if name == "shot-leaves-tube":
         assert "left the tube" in (out / "report.txt").read_text()
+    if name == "shot-guard-stop":
+        assert "state rejected (blowup) at s = 2.0" in (out / "report.txt").read_text()
     if name.startswith("stop-"):
         assert read_report(out / "report.txt")["status"] != "Complete"
     running = digest(code, stderr, out)

@@ -366,6 +366,14 @@ class TestBankRules:
         # the directions of each step, listed before tracing, as the march
         # holds its own
         lives = [live_at(grid, r) for r in range(rows_of(grid))]
+        # the same loop once untraced on a throwaway bank, so that numpy's
+        # cached dimension buffers and CPython's free lists are warm and the
+        # traced loop counts the bank, not the test order
+        warm = SourceBank(planes, grid)
+        for r, live in enumerate(lives):
+            warm.step(r, live)
+        del warm
+        evaluated.clear()
         tracemalloc.start()
         try:
             bank = SourceBank(planes, grid)
